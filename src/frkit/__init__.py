@@ -3,13 +3,11 @@
 from .spectral import (
     GridField,
     SpectralVector,
-    WrappedFrequency,
     best_s_truncation,
     forward_dft,
     fourier_ratio,
     inverse_dft,
     stechkin_budget,
-    wrapped_magnitude,
 )
 from .torus import (
     FrBoundReport,
@@ -58,7 +56,6 @@ from .solver import (
     duality_gap,
     make_sphere_operator,
     make_torus_operator,
-    oracle_solve,
     recover_sphere,
     recover_torus,
     solve_bpdn,

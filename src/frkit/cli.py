@@ -200,17 +200,22 @@ def cmd_lemmas(args, config_hash: str) -> int:
     return 0
 
 
-def _recover_one(args, name, eps, c_univ, seed) -> sol.RecoveryReport:
+def _recover_target(args, name, size):
+    """The battery spec (torus) or the signal at bandwidth size (sphere) named name."""
+    if args.setting == "torus":
+        return bat.TORUS_BATTERY[name]
+    return bat.build_sphere_battery(size)[name]
+
+
+def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
     delta_override = 0.0 if args.exact_fit else None
     if args.setting == "torus":
-        spec = bat.TORUS_BATTERY[name]
         return sol.recover_torus(
-            spec, args.n[0], eps, seed, c_univ=c_univ, ratio_source=args.ratio,
+            target, size, eps, seed, c_univ=c_univ, ratio_source=args.ratio,
             allow_uncertified=args.allow_uncertified, delta_override=delta_override,
         )
-    signal = bat.build_sphere_battery(args.l[0])[name]
     return sol.recover_sphere(
-        signal, eps, seed, c_univ=c_univ, ratio_source=args.ratio,
+        target, eps, seed, c_univ=c_univ, ratio_source=args.ratio,
         delta_override=delta_override,
     )
 
@@ -234,14 +239,16 @@ RECOVER_HEADER = sol.RECOVERY_HEADER + ["config_hash", "fn", "ratio_source", "pr
 def cmd_recover(args, config_hash: str) -> int:
     _validate_recover(args)
     name = args.fn[0]
+    size = args.n[0] if args.setting == "torus" else args.l[0]
+    target = _recover_target(args, name, size)
     eps = args.eps[0]
     c_univ = args.c_univ[0]
     rows = []
     for seed in spawn_seeds(args.seed, args.trials):
-        report = _recover_one(args, name, eps, c_univ, seed)
+        report = _recover_one(args, target, size, eps, c_univ, seed)
         rows.append(
             sol.recovery_csv_fields(report)
-            + [config_hash, name, args.ratio, report.norm_provenance or ""]
+            + [config_hash, name, args.ratio, report.norm_provenance]
         )
     _emit(RECOVER_HEADER, rows, args.out)
     return 0
@@ -274,16 +281,14 @@ def cmd_sweep(args, config_hash: str) -> int:
 
     def run_cell(idx):
         name, size, eps, c_univ = cells[idx]
+        target = _recover_target(args, name, size)
         rows = []
         for trial_seed in spawn_seeds(cell_seeds[idx], args.trials):
-            cell_args = argparse.Namespace(**vars(args))
-            cell_args.n = [size]
-            cell_args.l = [size]
             try:
-                report = _recover_one(cell_args, name, eps, c_univ, trial_seed)
+                report = _recover_one(args, target, size, eps, c_univ, trial_seed)
                 rows.append(
                     sol.recovery_csv_fields(report)
-                    + [config_hash, name, args.ratio, report.norm_provenance or "", "ok"]
+                    + [config_hash, name, args.ratio, report.norm_provenance, "ok"]
                 )
             except FrkitError as exc:
                 rows.append(

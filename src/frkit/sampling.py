@@ -8,14 +8,11 @@ with SeedSequence(master).generate_state(n_trials).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
-
-GENERATOR_NAME = "philox4x64"
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -116,21 +113,3 @@ def empirical_norm(values, expected_count: int | None = None) -> float:
             f"expected {expected_count} sampled values, got {vals.size}"
         )
     return float(np.linalg.norm(vals.ravel()))
-
-
-def sample_set_to_csv(sample: SampleSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={sample.seed} generator={GENERATOR_NAME}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(sample.dims)])
-        for row in sample.coords:
-            writer.writerow([str(int(x)) for x in row])
-
-
-def sample_multiset_to_csv(points: SampleMultiset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={points.seed} generator={GENERATOR_NAME}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "phi"])
-        for t, p in zip(points.theta, points.phi):
-            writer.writerow([f"{t:.17g}", f"{p:.17g}"])

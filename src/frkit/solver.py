@@ -1,34 +1,28 @@
-"""Matrix-free basis pursuit with noise and an independent small-scale oracle.
+"""Matrix-free basis pursuit with noise, its certificates, and the recovery pipelines.
 
-The production path is a first-order primal-dual splitting (Chambolle-Pock)
-on  min ||a||_1  s.t.  ||A a - y||_2 <= delta,  whose proximal steps are
-complex soft-thresholding and projection onto the l2 ball. The test oracle
-solves the identical program by an interior-point method: log barrier on the
-epigraph formulation with damped Newton steps, certified by a rigorous
-duality gap built from the residual direction.
+The solver is a first-order primal-dual splitting (Chambolle-Pock) on
+min ||a||_1  s.t.  ||A a - y||_2 <= delta,  whose proximal steps are complex
+soft-thresholding and projection onto the l2 ball. check_kkt and duality_gap
+certify a candidate independently of how it was found. recover_torus and
+recover_sphere run bound -> sample size -> sample -> solve -> report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CertificationError,
-    ConvergenceError,
-    DataError,
-    DomainError,
-    InfeasibleCandidateError,
-)
+from .errors import CertificationError, DataError, DomainError, InfeasibleCandidateError
 from .sampling import SampleMultiset, SampleSet, draw_sphere_points, draw_subset, rng_from_seed
 from .spectral import forward_dft, fourier_ratio, inverse_dft, SpectralVector, TORUS
 from . import sphere as sph
 from . import torus as tor
 
 ERROR_BUDGET_FACTOR = 11.47
+Q_MAX = 200_000  # largest sphere sample recover_sphere accepts
 
 RATIO_MEASURED = "measured"
 RATIO_BOUND = "bound"
@@ -133,7 +127,7 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Feasibility radius and stopping parameters for the primal-dual solver."""
 
@@ -149,29 +143,40 @@ class SolverConfig:
             raise DomainError("tolerance must be positive")
 
 
-@dataclass
-class RecoveryReport:
-    """Solver output plus pipeline metadata (optional fields filled by the pipelines)."""
+@dataclass(frozen=True)
+class _Solution:
+    """What solve_bpdn returns: the minimizer and how well it was reached."""
 
     coefficients: np.ndarray
     objective: float
     feasibility_residual: float
     iterations: int
     converged: bool
-    kkt_residual: Optional[float] = None
-    rel_error: Optional[float] = None
-    setting: Optional[str] = None
-    size_param: Optional[int] = None
-    eps: Optional[float] = None
-    c_univ: Optional[float] = None
-    seed: Optional[int] = None
-    sample_size: Optional[int] = None
-    delta: Optional[float] = None
-    budget: Optional[float] = None
-    imag_ratio: Optional[float] = None
-    clamped: Optional[bool] = None
-    ratio_used: Optional[float] = None
-    norm_provenance: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class RecoveryReport(_Solution):
+    """Solver output of one recovery trial plus the trial's setting and error.
+
+    norm_provenance names the norms the sample size or certification used
+    ("" when none were needed).
+    """
+
+    rel_error: float
+    imag_ratio: float
+    setting: str
+    size_param: int
+    eps: float
+    c_univ: float
+    seed: int
+    sample_size: int
+    clamped: bool
+    norm_provenance: str
+
+    @property
+    def budget(self) -> float:
+        """The relative-error budget 11.47 eps."""
+        return ERROR_BUDGET_FACTOR * self.eps
 
 
 RECOVERY_HEADER = [
@@ -181,18 +186,17 @@ RECOVERY_HEADER = [
 
 
 def recovery_csv_fields(report: RecoveryReport) -> list[str]:
-    fmt = lambda x: "" if x is None else (f"{x:.17g}" if isinstance(x, float) else str(x))
     return [
-        report.setting or "",
-        fmt(report.size_param),
-        fmt(report.eps),
-        fmt(report.c_univ),
-        fmt(report.seed),
-        fmt(report.sample_size),
+        report.setting,
+        str(report.size_param),
+        f"{report.eps:.17g}",
+        f"{report.c_univ:.17g}",
+        str(report.seed),
+        str(report.sample_size),
         f"{report.objective:.17g}",
         f"{report.feasibility_residual:.17g}",
-        fmt(report.rel_error),
-        fmt(report.budget),
+        f"{report.rel_error:.17g}",
+        f"{report.budget:.17g}",
         str(report.iterations),
         str(report.converged).lower(),
     ]
@@ -205,7 +209,7 @@ def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return x * scale
 
 
-def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> RecoveryReport:
+def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _Solution:
     """Chambolle-Pock splitting for min ||a||_1 s.t. ||A a - y|| <= delta.
 
     Dual prox is the shrink form of the l2-ball projection (Moreau identity);
@@ -254,13 +258,12 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> Rec
     feas = float(np.linalg.norm(residual_vec)) - delta
     if converged and feas > cfg.tol * y_scale:
         converged = False
-    return RecoveryReport(
+    return _Solution(
         coefficients=a,
         objective=float(np.sum(np.abs(a))),
         feasibility_residual=feas,
         iterations=iterations,
         converged=converged,
-        delta=delta,
     )
 
 
@@ -358,257 +361,54 @@ def duality_gap(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Interior-point oracle on the epigraph formulation (test-scale instances).
-# ---------------------------------------------------------------------------
-
-_ORACLE_MAX_DIM = 64
-
-
-def _real_stack(mat: np.ndarray) -> np.ndarray:
-    re, im = mat.real, mat.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def oracle_solve(
-    matrix: np.ndarray,
-    y: np.ndarray,
-    delta: float,
-    gap_tol: float = 1e-9,
-    return_info: bool = False,
-):
-    """Solve min ||a||_1 s.t. ||A a - y|| <= delta by a log-barrier Newton method.
-
-    Algorithmically independent of the primal-dual path: the complex program
-    is lifted to second-order-cone epigraph form over (Re a, Im a, t), a log
-    barrier is centered by damped Newton steps along an increasing barrier
-    parameter, and termination is certified by the rigorous duality gap from
-    the residual direction. Intended for dimensions <= 64 in tests only.
-    """
-    mat = np.asarray(matrix, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    n_meas, n_coef = mat.shape
-    if n_coef > _ORACLE_MAX_DIM or n_meas > _ORACLE_MAX_DIM:
-        raise DomainError(f"oracle limited to {_ORACLE_MAX_DIM} x {_ORACLE_MAX_DIM}")
-    if delta < 0:
-        raise DomainError("delta must be >= 0")
-    y_norm = float(np.linalg.norm(y))
-    if y_norm == 0.0 or delta >= y_norm:
-        a = np.zeros(n_coef, dtype=np.complex128)
-        return (a, {"gap": 0.0, "eta": 0.0}) if return_info else a
-
-    # work on the normalized instance; the solution scales linearly in y
-    yn = y / y_norm
-    dn = delta / y_norm
-    if dn == 0.0:
-        a, info = _oracle_equality(mat, yn, gap_tol)
-    else:
-        a, info = _oracle_ball(mat, yn, dn, gap_tol)
-    a = a * y_norm
-    info["gap"] = info["gap"] * y_norm  # back to the caller's scale
-    return (a, info) if return_info else a
-
-
-def _oracle_op(mat: np.ndarray) -> MeasurementOperator:
-    return MeasurementOperator(
-        forward=lambda a: mat @ a,
-        adjoint=lambda v: mat.conj().T @ v,
-        shape=mat.shape,
-        norm_bound=float(np.linalg.norm(mat, 2)),
-        dense=lambda: mat,
-    )
-
-
-def _soc_grad_hess(u, v, t, s):
-    """Gradient columns and 3x3 Hessian blocks for -log(t^2 - u^2 - v^2)."""
-    inv = 1.0 / s
-    inv2 = inv * inv
-    gu, gv, gt = 2.0 * u * inv, 2.0 * v * inv, -2.0 * t * inv
-    huu = 4.0 * u * u * inv2 + 2.0 * inv
-    hvv = 4.0 * v * v * inv2 + 2.0 * inv
-    htt = 4.0 * t * t * inv2 - 2.0 * inv
-    huv = 4.0 * u * v * inv2
-    hut = -4.0 * u * t * inv2
-    hvt = -4.0 * v * t * inv2
-    return (gu, gv, gt), (huu, hvv, htt, huv, hut, hvt)
-
-
-def _assemble_soc(n_coef, grad, hess, eta):
-    gu, gv, gt = grad
-    huu, hvv, htt, huv, hut, hvt = hess
-    dim = 3 * n_coef
-    g = np.zeros(dim)
-    g[:n_coef], g[n_coef : 2 * n_coef], g[2 * n_coef :] = gu, gv, gt + eta
-    h = np.zeros((dim, dim))
-    idx = np.arange(n_coef)
-    h[idx, idx] = huu
-    h[n_coef + idx, n_coef + idx] = hvv
-    h[2 * n_coef + idx, 2 * n_coef + idx] = htt
-    h[idx, n_coef + idx] = h[n_coef + idx, idx] = huv
-    h[idx, 2 * n_coef + idx] = h[2 * n_coef + idx, idx] = hut
-    h[n_coef + idx, 2 * n_coef + idx] = h[2 * n_coef + idx, n_coef + idx] = hvt
-    return g, h
-
-
-def _oracle_ball(mat, yn, dn, gap_tol):
-    n_meas, n_coef = mat.shape
-    br = _real_stack(mat)  # (2m, 2D)
-    yr = np.concatenate([yn.real, yn.imag])
-    op = _oracle_op(mat)
-
-    w, *_ = np.linalg.lstsq(br, yr, rcond=None)
-    min_res = float(np.linalg.norm(br @ w - yr))
-    if min_res >= dn * (1.0 - 1e-12):
-        raise ConvergenceError(
-            f"no strictly feasible point: min residual {min_res:.3e} vs delta {dn:.3e}"
-        )
-    u, v = w[:n_coef], w[n_coef:]
-    t = np.sqrt(u * u + v * v) * 1.5 + 0.1 * (np.mean(np.abs(u + 1j * v)) + 1e-3)
-
-    def ball_terms(w_vec):
-        rr = br @ w_vec - yr
-        b = dn * dn - float(rr @ rr)
-        return rr, b
-
-    def merit(u, v, t, eta):
-        s = t * t - u * u - v * v
-        _, b = ball_terms(np.concatenate([u, v]))
-        if np.any(s <= 0) or b <= 0 or np.any(t <= 0):
-            return np.inf
-        return eta * float(np.sum(t)) - float(np.sum(np.log(s))) - math.log(b)
-
-    eta = 1.0
-    gap = np.inf
-    a = u + 1j * v
-    for _ in range(60):
-        for _ in range(80):  # damped Newton centering at this eta
-            s = t * t - u * u - v * v
-            grad, hess = _soc_grad_hess(u, v, t, s)
-            g, h = _assemble_soc(n_coef, grad, hess, eta)
-            rr, b = ball_terms(np.concatenate([u, v]))
-            gw = 2.0 * (br.T @ rr) / b
-            g[: 2 * n_coef] += gw
-            brr = br.T @ rr
-            h[: 2 * n_coef, : 2 * n_coef] += 2.0 * (br.T @ br) / b + 4.0 * np.outer(
-                brr, brr
-            ) / (b * b)
-            try:
-                step = np.linalg.solve(h, -g)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(h, -g, rcond=None)
-            decrement = float(-g @ step)
-            if not np.isfinite(decrement) or decrement <= 0:
-                break
-            base = merit(u, v, t, eta)
-            alpha = 1.0
-            du, dv, dt = step[:n_coef], step[n_coef : 2 * n_coef], step[2 * n_coef :]
-            while alpha > 1e-14:
-                if merit(u + alpha * du, v + alpha * dv, t + alpha * dt, eta) <= base - 0.01 * alpha * decrement:
-                    break
-                alpha *= 0.5
-            if alpha <= 1e-14:
-                break
-            u, v, t = u + alpha * du, v + alpha * dv, t + alpha * dt
-            if decrement * alpha < 1e-12:
-                break
-        a = u + 1j * v
-        gap = duality_gap(op, yn, dn, a)
-        if gap <= gap_tol * max(1.0, float(np.sum(np.abs(a)))):
-            break
-        eta *= 10.0
-        if eta > 1e14:
-            break
-    info = {"gap": gap, "eta": eta}
-    if gap > 1e-6 * max(1.0, float(np.sum(np.abs(a)))):
-        raise ConvergenceError(
-            f"oracle stalled: duality gap {gap:.3e} at barrier parameter {eta:.1e}"
-        )
-    return a, info
-
-
-def _oracle_equality(mat, yn, gap_tol):
-    """delta = 0: equality-constrained Newton on the epigraph barrier."""
-    n_meas, n_coef = mat.shape
-    br = _real_stack(mat)
-    yr = np.concatenate([yn.real, yn.imag])
-    op = _oracle_op(mat)
-
-    w, *_ = np.linalg.lstsq(br, yr, rcond=None)
-    if float(np.linalg.norm(br @ w - yr)) > 1e-10:
-        raise DataError("equality-constrained instance is inconsistent")
-    u, v = w[:n_coef], w[n_coef:]
-    t = np.sqrt(u * u + v * v) * 1.5 + 0.1 * (np.mean(np.abs(u + 1j * v)) + 1e-3)
-
-    n_eq = br.shape[0]
-    c_mat = np.zeros((n_eq, 3 * n_coef))
-    c_mat[:, : 2 * n_coef] = br
-
-    def merit(u, v, t, eta):
-        s = t * t - u * u - v * v
-        if np.any(s <= 0) or np.any(t <= 0):
-            return np.inf
-        return eta * float(np.sum(t)) - float(np.sum(np.log(s)))
-
-    eta = 1.0
-    gap = np.inf
-    a = u + 1j * v
-    mu = np.zeros(n_eq)
-    for _ in range(60):
-        for _ in range(80):
-            s = t * t - u * u - v * v
-            grad, hess = _soc_grad_hess(u, v, t, s)
-            g, h = _assemble_soc(n_coef, grad, hess, eta)
-            kkt = np.zeros((3 * n_coef + n_eq, 3 * n_coef + n_eq))
-            kkt[: 3 * n_coef, : 3 * n_coef] = h
-            kkt[: 3 * n_coef, 3 * n_coef :] = c_mat.T
-            kkt[3 * n_coef :, : 3 * n_coef] = c_mat
-            rhs = np.concatenate([-g, np.zeros(n_eq)])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            step, mu = sol[: 3 * n_coef], sol[3 * n_coef :]
-            decrement = float(-g @ step)
-            if not np.isfinite(decrement) or decrement <= 0:
-                break
-            base = merit(u, v, t, eta)
-            alpha = 1.0
-            du, dv, dt = step[:n_coef], step[n_coef : 2 * n_coef], step[2 * n_coef :]
-            while alpha > 1e-14:
-                if merit(u + alpha * du, v + alpha * dv, t + alpha * dt, eta) <= base - 0.01 * alpha * decrement:
-                    break
-                alpha *= 0.5
-            if alpha <= 1e-14:
-                break
-            u, v, t = u + alpha * du, v + alpha * dv, t + alpha * dt
-            if decrement * alpha < 1e-12:
-                break
-        a = u + 1j * v
-        # dual candidate from the equality multipliers, scaled dual-feasible
-        nu = (mu[:n_meas] + 1j * mu[n_meas:]) / eta
-        g_dual = mat.conj().T @ nu
-        ginf = float(np.max(np.abs(g_dual)))
-        obj = float(np.sum(np.abs(a)))
-        if ginf > 0:
-            w_cand = -nu / max(1.0, ginf)
-            gap = obj - float(np.real(np.vdot(w_cand, yn)))
-        else:
-            gap = obj
-        if gap <= gap_tol * max(1.0, obj):
-            break
-        eta *= 10.0
-        if eta > 1e14:
-            break
-    info = {"gap": gap, "eta": eta}
-    if gap > 1e-6 * max(1.0, float(np.sum(np.abs(a)))):
-        raise ConvergenceError(
-            f"oracle stalled: duality gap {gap:.3e} at barrier parameter {eta:.1e}"
-        )
-    return a, info
-
-
-# ---------------------------------------------------------------------------
 # End-to-end pipelines: bound -> sample size -> sample -> solve -> report.
 # ---------------------------------------------------------------------------
+
+def _sample_ratio(
+    ratio_source: str,
+    measured: float,
+    bound: Callable[[], tor.FrBoundReport | sph.SphereFrBoundReport],
+) -> tuple[float, str]:
+    """The ratio for the sample-size formula, floored at 1, and its norm provenance.
+
+    "measured" is the Fourier ratio of the truth and needs no norms; "bound"
+    is the certified r_N / r_L, built by bound() only when asked for because
+    the sphere norms are costly.
+    """
+    if ratio_source == RATIO_MEASURED:
+        return max(1.0, measured), ""
+    if ratio_source == RATIO_BOUND:
+        report = bound()
+        return max(1.0, report.r), report.provenance
+    raise DomainError(f"unknown ratio source {ratio_source!r}")
+
+
+def _recover(
+    op: MeasurementOperator,
+    y: np.ndarray,
+    truth: np.ndarray,
+    truth_norm: float,
+    to_truth_space: Callable[[np.ndarray], np.ndarray],
+    delta_override: float | None,
+    **fields,
+) -> RecoveryReport:
+    """Solve for the coefficients and score them against the real-valued truth.
+
+    to_truth_space maps coefficients to the representation truth is stored in;
+    its real part gives rel_error, its imaginary part imag_ratio. fields are
+    the remaining RecoveryReport fields, eps among them.
+    """
+    delta = fields["eps"] * truth_norm if delta_override is None else delta_override
+    solution = solve_bpdn(op, y, SolverConfig(delta=delta))
+    recovered = to_truth_space(solution.coefficients)
+    return RecoveryReport(
+        **vars(solution),
+        rel_error=float(np.linalg.norm(recovered.real - truth) / truth_norm),
+        imag_ratio=float(np.linalg.norm(recovered.imag) / truth_norm),
+        sample_size=op.shape[0],
+        **fields,
+    )
+
 
 def recover_torus(
     f: tor.SmoothFunctionSpec,
@@ -617,9 +417,7 @@ def recover_torus(
     seed: int,
     c_univ: float = 1.0,
     ratio_source: str = RATIO_MEASURED,
-    norms: tor.NormData | None = None,
     allow_uncertified: bool = False,
-    cfg: SolverConfig | None = None,
     delta_override: float | None = None,
     sample_size_override: int | None = None,
 ) -> RecoveryReport:
@@ -630,8 +428,7 @@ def recover_torus(
     grid at desk scales) or the measured Fourier ratio ("measured").
     delta_override = 0 requests exact-fit basis pursuit on the observations.
     """
-    if norms is None:
-        norms = tor.resolve_norms(f, side)
+    norms = tor.resolve_norms(f, side)
     rn = tor.compute_rn(norms, side)
     if not rn.certified and not allow_uncertified:
         raise CertificationError(
@@ -639,46 +436,16 @@ def recover_torus(
             "pass allow_uncertified=True to override"
         )
     g = tor.discretize(f, side)
-    truth = forward_dft(g)
-    truth_norm = g.l2
-    fr = fourier_ratio(truth)
-    if ratio_source == RATIO_BOUND:
-        ratio = max(1.0, rn.r)
-    elif ratio_source == RATIO_MEASURED:
-        ratio = max(1.0, fr)
-    else:
-        raise DomainError(f"unknown ratio source {ratio_source!r}")
-
+    ratio, _ = _sample_ratio(ratio_source, fourier_ratio(forward_dft(g)), lambda: rn)
     budget = tor.sample_size_torus(ratio, eps, side, 2, c_univ)
     size = budget.size if sample_size_override is None else sample_size_override
     sample = draw_subset(side, 2, size, seed)
-    y = g.values[sample.flat]
-    delta = eps * truth_norm if delta_override is None else delta_override
-    solver_cfg = cfg if cfg is not None else SolverConfig(delta=delta)
-    if cfg is not None:
-        solver_cfg.delta = delta
-    op = make_torus_operator(sample)
-    report = solve_bpdn(op, y, solver_cfg)
-
-    recovered = inverse_dft(
-        SpectralVector(mode=TORUS, coeffs=report.coefficients, side=side, dims=2)
+    return _recover(
+        make_torus_operator(sample), g.values[sample.flat], g.values.real, g.l2,
+        lambda a: inverse_dft(SpectralVector(mode=TORUS, coeffs=a, side=side, dims=2)).values,
+        delta_override, setting="torus", size_param=side, eps=eps, c_univ=c_univ,
+        seed=seed, clamped=budget.clamped, norm_provenance=norms.provenance,
     )
-    real_part = recovered.values.real
-    report.rel_error = float(
-        np.linalg.norm(real_part - g.values.real) / truth_norm
-    )
-    report.imag_ratio = float(np.linalg.norm(recovered.values.imag) / truth_norm)
-    report.setting = "torus"
-    report.size_param = side
-    report.eps = eps
-    report.c_univ = c_univ
-    report.seed = seed
-    report.sample_size = size
-    report.clamped = budget.clamped
-    report.budget = ERROR_BUDGET_FACTOR * eps
-    report.ratio_used = ratio
-    report.norm_provenance = norms.provenance
-    return report
 
 
 def recover_sphere(
@@ -687,49 +454,25 @@ def recover_sphere(
     seed: int,
     c_univ: float = 1.0,
     ratio_source: str = RATIO_MEASURED,
-    norms: sph.SphereNormData | None = None,
-    q_max: int = 200_000,
-    cfg: SolverConfig | None = None,
     delta_override: float | None = None,
     sample_size_override: int | None = None,
 ) -> RecoveryReport:
     """Recover a bandlimited sphere signal from i.i.d. uniform point samples."""
     bandwidth = signal.bandwidth
-    fr = sph.sphere_fourier_ratio(signal)
-    if ratio_source == RATIO_BOUND:
-        if norms is None:
-            norms = sph.estimate_sphere_norms(signal)
-        ratio = max(1.0, sph.compute_rl(norms, bandwidth).r)
-    elif ratio_source == RATIO_MEASURED:
-        ratio = max(1.0, fr)
-    else:
-        raise DomainError(f"unknown ratio source {ratio_source!r}")
-
+    ratio, provenance = _sample_ratio(
+        ratio_source, sph.sphere_fourier_ratio(signal),
+        lambda: sph.compute_rl(sph.estimate_sphere_norms(signal), bandwidth),
+    )
     q = sph.sample_size_sphere(ratio, eps, bandwidth, c_univ)
     if sample_size_override is not None:
         q = sample_size_override
-    if q > q_max:
-        raise DomainError(f"sample size {q} exceeds configured q_max={q_max}")
+    if q > Q_MAX:
+        raise DomainError(f"sample size {q} exceeds configured q_max={Q_MAX}")
     points = draw_sphere_points(q, seed)
-    y = sph.synthesize(signal, points.theta, points.phi).astype(np.complex128)
-    delta = eps * signal.l2 if delta_override is None else delta_override
-    solver_cfg = cfg if cfg is not None else SolverConfig(delta=delta)
-    if cfg is not None:
-        solver_cfg.delta = delta
-    op = make_sphere_operator(points, bandwidth)
-    report = solve_bpdn(op, y, solver_cfg)
-
-    recovered = report.coefficients.real
-    report.rel_error = float(np.linalg.norm(recovered - signal.coeffs) / signal.l2)
-    report.imag_ratio = float(np.linalg.norm(report.coefficients.imag) / signal.l2)
-    report.setting = "sphere"
-    report.size_param = bandwidth
-    report.eps = eps
-    report.c_univ = c_univ
-    report.seed = seed
-    report.sample_size = q
-    report.clamped = False
-    report.budget = ERROR_BUDGET_FACTOR * eps
-    report.ratio_used = ratio
-    report.norm_provenance = norms.provenance if norms is not None else None
-    return report
+    return _recover(
+        make_sphere_operator(points, bandwidth),
+        sph.synthesize(signal, points.theta, points.phi).astype(np.complex128),
+        signal.coeffs, signal.l2, lambda a: a,
+        delta_override, setting="sphere", size_param=bandwidth, eps=eps, c_univ=c_univ,
+        seed=seed, clamped=False, norm_provenance=provenance,
+    )

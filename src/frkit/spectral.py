@@ -3,14 +3,13 @@
 Unitary transforms (N^{-d/2} normalization, so Parseval holds with
 unnormalized counting-measure norms on the grid), the Fourier ratio
 ||a||_1/||a||_2, best-S truncation with its Stechkin-type tail bound,
-and wrapped frequency magnitudes |k|_* = min(k, N-k).
+and the grid of wrapped frequency magnitudes |k|_* = min(k, N-k).
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,47 +105,6 @@ class SpectralVector:
     def norm2(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def frequencies(self) -> np.ndarray:
-        """Index tuples in storage order: frequency vectors (torus) or (l, m) pairs (sphere)."""
-        if self.mode == TORUS:
-            grids = np.meshgrid(
-                *[np.arange(self.side)] * self.dims, indexing="ij"
-            )
-            return np.stack([g.ravel() for g in grids], axis=1)
-        ells = np.concatenate(
-            [np.full(2 * l + 1, l) for l in range(self.bandwidth + 1)]
-        )
-        ems = np.concatenate(
-            [np.arange(-l, l + 1) for l in range(self.bandwidth + 1)]
-        )
-        return np.stack([ells, ems], axis=1)
-
-
-@dataclass(frozen=True)
-class WrappedFrequency:
-    """Frequency tuple with per-component wrapped magnitudes min(k, N-k)."""
-
-    components: tuple
-    side: int
-    wrapped: tuple = field(init=False)
-    mag_sq: int = field(init=False)
-
-    def __post_init__(self):
-        comps = tuple(int(k) for k in self.components)
-        if any(not 0 <= k < self.side for k in comps):
-            raise DomainError(f"components must lie in [0, {self.side}), got {comps}")
-        wrapped = tuple(min(k, self.side - k) for k in comps)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "wrapped", wrapped)
-        object.__setattr__(self, "mag_sq", sum(w * w for w in wrapped))
-
-
-def wrapped_magnitude(m, side: int) -> WrappedFrequency:
-    """Wrapped magnitude data for frequency tuple m on Z_N (componentwise min(k, N-k))."""
-    if np.isscalar(m):
-        m = (m,)
-    return WrappedFrequency(components=tuple(m), side=side)
-
 
 def wrapped_mag_sq_grid(side: int, dims: int) -> np.ndarray:
     """|m|_*^2 for every frequency of Z_N^d, shaped (N,)*d."""
@@ -219,79 +177,3 @@ def stechkin_budget(fr: float, eps: float) -> int:
     if eps <= 0:
         raise DomainError("eps must be positive")
     return int(math.ceil(fr * fr / (eps * eps)))
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization. Values are printed with 17 significant digits so that a
-# round trip reproduces every float64 exactly.
-# ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def grid_to_csv(fld: GridField, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(fld.dims)] + ["re", "im"])
-        coords = np.stack(
-            np.unravel_index(np.arange(fld.values.size), (fld.side,) * fld.dims),
-            axis=1,
-        )
-        for xs, v in zip(coords, fld.values):
-            writer.writerow([*(str(int(x)) for x in xs), _fmt(v.real), _fmt(v.imag)])
-
-
-def grid_from_csv(path) -> GridField:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    header = rows[0]
-    dims = len(header) - 2
-    if dims < 1 or header[-2:] != ["re", "im"]:
-        raise StructuralError(f"unexpected grid CSV header {header}")
-    body = rows[1:]
-    side = round(len(body) ** (1.0 / dims))
-    if side**dims != len(body):
-        raise StructuralError(f"{len(body)} rows is not a full Z_N^{dims} grid")
-    values = np.empty(len(body), dtype=np.complex128)
-    for row in body:
-        xs = tuple(int(c) for c in row[:dims])
-        flat = np.ravel_multi_index(xs, (side,) * dims)
-        values[flat] = complex(float(row[dims]), float(row[dims + 1]))
-    is_real = bool(np.all(values.imag == 0.0))
-    return GridField(side=side, dims=dims, values=values, is_real=is_real)
-
-
-def spectral_to_csv(spec: SpectralVector, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if spec.mode == TORUS:
-            writer.writerow([f"m{i + 1}" for i in range(spec.dims)] + ["re", "im"])
-        else:
-            writer.writerow(["l", "m", "re", "im"])
-        for idx, v in zip(spec.frequencies(), spec.coeffs):
-            writer.writerow([*(str(int(i)) for i in idx), _fmt(v.real), _fmt(v.imag)])
-
-
-def spectral_from_csv(path) -> SpectralVector:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    header = rows[0]
-    body = rows[1:]
-    if header[:2] == ["l", "m"]:
-        bandwidth = round(math.sqrt(len(body))) - 1
-        coeffs = np.empty(len(body), dtype=np.complex128)
-        for row in body:
-            l, m = int(row[0]), int(row[1])
-            coeffs[l * l + l + m] = complex(float(row[2]), float(row[3]))
-        return SpectralVector(mode=SPHERE, coeffs=coeffs, bandwidth=bandwidth)
-    dims = len(header) - 2
-    side = round(len(body) ** (1.0 / dims))
-    if side**dims != len(body):
-        raise StructuralError(f"{len(body)} rows is not a full frequency grid")
-    coeffs = np.empty(len(body), dtype=np.complex128)
-    for row in body:
-        ms = tuple(int(c) for c in row[:dims])
-        flat = np.ravel_multi_index(ms, (side,) * dims)
-        coeffs[flat] = complex(float(row[dims]), float(row[dims + 1]))
-    return SpectralVector(mode=TORUS, coeffs=coeffs, side=side, dims=dims)

@@ -24,14 +24,12 @@ magnitude obtained spectrally from |grad f|^2 = Lap(f^2)/2 - f Lap f.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, StructuralError
-from .spectral import SPHERE, SpectralVector
 
 C0_SPHERE = 48.0 * math.sqrt(math.pi)
 SPHERE_AREA = 4.0 * math.pi
@@ -85,13 +83,6 @@ class SphericalSignal:
 
     def coefficient(self, l: int, m: int) -> float:
         return float(self.coeffs[lm_to_index(l, m)])
-
-    def to_spectral(self) -> SpectralVector:
-        return SpectralVector(
-            mode=SPHERE,
-            coeffs=self.coeffs.astype(np.complex128),
-            bandwidth=self.bandwidth,
-        )
 
 
 @dataclass(frozen=True)
@@ -404,31 +395,3 @@ def sample_size_sphere(r: float, eps: float, bandwidth: int, c_univ: float) -> i
     dim = (bandwidth + 1) ** 2
     value = c_univ * (r / eps) ** 2 * math.log(r / eps) ** 2 * math.log(dim)
     return int(math.ceil(value))
-
-
-def signal_to_csv(signal: SphericalSignal, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "m", "value"])
-        for i, v in enumerate(signal.coeffs):
-            l, m = index_to_lm(i)
-            writer.writerow([str(l), str(m), f"{v:.17g}"])
-
-
-def signal_from_csv(path) -> SphericalSignal:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    body = rows[1:]
-    bandwidth = round(math.sqrt(len(body))) - 1
-    coeffs = np.zeros((bandwidth + 1) ** 2)
-    for row in body:
-        coeffs[lm_to_index(int(row[0]), int(row[1]))] = float(row[2])
-    return SphericalSignal(bandwidth=bandwidth, coeffs=coeffs)
-
-
-def quadrature_to_csv(rule: QuadratureRule, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "phi", "weight"])
-        for t, p, w in zip(rule.theta, rule.phi, rule.weights):
-            writer.writerow([f"{t:.17g}", f"{p:.17g}", f"{w:.17g}"])

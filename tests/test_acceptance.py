@@ -17,12 +17,12 @@ from frkit.sampling import rng_from_seed, spawn_seeds
 from frkit.solver import (
     SolverConfig,
     check_kkt,
-    oracle_solve,
     recover_sphere,
     recover_torus,
     solve_bpdn,
 )
 from frkit.spectral import SpectralVector, best_s_truncation, fourier_ratio
+from bpdn_oracle import oracle_solve
 import conftest
 from conftest import dense_operator, random_bpdn_instance
 

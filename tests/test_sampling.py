@@ -9,8 +9,6 @@ from frkit.sampling import (
     draw_sphere_points,
     draw_subset,
     empirical_norm,
-    sample_multiset_to_csv,
-    sample_set_to_csv,
     spawn_seeds,
 )
 
@@ -106,25 +104,6 @@ class TestSeeds:
     def test_spawned_unique(self):
         seeds = spawn_seeds(123, 1000)
         assert len(set(seeds)) == 1000
-
-
-class TestCsv:
-    def test_sample_set_header_carries_seed(self, tmp_path):
-        s = draw_subset(4, 2, 5, seed=2024)
-        path = tmp_path / "sample.csv"
-        sample_set_to_csv(s, path)
-        text = path.read_text().split("\n")
-        assert text[0].startswith("# seed=2024")
-        assert text[1] == "x1,x2"
-
-    def test_multiset_csv(self, tmp_path):
-        p = draw_sphere_points(4, seed=77)
-        path = tmp_path / "points.csv"
-        sample_multiset_to_csv(p, path)
-        text = path.read_text().split("\n")
-        assert text[0].startswith("# seed=77")
-        assert text[1] == "theta,phi"
-        assert len([t for t in text if t]) == 2 + 4
 
 
 class TestInvariantValidation:

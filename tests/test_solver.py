@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -13,12 +14,12 @@ from frkit.errors import (
 )
 from frkit.sampling import draw_sphere_points, draw_subset, rng_from_seed, spawn_seeds
 from frkit.solver import (
+    Q_MAX,
     SolverConfig,
     check_kkt,
     duality_gap,
     make_sphere_operator,
     make_torus_operator,
-    oracle_solve,
     recover_sphere,
     recover_torus,
     recovery_csv_fields,
@@ -26,6 +27,7 @@ from frkit.solver import (
     RECOVERY_HEADER,
 )
 from frkit.spectral import SpectralVector, inverse_dft
+from bpdn_oracle import oracle_solve
 from conftest import dense_operator, random_bpdn_instance
 
 
@@ -117,6 +119,14 @@ class TestSolveBpdn:
     def test_negative_delta_rejected(self):
         with pytest.raises(DomainError):
             SolverConfig(delta=-1.0)
+
+    def test_config_and_report_are_frozen(self):
+        cfg = SolverConfig(delta=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.delta = 0.8
+        rep = recover_torus(TORUS_BATTERY["const1"], 8, 0.1, seed=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.rel_error = 0.0
 
     def test_objective_never_exceeds_feasible_truth(self):
         for seed in range(8):
@@ -284,6 +294,14 @@ class TestRecoverTorus:
         assert len(fields) == len(RECOVERY_HEADER)
         assert fields[0] == "torus"
         assert fields[-1] in ("true", "false")
+        rep = recover_sphere(
+            build_sphere_battery(1)["y00"], 0.1, seed=5, ratio_source="measured",
+            delta_override=0.0, sample_size_override=4,
+        )
+        fields = recovery_csv_fields(rep)
+        assert len(fields) == len(RECOVERY_HEADER)
+        assert fields[0] == "sphere"
+        assert rep.norm_provenance == ""
 
 
 class TestRecoverSphere:
@@ -302,8 +320,9 @@ class TestRecoverSphere:
 
     def test_q_max_refusal(self):
         bat = build_sphere_battery(8)
-        with pytest.raises(DomainError):
-            recover_sphere(bat["mix5"], 0.1, seed=1, c_univ=8.0, q_max=1000)
+        # c_univ = 16 asks for 270,641 points at the measured ratio
+        with pytest.raises(DomainError, match=f"exceeds configured q_max={Q_MAX}"):
+            recover_sphere(bat["mix5"], 0.1, seed=1, c_univ=16.0)
 
     def test_monotone_error_in_sample_size(self):
         bat = build_sphere_battery(8)

@@ -11,13 +11,9 @@ from frkit.spectral import (
     best_s_truncation,
     forward_dft,
     fourier_ratio,
-    grid_from_csv,
-    grid_to_csv,
     inverse_dft,
-    spectral_from_csv,
-    spectral_to_csv,
     stechkin_budget,
-    wrapped_magnitude,
+    wrapped_mag_sq_grid,
 )
 from conftest import best_tail_by_enumeration, dft_direct, idft_direct
 
@@ -201,45 +197,12 @@ class TestTruncation:
 
 class TestWrappedMagnitude:
     def test_examples(self):
-        assert wrapped_magnitude((0, 0), 8).mag_sq == 0
-        assert wrapped_magnitude((7, 1), 8).mag_sq == 2
-        assert wrapped_magnitude((4, 4), 8).mag_sq == 32
+        grid = wrapped_mag_sq_grid(8, 2)
+        assert grid[0, 0] == 0
+        assert grid[7, 1] == 2
+        assert grid[4, 4] == 32
 
     def test_component_range(self):
         for n in (2, 5, 8):
-            for k in range(n):
-                w = wrapped_magnitude((k,), n)
-                assert 0 <= w.wrapped[0] <= n / 2
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            wrapped_magnitude((8, 0), 8)
-
-
-class TestCsv:
-    def test_grid_roundtrip(self, tmp_path, rng):
-        vals = rng.standard_normal(36) + 1j * rng.standard_normal(36)
-        fld = GridField(side=6, dims=2, values=vals)
-        path = tmp_path / "grid.csv"
-        grid_to_csv(fld, path)
-        back = grid_from_csv(path)
-        assert back.side == 6 and back.dims == 2
-        assert np.array_equal(back.values, fld.values)
-
-    def test_torus_spectrum_roundtrip(self, tmp_path, rng):
-        coeffs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        spec = SpectralVector(mode="torus", coeffs=coeffs, side=4, dims=2)
-        path = tmp_path / "spec.csv"
-        spectral_to_csv(spec, path)
-        back = spectral_from_csv(path)
-        assert back.mode == "torus" and back.side == 4
-        assert np.array_equal(back.coeffs, coeffs)
-
-    def test_sphere_spectrum_roundtrip(self, tmp_path, rng):
-        coeffs = rng.standard_normal(16).astype(complex)
-        spec = SpectralVector(mode="sphere", coeffs=coeffs, bandwidth=3)
-        path = tmp_path / "sphere_spec.csv"
-        spectral_to_csv(spec, path)
-        back = spectral_from_csv(path)
-        assert back.mode == "sphere" and back.bandwidth == 3
-        assert np.array_equal(back.coeffs, coeffs)
+            w = wrapped_mag_sq_grid(n, 1)
+            assert np.all((0 <= w) & (w <= (n / 2) ** 2))

@@ -20,10 +20,7 @@ from frkit.sphere import (
     index_to_lm,
     laplacian,
     lm_to_index,
-    quadrature_to_csv,
     sample_size_sphere,
-    signal_from_csv,
-    signal_to_csv,
     sphere_fourier_ratio,
     synthesize,
     verify_sphere_fr_bound,
@@ -350,21 +347,3 @@ class TestSampleSizeSphere:
     def test_eps_domain(self):
         with pytest.raises(DomainError):
             sample_size_sphere(1.0, 0.5, 8, 1.0)
-
-
-class TestSphereCsv:
-    def test_signal_roundtrip(self, tmp_path, rng):
-        sig = SphericalSignal(3, rng.standard_normal(16))
-        path = tmp_path / "sig.csv"
-        signal_to_csv(sig, path)
-        back = signal_from_csv(path)
-        assert back.bandwidth == 3
-        assert np.array_equal(back.coeffs, sig.coeffs)
-
-    def test_quadrature_csv(self, tmp_path):
-        rule = build_quadrature(2)
-        path = tmp_path / "quad.csv"
-        quadrature_to_csv(rule, path)
-        rows = path.read_text().strip().split("\n")
-        assert rows[0] == "theta,phi,weight"
-        assert len(rows) == 1 + len(rule)
