@@ -34,7 +34,6 @@ class SampleSet:
     side: int
     dims: int
     flat: np.ndarray
-    seed: int
 
     def __post_init__(self):
         flat = np.array(self.flat, dtype=np.int64)
@@ -64,7 +63,6 @@ class SampleMultiset:
 
     theta: np.ndarray
     phi: np.ndarray
-    seed: int
 
     def __post_init__(self):
         theta = np.array(self.theta, dtype=float)
@@ -86,13 +84,13 @@ def draw_subset(side: int, dims: int, k: int, seed: int) -> SampleSet:
     if not 0 <= k <= total:
         raise DomainError(f"subset size must lie in [0, {total}], got {k}")
     if k == total:
-        return SampleSet(side=side, dims=dims, flat=np.arange(total), seed=seed)
+        return SampleSet(side=side, dims=dims, flat=np.arange(total))
     rng = rng_from_seed(seed)
     pool = np.arange(total, dtype=np.int64)
     for i in range(k):
         j = i + int(rng.integers(0, total - i))
         pool[i], pool[j] = pool[j], pool[i]
-    return SampleSet(side=side, dims=dims, flat=np.sort(pool[:k]), seed=seed)
+    return SampleSet(side=side, dims=dims, flat=np.sort(pool[:k]))
 
 
 def draw_sphere_points(q: int, seed: int) -> SampleMultiset:
@@ -102,7 +100,7 @@ def draw_sphere_points(q: int, seed: int) -> SampleMultiset:
     rng = rng_from_seed(seed)
     z = rng.uniform(-1.0, 1.0, size=q)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=q)
-    return SampleMultiset(theta=np.arccos(z), phi=phi, seed=seed)
+    return SampleMultiset(theta=np.arccos(z), phi=phi)
 
 
 def empirical_norm(values, expected_count: int | None = None) -> float:

@@ -5,17 +5,29 @@ min ||a||_1  s.t.  ||A a - y||_2 <= delta,  whose proximal steps are complex
 soft-thresholding and projection onto the l2 ball. check_kkt and duality_gap
 certify a candidate independently of how it was found. recover_torus and
 recover_sphere run bound -> sample size -> sample -> solve -> report.
+
+A real torus field has a Hermitian spectrum, a[-k] = conj(a[k]), so
+recover_torus solves on its rfftn half: the N^(d-1) x (N//2+1) coefficients
+with last-axis index 0..N//2. Each stored coefficient carries a weight, the
+number of full-spectrum coefficients it stands for: 1 in the self-conjugate
+columns (last-axis index 0, and N/2 when N is even), 2 elsewhere. The
+solver's coefficient norms and l1 objective are weighted sums, so its
+iterates are the half of the full-spectrum iterates, at half the FFT and
+elementwise work. Reports always carry the full unitary spectrum, expanded
+from the half by Hermitian symmetry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import CertificationError, DataError, DomainError, InfeasibleCandidateError
+from .errors import (
+    CertificationError, DataError, DomainError, InfeasibleCandidateError, StructuralError,
+)
 from .sampling import SampleMultiset, SampleSet, draw_sphere_points, draw_subset, rng_from_seed
 from .spectral import forward_dft, fourier_ratio, inverse_dft, SpectralVector, TORUS
 from . import sphere as sph
@@ -29,7 +41,14 @@ RATIO_BOUND = "bound"
 
 
 class MeasurementOperator:
-    """Forward/adjoint pair coefficients <-> sampled values with a norm bound."""
+    """Forward/adjoint pair coefficients <-> sampled values with a norm bound.
+
+    weights, when given, is the multiplicity of each stored coefficient in the
+    full spectrum that expand(a) rebuilds. Such an operator stores half of a
+    Hermitian spectrum and has real measurements; its adjoint is taken in the
+    weighted inner product, Re<y, A a> = Re sum_i w_i conj((A^H y)_i) a_i, and
+    norm_bound bounds ||A a|| by the weighted norm of a.
+    """
 
     def __init__(
         self,
@@ -38,12 +57,16 @@ class MeasurementOperator:
         shape: tuple[int, int],
         norm_bound: float,
         dense: Callable[[], np.ndarray] | None = None,
+        weights: np.ndarray | None = None,
+        expand: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self._forward = forward
         self._adjoint = adjoint
         self.shape = shape  # (n_measurements, n_coefficients)
         self.norm_bound = float(norm_bound)
         self._dense = dense
+        self.weights = weights
+        self._expand = expand
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         return self._forward(a)
@@ -52,19 +75,63 @@ class MeasurementOperator:
         return self._adjoint(y)
 
     def to_dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense()
-        cols = [self._forward(e) for e in np.eye(self.shape[1], dtype=np.complex128)]
-        return np.stack(cols, axis=1)
+        if self._dense is None:
+            raise StructuralError("this operator has no dense matrix form")
+        return self._dense()
+
+    def measurements(self, y) -> np.ndarray:
+        """y as a flat vector of this operator's measurement dtype."""
+        y = np.asarray(y).ravel()
+        if self.weights is None:
+            return y.astype(np.complex128, copy=False)
+        if np.iscomplexobj(y) and np.any(y.imag != 0.0):
+            raise DataError("a half-spectrum operator takes real measurements")
+        return np.asarray(y.real, dtype=np.float64)
+
+    def coef_norm(self, a: np.ndarray) -> float:
+        """l2 norm of the full spectrum that the coefficients a stand for."""
+        if self.weights is None:
+            return float(np.linalg.norm(a))
+        return math.sqrt(float(np.dot(self.weights, a.real**2 + a.imag**2)))
+
+    def coef_l1(self, a: np.ndarray) -> float:
+        """l1 norm of the full spectrum that the coefficients a stand for."""
+        if self.weights is None:
+            return float(np.sum(np.abs(a)))
+        return float(np.dot(self.weights, np.abs(a)))
+
+    def expand(self, a: np.ndarray) -> np.ndarray:
+        """The full coefficient vector that the stored coefficients a stand for."""
+        return a if self._expand is None else self._expand(a)
 
 
-def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
+def _hermitian_full(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Rebuild the flat full spectrum from its rfftn half via a[-k] = conj(a[k])."""
+    side = shape[-1]
+    half = half.reshape(shape[:-1] + (side // 2 + 1,))
+    # full last-axis index j = side//2+1 .. side-1 holds conj of half index side-j
+    mirror = np.conj(half[..., side - half.shape[-1]:0:-1])
+    for axis in range(len(shape) - 1):
+        mirror = np.roll(np.flip(mirror, axis), 1, axis)  # index k -> -k mod side
+    return np.concatenate([half, mirror], axis=-1).ravel()
+
+
+def make_torus_operator(sample: SampleSet, real: bool = False) -> MeasurementOperator:
     """Restriction of the unitary synthesis map to the sampled grid points.
 
     Forward: coefficients -> field values on the sample; adjoint embeds the
     sampled values at zero elsewhere and applies the forward DFT. Operator
     norm is exactly 1 (row restriction of a unitary map).
+
+    With real=True the operator acts on the rfftn half spectrum of a real
+    field (last axis cut to N//2+1 entries): forward is irfftn times N^(d/2)
+    sampled to real values, adjoint is rfftn of the zero-embedded real
+    values over N^(d/2). Its weights are 1 on the self-conjugate last-axis
+    indices (0, and N/2 for even N) and 2 elsewhere, expand() returns the full
+    spectrum, and it has no dense form.
     """
+    if real:
+        return _make_half_torus_operator(sample)
     side, dims = sample.side, sample.dims
     total = side**dims
     shape = (side,) * dims
@@ -92,6 +159,34 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
 
     return MeasurementOperator(
         forward, adjoint, shape=(len(sample), total), norm_bound=1.0, dense=dense
+    )
+
+
+def _make_half_torus_operator(sample: SampleSet) -> MeasurementOperator:
+    side, dims = sample.side, sample.dims
+    shape = (side,) * dims
+    half_shape = shape[:-1] + (side // 2 + 1,)
+    axes = tuple(range(dims))
+    scale = side ** (dims / 2.0)
+    flat = sample.flat
+    last = np.arange(half_shape[-1])
+    weights = np.broadcast_to(
+        np.where((last == 0) | (2 * last == side), 1.0, 2.0), half_shape
+    ).ravel()
+    weights.setflags(write=False)
+
+    def forward(a: np.ndarray) -> np.ndarray:
+        fld = np.fft.irfftn(a.reshape(half_shape), s=shape, axes=axes)
+        return fld.ravel()[flat] * scale
+
+    def adjoint(y: np.ndarray) -> np.ndarray:
+        emb = np.zeros(side**dims)
+        emb[flat] = y / scale
+        return np.fft.rfftn(emb.reshape(shape)).ravel()
+
+    return MeasurementOperator(
+        forward, adjoint, shape=(len(sample), weights.size), norm_bound=1.0,
+        weights=weights, expand=lambda a: _hermitian_full(a, shape),
     )
 
 
@@ -203,9 +298,15 @@ def recovery_csv_fields(report: RecoveryReport) -> list[str]:
 
 
 def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
-    mags = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mags > t, 1.0 - t / np.where(mags > 0, mags, 1.0), 0.0)
+    """Complex soft-thresholding x * max(0, 1 - t/|x|) for t > 0.
+
+    Written as x * (1 - t / max(|x|, t)) on one scratch array; entries with
+    |x| <= t get the factor 1 - t/t = 0 exactly.
+    """
+    scale = np.abs(x)
+    np.maximum(scale, t, out=scale)
+    np.divide(t, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
     return x * scale
 
 
@@ -215,9 +316,10 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     Dual prox is the shrink form of the l2-ball projection (Moreau identity);
     primal prox is complex soft-thresholding. Step sizes sigma = tau = 0.99/L
     with L the declared operator-norm bound. Non-convergence is reported, not
-    raised.
+    raised. Coefficient norms and the objective are op.coef_norm / op.coef_l1,
+    and the returned coefficients are in the operator's own layout.
     """
-    y = np.asarray(y, dtype=np.complex128).ravel()
+    y = op.measurements(y)
     n_meas, n_coef = op.shape
     if y.size != n_meas:
         raise DataError(f"expected {n_meas} measurements, got {y.size}")
@@ -226,7 +328,7 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     sigma = tau = step
 
     a = np.zeros(n_coef, dtype=np.complex128)
-    z = np.zeros(n_meas, dtype=np.complex128)
+    z = np.zeros(n_meas, dtype=y.dtype)
     abar = a.copy()
     y_scale = max(1.0, float(np.linalg.norm(y)))
     converged = False
@@ -244,9 +346,9 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
 
         if it % cfg.check_every == 0 or it == cfg.max_iter:
             da, dz = a - a_new, z - z_new
-            p_res = float(np.linalg.norm(da / tau - op.adjoint(dz)))
+            p_res = op.coef_norm(da / tau - op.adjoint(dz))
             d_res = float(np.linalg.norm(dz / sigma - op.forward(da)))
-            scale = max(1.0, float(np.linalg.norm(a_new)), float(np.linalg.norm(z_new)))
+            scale = max(1.0, op.coef_norm(a_new), float(np.linalg.norm(z_new)))
             if (p_res + d_res) / scale <= cfg.tol:
                 a, z = a_new, z_new
                 converged = True
@@ -260,7 +362,7 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
         converged = False
     return _Solution(
         coefficients=a,
-        objective=float(np.sum(np.abs(a))),
+        objective=op.coef_l1(a),
         feasibility_residual=feas,
         iterations=iterations,
         converged=converged,
@@ -295,7 +397,7 @@ def check_kkt(
     below support_rtol * ||a||_inf count as numerical zeros, for which the
     subdifferential condition is the (exact) dual-feasibility bound.
     """
-    y = np.asarray(y, dtype=np.complex128).ravel()
+    y = op.measurements(y)
     a = np.asarray(a, dtype=np.complex128).ravel()
     rho = op.forward(a) - y
     r = float(np.linalg.norm(rho))
@@ -343,11 +445,11 @@ def check_kkt(
 
 def duality_gap(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray) -> float:
     """Rigorous gap ||a||_1 - (Re<w, y> - delta ||w||) with w scaled dual-feasible."""
-    y = np.asarray(y, dtype=np.complex128).ravel()
+    y = op.measurements(y)
     a = np.asarray(a, dtype=np.complex128).ravel()
     rho = op.forward(a) - y
     r = float(np.linalg.norm(rho))
-    obj = float(np.sum(np.abs(a)))
+    obj = op.coef_l1(a)
     if r <= 1e-15:
         return obj
     d = -rho / r
@@ -394,12 +496,14 @@ def _recover(
 ) -> RecoveryReport:
     """Solve for the coefficients and score them against the real-valued truth.
 
-    to_truth_space maps coefficients to the representation truth is stored in;
-    its real part gives rel_error, its imaginary part imag_ratio. fields are
-    the remaining RecoveryReport fields, eps among them.
+    The report carries the full coefficient vector, op.expand of the solver's.
+    to_truth_space maps it to the representation truth is stored in; its real
+    part gives rel_error, its imaginary part imag_ratio. fields are the
+    remaining RecoveryReport fields, eps among them.
     """
     delta = fields["eps"] * truth_norm if delta_override is None else delta_override
     solution = solve_bpdn(op, y, SolverConfig(delta=delta))
+    solution = replace(solution, coefficients=op.expand(solution.coefficients))
     recovered = to_truth_space(solution.coefficients)
     return RecoveryReport(
         **vars(solution),
@@ -423,6 +527,9 @@ def recover_torus(
 ) -> RecoveryReport:
     """Recover the discretized field from a random subset of its values.
 
+    A real field (every discretized spec) is solved on its rfftn half
+    spectrum; the report still carries the full N^2 unitary spectrum.
+
     ratio_source picks what enters the sample-size formula: the certified
     bound r_N ("bound", faithful but pessimistic enough to clamp to the full
     grid at desk scales) or the measured Fourier ratio ("measured").
@@ -441,7 +548,7 @@ def recover_torus(
     size = budget.size if sample_size_override is None else sample_size_override
     sample = draw_subset(side, 2, size, seed)
     return _recover(
-        make_torus_operator(sample), g.values[sample.flat], g.values.real, g.l2,
+        make_torus_operator(sample, real=g.is_real), g.values[sample.flat], g.values.real, g.l2,
         lambda a: inverse_dft(SpectralVector(mode=TORUS, coeffs=a, side=side, dims=2)).values,
         delta_override, setting="torus", size_param=side, eps=eps, c_univ=c_univ,
         seed=seed, clamped=budget.clamped, norm_provenance=norms.provenance,

@@ -109,12 +109,12 @@ class TestSeeds:
 class TestInvariantValidation:
     def test_sample_set_rejects_duplicates(self):
         with pytest.raises(StructuralError):
-            SampleSet(side=4, dims=2, flat=np.array([1, 1, 2]), seed=0)
+            SampleSet(side=4, dims=2, flat=np.array([1, 1, 2]))
 
     def test_sample_set_rejects_out_of_range(self):
         with pytest.raises(StructuralError):
-            SampleSet(side=4, dims=2, flat=np.array([16]), seed=0)
+            SampleSet(side=4, dims=2, flat=np.array([16]))
 
     def test_multiset_shape_check(self):
         with pytest.raises(StructuralError):
-            SampleMultiset(theta=np.ones(3), phi=np.ones(4), seed=0)
+            SampleMultiset(theta=np.ones(3), phi=np.ones(4))

@@ -9,8 +9,10 @@ from scipy.optimize import minimize
 from frkit.battery import TORUS_BATTERY, build_sphere_battery
 from frkit.errors import (
     CertificationError,
+    DataError,
     DomainError,
     InfeasibleCandidateError,
+    StructuralError,
 )
 from frkit.sampling import draw_sphere_points, draw_subset, rng_from_seed, spawn_seeds
 from frkit.solver import (
@@ -25,6 +27,7 @@ from frkit.solver import (
     recovery_csv_fields,
     solve_bpdn,
     RECOVERY_HEADER,
+    _soft_threshold,
 )
 from frkit.spectral import SpectralVector, inverse_dft
 from bpdn_oracle import oracle_solve
@@ -66,6 +69,71 @@ class TestOperators:
             rhs = np.vdot(op.adjoint(y), a)
             assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(y)
             assert np.linalg.norm(op.forward(a)) <= op.norm_bound * np.linalg.norm(a)
+
+
+def _real_bpdn_instance(side, seed):
+    """A sample of Z_side^2, real observations on it and a 10% fidelity radius."""
+    sample = draw_subset(side, 2, side * side // 2, seed=seed)
+    y = rng_from_seed(seed).standard_normal(len(sample))
+    return sample, y, 0.1 * float(np.linalg.norm(y))
+
+
+class TestHalfSpectrumTorus:
+    @pytest.mark.parametrize("side", [8, 9])
+    def test_weighted_adjoint_identity(self, side, rng):
+        sample, _, _ = _real_bpdn_instance(side, seed=2)
+        op = make_torus_operator(sample, real=True)
+        assert op.shape == (len(sample), side * (side // 2 + 1))
+        for _ in range(10):
+            a = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
+            y = rng.standard_normal(op.shape[0])
+            lhs = np.vdot(y, op.forward(a)).real
+            rhs = np.sum(op.weights * (np.conj(op.adjoint(y)) * a).real)
+            assert abs(lhs - rhs) <= 1e-10 * op.coef_norm(a) * np.linalg.norm(y)
+            assert np.linalg.norm(op.forward(a)) <= op.coef_norm(a) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("side", [8, 9])
+    def test_matches_full_spectrum_solve(self, side):
+        sample, y, delta = _real_bpdn_instance(side, seed=side)
+        cfg = SolverConfig(delta=delta)
+        full = solve_bpdn(make_torus_operator(sample), y, cfg)
+        half_op = make_torus_operator(sample, real=True)
+        half = solve_bpdn(half_op, y, cfg)
+        assert (half.iterations, half.converged) == (full.iterations, full.converged)
+        expanded = half_op.expand(half.coefficients)
+        assert np.max(np.abs(expanded - full.coefficients)) <= 1e-10
+        assert half.objective == pytest.approx(full.objective, rel=1e-12)
+        field = np.fft.ifftn(expanded.reshape(side, side))
+        assert np.linalg.norm(field.imag) <= 1e-12 * np.linalg.norm(field)
+
+    @pytest.mark.parametrize("side", [8, 9])
+    def test_expanded_solution_passes_full_kkt(self, side):
+        sample, y, delta = _real_bpdn_instance(side, seed=side + 1)
+        half_op, full_op = make_torus_operator(sample, real=True), make_torus_operator(sample)
+        rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
+        expanded = half_op.expand(rep.coefficients)
+        assert check_kkt(full_op, y, delta, expanded).residual <= 1e-6
+        assert duality_gap(half_op, y, delta, rep.coefficients) == pytest.approx(
+            duality_gap(full_op, y, delta, expanded), abs=1e-12 * rep.objective
+        )
+
+    def test_no_dense_form_and_real_data_only(self):
+        op = make_torus_operator(draw_subset(4, 2, 9, seed=8), real=True)
+        with pytest.raises(StructuralError, match="no dense matrix form"):
+            op.to_dense()
+        with pytest.raises(DataError, match="real measurements"):
+            solve_bpdn(op, np.full(9, 1j), SolverConfig(delta=0.0))
+
+
+def test_soft_threshold_matches_where_form_bitwise(rng):
+    t = 0.7
+    x = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+    edge = np.array([0.0, -0.0, t, -t, 1j * t, -1j * t, 0.6 * t - 0.8j * t, 1e-300])
+    x = np.concatenate([x, edge.astype(complex)])
+    mags = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        old = x * np.where(mags > t, 1.0 - t / np.where(mags > 0, mags, 1.0), 0.0)
+    assert np.array_equal(_soft_threshold(x, t).view(np.int64), old.view(np.int64))
 
 
 class TestSolveBpdn:
