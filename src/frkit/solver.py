@@ -207,15 +207,22 @@ def power_norm_bound(
     return math.sqrt(lam) * 1.02  # safety margin over the Rayleigh estimate
 
 
+def _real_matvec(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> mat @ x for complex x and real mat, as two real products.
+
+    mat @ x itself would cast all of mat to complex on every call.
+    """
+    return lambda x: mat @ x.real + 1j * (mat @ x.imag)
+
+
 def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementOperator:
     """Dense evaluation matrix A[j, (l,m)] = Y_l^m(omega_j) with a power-iteration bound."""
     mat = sph.basis_matrix(bandwidth, points.theta, points.phi)
-    bound = power_norm_bound(
-        lambda a: mat @ a, lambda y: mat.T @ y, dim=mat.shape[1]
-    )
+    forward, adjoint = _real_matvec(mat), _real_matvec(mat.T)
+    bound = power_norm_bound(forward, adjoint, dim=mat.shape[1])
     return MeasurementOperator(
-        forward=lambda a: mat @ a,
-        adjoint=lambda y: mat.T @ y,
+        forward=forward,
+        adjoint=adjoint,
         shape=mat.shape,
         norm_bound=max(bound, 1e-12),
         dense=lambda: mat.astype(np.complex128),

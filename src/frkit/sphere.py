@@ -12,6 +12,31 @@ l^2 + l + m. The quadrature is Gauss-Legendre in cos(th) (L+1 nodes)
 tensored with 2L+1 equispaced ph values, exact through degree 2L, so the
 discrete coefficients of a bandlimited signal equal the continuous ones.
 
+Every transform reads one Legendre table, Pbar_l^m at a set of
+colatitudes for 0 <= m <= l <= lmax, stored m-major as table[m, l - m]:
+the degrees l = m..lmax of one order m are one contiguous block, padded
+with zero rows to lmax + 1, so a sum over l for every m is one batched
+matrix product. The table builder carries the sectoral seed Pbar_m^m to
+Pbar_{m+1}^{m+1} and runs the recurrence in l for all m at once; it is
+the only loop over orders.
+
+On an iso-latitude grid (rings of n_phi equispaced ph from 0, such as the
+quadrature and the 4L x 8L norm grid) the table is built on the ring
+colatitudes only and ph is done by FFT (Driscoll & Healy 1994; Reinecke &
+Seljebotn, "libsharp", A&A 2013):
+
+    synthesis  F_m(th) = sum_l c_{l,m} Pbar_l^m(th)  (cos part; c_{l,-m} the
+               sin part, both times sqrt(2) for m > 0), then an irfft of
+               length n_phi along ph on each ring;
+    analysis   the weighted rfft along ph on each ring, then each m
+               projected onto its table segment.
+
+Both need n_phi >= 2 lmax + 1, so that no order m <= lmax aliases in ph. At
+scattered points synthesis forms the same per-m sums and adds up
+cos/sin(m ph) point by point, and the basis matrix is built from the table;
+both work in chunks of points sized so that one table or basis block holds
+a fixed number of entries, which bounds their memory.
+
 The bound r_L = A + B + C uses
 
     A = |int f dsigma| / ||f||_L2
@@ -37,6 +62,8 @@ SPHERE_AREA = 4.0 * math.pi
 SPECTRAL_GRID = "spectral-grid"
 
 C2_SPHERE_CONVENTION = "max(sup|f|, sup|grad f|, sup|Lap f|)"
+
+_BLOCK_ENTRIES = 1 << 20  # (lmax+1)^2 x points per table or basis block: 8 MB
 
 
 def lm_to_index(l: int, m: int) -> int:
@@ -85,15 +112,25 @@ class SphericalSignal:
         return float(self.coeffs[lm_to_index(l, m)])
 
 
+def _ring_phi(n_phi: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(n_phi) / n_phi
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes (theta, phi) and positive weights, exact through exactness_degree."""
+    """Nodes (theta, phi) and positive weights, exact through exactness_degree.
+
+    n_phi > 0 records that the nodes are stored ring-major: rings of n_phi
+    nodes at one colatitude each, with phi = 2 pi k / n_phi. analyze then
+    works ring by ring with an FFT. n_phi = 0 means scattered nodes.
+    """
 
     bandwidth: int
     theta: np.ndarray
     phi: np.ndarray
     weights: np.ndarray
     exactness_degree: int
+    n_phi: int = 0
 
     def __post_init__(self):
         for name in ("theta", "phi", "weights"):
@@ -104,9 +141,25 @@ class QuadratureRule:
             raise StructuralError("node and weight arrays must share a shape")
         if np.any(self.weights <= 0):
             raise StructuralError("quadrature weights must be positive")
+        if self.n_phi and not (
+            self.theta.ndim == 1
+            and self.theta.size % self.n_phi == 0
+            and np.all(self.theta.reshape(-1, self.n_phi) == self.ring_theta[:, None])
+            and np.allclose(
+                self.phi.reshape(-1, self.n_phi), _ring_phi(self.n_phi), rtol=0.0, atol=1e-12
+            )
+        ):
+            raise StructuralError(
+                f"nodes are not rings of {self.n_phi} equispaced phi from 0"
+            )
 
     def __len__(self) -> int:
         return int(self.theta.size)
+
+    @property
+    def ring_theta(self) -> np.ndarray:
+        """Colatitude of each ring (ring-major rules only)."""
+        return self.theta[:: self.n_phi]
 
 
 def build_quadrature(bandwidth: int) -> QuadratureRule:
@@ -115,10 +168,9 @@ def build_quadrature(bandwidth: int) -> QuadratureRule:
         raise DomainError(f"bandwidth must be >= 1, got {bandwidth}")
     nodes, gl_weights = np.polynomial.legendre.leggauss(bandwidth + 1)
     n_phi = 2 * bandwidth + 1
-    phi_ring = 2.0 * np.pi * np.arange(n_phi) / n_phi
     theta_ring = np.arccos(nodes)
     theta = np.repeat(theta_ring, n_phi)
-    phi = np.tile(phi_ring, bandwidth + 1)
+    phi = np.tile(_ring_phi(n_phi), bandwidth + 1)
     weights = np.repeat(gl_weights * (2.0 * np.pi / n_phi), n_phi)
     return QuadratureRule(
         bandwidth=bandwidth,
@@ -126,27 +178,124 @@ def build_quadrature(bandwidth: int) -> QuadratureRule:
         phi=phi,
         weights=weights,
         exactness_degree=2 * bandwidth,
+        n_phi=n_phi,
     )
 
 
-def _legendre_block(m: int, lmax: int, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
-    """Pbar_l^m(cos_t) for l = m..lmax, fully normalized, no CS phase.
+def _table_index(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat coefficient index of (l, m) and of (l, -m) at table position [m, l - m].
 
-    Normalized so that int_{-1}^{1} Pbar^2 dt = 1/(2 pi); rows are degrees.
+    The third array marks the positions with l <= lmax; the index is 0 elsewhere.
     """
-    out = np.empty((lmax - m + 1, cos_t.size))
-    p = np.full(cos_t.shape, math.sqrt(1.0 / SPHERE_AREA))
-    for k in range(1, m + 1):
-        p = p * sin_t * math.sqrt((2.0 * k + 1.0) / (2.0 * k))
-    out[0] = p
-    if lmax == m:
-        return out
-    out[1] = math.sqrt(2.0 * m + 3.0) * cos_t * p
-    a_prev = math.sqrt(2.0 * m + 3.0)
-    for l in range(m + 2, lmax + 1):
-        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        out[l - m] = a * (cos_t * out[l - m - 1] - out[l - m - 2] / a_prev)
+    m, d = np.ogrid[: lmax + 1, : lmax + 1]
+    l = m + d
+    valid = l <= lmax
+    return np.where(valid, l * l + l + m, 0), np.where(valid, l * l + l - m, 0), valid
+
+
+def _legendre_table(lmax: int, theta: np.ndarray) -> np.ndarray:
+    """table[m, l - m, j] = Pbar_l^m(cos theta_j) for 0 <= m <= l <= lmax, no CS phase.
+
+    Normalized so that int_{-1}^{1} Pbar^2 dt = 1/(2 pi). Order m owns the
+    contiguous block table[m]: degrees m..lmax, then zeros up to lmax + 1 rows.
+    """
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    table = np.zeros((lmax + 1, lmax + 1, theta.size))
+    p = np.full(theta.shape, math.sqrt(1.0 / SPHERE_AREA))
+    table[0, 0] = p
+    for m in range(1, lmax + 1):
+        p = p * sin_t * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
+        table[m, 0] = p
+    if lmax == 0:
+        return table
+    # the recurrence in l, one step of d = l - m for every order m at once
+    m = np.arange(lmax)
+    a_prev = np.sqrt(2.0 * m + 3.0)[:, None]
+    table[:lmax, 1] = a_prev * cos_t * table[:lmax, 0]
+    for d in range(2, lmax + 1):
+        m = np.arange(lmax + 1 - d)
+        l = m + d
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        table[: m.size, d] = a * (
+            cos_t * table[: m.size, d - 1] - table[: m.size, d - 2] / a_prev[: m.size]
+        )
         a_prev = a
+    return table
+
+
+def _check_rings(n_phi: int, lmax: int) -> None:
+    if n_phi < 2 * lmax + 1:
+        raise DomainError(
+            f"{n_phi} points per ring alias orders up to {lmax}; need >= {2 * lmax + 1}"
+        )
+
+
+def _order_sums(
+    coeffs: np.ndarray, table: np.ndarray, lmax: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per table column, F_m = sum_l c_{l,m} Pbar_l^m and sum_l c_{l,-m} Pbar_l^m.
+
+    Returns the cos and sin parts, each (lmax+1, columns). Coefficients of a
+    lower bandwidth are zero-padded to lmax. The sin part of m = 0 is unused.
+    """
+    i_cos, i_sin, valid = _table_index(lmax)
+    padded = np.zeros((lmax + 1) ** 2)
+    padded[: coeffs.size] = coeffs
+    f_cos = np.matmul(np.where(valid, padded[i_cos], 0.0)[:, None, :], table)[:, 0]
+    f_sin = np.matmul(np.where(valid, padded[i_sin], 0.0)[:, None, :], table)[:, 0]
+    return f_cos, f_sin
+
+
+def _ring_synthesis(coeffs: np.ndarray, table: np.ndarray, lmax: int, n_phi: int) -> np.ndarray:
+    """(rings, n_phi) values of coefficients of degree <= lmax on the table's rings."""
+    _check_rings(n_phi, lmax)
+    f_cos, f_sin = _order_sums(coeffs, table, lmax)
+    spec = (f_cos - 1j * f_sin) * (math.sqrt(2.0) / 2.0)
+    spec[0] = f_cos[0]
+    return np.fft.irfft(spec.T, n=n_phi, axis=1) * n_phi
+
+
+def _ring_analysis(weighted: np.ndarray, table: np.ndarray, lmax: int) -> np.ndarray:
+    """Coefficients through degree lmax of (rings, n_phi) values times their weights."""
+    _check_rings(weighted.shape[1], lmax)
+    i_cos, i_sin, valid = _table_index(lmax)
+    ring_fourier = np.fft.rfft(weighted, axis=1)[:, : lmax + 1].T  # (m, rings)
+    scale = np.where(np.arange(lmax + 1) > 0, math.sqrt(2.0), 1.0)[:, None]
+    proj_cos = scale * np.matmul(table, ring_fourier.real[:, :, None])[..., 0]
+    proj_sin = -scale * np.matmul(table, ring_fourier.imag[:, :, None])[..., 0]
+    coeffs = np.empty((lmax + 1) ** 2)
+    coeffs[i_sin[valid]] = proj_sin[valid]
+    coeffs[i_cos[valid]] = proj_cos[valid]  # at m = 0 this overwrites the empty sin part
+    return coeffs
+
+
+def _point_chunks(size: int, lmax: int) -> list[slice]:
+    """Runs of scattered points whose table and basis block fit _BLOCK_ENTRIES."""
+    step = max(1, _BLOCK_ENTRIES // (lmax + 1) ** 2)
+    return [slice(start, start + step) for start in range(0, size, step)]
+
+
+def _point_synthesis(
+    coeffs: np.ndarray, lmax: int, theta: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    """Values at scattered points: the order sums F_m, then sum_m over cos/sin(m phi)."""
+    f_cos, f_sin = _order_sums(coeffs, _legendre_table(lmax, theta), lmax)
+    m_phi = np.arange(1, lmax + 1)[:, None] * phi
+    trig = f_cos[1:] * np.cos(m_phi) + f_sin[1:] * np.sin(m_phi)
+    return f_cos[0] + math.sqrt(2.0) * np.sum(trig, axis=0)
+
+
+def _basis_rows(lmax: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """((lmax+1)^2, npoints) basis values, one row per harmonic."""
+    table = _legendre_table(lmax, theta)
+    i_cos, i_sin, valid = _table_index(lmax)
+    m_phi = np.arange(lmax + 1)[:, None] * phi
+    cos_m = math.sqrt(2.0) * np.cos(m_phi)
+    cos_m[0] = 1.0
+    sin_m = math.sqrt(2.0) * np.sin(m_phi)
+    out = np.empty(((lmax + 1) ** 2, theta.size))
+    out[i_sin[valid]] = (table * sin_m[:, None, :])[valid]
+    out[i_cos[valid]] = (table * cos_m[:, None, :])[valid]  # overwrites the m = 0 sin rows
     return out
 
 
@@ -156,8 +305,7 @@ def evaluate_basis(l: int, m: int, theta, phi) -> np.ndarray:
         raise DomainError(f"invalid harmonic index (l={l}, m={m})")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    block = _legendre_block(abs(m), l, np.cos(theta), np.sin(theta))
-    p = block[-1]
+    p = _legendre_table(l, theta)[abs(m), l - abs(m)]
     if m == 0:
         return p
     if m > 0:
@@ -169,19 +317,9 @@ def basis_matrix(bandwidth: int, theta, phi) -> np.ndarray:
     """Dense (npoints, (L+1)^2) matrix of basis values; desk-scale only."""
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
-    dim = (bandwidth + 1) ** 2
-    out = np.empty((theta.size, dim))
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    for m in range(bandwidth + 1):
-        block = _legendre_block(m, bandwidth, cos_t, sin_t)
-        ells = np.arange(m, bandwidth + 1)
-        if m == 0:
-            out[:, ells * ells + ells] = block.T
-        else:
-            cos_m = math.sqrt(2.0) * np.cos(m * phi)
-            sin_m = math.sqrt(2.0) * np.sin(m * phi)
-            out[:, ells * ells + ells + m] = block.T * cos_m[:, None]
-            out[:, ells * ells + ells - m] = block.T * sin_m[:, None]
+    out = np.empty((theta.size, (bandwidth + 1) ** 2))
+    for part in _point_chunks(theta.size, bandwidth):
+        out[part] = _basis_rows(bandwidth, theta[part], phi[part]).T
     return out
 
 
@@ -204,40 +342,25 @@ def analyze(values_or_fn, rule: QuadratureRule, bandwidth: int) -> SphericalSign
             f"expected {rule.theta.size} node values, got {values.size}"
         )
     weighted = rule.weights * values
-    cos_t, sin_t = np.cos(rule.theta), np.sin(rule.theta)
-    coeffs = np.zeros((bandwidth + 1) ** 2)
-    for m in range(bandwidth + 1):
-        block = _legendre_block(m, bandwidth, cos_t, sin_t)
-        ells = np.arange(m, bandwidth + 1)
-        if m == 0:
-            coeffs[ells * ells + ells] = block @ weighted
-        else:
-            cw = weighted * (math.sqrt(2.0) * np.cos(m * rule.phi))
-            sw = weighted * (math.sqrt(2.0) * np.sin(m * rule.phi))
-            coeffs[ells * ells + ells + m] = block @ cw
-            coeffs[ells * ells + ells - m] = block @ sw
+    if rule.n_phi:
+        table = _legendre_table(bandwidth, rule.ring_theta)
+        coeffs = _ring_analysis(weighted.reshape(-1, rule.n_phi), table, bandwidth)
+    else:
+        coeffs = sum(
+            _basis_rows(bandwidth, rule.theta[part], rule.phi[part]) @ weighted[part]
+            for part in _point_chunks(len(rule), bandwidth)
+        )
     return SphericalSignal(bandwidth=bandwidth, coeffs=coeffs)
 
 
 def synthesize(signal: SphericalSignal, theta, phi) -> np.ndarray:
     """Pointwise expansion sum_{l,m} c_{l,m} Y_l^m(theta, phi)."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    shape = theta.shape
-    theta, phi = theta.ravel(), phi.ravel()
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    lmax = signal.bandwidth
-    values = np.zeros(theta.size)
-    for m in range(lmax + 1):
-        block = _legendre_block(m, lmax, cos_t, sin_t)
-        ells = np.arange(m, lmax + 1)
-        if m == 0:
-            values += signal.coeffs[ells * ells + ells] @ block
-        else:
-            c_plus = signal.coeffs[ells * ells + ells + m]
-            c_minus = signal.coeffs[ells * ells + ells - m]
-            values += (c_plus @ block) * (math.sqrt(2.0) * np.cos(m * phi))
-            values += (c_minus @ block) * (math.sqrt(2.0) * np.sin(m * phi))
+    shape = np.shape(theta)
+    theta = np.asarray(theta, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    values = np.empty(theta.size)
+    for part in _point_chunks(theta.size, signal.bandwidth):
+        values[part] = _point_synthesis(signal.coeffs, signal.bandwidth, theta[part], phi[part])
     return values.reshape(shape)
 
 
@@ -269,20 +392,23 @@ def estimate_sphere_norms(signal: SphericalSignal) -> SphereNormData:
     Gradient magnitude comes from the identity |grad f|^2 = Lap(f^2)/2 - f Lap f;
     f^2 lives in V_{2L}, so its Laplacian is computed exactly with a degree-4L
     quadrature and spectral scaling. L2 and the integral are exact by Parseval.
+    All five transforms run on rings, on one Legendre table per ring set at
+    degree 2L (n_phi is 8L on the grid and 4L+1 on the quadrature).
     """
     lmax = signal.bandwidth
     n_theta, n_phi = max(4 * lmax, 8), max(8 * lmax, 16)
     theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
+    grid_table = _legendre_table(2 * lmax, theta)
 
-    f_vals = synthesize(signal, tg, pg)
-    lap_vals = synthesize(laplacian(signal), tg, pg)
+    f_vals = _ring_synthesis(signal.coeffs, grid_table, 2 * lmax, n_phi)
+    lap_vals = _ring_synthesis(laplacian(signal).coeffs, grid_table, 2 * lmax, n_phi)
 
     rule2 = build_quadrature(max(2 * lmax, 1))
-    f_nodes = synthesize(signal, rule2.theta, rule2.phi)
-    f_sq = analyze(f_nodes * f_nodes, rule2, 2 * lmax)
-    lap_sq_vals = synthesize(laplacian(f_sq), tg, pg)
+    quad_table = _legendre_table(2 * lmax, rule2.ring_theta)
+    f_nodes = _ring_synthesis(signal.coeffs, quad_table, 2 * lmax, rule2.n_phi)
+    weighted = rule2.weights.reshape(f_nodes.shape) * (f_nodes * f_nodes)
+    f_sq = SphericalSignal(2 * lmax, _ring_analysis(weighted, quad_table, 2 * lmax))
+    lap_sq_vals = _ring_synthesis(laplacian(f_sq).coeffs, grid_table, 2 * lmax, n_phi)
 
     grad_sq = np.maximum(0.5 * lap_sq_vals - f_vals * lap_vals, 0.0)
     sup = float(np.max(np.abs(f_vals)))

@@ -157,8 +157,12 @@ def test_criterion_5_sphere_fr_bound():
 
 
 def test_criterion_6_solver_correctness():
-    """solve_bpdn vs oracle_solve within 1e-6 and KKT residual <= 1e-6, 100 instances."""
-    start = time.monotonic()
+    """solve_bpdn vs oracle_solve within 1e-6 and KKT residual <= 1e-6, 100 instances.
+
+    The time budget counts this process's CPU time, which other processes on
+    the machine cannot inflate.
+    """
+    start = time.process_time()
     worst_diff = worst_kkt = 0.0
     for seed in range(100):
         mat, y, delta, _ = random_bpdn_instance(seed)
@@ -167,7 +171,7 @@ def test_criterion_6_solver_correctness():
         rep = solve_bpdn(op, y, SolverConfig(delta=delta, tol=1e-9))
         worst_diff = max(worst_diff, float(np.max(np.abs(a_oracle - rep.coefficients))))
         worst_kkt = max(worst_kkt, check_kkt(op, y, delta, rep.coefficients).residual)
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     ok = worst_diff <= 1e-6 and worst_kkt <= 1e-6 and elapsed <= 120.0
     report(
         6, ok,

@@ -70,6 +70,17 @@ class TestOperators:
             assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(y)
             assert np.linalg.norm(op.forward(a)) <= op.norm_bound * np.linalg.norm(a)
 
+    def test_sphere_real_matvec_matches_complex_product(self, rng):
+        pts = draw_sphere_points(700, seed=12)
+        op = make_sphere_operator(pts, 6)
+        mat = op.to_dense()
+        for _ in range(5):
+            a = rng.standard_normal(49) + 1j * rng.standard_normal(49)
+            y = rng.standard_normal(700) + 1j * rng.standard_normal(700)
+            want_fwd, want_adj = mat @ a, mat.T @ y
+            assert np.max(np.abs(op.forward(a) - want_fwd)) <= 1e-13 * np.max(np.abs(want_fwd))
+            assert np.max(np.abs(op.adjoint(y) - want_adj)) <= 1e-13 * np.max(np.abs(want_adj))
+
 
 def _real_bpdn_instance(side, seed):
     """A sample of Z_side^2, real observations on it and a 10% fidelity radius."""

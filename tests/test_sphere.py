@@ -1,14 +1,20 @@
+import ast
+import inspect
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+import frkit.sphere as sph
+import sphere_reference as ref
 from frkit.battery import build_sphere_battery
 from frkit.errors import DomainError, StructuralError
 from frkit.sampling import draw_sphere_points, rng_from_seed
 from frkit.sphere import (
     C0_SPHERE,
+    QuadratureRule,
     SphericalSignal,
     analyze,
     basis_matrix,
@@ -306,6 +312,130 @@ class TestComputeRl:
         norms = estimate_sphere_norms(SphericalSignal(4, c))
         with pytest.raises(DomainError):
             compute_rl_nonnegative(norms, 4)
+
+
+def _norm_grid(bandwidth):
+    """The rings of estimate_sphere_norms' 4L x 8L grid, flattened ring-major."""
+    n_theta, n_phi = max(4 * bandwidth, 8), max(8 * bandwidth, 16)
+    theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    tg, pg = np.meshgrid(theta, phi, indexing="ij")
+    return theta, n_phi, tg.ravel(), pg.ravel()
+
+
+def _rel_max(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+RING_BANDWIDTHS = (1, 2, 3, 8, 17, 32)
+
+
+class TestRingTransforms:
+    """Ring FFT transforms against the point-wise reference in sphere_reference."""
+
+    def test_table_equals_reference_blocks(self):
+        theta = np.linspace(0.0, math.pi, 37)
+        for lmax in (0, 1, 2, 9, 40):
+            table = sph._legendre_table(lmax, theta)
+            for m in range(lmax + 1):
+                block = ref.legendre_block(m, lmax, np.cos(theta), np.sin(theta))
+                assert np.array_equal(table[m, : lmax - m + 1], block)
+                assert not np.any(table[m, lmax - m + 1:])
+
+    @pytest.mark.parametrize("bandwidth", RING_BANDWIDTHS)
+    def test_ring_synthesis_matches_reference(self, rng, bandwidth):
+        sig = SphericalSignal(bandwidth, rng.standard_normal((bandwidth + 1) ** 2))
+        rule = build_quadrature(bandwidth)
+        theta, n_phi, tg, pg = _norm_grid(bandwidth)
+        for rings, n, th, ph in ((theta, n_phi, tg, pg),
+                                 (rule.ring_theta, rule.n_phi, rule.theta, rule.phi)):
+            table = sph._legendre_table(bandwidth, rings)
+            got = sph._ring_synthesis(sig.coeffs, table, bandwidth, n).ravel()
+            assert _rel_max(got, ref.synthesize(sig, th, ph)) <= 1e-12
+
+    @pytest.mark.parametrize("bandwidth", RING_BANDWIDTHS)
+    def test_ring_analysis_matches_reference(self, rng, bandwidth):
+        rule = build_quadrature(bandwidth)
+        theta, n_phi, tg, pg = _norm_grid(bandwidth)
+        weights = np.sin(tg) * (math.pi / theta.size) * (2.0 * math.pi / n_phi)
+        grid_rule = QuadratureRule(bandwidth, tg, pg, weights, 2 * bandwidth, n_phi=n_phi)
+        for r in (rule, grid_rule):
+            values = rng.standard_normal(len(r))
+            want = ref.analyze(values, r, bandwidth).coeffs
+            assert _rel_max(analyze(values, r, bandwidth).coeffs, want) <= 1e-12
+        scattered = QuadratureRule(bandwidth, tg, pg, weights, 2 * bandwidth)
+        values = rng.standard_normal(len(scattered))
+        want = ref.analyze(values, scattered, bandwidth).coeffs
+        assert _rel_max(analyze(values, scattered, bandwidth).coeffs, want) <= 1e-12
+
+    @pytest.mark.parametrize("bandwidth", (16, 32))
+    def test_norms_match_reference_on_battery(self, bandwidth):
+        for name, signal in build_sphere_battery(bandwidth).items():
+            got, want = estimate_sphere_norms(signal), ref.estimate_sphere_norms(signal)
+            for field in ("sup", "lap_sup", "c2"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-12, abs=0.0
+                ), (name, field)
+            assert compute_rl(got, bandwidth).r == pytest.approx(
+                compute_rl(want, bandwidth).r, rel=1e-12, abs=0.0
+            ), name
+            # |grad f|^2 is a difference of two O(C2^2) terms: compare it absolutely
+            assert abs(got.grad_sup**2 - want.grad_sup**2) <= 1e-10 * want.c2**2, name
+
+    def test_basis_matrix_matches_reference_at_scattered_points(self):
+        pts = draw_sphere_points(1200, seed=21)  # more than one point chunk at L=32
+        for bandwidth in (0, 3, 32):
+            got = basis_matrix(bandwidth, pts.theta, pts.phi)
+            want = ref.basis_matrix(bandwidth, pts.theta, pts.phi)
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_ring_paths_reject_aliasing_rings(self):
+        bandwidth = 8
+        rule = build_quadrature(bandwidth)
+        table = sph._legendre_table(bandwidth, rule.ring_theta)
+        coeffs = np.ones((bandwidth + 1) ** 2)
+        with pytest.raises(DomainError, match="alias"):
+            sph._ring_synthesis(coeffs, table, bandwidth, 2 * bandwidth)
+        with pytest.raises(DomainError, match="alias"):
+            sph._ring_analysis(np.ones((bandwidth + 1, 2 * bandwidth)), table, bandwidth)
+        sph._ring_synthesis(coeffs, table, bandwidth, 2 * bandwidth + 1)
+
+    def test_ring_rule_must_hold_rings(self):
+        rule = build_quadrature(3)
+        with pytest.raises(StructuralError, match="rings"):
+            QuadratureRule(3, rule.theta, rule.phi, rule.weights, 6, n_phi=rule.n_phi - 1)
+        with pytest.raises(StructuralError, match="rings"):
+            QuadratureRule(3, rule.theta, rule.phi[::-1], rule.weights, 6, n_phi=rule.n_phi)
+
+
+class TestTransformCore:
+    def test_one_order_loop(self):
+        """Only the Legendre table builder loops over orders or degrees.
+
+        Every other loop in sphere.py runs over point chunks or a literal tuple.
+        """
+        tree = ast.parse(inspect.getsource(sph))
+        loops = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    assert not isinstance(node, ast.While), fn.name
+                    if isinstance(node, (ast.For, ast.comprehension)):
+                        loops.setdefault(fn.name, []).append(node)
+        builder = loops.pop("_legendre_table")
+        assert sorted(n.target.id for n in builder) == ["d", "m"]  # seed in m, steps in l - m
+        (chunking,) = loops.pop("_point_chunks")
+        assert ast.unparse(chunking.iter) == "range(0, size, step)"
+        for nodes in loops.values():
+            for node in nodes:
+                text = ast.unparse(node.iter)
+                assert isinstance(node.iter, ast.Tuple) or text.startswith("_point_chunks("), text
+
+    def test_norms_l64_cpu_time(self):
+        signal = build_sphere_battery(64)["gauss_heat"]
+        start = time.process_time()
+        estimate_sphere_norms(signal)
+        assert time.process_time() - start <= 1.0
 
 
 class TestSphereFrBound:
