@@ -35,7 +35,3 @@ class CertificationError(DomainError):
 
 class InfeasibleCandidateError(FrkitError, ValueError):
     """Candidate solution violates the data-fidelity constraint."""
-
-
-class ConvergenceError(FrkitError, RuntimeError):
-    """Iterative method failed to reach its target accuracy."""

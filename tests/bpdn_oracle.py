@@ -8,8 +8,13 @@ import math
 
 import numpy as np
 
-from frkit.errors import ConvergenceError, DataError, DomainError
+from frkit.errors import DataError, DomainError
 from frkit.solver import MeasurementOperator, duality_gap
+
+
+class ConvergenceError(RuntimeError):
+    """The oracle's Newton iteration failed to reach its target accuracy."""
+
 
 # ---------------------------------------------------------------------------
 # Interior-point oracle on the epigraph formulation (test-scale instances).

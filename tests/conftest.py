@@ -63,15 +63,18 @@ def midpoint_integral_2d(fn, m: int = 512) -> float:
     return float(np.mean(fn(u1, u2)))
 
 
-def dense_operator(mat):
-    """Wrap a dense complex matrix as a MeasurementOperator."""
+def dense_operator(mat, norm_bound=None):
+    """Wrap a dense matrix as a complex MeasurementOperator.
+
+    norm_bound defaults to the exact spectral norm of mat.
+    """
     from frkit.solver import MeasurementOperator
 
     return MeasurementOperator(
         forward=lambda a: mat @ a,
         adjoint=lambda y: mat.conj().T @ y,
         shape=mat.shape,
-        norm_bound=float(np.linalg.norm(mat, 2)),
+        norm_bound=float(np.linalg.norm(mat, 2)) if norm_bound is None else norm_bound,
         dense=lambda: mat,
     )
 

@@ -136,6 +136,53 @@ class TestHalfSpectrumTorus:
             solve_bpdn(op, np.full(9, 1j), SolverConfig(delta=0.0))
 
 
+class TestRestarts:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_restarts_cut_iterations_on_torus(self, seed):
+        # without restarts these trials take 2,575-2,725 iterations
+        rep = recover_torus(
+            TORUS_BATTERY["cc_half"], 64, 0.1, seed, c_univ=2**-8, allow_uncertified=True
+        )
+        assert rep.converged
+        assert rep.restarts >= 1
+        assert rep.iterations <= 1000
+
+    def test_restarted_half_spectrum_solve_reaches_minimizer(self):
+        sample, y, delta = _real_bpdn_instance(8, seed=5)
+        half_op, full_op = make_torus_operator(sample, real=True), make_torus_operator(sample)
+        rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
+        assert rep.converged and rep.restarts > 0
+        expanded = half_op.expand(rep.coefficients)
+        assert check_kkt(full_op, y, delta, expanded).residual <= 1e-6
+        a_oracle = oracle_solve(full_op.to_dense(), y, delta)
+        assert np.max(np.abs(expanded - a_oracle)) <= 1e-6
+
+    def test_real_sphere_path_matches_complex_reference(self, rng):
+        op = make_sphere_operator(draw_sphere_points(120, seed=31), 6)
+        mat = op.to_dense()
+        assert op.dtype == np.float64 and mat.dtype == np.float64
+        truth = np.zeros(mat.shape[1])
+        truth[[0, 5, 17, 30]] = rng.standard_normal(4)
+        noise = 0.01 * rng.standard_normal(mat.shape[0])
+        y = mat @ truth + noise
+        cfg = SolverConfig(delta=1.2 * float(np.linalg.norm(noise)))
+        real = solve_bpdn(op, y, cfg)
+        ref = solve_bpdn(dense_operator(mat, norm_bound=op.norm_bound), y, cfg)
+        assert real.coefficients.dtype == np.float64
+        assert real.converged and real.restarts > 0
+        assert (real.iterations, real.converged, real.restarts) == (
+            ref.iterations, ref.converged, ref.restarts
+        )
+        assert np.max(np.abs(real.coefficients - ref.coefficients)) <= 1e-12
+
+    def test_real_operator_takes_real_data_only(self):
+        op = make_sphere_operator(draw_sphere_points(20, seed=3), 2)
+        with pytest.raises(DataError, match="real measurements"):
+            solve_bpdn(op, np.full(20, 1j), SolverConfig(delta=0.0))
+        with pytest.raises(DataError, match="real coefficients"):
+            check_kkt(op, np.ones(20), 10.0, np.full(9, 1j))
+
+
 def test_soft_threshold_matches_where_form_bitwise(rng):
     t = 0.7
     x = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
