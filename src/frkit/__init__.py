@@ -7,7 +7,6 @@ from .spectral import (
     forward_dft,
     fourier_ratio,
     inverse_dft,
-    stechkin_budget,
 )
 from .torus import (
     FrBoundReport,
@@ -23,7 +22,6 @@ from .torus import (
     verify_fr_bound,
     verify_l2_lower_bound,
     verify_riemann_lemma,
-    wrapped_inverse_square_sum,
 )
 from .sphere import (
     QuadratureRule,
@@ -32,9 +30,7 @@ from .sphere import (
     analyze,
     build_quadrature,
     compute_rl,
-    compute_rl_nonnegative,
     estimate_sphere_norms,
-    evaluate_basis,
     sample_size_sphere,
     sphere_fourier_ratio,
     synthesize,
@@ -45,7 +41,6 @@ from .sampling import (
     SampleSet,
     draw_sphere_points,
     draw_subset,
-    empirical_norm,
     spawn_seeds,
 )
 from .solver import (

@@ -19,6 +19,9 @@ from .torus import ANALYTIC, NormData, SmoothFunctionSpec, estimate_norms
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
+VERIFY_REFINEMENT = 256  # estimate_norms grid for the startup check
+VERIFY_RTOL = 0.02  # largest relative analytic-vs-estimate disagreement accepted
+
 
 def _spec(name, fn, l2, c2, mean, sup, grads) -> SmoothFunctionSpec:
     return SmoothFunctionSpec(
@@ -96,15 +99,13 @@ def build_torus_battery() -> dict[str, SmoothFunctionSpec]:
 TORUS_BATTERY = build_torus_battery()
 
 
-def verify_torus_battery(
-    names=None, refinement: int = 256, rtol: float = 0.02
-) -> dict[str, float]:
+def verify_torus_battery(names=None) -> dict[str, float]:
     """Worst relative disagreement between analytic and estimated norms per entry."""
     worst = {}
     for name in names or TORUS_BATTERY:
         spec = TORUS_BATTERY[name]
         ana = spec.analytic
-        est = estimate_norms(spec, refinement)
+        est = estimate_norms(spec, VERIFY_REFINEMENT)
         rel = max(
             abs(est.l2 - ana.l2) / ana.l2,
             abs(est.c2 - ana.c2) / ana.c2,
@@ -114,9 +115,9 @@ def verify_torus_battery(
         for got, want in zip(est.grad_sups, ana.grad_sups):
             rel = max(rel, abs(got - want) / max(want, 1e-9) if want > 0 else abs(got))
         worst[name] = rel
-        if rel > rtol:
+        if rel > VERIFY_RTOL:
             raise AssertionError(
-                f"battery entry {name}: analytic norms off by {rel:.3%} (> {rtol:.0%})"
+                f"battery entry {name}: analytic norms off by {rel:.3%} (> {VERIFY_RTOL:.0%})"
             )
     return worst
 

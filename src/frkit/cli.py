@@ -1,10 +1,13 @@
 """Command-line front end: bound reports, lemma checks, recovery runs, sweeps.
 
 Subcommands: fr, decay, lemmas, recover, sweep, quadrature-check. Experiment
-configuration is plain flags plus an optional flat key=value config file
-(flags override the file). Output is CSV on stdout and optionally to --out;
-every row carries the config hash so runs are diffable. Exit codes: 0 ok,
-1 config error, 2 internal error.
+configuration is plain flags plus an optional flat key=value config file.
+Each file line `key = value...` becomes the flag tokens `--key value...`,
+parsed after the command and before the rest of the command line, so the
+file's values get the same types and choices as flags and explicit flags
+override the file. Output is CSV on stdout and optionally to --out; every
+row carries the config hash so runs are diffable. Exit codes: 0 ok, 1 config
+error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -26,48 +29,39 @@ from . import torus as tor
 from .errors import FrkitError
 from .sampling import spawn_seeds
 
-MULTI_VALUE_KEYS = {"fn", "n", "l", "eps", "c_univ"}
-
 
 class ConfigError(Exception):
     pass
 
 
-def _read_config_file(path) -> dict[str, str]:
-    values = {}
+def _config_tokens(path, args: argparse.Namespace) -> list[str]:
+    """The file's key = value lines as flag tokens; args names the known keys.
+
+    A boolean flag takes true or false; other values split on commas and spaces.
+    """
+    tokens = []
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"bad config line (need key = value): {line!r}")
-                key, _, val = line.partition("=")
-                values[key.strip().replace("-", "_")] = val.strip()
+            lines = [line.strip() for line in fh]
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    return values
-
-
-def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    if not getattr(args, "config", None):
-        return
-    file_values = _read_config_file(args.config)
-    for key, raw in file_values.items():
-        if not hasattr(args, key):
-            raise ConfigError(f"unknown config key {key!r}")
-        # flags set on the command line override the file
-        if getattr(args, key) != parser_defaults.get(key):
+    for line in lines:
+        if not line or line.startswith("#"):
             continue
-        if key in MULTI_VALUE_KEYS:
-            parts = raw.replace(",", " ").split()
-            caster = str if key == "fn" else (int if key in ("n", "l") else float)
-            setattr(args, key, [caster(p) for p in parts])
-        elif key in ("trials", "seed", "workers"):
-            setattr(args, key, int(raw))
+        if "=" not in line:
+            raise ConfigError(f"bad config line (need key = value): {line!r}")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key in ("command", "config", "handler") or not hasattr(args, key):
+            raise ConfigError(f"unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if raw.lower() not in ("true", "false"):
+                raise ConfigError(f"config key {key!r} takes true or false, got {raw!r}")
+            tokens += [flag] if raw.lower() == "true" else []
         else:
-            setattr(args, key, raw)
+            tokens += [flag, *raw.replace(",", " ").split()]
+    return tokens
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -123,8 +117,21 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+FR_HEADER = [
+    "N", "A", "B", "C", "r", "fr_measured", "slack", "certified", "provenance",
+    "config_hash", "fn",
+]
+
+
+def _fr_row(chk, size: int, certified: str, config_hash: str, name: str) -> list[str]:
+    """One fr row of a torus or sphere check; the sphere leaves certified empty."""
+    rep = chk.report
+    numbers = (rep.a, rep.b, rep.c, rep.r, chk.fr_measured, chk.slack)
+    return [str(size), *(f"{x:.17g}" for x in numbers), certified, rep.provenance,
+            config_hash, name]
+
+
 def cmd_fr(args, config_hash: str) -> int:
-    header = tor.FR_REPORT_HEADER + ["config_hash", "fn"]
     rows = []
     if args.setting == "torus":
         _require(bool(args.n), "fr --setting torus needs --n")
@@ -135,26 +142,19 @@ def cmd_fr(args, config_hash: str) -> int:
                 if not chk.report.certified:
                     print(
                         f"warning: {name} at N={n} is not certified "
-                        f"(threshold {tor.certification_threshold(spec.analytic or tor.resolve_norms(spec, n))})",
+                        f"(threshold {tor.certification_threshold(tor.resolve_norms(spec, n))})",
                         file=sys.stderr,
                     )
-                rows.append(
-                    chk.report.csv_fields(chk.fr_measured, chk.slack) + [config_hash, name]
-                )
+                certified = str(chk.report.certified).lower()
+                rows.append(_fr_row(chk, n, certified, config_hash, name))
     else:
         _require(bool(args.l), "fr --setting sphere needs --l")
         for bandwidth in args.l:
             for name, signal in _sphere_signals(args.fn, bandwidth).items():
                 chk = sph.verify_sphere_fr_bound(signal)
-                rows.append([
-                    str(bandwidth),
-                    f"{chk.report.a:.17g}", f"{chk.report.b:.17g}",
-                    f"{chk.report.c:.17g}", f"{chk.report.r:.17g}",
-                    f"{chk.fr_measured:.17g}", f"{chk.slack:.17g}",
-                    "", chk.report.provenance, config_hash, name,
-                ])
+                rows.append(_fr_row(chk, bandwidth, "", config_hash, name))
     rows.sort(key=lambda r: (r[-1], int(r[0])))
-    _emit(header, rows, args.out)
+    _emit(FR_HEADER, rows, args.out)
     return 0
 
 
@@ -200,13 +200,6 @@ def cmd_lemmas(args, config_hash: str) -> int:
     return 0
 
 
-def _recover_target(args, name, size):
-    """The battery spec (torus) or the signal at bandwidth size (sphere) named name."""
-    if args.setting == "torus":
-        return bat.TORUS_BATTERY[name]
-    return bat.build_sphere_battery(size)[name]
-
-
 def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
     delta_override = 0.0 if args.exact_fit else None
     if args.setting == "torus":
@@ -220,27 +213,38 @@ def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
     )
 
 
-def _validate_recover(args) -> None:
+def _recovery_targets(args) -> dict[tuple[str, int], object]:
+    """Validate a recover/sweep run and return its targets by (fn name, size).
+
+    A target is a torus battery spec at each --n, or a sphere battery signal
+    at each --l; there --fn all takes the signals defined at that L, and
+    explicit names must exist at every L.
+    """
     _require(len(args.fn) >= 1, "recover needs --fn")
     if args.setting == "torus":
         _require(bool(args.n), "recover --setting torus needs --n")
-        _torus_functions(args.fn)
+        fns = _torus_functions(args.fn)
+        targets = {(name, n): spec for name, spec in fns.items() for n in args.n}
     else:
         _require(bool(args.l), "recover --setting sphere needs --l")
-        _sphere_signals(args.fn, args.l[0])
+        per_l = {bandwidth: _sphere_signals(args.fn, bandwidth) for bandwidth in args.l}
+        targets = {
+            (name, bandwidth): signal
+            for bandwidth, signals in per_l.items()
+            for name, signal in signals.items()
+        }
     _require(bool(args.eps), "recover needs --eps")
     _require(all(0 < e < 0.5 for e in args.eps), "every eps must lie in (0, 1/2)")
     _require(args.trials >= 1, "trials must be >= 1")
+    return targets
 
 
 RECOVER_HEADER = sol.RECOVERY_HEADER + ["config_hash", "fn", "ratio_source", "provenance"]
 
 
 def cmd_recover(args, config_hash: str) -> int:
-    _validate_recover(args)
-    name = args.fn[0]
-    size = args.n[0] if args.setting == "torus" else args.l[0]
-    target = _recover_target(args, name, size)
+    targets = _recovery_targets(args)
+    (name, size), target = next(iter(targets.items()))  # the first --fn at the first size
     eps = args.eps[0]
     c_univ = args.c_univ[0]
     rows = []
@@ -254,34 +258,21 @@ def cmd_recover(args, config_hash: str) -> int:
     return 0
 
 
-def _sweep_cells(args):
-    names = args.fn if args.fn != ["all"] else (
-        list(bat.TORUS_BATTERY) if args.setting == "torus"
-        else sorted(bat.build_sphere_battery(max(args.l)))
-    )
-    sizes = args.n if args.setting == "torus" else args.l
-    cells = [
-        (name, size, eps, c_univ)
-        for name in sorted(names)
-        for size in sorted(sizes)
-        for eps in sorted(args.eps)
-        for c_univ in sorted(args.c_univ)
-    ]
-    return cells
-
-
 def cmd_sweep(args, config_hash: str) -> int:
     if args.mode == "rn_vs_logn":
         return _sweep_rn_vs_logn(args, config_hash)
-    _require(args.mode == "recover", f"unknown sweep mode {args.mode!r}")
-    _validate_recover(args)
-    cells = _sweep_cells(args)
-    _require(bool(cells), "sweep grid is empty")
+    targets = _recovery_targets(args)
+    cells = [
+        (name, size, eps, c_univ)
+        for name, size in sorted(targets)
+        for eps in sorted(args.eps)
+        for c_univ in sorted(args.c_univ)
+    ]
     cell_seeds = spawn_seeds(args.seed, len(cells))
 
     def run_cell(idx):
         name, size, eps, c_univ = cells[idx]
-        target = _recover_target(args, name, size)
+        target = targets[name, size]
         rows = []
         for trial_seed in spawn_seeds(cell_seeds[idx], args.trials):
             try:
@@ -437,16 +428,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        # subcommand defaults live on the subparser, so re-parse the bare command
-        defaults = vars(parser.parse_args([args.command]))
+        if args.config:
+            # the command, then the file's flags, then the rest of the command line
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config, args) + argv[1:])
+        return args.handler(args, _config_hash(args))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:
-        _apply_config(args, defaults)
-        config_hash = _config_hash(args)
-        return args.handler(args, config_hash)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

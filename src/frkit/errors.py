@@ -9,10 +9,6 @@ class StructuralError(FrkitError, ValueError):
     """Shape, length, or index-layout mismatch."""
 
 
-class ModeError(FrkitError, TypeError):
-    """Operation applied to a spectral vector of the wrong mode."""
-
-
 class DegenerateInputError(FrkitError, ValueError):
     """Input is identically zero where a nonzero norm is required."""
 

@@ -102,12 +102,3 @@ def draw_sphere_points(q: int, seed: int) -> SampleMultiset:
     phi = rng.uniform(0.0, 2.0 * np.pi, size=q)
     return SampleMultiset(theta=np.arccos(z), phi=phi)
 
-
-def empirical_norm(values, expected_count: int | None = None) -> float:
-    """Unnormalized root-sum-of-squares over the sampled values (with multiplicity)."""
-    vals = np.asarray(values)
-    if expected_count is not None and vals.size != expected_count:
-        raise StructuralError(
-            f"expected {expected_count} sampled values, got {vals.size}"
-        )
-    return float(np.linalg.norm(vals.ravel()))

@@ -48,7 +48,7 @@ from .errors import (
     CertificationError, DataError, DomainError, InfeasibleCandidateError, StructuralError,
 )
 from .sampling import SampleMultiset, SampleSet, draw_sphere_points, draw_subset, rng_from_seed
-from .spectral import forward_dft, fourier_ratio, inverse_dft, SpectralVector, TORUS
+from .spectral import forward_dft, fourier_ratio, inverse_dft, SpectralVector
 from . import sphere as sph
 from . import torus as tor
 
@@ -59,6 +59,17 @@ Q_MAX = 200_000  # largest sphere sample recover_sphere accepts
 RESTART_SUFFICIENT = 0.2
 RESTART_NECESSARY = 0.8
 RESTART_ARTIFICIAL = 0.36
+
+CHECK_EVERY = 25  # iterations between stop and restart checks
+
+# power_norm_bound: iterations and start-vector seed
+POWER_ITERS = 40
+POWER_SEED = 0
+
+# check_kkt: feasibility slack relative to max(1, ||y||), and the relative
+# magnitude below which a coefficient counts as a numerical zero
+KKT_FEAS_TOL = 1e-6
+KKT_SUPPORT_RTOL = 1e-5
 
 RATIO_MEASURED = "measured"
 RATIO_BOUND = "bound"
@@ -231,18 +242,15 @@ def _make_half_torus_operator(sample: SampleSet) -> MeasurementOperator:
     )
 
 
-def power_norm_bound(
-    forward: Callable, adjoint: Callable, dim: int, iters: int = 40, seed: int = 0
-) -> float:
-    """Upper bound on the operator norm via power iteration on A^H A.
+def power_norm_bound(forward: Callable, adjoint: Callable, dim: int) -> float:
+    """Upper bound on the operator norm via POWER_ITERS steps of power iteration on A^H A.
 
     It starts from a real vector, so a real operator iterates in real arithmetic.
     """
-    rng = rng_from_seed(seed)
-    x = rng.standard_normal(dim)
+    x = rng_from_seed(POWER_SEED).standard_normal(dim)
     x /= np.linalg.norm(x)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         y = adjoint(forward(x))
         lam = float(np.linalg.norm(y))
         if lam == 0.0:
@@ -280,7 +288,6 @@ class SolverConfig:
     delta: float
     max_iter: int = 50_000
     tol: float = 1e-8
-    check_every: int = 25
 
     def __post_init__(self):
         if self.delta < 0:
@@ -394,11 +401,14 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     op.coef_norm / op.coef_l1, and the returned coefficients are in the
     operator's own layout.
 
-    Every check_every iterations the loop stops once the fixed-point residual
-    of the current iterate is <= tol. Otherwise its candidate is the current
-    iterate or the running average since the last restart, whichever has the
-    lower residual, and it restarts from the candidate by the adaptive rule of
-    the module docstring. Non-convergence is reported, not raised.
+    Every CHECK_EVERY iterations the loop stops once the fixed-point residual
+    of the current iterate is <= tol and the iterate is feasible, with
+    ||A a - y|| - delta <= tol * max(1, ||y||); the feasibility test costs one
+    forward matvec and runs only once the residual test passes. Otherwise its
+    candidate is the current iterate or the running average since the last
+    restart, whichever has the lower residual, and it restarts from the
+    candidate by the adaptive rule of the module docstring. Non-convergence is
+    reported, not raised.
     """
     y = op.measurements(y)
     n_meas, n_coef = op.shape
@@ -413,17 +423,21 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     a_sum, z_sum, n_avg = np.zeros_like(a), np.zeros_like(z), 0  # since the last restart
     res_restart = res_prev = math.inf  # candidate residual at the last restart / last check
     last_restart = restarts = 0
-    y_scale = max(1.0, float(np.linalg.norm(y)))
+    feas_tol = cfg.tol * max(1.0, float(np.linalg.norm(y)))
     converged = False
     iterations = cfg.max_iter
 
+    def infeasibility(a: np.ndarray) -> float:
+        return float(np.linalg.norm(op.forward(a) - y)) - delta
+
     for it in range(1, cfg.max_iter + 1):
         a_new, z_new = _cp_step(op, y, a, z, abar, step, delta)
-        check = it % cfg.check_every == 0 or it == cfg.max_iter
+        check = it % CHECK_EVERY == 0 or it == cfg.max_iter
         if check:
             res = _fixed_point_residual(op, a, z, a_new, z_new, step)
-            if res <= cfg.tol:
-                a, z = a_new, z_new
+            feas = infeasibility(a_new) if res <= cfg.tol else math.inf
+            if feas <= feas_tol:
+                a = a_new
                 converged = True
                 iterations = it
                 break
@@ -453,10 +467,8 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
             res_restart, last_restart = cand_res, it
             restarts += 1
 
-    residual_vec = op.forward(a) - y
-    feas = float(np.linalg.norm(residual_vec)) - delta
-    if converged and feas > cfg.tol * y_scale:
-        converged = False
+    if not converged:
+        feas = infeasibility(a)
     return _Solution(
         coefficients=a,
         objective=op.coef_l1(a),
@@ -467,54 +479,41 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     )
 
 
-@dataclass(frozen=True)
-class KktReport:
-    """Violation of the l1 subdifferential conditions at a feasible candidate."""
-
-    residual: float
-    support_violation: float
-    slackness_violation: float
-    dual_scale: float
-    constraint_active: bool
-
-
 def check_kkt(
     op: MeasurementOperator,
     y: np.ndarray,
     delta: float,
     a: np.ndarray,
-    feas_tol: float = 1e-6,
-    support_rtol: float = 1e-5,
-) -> KktReport:
-    """Build the dual variable from the residual direction and measure violations.
+) -> float:
+    """Violation of the l1 subdifferential conditions at a feasible candidate.
 
-    With nu = lambda * direction and lambda = 1/||A^H d||_inf, dual feasibility
-    |(A^H nu)_i| <= 1 holds by construction; reported are the worst deviation of
-    (A^H nu)_i from the phase of a_i over the support and the complementary
-    slackness defect |  ||rho|| - delta | (when the dual is active). Entries
-    below support_rtol * ||a||_inf count as numerical zeros, for which the
-    subdifferential condition is the (exact) dual-feasibility bound.
+    Builds the dual variable from the residual direction: with
+    nu = lambda * direction and lambda = 1/||A^H d||_inf, dual feasibility
+    |(A^H nu)_i| <= 1 holds by construction. Returned is the larger of the
+    worst deviation of (A^H nu)_i from the phase of a_i over the support and
+    the complementary slackness defect |  ||rho|| - delta | (when the dual is
+    active). Entries below KKT_SUPPORT_RTOL * ||a||_inf count as numerical
+    zeros, for which the subdifferential condition is the (exact)
+    dual-feasibility bound.
     """
     y = op.measurements(y)
     a = op.coefficients(a)
     rho = op.forward(a) - y
     r = float(np.linalg.norm(rho))
     y_scale = max(1.0, float(np.linalg.norm(y)))
-    if r > delta + feas_tol * y_scale:
+    if r > delta + KKT_FEAS_TOL * y_scale:
         raise InfeasibleCandidateError(
             f"candidate residual {r:.3e} exceeds delta {delta:.3e}"
         )
     amax = float(np.max(np.abs(a))) if a.size else 0.0
     if amax == 0.0:
-        # the zero vector is l1-minimal whenever it is feasible
-        return KktReport(0.0, 0.0, 0.0, 0.0, constraint_active=r >= delta - feas_tol * y_scale)
+        return 0.0  # the zero vector is l1-minimal whenever it is feasible
+    if delta > 0.0 and (delta - r) > KKT_FEAS_TOL * y_scale:
+        # inactive constraint: lambda must vanish, so any nonzero coefficient
+        # violates stationarity
+        return 1.0
 
-    support = np.abs(a) > support_rtol * amax
-    inactive = delta > 0.0 and (delta - r) > feas_tol * y_scale
-    if inactive:
-        # lambda must vanish, so any nonzero coefficient violates stationarity
-        return KktReport(1.0, 1.0, 0.0, 0.0, constraint_active=False)
-
+    support = np.abs(a) > KKT_SUPPORT_RTOL * amax
     if r <= 1e-14 * y_scale:
         # delta = 0 with exact fit: find a least-squares dual certificate
         mat = op.to_dense()
@@ -527,18 +526,12 @@ def check_kkt(
         g = op.adjoint(d)
     ginf = float(np.max(np.abs(g)))
     if ginf == 0.0:
-        return KktReport(1.0, 1.0, 1.0, 0.0, constraint_active=True)
+        return 1.0
     lam = 1.0 / ginf
     phases = a[support] / np.abs(a[support])
     support_viol = float(np.max(np.abs(lam * g[support] - phases)))
     slack_viol = abs(r - delta) / max(1.0, delta) if delta > 0 else 0.0
-    return KktReport(
-        residual=max(support_viol, slack_viol),
-        support_violation=support_viol,
-        slackness_violation=slack_viol,
-        dual_scale=lam,
-        constraint_active=True,
-    )
+    return max(support_viol, slack_viol)
 
 
 def duality_gap(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray) -> float:
@@ -647,7 +640,7 @@ def recover_torus(
     sample = draw_subset(side, 2, size, seed)
     return _recover(
         make_torus_operator(sample, real=g.is_real), g.values[sample.flat], g.values.real, g.l2,
-        lambda a: inverse_dft(SpectralVector(mode=TORUS, coeffs=a, side=side, dims=2)).values,
+        lambda a: inverse_dft(SpectralVector(coeffs=a, side=side, dims=2)).values,
         delta_override, setting="torus", size_param=side, eps=eps, c_univ=c_univ,
         seed=seed, clamped=budget.clamped, norm_provenance=norms.provenance,
     )

@@ -3,21 +3,17 @@
 Unitary transforms (N^{-d/2} normalization, so Parseval holds with
 unnormalized counting-measure norms on the grid), the Fourier ratio
 ||a||_1/||a||_2, best-S truncation with its Stechkin-type tail bound,
-and the grid of wrapped frequency magnitudes |k|_* = min(k, N-k).
+and the grid of wrapped frequency magnitudes |k|_* = min(k, N-k). Sphere
+coefficients live in sphere.SphericalSignal, not here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ModeError, StructuralError
-
-TORUS = "torus"
-SPHERE = "sphere"
-UNITARY_NORMALIZATION = "unitary-N^{-d/2}"
+from .errors import DegenerateInputError, DomainError, StructuralError
 
 _MAX_DIMS = 3
 
@@ -68,34 +64,19 @@ class GridField:
 
 @dataclass(frozen=True)
 class SpectralVector:
-    """Indexed coefficient sequence, either torus (Z_N^d) or sphere ((l, m), l <= L) mode."""
+    """Unitary DFT coefficients of a field on Z_N^d, stored flat in row-major order."""
 
-    mode: str
     coeffs: np.ndarray
-    side: int | None = None
-    dims: int | None = None
-    bandwidth: int | None = None
-    normalization: str = UNITARY_NORMALIZATION
+    side: int
+    dims: int
 
     def __post_init__(self):
         coeffs = _frozen_array(self.coeffs, np.complex128).ravel()
         object.__setattr__(self, "coeffs", coeffs)
-        if self.mode == TORUS:
-            if self.side is None or self.dims is None:
-                raise StructuralError("torus mode needs side and dims")
-            if coeffs.size != self.side**self.dims:
-                raise StructuralError(
-                    f"expected {self.side ** self.dims} coefficients, got {coeffs.size}"
-                )
-        elif self.mode == SPHERE:
-            if self.bandwidth is None:
-                raise StructuralError("sphere mode needs a bandwidth")
-            if coeffs.size != (self.bandwidth + 1) ** 2:
-                raise StructuralError(
-                    f"expected {(self.bandwidth + 1) ** 2} coefficients, got {coeffs.size}"
-                )
-        else:
-            raise ModeError(f"unknown mode {self.mode!r}")
+        if coeffs.size != self.side**self.dims:
+            raise StructuralError(
+                f"expected {self.side ** self.dims} coefficients, got {coeffs.size}"
+            )
 
     @property
     def norm1(self) -> float:
@@ -121,15 +102,11 @@ def forward_dft(fld: GridField) -> SpectralVector:
     """Unitary DFT: coefficient at m is N^{-d/2} sum_x e^{-2 pi i x.m / N} g(x)."""
     scale = fld.side ** (-fld.dims / 2.0)
     coeffs = np.fft.fftn(fld.grid) * scale
-    return SpectralVector(
-        mode=TORUS, coeffs=coeffs.ravel(), side=fld.side, dims=fld.dims
-    )
+    return SpectralVector(coeffs=coeffs.ravel(), side=fld.side, dims=fld.dims)
 
 
 def inverse_dft(spec: SpectralVector) -> GridField:
     """Exact inverse of forward_dft under the unitary normalization."""
-    if spec.mode != TORUS:
-        raise ModeError("inverse_dft requires a torus-mode spectral vector")
     shape = (spec.side,) * spec.dims
     grid = np.fft.ifftn(spec.coeffs.reshape(shape)) * spec.side ** (spec.dims / 2.0)
     return GridField(side=spec.side, dims=spec.dims, values=grid.ravel())
@@ -162,18 +139,5 @@ def best_s_truncation(spec: SpectralVector, s: int) -> tuple[SpectralVector, flo
     kept = np.zeros_like(spec.coeffs)
     kept[keep] = spec.coeffs[keep]
     tail = float(np.linalg.norm(spec.coeffs - kept)) / n2
-    truncated = SpectralVector(
-        mode=spec.mode,
-        coeffs=kept,
-        side=spec.side,
-        dims=spec.dims,
-        bandwidth=spec.bandwidth,
-    )
-    return truncated, tail
+    return SpectralVector(coeffs=kept, side=spec.side, dims=spec.dims), tail
 
-
-def stechkin_budget(fr: float, eps: float) -> int:
-    """Support size ceil(FR^2 / eps^2) that brings the relative l2 tail under eps."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    return int(math.ceil(fr * fr / (eps * eps)))

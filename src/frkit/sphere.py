@@ -20,8 +20,8 @@ matrix product. The table builder carries the sectoral seed Pbar_m^m to
 Pbar_{m+1}^{m+1} and runs the recurrence in l for all m at once; it is
 the only loop over orders.
 
-On an iso-latitude grid (rings of n_phi equispaced ph from 0, such as the
-quadrature and the 4L x 8L norm grid) the table is built on the ring
+On an iso-latitude grid (rings of n_phi equispaced ph from 0: every
+QuadratureRule, and the 4L x 8L norm grid) the table is built on the ring
 colatitudes only and ph is done by FFT (Driscoll & Healy 1994; Reinecke &
 Seljebotn, "libsharp", A&A 2013):
 
@@ -31,11 +31,11 @@ Seljebotn, "libsharp", A&A 2013):
     analysis   the weighted rfft along ph on each ring, then each m
                projected onto its table segment.
 
-Both need n_phi >= 2 lmax + 1, so that no order m <= lmax aliases in ph. At
-scattered points synthesis forms the same per-m sums and adds up
-cos/sin(m ph) point by point, and the basis matrix is built from the table;
-both work in chunks of points sized so that one table or basis block holds
-a fixed number of entries, which bounds their memory.
+Both need n_phi >= 2 lmax + 1, so that no order m <= lmax aliases in ph.
+synthesize and basis_matrix take scattered points: synthesis forms the same
+per-m sums and adds up cos/sin(m ph) point by point, and the basis matrix is
+built from the table; both work in chunks of points sized so that one table
+or basis block holds a fixed number of entries, which bounds their memory.
 
 The bound r_L = A + B + C uses
 
@@ -61,18 +61,11 @@ SPHERE_AREA = 4.0 * math.pi
 
 SPECTRAL_GRID = "spectral-grid"
 
-C2_SPHERE_CONVENTION = "max(sup|f|, sup|grad f|, sup|Lap f|)"
-
 _BLOCK_ENTRIES = 1 << 20  # (lmax+1)^2 x points per table or basis block: 8 MB
 
 
 def lm_to_index(l: int, m: int) -> int:
     return l * l + l + m
-
-
-def index_to_lm(i: int) -> tuple[int, int]:
-    l = int(math.isqrt(i))
-    return l, i - l * l - l
 
 
 def degrees_for_indices(count: int) -> np.ndarray:
@@ -86,7 +79,6 @@ class SphericalSignal:
 
     bandwidth: int
     coeffs: np.ndarray
-    basis: str = "real-orthonormal"
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=float)
@@ -120,9 +112,8 @@ def _ring_phi(n_phi: int) -> np.ndarray:
 class QuadratureRule:
     """Nodes (theta, phi) and positive weights, exact through exactness_degree.
 
-    n_phi > 0 records that the nodes are stored ring-major: rings of n_phi
-    nodes at one colatitude each, with phi = 2 pi k / n_phi. analyze then
-    works ring by ring with an FFT. n_phi = 0 means scattered nodes.
+    The nodes are stored ring-major: rings of n_phi nodes at one colatitude
+    each, with phi = 2 pi k / n_phi, so analyze works ring by ring with an FFT.
     """
 
     bandwidth: int
@@ -130,7 +121,7 @@ class QuadratureRule:
     phi: np.ndarray
     weights: np.ndarray
     exactness_degree: int
-    n_phi: int = 0
+    n_phi: int
 
     def __post_init__(self):
         for name in ("theta", "phi", "weights"):
@@ -141,8 +132,9 @@ class QuadratureRule:
             raise StructuralError("node and weight arrays must share a shape")
         if np.any(self.weights <= 0):
             raise StructuralError("quadrature weights must be positive")
-        if self.n_phi and not (
-            self.theta.ndim == 1
+        if not (
+            self.n_phi > 0
+            and self.theta.ndim == 1
             and self.theta.size % self.n_phi == 0
             and np.all(self.theta.reshape(-1, self.n_phi) == self.ring_theta[:, None])
             and np.allclose(
@@ -158,7 +150,7 @@ class QuadratureRule:
 
     @property
     def ring_theta(self) -> np.ndarray:
-        """Colatitude of each ring (ring-major rules only)."""
+        """Colatitude of each ring."""
         return self.theta[:: self.n_phi]
 
 
@@ -299,20 +291,6 @@ def _basis_rows(lmax: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_basis(l: int, m: int, theta, phi) -> np.ndarray:
-    """Real orthonormal spherical harmonic Y_l^m at (theta, phi)."""
-    if l < 0 or abs(m) > l:
-        raise DomainError(f"invalid harmonic index (l={l}, m={m})")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    p = _legendre_table(l, theta)[abs(m), l - abs(m)]
-    if m == 0:
-        return p
-    if m > 0:
-        return math.sqrt(2.0) * p * np.cos(m * phi)
-    return math.sqrt(2.0) * p * np.sin(-m * phi)
-
-
 def basis_matrix(bandwidth: int, theta, phi) -> np.ndarray:
     """Dense (npoints, (L+1)^2) matrix of basis values; desk-scale only."""
     theta = np.asarray(theta, dtype=float).ravel()
@@ -341,16 +319,9 @@ def analyze(values_or_fn, rule: QuadratureRule, bandwidth: int) -> SphericalSign
         raise StructuralError(
             f"expected {rule.theta.size} node values, got {values.size}"
         )
-    weighted = rule.weights * values
-    if rule.n_phi:
-        table = _legendre_table(bandwidth, rule.ring_theta)
-        coeffs = _ring_analysis(weighted.reshape(-1, rule.n_phi), table, bandwidth)
-    else:
-        coeffs = sum(
-            _basis_rows(bandwidth, rule.theta[part], rule.phi[part]) @ weighted[part]
-            for part in _point_chunks(len(rule), bandwidth)
-        )
-    return SphericalSignal(bandwidth=bandwidth, coeffs=coeffs)
+    weighted = (rule.weights * values).reshape(-1, rule.n_phi)
+    table = _legendre_table(bandwidth, rule.ring_theta)
+    return SphericalSignal(bandwidth, _ring_analysis(weighted, table, bandwidth))
 
 
 def synthesize(signal: SphericalSignal, theta, phi) -> np.ndarray:
@@ -427,16 +398,14 @@ def estimate_sphere_norms(signal: SphericalSignal) -> SphereNormData:
 
 @dataclass(frozen=True)
 class SphereFrBoundReport:
-    """A_L, B_L, C_L, their sum r_L, and the constant C0 used."""
+    """A_L, B_L, C_L and their sum r_L, with C0 = C0_SPHERE."""
 
     bandwidth: int
     a: float
     b: float
     c: float
     r: float
-    c0: float
     provenance: str
-    c2_convention: str = C2_SPHERE_CONVENTION
 
 
 def compute_rl(norms: SphereNormData, bandwidth: int) -> SphereFrBoundReport:
@@ -451,32 +420,7 @@ def compute_rl(norms: SphereNormData, bandwidth: int) -> SphereFrBoundReport:
     b = C0_SPHERE * ratio * math.log(bandwidth)
     c = C0_SPHERE * ratio / bandwidth
     return SphereFrBoundReport(
-        bandwidth=bandwidth, a=a, b=b, c=c, r=a + b + c,
-        c0=C0_SPHERE, provenance=norms.provenance,
-    )
-
-
-def compute_rl_nonnegative(norms: SphereNormData, bandwidth: int) -> SphereFrBoundReport:
-    """Variant of the bound for signals the caller asserts are nonnegative.
-
-    Uses the mean mu = int f dsigma in place of the L2 norm:
-    sqrt(4 pi) + C0 sqrt(4 pi) (C2/mu) ln L + C0 sqrt(4 pi) (C2/mu) / L.
-    """
-    if bandwidth < 2:
-        raise DomainError(
-            f"bandwidth must be >= 2 (log L degenerates at L < 2), got {bandwidth}"
-        )
-    mu = norms.integral
-    if mu <= 0:
-        raise DomainError("nonnegative-signal bound needs a positive mean integral")
-    root = math.sqrt(SPHERE_AREA)
-    ratio = norms.c2 / mu
-    a = root
-    b = C0_SPHERE * root * ratio * math.log(bandwidth)
-    c = C0_SPHERE * root * ratio / bandwidth
-    return SphereFrBoundReport(
-        bandwidth=bandwidth, a=a, b=b, c=c, r=a + b + c,
-        c0=C0_SPHERE, provenance=norms.provenance,
+        bandwidth=bandwidth, a=a, b=b, c=c, r=a + b + c, provenance=norms.provenance,
     )
 
 

@@ -9,12 +9,11 @@ form the three-term bound r_N = A + B + C with
 
 which dominates the measured Fourier ratio whenever the hypothesis
 N ||f||_L2^2 >= 8 ||f||_C2^2 is certified. The C2 norm is the unweighted
-max of sup|d^a f| over all |a| <= 2.
+max of sup|d^a f| over all |a| <= 2 (no factorial or multinomial weights).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -40,9 +39,6 @@ FOUR_PI_SQ = 4.0 * math.pi**2
 
 ANALYTIC = "analytic"
 ESTIMATED = "estimated"
-
-# the C2 norm convention is unweighted: no factorial/multinomial weights
-C2_CONVENTION = "max sup|d^a f| over |a| <= 2, unweighted"
 
 _PERIODICITY_TOL = 1e-9
 _PERIODICITY_POINTS = 100
@@ -73,30 +69,27 @@ class SmoothFunctionSpec:
 
     The evaluator takes two equal-shaped arrays (u1, u2) and returns real
     values. Analytic norms, when supplied, take precedence over estimates
-    everywhere. Unless assume_periodic is set, construction spot-checks
-    periodicity on boundary points.
+    everywhere. Construction spot-checks periodicity on boundary points.
     """
 
     name: str
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     analytic: Optional[NormData] = None
-    assume_periodic: bool = False
 
     def __post_init__(self):
-        if not self.assume_periodic:
-            t = np.linspace(0.0, 1.0, _PERIODICITY_POINTS)
-            left = self(np.zeros_like(t), t)
-            right = self(np.ones_like(t), t)
-            bottom = self(t, np.zeros_like(t))
-            top = self(t, np.ones_like(t))
-            gap = max(
-                float(np.max(np.abs(left - right))),
-                float(np.max(np.abs(bottom - top))),
+        t = np.linspace(0.0, 1.0, _PERIODICITY_POINTS)
+        left = self(np.zeros_like(t), t)
+        right = self(np.ones_like(t), t)
+        bottom = self(t, np.zeros_like(t))
+        top = self(t, np.ones_like(t))
+        gap = max(
+            float(np.max(np.abs(left - right))),
+            float(np.max(np.abs(bottom - top))),
+        )
+        if gap > _PERIODICITY_TOL:
+            raise PeriodicityError(
+                f"{self.name}: boundary mismatch {gap:.3e} exceeds {_PERIODICITY_TOL}"
             )
-            if gap > _PERIODICITY_TOL:
-                raise PeriodicityError(
-                    f"{self.name}: boundary mismatch {gap:.3e} exceeds {_PERIODICITY_TOL}"
-                )
 
     def __call__(self, u1, u2) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(u1), np.asarray(u2)), dtype=float)
@@ -113,24 +106,6 @@ class FrBoundReport:
     r: float
     certified: bool
     provenance: str
-    c2_convention: str = C2_CONVENTION
-
-    def csv_fields(self, fr_measured: float | None = None, slack: float | None = None):
-        fmt = lambda x: "" if x is None else f"{x:.17g}"
-        return [
-            str(self.side),
-            f"{self.a:.17g}",
-            f"{self.b:.17g}",
-            f"{self.c:.17g}",
-            f"{self.r:.17g}",
-            fmt(fr_measured),
-            fmt(slack),
-            str(self.certified).lower(),
-            self.provenance,
-        ]
-
-
-FR_REPORT_HEADER = ["N", "A", "B", "C", "r", "fr_measured", "slack", "certified", "provenance"]
 
 
 def discretize(f: SmoothFunctionSpec, side: int) -> GridField:
@@ -332,34 +307,6 @@ def verify_l2_lower_bound(
         sqrt_bound=sqrt_bound,
         sqrt_passed=(not certified) or g.l2 >= sqrt_bound * (1.0 - 1e-12),
     )
-
-
-@dataclass(frozen=True)
-class FrequencySumCheck:
-    """Sum of |m|_*^{-2} over nonzero frequencies against the 2 ln N + 2 estimate.
-
-    The wrapped sum runs above the estimate for every N (the gap is an
-    absolute constant absorbed into the final bound), so a violation is
-    logged, never raised; the certified FR bound itself is what gets tested.
-    """
-
-    value: float
-    estimate: float
-    within: bool
-
-
-def wrapped_inverse_square_sum(side: int) -> FrequencySumCheck:
-    mag_sq = wrapped_mag_sq_grid(side, 2).astype(float).ravel()
-    value = float(np.sum(1.0 / mag_sq[1:]))
-    estimate = 2.0 * math.log(side) + 2.0
-    within = value <= estimate
-    if not within:
-        logging.getLogger(__name__).info(
-            "wrapped frequency sum %.3f exceeds 2 ln N + 2 = %.3f at N=%d "
-            "(absolute-constant gap, absorbed by the final bound)",
-            value, estimate, side,
-        )
-    return FrequencySumCheck(value=value, estimate=estimate, within=within)
 
 
 @dataclass(frozen=True)

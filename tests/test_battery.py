@@ -9,7 +9,7 @@ from frkit.torus import certification_threshold
 
 
 def test_analytic_norms_match_estimates_within_2pct():
-    worst = verify_torus_battery(refinement=256, rtol=0.02)
+    worst = verify_torus_battery()
     assert max(worst.values()) <= 0.02
 
 

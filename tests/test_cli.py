@@ -29,6 +29,19 @@ class TestFr:
         assert row[7] == "true"
         assert "warning" not in err
 
+    def test_fr_report_csv_schema(self, capsys):
+        code, out, _ = run_cli(capsys, "fr", "--setting", "torus", "--fn", "const1", "--n", "8")
+        assert code == 0
+        header, (row,) = parse_csv(out)
+        assert header == [
+            "N", "A", "B", "C", "r", "fr_measured", "slack", "certified", "provenance",
+            "config_hash", "fn",
+        ]
+        assert len(row) == len(header)
+        assert row[0] == "8"
+        assert row[7] == "true"
+        assert row[8] == "analytic"
+
     def test_noncertified_warns_but_exits_zero(self, capsys):
         code, out, err = run_cli(capsys, "fr", "--setting", "torus", "--fn", "cc_half", "--n", "64")
         assert code == 0
@@ -39,8 +52,10 @@ class TestFr:
     def test_sphere_fr(self, capsys):
         code, out, _ = run_cli(capsys, "fr", "--setting", "sphere", "--fn", "decay_e", "--l", "8")
         assert code == 0
-        _, rows = parse_csv(out)
+        header, rows = parse_csv(out)
+        assert len(rows[0]) == len(header)
         assert float(rows[0][6]) >= 0.0  # slack
+        assert rows[0][7] == ""  # the sphere bound has no certification hypothesis
 
     def test_unknown_fn_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "fr", "--fn", "nope", "--n", "8")
@@ -119,6 +134,26 @@ class TestSweep:
         assert code_a == code_b == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_sphere_all_takes_the_signals_of_each_bandwidth(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--setting", "sphere", "--fn", "all", "--l", "2", "8",
+            "--c-univ", "0.01", "--seed", "3",
+        )
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        cells = {(r[header.index("fn")], r[header.index("N_or_L")]) for r in rows}
+        assert ("mix5", "8") in cells and ("mix5", "2") not in cells
+        assert ("y00", "2") in cells and ("y00", "8") in cells
+        assert len(rows) == len(cells) == 7 + 8
+        assert all(r[header.index("status")] == "ok" for r in rows)
+
+    def test_sphere_names_checked_at_every_bandwidth(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--setting", "sphere", "--fn", "mix5", "--l", "8", "2",
+        )
+        assert code == 1
+        assert "config error" in err and "mix5" in err and "L=2" in err
+
 
 class TestQuadratureCheck:
     def test_reports_small_deviations(self, capsys):
@@ -149,6 +184,36 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "fr", "--config", str(cfg), "--fn", "const1", "--n", "8")
         assert code == 1
         assert "bogus" in err
+
+    def test_false_boolean_stays_off(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        base = "setting = torus\nfn = const1\nn = 8\neps = 0.1\nseed = 5\n"
+        errors = {}
+        for value in ("false", "true"):
+            cfg.write_text(base + f"exact_fit = {value}\n")
+            code, out, _ = run_cli(capsys, "recover", "--config", str(cfg))
+            assert code == 0
+            header, rows = parse_csv(out)
+            errors[value] = float(rows[0][header.index("rel_error")])
+        assert errors["false"] == pytest.approx(0.1, rel=0.05)  # delta = eps ||g||
+        assert errors["true"] <= 1e-8  # exact fit
+
+    @pytest.mark.parametrize("line", ["setting = sfere", "ratio = bogus"])
+    def test_file_values_face_the_flag_choices(self, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"fn = const1\nn = 8\n{line}\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "invalid choice" in err
+
+    def test_explicit_flag_equal_to_default_beats_file(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("setting = sphere\nfn = const1\nn = 8\n")
+        code, out, err = run_cli(capsys, "fr", "--config", str(cfg), "--setting", "torus")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert [(r[0], r[-1]) for r in rows] == [("8", "const1")]
 
     def test_identical_config_same_hash_column(self, tmp_path, capsys):
         args = ["fr", "--setting", "torus", "--fn", "const1", "--n", "8"]

@@ -8,7 +8,6 @@ from frkit.sampling import (
     SampleSet,
     draw_sphere_points,
     draw_subset,
-    empirical_norm,
     spawn_seeds,
 )
 
@@ -77,23 +76,6 @@ class TestDrawSpherePoints:
     def test_q_domain(self):
         with pytest.raises(DomainError):
             draw_sphere_points(0, seed=1)
-
-
-class TestEmpiricalNorm:
-    def test_zeros(self):
-        assert empirical_norm(np.zeros(5)) == 0.0
-
-    def test_three_four_zero(self):
-        assert empirical_norm([3.0, 4.0, 0.0]) == pytest.approx(5.0)
-
-    def test_multiset_multiplicity(self):
-        single = empirical_norm([3.0])
-        doubled = empirical_norm([3.0, 3.0])
-        assert doubled == pytest.approx(np.sqrt(2) * single)
-
-    def test_length_mismatch(self):
-        with pytest.raises(StructuralError):
-            empirical_norm([1.0, 2.0], expected_count=3)
 
 
 class TestSeeds:

@@ -123,7 +123,7 @@ class TestHalfSpectrumTorus:
         half_op, full_op = make_torus_operator(sample, real=True), make_torus_operator(sample)
         rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
         expanded = half_op.expand(rep.coefficients)
-        assert check_kkt(full_op, y, delta, expanded).residual <= 1e-6
+        assert check_kkt(full_op, y, delta, expanded) <= 1e-6
         assert duality_gap(half_op, y, delta, rep.coefficients) == pytest.approx(
             duality_gap(full_op, y, delta, expanded), abs=1e-12 * rep.objective
         )
@@ -153,7 +153,7 @@ class TestRestarts:
         rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
         assert rep.converged and rep.restarts > 0
         expanded = half_op.expand(rep.coefficients)
-        assert check_kkt(full_op, y, delta, expanded).residual <= 1e-6
+        assert check_kkt(full_op, y, delta, expanded) <= 1e-6
         a_oracle = oracle_solve(full_op.to_dense(), y, delta)
         assert np.max(np.abs(expanded - a_oracle)) <= 1e-6
 
@@ -213,7 +213,7 @@ class TestSolveBpdn:
             rng = rng_from_seed(seed)
             truth = np.zeros(64, dtype=complex)
             truth[int(rng.integers(64))] = rng.standard_normal() + 1j * rng.standard_normal()
-            field = inverse_dft(SpectralVector(mode="torus", coeffs=truth, side=side, dims=2))
+            field = inverse_dft(SpectralVector(coeffs=truth, side=side, dims=2))
             sample = draw_subset(side, 2, 48, seed=seed)
             rep = solve_bpdn(make_torus_operator(sample), field.values[sample.flat],
                              SolverConfig(delta=0.0))
@@ -226,7 +226,7 @@ class TestSolveBpdn:
         rng = rng_from_seed(33)
         truth = np.zeros(16, dtype=complex)
         truth[[1, 7, 12]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        field = inverse_dft(SpectralVector(mode="torus", coeffs=truth, side=side, dims=2))
+        field = inverse_dft(SpectralVector(coeffs=truth, side=side, dims=2))
         g_norm = float(np.linalg.norm(field.values))
         sample = draw_subset(side, 2, 12, seed=34)
         y = field.values[sample.flat]
@@ -266,6 +266,17 @@ class TestSolveBpdn:
         rep = solve_bpdn(dense_operator(mat), y, SolverConfig(delta=delta))
         assert rep.converged
         assert rep.feasibility_residual <= 1e-8 * max(1.0, float(np.linalg.norm(y)))
+
+    @pytest.mark.parametrize("seed", [29, 217, 276])
+    def test_stop_waits_for_feasibility(self, seed):
+        # at these instances the fixed-point residual first reaches tol at an
+        # iterate whose ||A a - y|| - delta (1.0e-8 to 1.9e-8) still exceeds
+        # tol * max(1, ||y||), so a residual-only stop would end infeasible
+        mat, y, delta, _ = random_bpdn_instance(seed)
+        cfg = SolverConfig(delta=delta)
+        rep = solve_bpdn(dense_operator(mat), y, cfg)
+        assert rep.converged
+        assert rep.feasibility_residual <= cfg.tol * max(1.0, float(np.linalg.norm(y)))
 
 
 class TestOracle:
@@ -348,15 +359,13 @@ class TestCheckKkt:
     def test_oracle_output_certifies(self):
         mat, y, delta, _ = random_bpdn_instance(21)
         a = oracle_solve(mat, y, delta)
-        report = check_kkt(dense_operator(mat), y, delta, a)
-        assert report.residual <= 1e-7
+        assert check_kkt(dense_operator(mat), y, delta, a) <= 1e-7
 
     def test_zero_candidate_with_big_delta(self, rng):
         mat = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         delta = float(np.linalg.norm(y)) * 2.0
-        report = check_kkt(dense_operator(mat), y, delta, np.zeros(10, dtype=complex))
-        assert report.residual == 0.0
+        assert check_kkt(dense_operator(mat), y, delta, np.zeros(10, dtype=complex)) == 0.0
 
     def test_perturbed_candidate_flagged(self):
         mat, y, delta, _ = random_bpdn_instance(23)
@@ -364,8 +373,7 @@ class TestCheckKkt:
         bumped = a.copy()
         bumped[int(np.argmax(np.abs(a)))] += 0.1
         try:
-            report = check_kkt(dense_operator(mat), y, delta, bumped)
-            assert report.residual > 1e-3
+            assert check_kkt(dense_operator(mat), y, delta, bumped) > 1e-3
         except InfeasibleCandidateError:
             pass  # the bump may push the candidate off the constraint set
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frkit.errors import DegenerateInputError, DomainError, ModeError, StructuralError
+from frkit.errors import DegenerateInputError, DomainError, StructuralError
 from frkit.sampling import rng_from_seed
 from frkit.spectral import (
     GridField,
@@ -12,7 +12,6 @@ from frkit.spectral import (
     forward_dft,
     fourier_ratio,
     inverse_dft,
-    stechkin_budget,
     wrapped_mag_sq_grid,
 )
 from conftest import best_tail_by_enumeration, dft_direct, idft_direct
@@ -68,7 +67,7 @@ class TestInverseDft:
         coeffs = np.zeros(64, dtype=complex)
         m0 = (3, 5)
         coeffs[np.ravel_multi_index(m0, (side, side))] = 1.0
-        fld = inverse_dft(SpectralVector(mode="torus", coeffs=coeffs, side=side, dims=2))
+        fld = inverse_dft(SpectralVector(coeffs=coeffs, side=side, dims=2))
         x = np.stack(np.unravel_index(np.arange(64), (side, side)), axis=1)
         expected = np.exp(2j * np.pi * (x @ m0) / side) / side
         assert np.max(np.abs(fld.values - expected)) < 1e-14
@@ -76,15 +75,10 @@ class TestInverseDft:
     def test_random_spectrum_against_direct(self, rng):
         side = 4
         coeffs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        spec = SpectralVector(mode="torus", coeffs=coeffs, side=side, dims=2)
+        spec = SpectralVector(coeffs=coeffs, side=side, dims=2)
         fld = inverse_dft(spec)
         expected = idft_direct(coeffs, side, 2)
         assert np.max(np.abs(fld.values - expected)) < 1e-12
-
-    def test_sphere_mode_rejected(self):
-        spec = SpectralVector(mode="sphere", coeffs=np.ones(4, dtype=complex), bandwidth=1)
-        with pytest.raises(ModeError):
-            inverse_dft(spec)
 
 
 class TestParseval:
@@ -133,30 +127,30 @@ class TestFourierRatio:
         for _ in range(20):
             side = int(rng.integers(2, 17))
             coeffs = rng.standard_normal(side * side) + 1j * rng.standard_normal(side * side)
-            spec = SpectralVector(mode="torus", coeffs=coeffs, side=side, dims=2)
+            spec = SpectralVector(coeffs=coeffs, side=side, dims=2)
             fr = fourier_ratio(spec)
             assert 1.0 - 1e-12 <= fr <= side * (1 + 1e-12)
         one_sparse = np.zeros(25, dtype=complex)
         one_sparse[7] = 1.0 - 2.0j
-        spec = SpectralVector(mode="torus", coeffs=one_sparse, side=5, dims=2)
+        spec = SpectralVector(coeffs=one_sparse, side=5, dims=2)
         assert fourier_ratio(spec) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_spectrum_degenerate(self):
-        spec = SpectralVector(mode="torus", coeffs=np.zeros(16, dtype=complex), side=4, dims=2)
+        spec = SpectralVector(coeffs=np.zeros(16, dtype=complex), side=4, dims=2)
         with pytest.raises(DegenerateInputError):
             fourier_ratio(spec)
 
 
 class TestTruncation:
     def test_single_coefficient(self):
-        spec = SpectralVector(mode="torus", coeffs=np.array([3.0, 0, 0, 0], dtype=complex), side=4, dims=1)
+        spec = SpectralVector(coeffs=np.array([3.0, 0, 0, 0], dtype=complex), side=4, dims=1)
         kept, tail = best_s_truncation(spec, 1)
         assert tail == 0.0
         assert kept.coeffs[0] == 3.0
 
     def test_against_exhaustive_enumeration(self):
         coeffs = np.array([2.0, 1.0, 1.0, 1.0, 1.0], dtype=complex)
-        spec = SpectralVector(mode="torus", coeffs=coeffs, side=5, dims=1)
+        spec = SpectralVector(coeffs=coeffs, side=5, dims=1)
         _, tail = best_s_truncation(spec, 2)
         assert tail == pytest.approx(math.sqrt(3.0) / math.sqrt(8.0), rel=1e-14)
         assert tail == pytest.approx(best_tail_by_enumeration(coeffs, 2), rel=1e-14)
@@ -165,7 +159,7 @@ class TestTruncation:
         for _ in range(30):
             d = int(rng.integers(4, 40))
             coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            spec = SpectralVector(mode="torus", coeffs=coeffs, side=d, dims=1)
+            spec = SpectralVector(coeffs=coeffs, side=d, dims=1)
             fr = fourier_ratio(spec)
             for s in range(1, d + 1):
                 _, tail = best_s_truncation(spec, s)
@@ -177,19 +171,19 @@ class TestTruncation:
                 d = 512
                 decay = (1.0 + np.arange(d)) ** -1.5
                 coeffs = decay * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
-                spec = SpectralVector(mode="torus", coeffs=coeffs, side=d, dims=1)
-                s = min(stechkin_budget(fourier_ratio(spec), eps), d)
+                spec = SpectralVector(coeffs=coeffs, side=d, dims=1)
+                s = min(math.ceil(fourier_ratio(spec) ** 2 / eps**2), d)
                 _, tail = best_s_truncation(spec, s)
                 assert tail <= eps
 
     def test_lexicographic_tie_break(self):
         coeffs = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)
-        spec = SpectralVector(mode="torus", coeffs=coeffs, side=4, dims=1)
+        spec = SpectralVector(coeffs=coeffs, side=4, dims=1)
         kept, _ = best_s_truncation(spec, 2)
         assert list(np.nonzero(kept.coeffs)[0]) == [0, 1]
 
     def test_s_out_of_range(self):
-        spec = SpectralVector(mode="torus", coeffs=np.ones(4, dtype=complex), side=4, dims=1)
+        spec = SpectralVector(coeffs=np.ones(4, dtype=complex), side=4, dims=1)
         for s in (0, 5):
             with pytest.raises(DomainError):
                 best_s_truncation(spec, s)

@@ -13,17 +13,14 @@ from frkit.battery import build_sphere_battery
 from frkit.errors import DomainError, StructuralError
 from frkit.sampling import draw_sphere_points, rng_from_seed
 from frkit.sphere import (
-    C0_SPHERE,
     QuadratureRule,
     SphericalSignal,
     analyze,
     basis_matrix,
     build_quadrature,
     compute_rl,
-    compute_rl_nonnegative,
+    degrees_for_indices,
     estimate_sphere_norms,
-    evaluate_basis,
-    index_to_lm,
     laplacian,
     lm_to_index,
     sample_size_sphere,
@@ -46,6 +43,11 @@ def scipy_real_harmonic(l, m, theta, phi):
     return math.sqrt(2.0) * sign * np.imag(y)
 
 
+def basis_column(l, m, theta, phi):
+    """Y_l^m at the points: column lm_to_index(l, m) of basis_matrix at bandwidth l."""
+    return basis_matrix(l, theta, phi)[:, lm_to_index(l, m)]
+
+
 class TestQuadrature:
     def test_l1_node_count_and_weight_sum(self):
         rule = build_quadrature(1)
@@ -60,7 +62,7 @@ class TestQuadrature:
 
     def test_y32_integrates_to_zero(self):
         rule = build_quadrature(4)
-        val = np.sum(rule.weights * evaluate_basis(3, 2, rule.theta, rule.phi))
+        val = np.sum(rule.weights * basis_column(3, 2, rule.theta, rule.phi))
         assert abs(val) < 1e-12
 
     def test_gram_identity_l8(self):
@@ -77,14 +79,14 @@ class TestQuadrature:
 class TestBasis:
     def test_y00_constant(self):
         theta = np.array([0.1, 1.0, 3.0])
-        vals = evaluate_basis(0, 0, theta, np.zeros(3))
+        vals = basis_column(0, 0, theta, np.zeros(3))
         assert np.allclose(vals, 1.0 / math.sqrt(FOUR_PI), atol=1e-15)
 
     def test_y10_closed_form(self):
         theta = np.linspace(0.01, 3.1, 7)
-        vals = evaluate_basis(1, 0, theta, np.zeros(7))
+        vals = basis_column(1, 0, theta, np.zeros(7))
         assert np.allclose(vals, math.sqrt(3.0 / FOUR_PI) * np.cos(theta), atol=1e-14)
-        assert evaluate_basis(1, 0, [1e-15], [0.0])[0] == pytest.approx(
+        assert basis_column(1, 0, [1e-15], [0.0])[0] == pytest.approx(
             math.sqrt(3.0 / FOUR_PI), rel=1e-12
         )
 
@@ -95,7 +97,7 @@ class TestBasis:
         for k in range(1, l + 1):
             ratio *= (2.0 * k - 1.0) / (2.0 * k)
         expected = math.sqrt(2.0) * math.sqrt((2 * l + 1) / FOUR_PI * ratio)
-        val = evaluate_basis(l, l, [math.pi / 2], [0.0])[0]
+        val = basis_column(l, l, [math.pi / 2], [0.0])[0]
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_against_scipy_oracle(self):
@@ -103,28 +105,23 @@ class TestBasis:
         theta = rng.uniform(0.05, math.pi - 0.05, 40)
         phi = rng.uniform(0, 2 * math.pi, 40)
         for l, m in [(0, 0), (1, -1), (2, 1), (5, -3), (9, 9), (12, -7), (20, 4)]:
-            mine = evaluate_basis(l, m, theta, phi)
+            mine = basis_column(l, m, theta, phi)
             oracle = scipy_real_harmonic(l, m, theta, phi)
             assert np.max(np.abs(mine - oracle)) < 1e-12, (l, m)
 
     def test_high_degree_stability(self):
         theta = np.linspace(0.01, math.pi - 0.01, 50)
-        vals = evaluate_basis(256, 128, theta, np.zeros(50))
+        vals = basis_column(256, 128, theta, np.zeros(50))
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) < 10.0
-
-    def test_index_errors(self):
-        with pytest.raises(DomainError):
-            evaluate_basis(2, 3, [0.5], [0.5])
 
     def test_index_mapping(self):
         count = 0
         for l in range(7):
             for m in range(-l, l + 1):
-                idx = lm_to_index(l, m)
-                assert index_to_lm(idx) == (l, m)
+                assert lm_to_index(l, m) == count
                 count += 1
-        assert count == 49
+        assert list(degrees_for_indices(count)) == [l for l in range(7) for _ in range(2 * l + 1)]
 
 
 class TestAnalyzeSynthesize:
@@ -168,9 +165,9 @@ class TestAnalyzeSynthesize:
         sig = SphericalSignal(bandwidth, coeffs)
         pts = draw_sphere_points(100, seed=5)
         direct = np.zeros(100)
-        for i, c in enumerate(coeffs):
-            l, m = index_to_lm(i)
-            direct += c * evaluate_basis(l, m, pts.theta, pts.phi)
+        for l in range(bandwidth + 1):
+            for m in range(-l, l + 1):
+                direct += coeffs[lm_to_index(l, m)] * basis_column(l, m, pts.theta, pts.phi)
         assert np.max(np.abs(synthesize(sig, pts.theta, pts.phi) - direct)) < 1e-12
 
     def test_analyze_accepts_evaluator(self):
@@ -206,7 +203,7 @@ class TestSpectralIdentities:
         rule = build_quadrature(bandwidth)
         lap_vals = synthesize(laplacian(sig), rule.theta, rule.phi)
         lap_hat = analyze(lap_vals, rule, bandwidth)
-        ells = np.array([index_to_lm(i)[0] for i in range(49)])
+        ells = degrees_for_indices(49)
         assert np.linalg.norm(
             lap_hat.coeffs + ells * (ells + 1) * coeffs
         ) <= 1e-8 * np.linalg.norm(coeffs)
@@ -281,7 +278,6 @@ class TestComputeRl:
         assert rep.b == pytest.approx(48 * math.sqrt(math.pi) * ratio * math.log(8), rel=1e-14)
         assert rep.c == pytest.approx(48 * math.sqrt(math.pi) * ratio / 8, rel=1e-14)
         assert rep.r == rep.a + rep.b + rep.c
-        assert rep.c0 == C0_SPHERE
 
     def test_low_bandwidth_rejected(self):
         c = np.zeros(4)
@@ -289,29 +285,6 @@ class TestComputeRl:
         norms = estimate_sphere_norms(SphericalSignal(1, c))
         with pytest.raises(DomainError, match="log L"):
             compute_rl(norms, 1)
-
-    def test_nonnegative_variant(self):
-        # f = Y00 + small zonal bump stays positive; mu = sqrt(4 pi) c00
-        bandwidth = 4
-        c = np.zeros(25)
-        c[0] = 1.0
-        c[lm_to_index(2, 0)] = 0.05
-        sig = SphericalSignal(bandwidth, c)
-        norms = estimate_sphere_norms(sig)
-        rep = compute_rl_nonnegative(norms, bandwidth)
-        root = math.sqrt(FOUR_PI)
-        mu = norms.integral
-        assert rep.a == pytest.approx(root, rel=1e-14)
-        assert rep.b == pytest.approx(C0_SPHERE * root * norms.c2 / mu * math.log(4), rel=1e-14)
-        assert rep.c == pytest.approx(C0_SPHERE * root * norms.c2 / mu / 4, rel=1e-14)
-        assert rep.r >= sphere_fourier_ratio(sig)
-
-    def test_nonnegative_variant_needs_positive_mean(self):
-        c = np.zeros(25)
-        c[lm_to_index(1, 0)] = 1.0
-        norms = estimate_sphere_norms(SphericalSignal(4, c))
-        with pytest.raises(DomainError):
-            compute_rl_nonnegative(norms, 4)
 
 
 def _norm_grid(bandwidth):
@@ -363,10 +336,6 @@ class TestRingTransforms:
             values = rng.standard_normal(len(r))
             want = ref.analyze(values, r, bandwidth).coeffs
             assert _rel_max(analyze(values, r, bandwidth).coeffs, want) <= 1e-12
-        scattered = QuadratureRule(bandwidth, tg, pg, weights, 2 * bandwidth)
-        values = rng.standard_normal(len(scattered))
-        want = ref.analyze(values, scattered, bandwidth).coeffs
-        assert _rel_max(analyze(values, scattered, bandwidth).coeffs, want) <= 1e-12
 
     @pytest.mark.parametrize("bandwidth", (16, 32))
     def test_norms_match_reference_on_battery(self, bandwidth):

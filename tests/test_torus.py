@@ -6,7 +6,6 @@ import pytest
 from frkit.battery import TORUS_BATTERY
 from frkit.errors import DomainError, PeriodicityError
 from frkit.torus import (
-    FR_REPORT_HEADER,
     NormData,
     SmoothFunctionSpec,
     certification_threshold,
@@ -19,7 +18,6 @@ from frkit.torus import (
     verify_fr_bound,
     verify_l2_lower_bound,
     verify_riemann_lemma,
-    wrapped_inverse_square_sum,
     SIXTEEN_PI_SQ,
     EIGHT_PI_SQ,
     FOUR_PI_SQ,
@@ -254,34 +252,3 @@ class TestScaling:
         limit = SIXTEEN_PI_SQ * norms.c2 / norms.l2
         rep = compute_rn(norms, n)
         assert rep.r / math.log(n) == pytest.approx(limit, rel=0.05)
-
-
-class TestWrappedFrequencySum:
-    def test_sum_grows_like_2pi_log(self):
-        # the wrapped sum exceeds the 2 ln N + 2 estimate by an absolute
-        # constant factor at every N; that is logged, never raised
-        for n in (8, 32, 128):
-            chk = wrapped_inverse_square_sum(n)
-            assert not chk.within
-            assert chk.value == pytest.approx(2 * math.pi * math.log(n), rel=0.5)
-            assert chk.estimate == pytest.approx(2 * math.log(n) + 2, rel=1e-12)
-
-    def test_direct_summation_oracle(self):
-        n = 6
-        total = 0.0
-        for m1 in range(n):
-            for m2 in range(n):
-                if m1 == m2 == 0:
-                    continue
-                w1, w2 = min(m1, n - m1), min(m2, n - m2)
-                total += 1.0 / (w1 * w1 + w2 * w2)
-        assert wrapped_inverse_square_sum(n).value == pytest.approx(total, rel=1e-12)
-
-
-def test_fr_report_csv_schema():
-    rep = compute_rn(TORUS_BATTERY["const1"].analytic, 8)
-    fields = rep.csv_fields(1.0, rep.r - 1.0)
-    assert len(fields) == len(FR_REPORT_HEADER)
-    assert fields[0] == "8"
-    assert fields[7] == "true"
-    assert fields[8] == "analytic"
