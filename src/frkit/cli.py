@@ -1,13 +1,17 @@
 """Command-line front end: bound reports, lemma checks, recovery runs, sweeps.
 
-Subcommands: fr, decay, lemmas, recover, sweep, quadrature-check. Experiment
-configuration is plain flags plus an optional flat key=value config file.
+Subcommands: fr, decay, lemmas, recover, sweep, quadrature-check. Every
+command but quadrature-check runs on the targets of one resolver: a torus
+battery function at each --n or a sphere battery signal at each --l, keyed
+by (fn, size); fr, decay, lemmas and sweep report them in (fn, size) order.
+decay and lemmas are torus checks. Experiment configuration is plain flags
+plus an optional flat key=value config file.
 Each file line `key = value...` becomes the flag tokens `--key value...`,
 parsed after the command and before the rest of the command line, so the
 file's values get the same types and choices as flags and explicit flags
 override the file. Output is CSV on stdout and optionally to --out; every
 row carries the config hash so runs are diffable. Exit codes: 0 ok, 1 config
-error, 2 internal error.
+error (a bad flag, or a value outside a bound's domain), 2 internal error.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +31,7 @@ from . import battery as bat
 from . import solver as sol
 from . import sphere as sph
 from . import torus as tor
-from .errors import FrkitError
+from .errors import DomainError, FrkitError
 from .sampling import spawn_seeds
 
 
@@ -86,35 +91,48 @@ def _emit(header: list[str], rows: list[list[str]], out_path) -> None:
             fh.write(body)
 
 
-def _torus_functions(names: list[str]) -> dict[str, tor.SmoothFunctionSpec]:
-    if names == ["all"]:
-        names = list(bat.TORUS_BATTERY)
-    missing = [n for n in names if n not in bat.TORUS_BATTERY]
-    if missing:
-        raise ConfigError(
-            f"unknown torus battery function(s) {missing}; "
-            f"available: {sorted(bat.TORUS_BATTERY)}"
-        )
-    bat.verify_torus_battery(names)
-    return {n: bat.TORUS_BATTERY[n] for n in names}
-
-
-def _sphere_signals(names: list[str], bandwidth: int) -> dict[str, sph.SphericalSignal]:
-    entries = bat.build_sphere_battery(bandwidth)
-    if names == ["all"]:
-        return entries
-    missing = [n for n in names if n not in entries]
-    if missing:
-        raise ConfigError(
-            f"unknown sphere battery signal(s) {missing} at L={bandwidth}; "
-            f"available: {sorted(entries)}"
-        )
-    return {n: entries[n] for n in names}
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _targets(args) -> dict[tuple[str, int], object]:
+    """The run's targets by (fn name, size); a repeated name or size gives one.
+
+    A target is a torus battery spec at each --n, its analytic norms checked
+    once, or a sphere battery signal at each --l; there --fn all takes the
+    signals defined at that L, and explicit names must exist at every L.
+    """
+    torus = args.setting == "torus"
+    sizes, flag = (args.n, "--n") if torus else (args.l, "--l")
+    _require(bool(sizes), f"{args.command} --setting {args.setting} needs {flag}")
+    targets = {}
+    for size in sizes:
+        entries = bat.TORUS_BATTERY if torus else bat.build_sphere_battery(size)
+        names = list(entries) if args.fn == ["all"] else args.fn
+        missing = [n for n in names if n not in entries]
+        _require(not missing, f"unknown {args.setting} battery name(s) {missing} at "
+                 f"{flag[2:].upper()}={size}; available: {sorted(entries)}")
+        targets.update({(name, size): entries[name] for name in names})
+    if torus:
+        bat.verify_torus_battery(list(dict.fromkeys(name for name, _ in targets)))
+    return targets
+
+
+def _report(args, config_hash: str, header: list[str], row) -> int:
+    """One row(name, size, target, config_hash) per target, by fn and then size."""
+    rows = [row(name, size, target, config_hash)
+            for (name, size), target in sorted(_targets(args).items())]
+    _emit(header, rows, args.out)
+    return 0
+
+
+def _g(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _flag(value: bool) -> str:
+    return str(value).lower()
 
 
 FR_HEADER = [
@@ -123,81 +141,55 @@ FR_HEADER = [
 ]
 
 
-def _fr_row(chk, size: int, certified: str, config_hash: str, name: str) -> list[str]:
+def _fr_row(name: str, size: int, target, config_hash: str) -> list[str]:
     """One fr row of a torus or sphere check; the sphere leaves certified empty."""
+    if isinstance(target, sph.SphericalSignal):
+        chk, certified = sph.verify_sphere_fr_bound(target), ""
+    else:
+        chk = tor.verify_fr_bound(target, size)
+        certified = _flag(chk.report.certified)
+        if not chk.report.certified:
+            threshold = tor.certification_threshold(tor.resolve_norms(target, size))
+            print(f"warning: {name} at N={size} is not certified (threshold {threshold})",
+                  file=sys.stderr)
     rep = chk.report
     numbers = (rep.a, rep.b, rep.c, rep.r, chk.fr_measured, chk.slack)
-    return [str(size), *(f"{x:.17g}" for x in numbers), certified, rep.provenance,
-            config_hash, name]
+    return [str(size), *map(_g, numbers), certified, rep.provenance, config_hash, name]
 
 
 def cmd_fr(args, config_hash: str) -> int:
-    rows = []
-    if args.setting == "torus":
-        _require(bool(args.n), "fr --setting torus needs --n")
-        fns = _torus_functions(args.fn)
-        for name, spec in fns.items():
-            for n in args.n:
-                chk = tor.verify_fr_bound(spec, n)
-                if not chk.report.certified:
-                    print(
-                        f"warning: {name} at N={n} is not certified "
-                        f"(threshold {tor.certification_threshold(tor.resolve_norms(spec, n))})",
-                        file=sys.stderr,
-                    )
-                certified = str(chk.report.certified).lower()
-                rows.append(_fr_row(chk, n, certified, config_hash, name))
-    else:
-        _require(bool(args.l), "fr --setting sphere needs --l")
-        for bandwidth in args.l:
-            for name, signal in _sphere_signals(args.fn, bandwidth).items():
-                chk = sph.verify_sphere_fr_bound(signal)
-                rows.append(_fr_row(chk, bandwidth, "", config_hash, name))
-    rows.sort(key=lambda r: (r[-1], int(r[0])))
-    _emit(FR_HEADER, rows, args.out)
-    return 0
+    return _report(args, config_hash, FR_HEADER, _fr_row)
+
+
+def _decay_row(name: str, side: int, spec, config_hash: str) -> list[str]:
+    norms = tor.resolve_norms(spec, side)
+    chk = tor.verify_decay(spec, side, norms)
+    return [name, str(side), _g(chk.max_ratio), _g(chk.limit), _flag(chk.passed),
+            norms.provenance, config_hash]
 
 
 def cmd_decay(args, config_hash: str) -> int:
-    _require(bool(args.n), "decay needs --n")
-    fns = _torus_functions(args.fn)
+    _require(args.setting == "torus", "decay is a torus check; --setting sphere has none")
     header = ["fn", "N", "max_ratio", "limit", "passed", "provenance", "config_hash"]
-    rows = []
-    for name, spec in fns.items():
-        norms = tor.resolve_norms(spec)
-        for n in args.n:
-            chk = tor.verify_decay(spec, n, norms)
-            rows.append([
-                name, str(n), f"{chk.max_ratio:.17g}", f"{chk.limit:.17g}",
-                str(chk.passed).lower(), norms.provenance, config_hash,
-            ])
-    rows.sort(key=lambda r: (r[0], int(r[1])))
-    _emit(header, rows, args.out)
-    return 0
+    return _report(args, config_hash, header, _decay_row)
+
+
+def _lemmas_row(name: str, side: int, spec, config_hash: str) -> list[str]:
+    norms = tor.resolve_norms(spec, side)
+    rie = tor.verify_riemann_lemma(spec, side, norms)
+    low = tor.verify_l2_lower_bound(spec, side, norms)
+    return [name, str(side), _g(rie.lhs), _g(rie.rhs), _flag(rie.passed),
+            _g(low.grid_energy), _g(low.lower_bound), _flag(low.passed and low.sqrt_passed),
+            _flag(low.certified), norms.provenance, config_hash]
 
 
 def cmd_lemmas(args, config_hash: str) -> int:
-    _require(bool(args.n), "lemmas needs --n")
-    fns = _torus_functions(args.fn)
+    _require(args.setting == "torus", "lemmas is a torus check; --setting sphere has none")
     header = [
         "fn", "N", "riemann_lhs", "riemann_rhs", "riemann_pass",
         "grid_energy", "l2_lower_bound", "l2_pass", "certified", "provenance", "config_hash",
     ]
-    rows = []
-    for name, spec in fns.items():
-        norms = tor.resolve_norms(spec)
-        for n in args.n:
-            rie = tor.verify_riemann_lemma(spec, n, norms)
-            low = tor.verify_l2_lower_bound(spec, n, norms)
-            rows.append([
-                name, str(n), f"{rie.lhs:.17g}", f"{rie.rhs:.17g}",
-                str(rie.passed).lower(), f"{low.grid_energy:.17g}",
-                f"{low.lower_bound:.17g}", str(low.passed and low.sqrt_passed).lower(),
-                str(low.certified).lower(), norms.provenance, config_hash,
-            ])
-    rows.sort(key=lambda r: (r[0], int(r[1])))
-    _emit(header, rows, args.out)
-    return 0
+    return _report(args, config_hash, header, _lemmas_row)
 
 
 def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
@@ -214,25 +206,8 @@ def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
 
 
 def _recovery_targets(args) -> dict[tuple[str, int], object]:
-    """Validate a recover/sweep run and return its targets by (fn name, size).
-
-    A target is a torus battery spec at each --n, or a sphere battery signal
-    at each --l; there --fn all takes the signals defined at that L, and
-    explicit names must exist at every L.
-    """
-    _require(len(args.fn) >= 1, "recover needs --fn")
-    if args.setting == "torus":
-        _require(bool(args.n), "recover --setting torus needs --n")
-        fns = _torus_functions(args.fn)
-        targets = {(name, n): spec for name, spec in fns.items() for n in args.n}
-    else:
-        _require(bool(args.l), "recover --setting sphere needs --l")
-        per_l = {bandwidth: _sphere_signals(args.fn, bandwidth) for bandwidth in args.l}
-        targets = {
-            (name, bandwidth): signal
-            for bandwidth, signals in per_l.items()
-            for name, signal in signals.items()
-        }
+    """The targets of a recover/sweep run, after its --eps and --trials checks."""
+    targets = _targets(args)
     _require(bool(args.eps), "recover needs --eps")
     _require(all(0 < e < 0.5 for e in args.eps), "every eps must lie in (0, 1/2)")
     _require(args.trials >= 1, "trials must be >= 1")
@@ -283,8 +258,8 @@ def cmd_sweep(args, config_hash: str) -> int:
                 )
             except FrkitError as exc:
                 rows.append(
-                    [args.setting, str(size), f"{eps:.17g}", f"{c_univ:.17g}",
-                     str(trial_seed)] + [""] * 7
+                    [args.setting, str(size), _g(eps), _g(c_univ), str(trial_seed)]
+                    + [""] * 7
                     + [config_hash, name, args.ratio, "", f"error: {exc}"]
                 )
         return rows
@@ -298,48 +273,35 @@ def cmd_sweep(args, config_hash: str) -> int:
 
 
 def _sweep_rn_vs_logn(args, config_hash: str) -> int:
+    """r_N (r_L) at each size, its fitted slope in ln N (ln L) and the predicted one."""
+    if args.setting == "torus":
+        norms_of, bound, constant = tor.resolve_norms, tor.compute_rn, tor.SIXTEEN_PI_SQ
+    else:
+        norms_of, bound, constant = (
+            lambda signal, _: sph.estimate_sphere_norms(signal), sph.compute_rl, sph.C0_SPHERE
+        )
+    targets = _targets(args)
+    _require(len({size for _, size in targets}) >= 2, "rn_vs_logn needs at least two "
+             f"distinct {'N' if args.setting == 'torus' else 'L'} values")
     header = [
         "fn", "N_or_L", "r", "A", "B", "C", "fitted_slope", "target_slope",
         "slope_ratio", "config_hash",
     ]
     rows = []
-    if args.setting == "torus":
-        _require(len(args.n) >= 2, "rn_vs_logn needs at least two N values")
-        for name, spec in sorted(_torus_functions(args.fn).items()):
-            norms = tor.resolve_norms(spec)
-            ns = sorted(args.n)
-            reports = [tor.compute_rn(norms, n) for n in ns]
-            slope = float(np.polyfit(np.log(ns), [rep.r for rep in reports], 1)[0])
-            target = tor.SIXTEEN_PI_SQ * norms.c2 / norms.l2
-            for n, rep in zip(ns, reports):
-                rows.append([
-                    name, str(n), f"{rep.r:.17g}", f"{rep.a:.17g}",
-                    f"{rep.b:.17g}", f"{rep.c:.17g}", f"{slope:.17g}",
-                    f"{target:.17g}", f"{slope / target:.17g}", config_hash,
-                ])
-    else:
-        _require(len(args.l) >= 2, "rn_vs_logn needs at least two L values")
-        _require(min(args.l) >= 2, "sphere bound needs L >= 2")
-        ls = sorted(args.l)
-        names = args.fn if args.fn != ["all"] else sorted(bat.build_sphere_battery(max(ls)))
-        for name in sorted(names):
-            # the battery profile is rebuilt (and its norms re-estimated) per L
-            per_l = []
-            for bandwidth in ls:
-                signal = _sphere_signals([name], bandwidth)[name]
-                norms = sph.estimate_sphere_norms(signal)
-                per_l.append((bandwidth, norms, sph.compute_rl(norms, bandwidth)))
-            slope = float(
-                np.polyfit(np.log(ls), [rep.r for _, _, rep in per_l], 1)[0]
-            )
-            top_norms = per_l[-1][1]
-            target = sph.C0_SPHERE * top_norms.c2 / top_norms.l2
-            for bandwidth, _, rep in per_l:
-                rows.append([
-                    name, str(bandwidth), f"{rep.r:.17g}", f"{rep.a:.17g}",
-                    f"{rep.b:.17g}", f"{rep.c:.17g}", f"{slope:.17g}",
-                    f"{target:.17g}", f"{slope / target:.17g}", config_hash,
-                ])
+    for name, items in itertools.groupby(
+        sorted(targets.items()), key=lambda item: item[0][0]
+    ):
+        per_size = [(size, norms_of(target, size)) for (_, size), target in items]
+        if len(per_size) < 2:
+            continue  # --fn all on the sphere: a signal defined at one of the L only
+        reports = [bound(norms, size) for size, norms in per_size]
+        log_sizes = np.log([size for size, _ in per_size])
+        slope = float(np.polyfit(log_sizes, [rep.r for rep in reports], 1)[0])
+        top = per_size[-1][1]
+        predicted = constant * top.c2 / top.l2
+        for (size, _), rep in zip(per_size, reports):
+            numbers = (rep.r, rep.a, rep.b, rep.c, slope, predicted, slope / predicted)
+            rows.append([name, str(size), *map(_g, numbers), config_hash])
     _emit(header, rows, args.out)
     return 0
 
@@ -437,7 +399,7 @@ def main(argv=None) -> int:
         return args.handler(args, _config_hash(args))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -443,12 +443,9 @@ class SphereFrCheck:
         return self.slack >= 0.0
 
 
-def verify_sphere_fr_bound(
-    signal: SphericalSignal, norms: SphereNormData | None = None
-) -> SphereFrCheck:
+def verify_sphere_fr_bound(signal: SphericalSignal) -> SphereFrCheck:
     """Measured FR_L against r_L; slack >= 0 expected on the smooth battery."""
-    if norms is None:
-        norms = estimate_sphere_norms(signal)
+    norms = estimate_sphere_norms(signal)
     report = compute_rl(norms, signal.bandwidth)
     fr = sphere_fourier_ratio(signal)
     return SphereFrCheck(report=report, fr_measured=fr, slack=report.r - fr, norms=norms)

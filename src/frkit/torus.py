@@ -167,15 +167,11 @@ def estimate_norms(f: SmoothFunctionSpec, refinement: int = 256) -> NormData:
     )
 
 
-def resolve_norms(
-    f: SmoothFunctionSpec, side: int | None = None, refinement: int | None = None
-) -> NormData:
+def resolve_norms(f: SmoothFunctionSpec, side: int) -> NormData:
     """Analytic norms when available, otherwise estimates at M = max(8N, 256)."""
     if f.analytic is not None:
         return f.analytic
-    if refinement is None:
-        refinement = max(8 * side, 256) if side else 256
-    return estimate_norms(f, refinement)
+    return estimate_norms(f, max(8 * side, 256))
 
 
 def certification_threshold(norms: NormData) -> int:
@@ -211,17 +207,13 @@ class FrCheck:
         return self.slack >= 0.0
 
 
-def verify_fr_bound(
-    f: SmoothFunctionSpec, side: int, norms: NormData | None = None
-) -> FrCheck:
+def verify_fr_bound(f: SmoothFunctionSpec, side: int) -> FrCheck:
     """Measured FR of the discretized function against the r_N bound.
 
     A non-certified hypothesis is reported via the report's flag, never
     raised; certified inputs must come out with slack >= 0.
     """
-    if norms is None:
-        norms = resolve_norms(f, side)
-    report = compute_rn(norms, side)
+    report = compute_rn(resolve_norms(f, side), side)
     fr = fourier_ratio(forward_dft(discretize(f, side)))
     return FrCheck(report=report, fr_measured=fr, slack=report.r - fr)
 

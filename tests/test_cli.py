@@ -2,6 +2,8 @@ import csv
 
 import pytest
 
+from frkit import torus as tor
+from frkit.battery import TORUS_BATTERY
 from frkit.cli import main
 
 
@@ -14,6 +16,10 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(text.strip().split("\n")))
     return rows[0], rows[1:]
+
+
+def _g(x):
+    return f"{x:.17g}"
 
 
 class TestFr:
@@ -65,6 +71,71 @@ class TestFr:
     def test_missing_n_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "fr", "--setting", "torus", "--fn", "const1")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        "fr --setting sphere --fn y00 --l 1",
+        "fr --setting torus --fn const1 --n 1",
+        "recover --fn cc_half --n 64",
+    ])
+    def test_value_outside_the_domain_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1
+        assert "config error" in err
+        assert out == ""
+
+    def test_repeated_size_gives_one_row(self, capsys):
+        code, out, _ = run_cli(capsys, "fr", "--setting", "torus", "--fn", "const1", "--n", "8", "8")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r[0], r[-1]) for r in rows] == [("8", "const1")]
+
+
+class TestDecayLemmas:
+    def test_decay_rows_match_verify_decay(self, capsys):
+        code, out, _ = run_cli(capsys, "decay", "--fn", "all", "--n", "64", "16")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == [
+            "fn", "N", "max_ratio", "limit", "passed", "provenance", "config_hash",
+        ]
+        keys = [(r[0], int(r[1])) for r in rows]
+        assert keys == sorted((fn, n) for fn in TORUS_BATTERY for n in (16, 64))
+        for row in rows:
+            spec, n = TORUS_BATTERY[row[0]], int(row[1])
+            chk = tor.verify_decay(spec, n)
+            norms = tor.resolve_norms(spec, n)
+            assert row[2:6] == [
+                _g(chk.max_ratio), _g(chk.limit), str(chk.passed).lower(), norms.provenance,
+            ]
+
+    def test_lemmas_rows_match_verify_functions(self, capsys):
+        code, out, _ = run_cli(capsys, "lemmas", "--fn", "all", "--n", "64", "8")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == [
+            "fn", "N", "riemann_lhs", "riemann_rhs", "riemann_pass",
+            "grid_energy", "l2_lower_bound", "l2_pass", "certified", "provenance",
+            "config_hash",
+        ]
+        keys = [(r[0], int(r[1])) for r in rows]
+        assert keys == sorted((fn, n) for fn in TORUS_BATTERY for n in (8, 64))
+        for row in rows:
+            spec, n = TORUS_BATTERY[row[0]], int(row[1])
+            rie = tor.verify_riemann_lemma(spec, n)
+            low = tor.verify_l2_lower_bound(spec, n)
+            assert row[2:10] == [
+                _g(rie.lhs), _g(rie.rhs), str(rie.passed).lower(),
+                _g(low.grid_energy), _g(low.lower_bound),
+                str(low.passed and low.sqrt_passed).lower(), str(low.certified).lower(),
+                tor.resolve_norms(spec, n).provenance,
+            ]
+
+    @pytest.mark.parametrize("command", ["decay", "lemmas"])
+    def test_sphere_setting_is_config_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--setting", "sphere", "--fn", "const1", "--n", "8")
+        assert code == 1
+        assert "config error" in err
+        assert out == ""
 
 
 class TestRecover:
@@ -121,6 +192,25 @@ class TestSweep:
         ratio = float(rows[-1][header.index("slope_ratio")])
         # slope of r_L against ln L tracks C0 * C2/L2 once the profile saturates
         assert 0.5 <= ratio <= 1.5
+
+    def test_rn_vs_logn_sphere_all_leaves_out_signals_of_one_bandwidth(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--mode", "rn_vs_logn", "--setting", "sphere",
+            "--fn", "all", "--l", "2", "8",
+        )
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        cells = [(r[0], r[1]) for r in rows]
+        assert ("y00", "2") in cells and ("y00", "8") in cells
+        assert not any(fn == "mix5" for fn, _ in cells)
+
+    def test_rn_vs_logn_needs_two_distinct_sizes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--mode", "rn_vs_logn", "--fn", "const1", "--n", "8", "8",
+        )
+        assert code == 1
+        assert "config error" in err
+        assert out == ""
 
     def test_recover_sweep_reproducible_bytes(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
