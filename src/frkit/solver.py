@@ -21,6 +21,17 @@ iterations so far. The first check always restarts (r0 starts at infinity,
 and the last rule holds), which sets r0. On the N=256 torus this cuts the
 iterations to a tol=1e-8 stop about five-fold.
 
+The steps are balanced by PDLP's primal weight w: the dual step is
+sigma = eta * w and the primal step tau = eta / w, with eta = 0.99 / ||A||,
+so sigma * tau * ||A||^2 < 1 for every w > 0. w starts at 1 and changes only
+at a restart: with da and dz the primal and dual distances from the last
+restart point (zero at the start) to the new one, both > 0, it takes
+ln w <- theta ln(dz / da) + (1 - theta) ln w, theta = PRIMAL_WEIGHT_SMOOTHING.
+In recover_sphere's solves w climbs to 10-400 and they take about 2.4x
+fewer iterations; in recover_torus's, whose operator is a row restriction of
+a unitary map, it stays near 1. PDLP's theta = 0.5 cost 17% more iterations
+on the N=64 torus, where 0.2 is neutral and keeps the sphere gain.
+
 The sphere matrix, its measurements and its truth are real, so
 make_sphere_operator declares float64 coefficients and the whole sphere solve
 runs in real arithmetic.
@@ -59,6 +70,8 @@ Q_MAX = 200_000  # largest sphere sample recover_sphere accepts
 RESTART_SUFFICIENT = 0.2
 RESTART_NECESSARY = 0.8
 RESTART_ARTIFICIAL = 0.36
+# weight of the newest restart-to-restart estimate in PDLP's primal weight
+PRIMAL_WEIGHT_SMOOTHING = 0.2
 
 CHECK_EVERY = 25  # iterations between stop and restart checks
 
@@ -306,6 +319,7 @@ class _Solution:
     iterations: int
     converged: bool
     restarts: int
+    primal_weight: float
 
 
 @dataclass(frozen=True)
@@ -369,22 +383,25 @@ def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return x * scale
 
 
-def _cp_step(op, y, a, z, abar, step, delta):
-    """One Chambolle-Pock step from (a, z) with extrapolated primal abar."""
-    v = z + step * (op.forward(abar) - y)
+def _cp_step(op, y, a, z, abar, sigma, tau, delta):
+    """One Chambolle-Pock step from (a, z) with extrapolated primal abar.
+
+    sigma is the dual step, tau the primal step.
+    """
+    v = z + sigma * (op.forward(abar) - y)
     vnorm = float(np.linalg.norm(v))
     if delta > 0.0 and vnorm > 0.0:
-        z_new = v * max(0.0, 1.0 - step * delta / vnorm)
+        z_new = v * max(0.0, 1.0 - sigma * delta / vnorm)
     else:
         z_new = v
-    return _soft_threshold(a - step * op.adjoint(z_new), step), z_new
+    return _soft_threshold(a - tau * op.adjoint(z_new), tau), z_new
 
 
-def _fixed_point_residual(op, a, z, a_new, z_new, step) -> float:
+def _fixed_point_residual(op, a, z, a_new, z_new, sigma, tau) -> float:
     """Relative fixed-point residual of the step (a, z) -> (a_new, z_new)."""
     da, dz = a - a_new, z - z_new
-    d_res = float(np.linalg.norm(dz / step - op.forward(da)))
-    da /= step  # in place: one coefficient-sized temporary fewer at the peak
+    d_res = float(np.linalg.norm(dz / sigma - op.forward(da)))
+    da /= tau  # in place: one coefficient-sized temporary fewer at the peak
     da -= op.adjoint(dz)
     p_res = op.coef_norm(da)
     scale = max(1.0, op.coef_norm(a_new), float(np.linalg.norm(z_new)))
@@ -395,8 +412,11 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     """Chambolle-Pock splitting for min ||a||_1 s.t. ||A a - y|| <= delta.
 
     Dual prox is the shrink form of the l2-ball projection (Moreau identity);
-    primal prox is soft-thresholding. Step sizes sigma = tau = 0.99/L with L
-    the declared operator-norm bound. The iterates have op.dtype, so a real
+    primal prox is soft-thresholding. Step sizes sigma = 0.99 w/L (dual) and
+    tau = 0.99/(w L) (primal), with L the declared operator-norm bound and w
+    the primal weight, 1 until the first restart that moves both a and z and
+    updated at each restart by the rule of the module docstring; its final
+    value is returned as primal_weight. The iterates have op.dtype, so a real
     operator runs in real arithmetic. Coefficient norms and the objective are
     op.coef_norm / op.coef_l1, and the returned coefficients are in the
     operator's own layout.
@@ -415,12 +435,15 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     if y.size != n_meas:
         raise DataError(f"expected {n_meas} measurements, got {y.size}")
     delta = cfg.delta
-    step = 0.99 / max(op.norm_bound, 1e-12)
+    eta = 0.99 / max(op.norm_bound, 1e-12)
+    weight = 1.0  # primal weight: sigma = eta * weight, tau = eta / weight
+    sigma = tau = eta
 
     a = np.zeros(n_coef, dtype=op.dtype)
     z = np.zeros(n_meas, dtype=y.dtype)
     abar = a.copy()
     a_sum, z_sum, n_avg = np.zeros_like(a), np.zeros_like(z), 0  # since the last restart
+    a_last, z_last = a, z  # the last restart point
     res_restart = res_prev = math.inf  # candidate residual at the last restart / last check
     last_restart = restarts = 0
     feas_tol = cfg.tol * max(1.0, float(np.linalg.norm(y)))
@@ -431,10 +454,10 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
         return float(np.linalg.norm(op.forward(a) - y)) - delta
 
     for it in range(1, cfg.max_iter + 1):
-        a_new, z_new = _cp_step(op, y, a, z, abar, step, delta)
+        a_new, z_new = _cp_step(op, y, a, z, abar, sigma, tau, delta)
         check = it % CHECK_EVERY == 0 or it == cfg.max_iter
         if check:
-            res = _fixed_point_residual(op, a, z, a_new, z_new, step)
+            res = _fixed_point_residual(op, a, z, a_new, z_new, sigma, tau)
             feas = infeasibility(a_new) if res <= cfg.tol else math.inf
             if feas <= feas_tol:
                 a = a_new
@@ -451,7 +474,8 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
 
         a_avg, z_avg = a_sum / n_avg, z_sum / n_avg
         res_avg = _fixed_point_residual(
-            op, a_avg, z_avg, *_cp_step(op, y, a_avg, z_avg, a_avg, step, delta), step
+            op, a_avg, z_avg, *_cp_step(op, y, a_avg, z_avg, a_avg, sigma, tau, delta),
+            sigma, tau,
         )
         cand_a, cand_z, cand_res = (a_avg, z_avg, res_avg) if res_avg < res else (a, z, res)
         restart = (
@@ -461,8 +485,15 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
         )
         res_prev = cand_res
         if restart:
-            a = abar = cand_a
-            z = cand_z
+            da, dz = op.coef_norm(cand_a - a_last), float(np.linalg.norm(cand_z - z_last))
+            if da > 0.0 and dz > 0.0:
+                weight = math.exp(
+                    PRIMAL_WEIGHT_SMOOTHING * math.log(dz / da)
+                    + (1.0 - PRIMAL_WEIGHT_SMOOTHING) * math.log(weight)
+                )
+                sigma, tau = eta * weight, eta / weight
+            a = abar = a_last = cand_a
+            z = z_last = cand_z
             a_sum, z_sum, n_avg = np.zeros_like(a), np.zeros_like(z), 0
             res_restart, last_restart = cand_res, it
             restarts += 1
@@ -476,6 +507,7 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
         iterations=iterations,
         converged=converged,
         restarts=restarts,
+        primal_weight=weight,
     )
 
 

@@ -83,6 +83,17 @@ class TestFr:
         assert "config error" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        "fr --setting sphere --fn y00 --l -1",
+        "recover --setting sphere --fn y00 --l -3",
+        "sweep --setting sphere --fn y00 --l -2",
+    ])
+    def test_negative_bandwidth_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1
+        assert "config error" in err and "bandwidth must be >= 0" in err
+        assert out == ""
+
     def test_repeated_size_gives_one_row(self, capsys):
         code, out, _ = run_cli(capsys, "fr", "--setting", "torus", "--fn", "const1", "--n", "8", "8")
         assert code == 0

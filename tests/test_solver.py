@@ -183,6 +183,41 @@ class TestRestarts:
             check_kkt(op, np.ones(20), 10.0, np.full(9, 1j))
 
 
+class TestPrimalWeight:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sphere_solve_balances_steps(self, seed):
+        # with sigma = tau these trials take 575-650 iterations
+        signal = build_sphere_battery(16)["gauss_heat"]
+        rep = recover_sphere(signal, 0.1, seed, c_univ=2**-6)
+        assert rep.converged
+        assert rep.iterations <= 300
+        assert rep.primal_weight > 1.0
+
+    def test_dense_instances_converge_fast(self):
+        # with sigma = tau seed 1 takes 33,850 iterations
+        for seed in range(20):
+            mat, y, delta, _ = random_bpdn_instance(seed)
+            rep = solve_bpdn(dense_operator(mat), y, SolverConfig(delta=delta, tol=1e-9))
+            assert rep.converged, seed
+            assert rep.iterations <= 2000, seed
+
+    def test_zero_solution_keeps_unit_weight(self):
+        mat, y, _, _ = random_bpdn_instance(3)
+        rep = solve_bpdn(dense_operator(mat), y, SolverConfig(delta=10.0 * np.linalg.norm(y)))
+        assert rep.converged and not np.any(rep.coefficients)
+        assert rep.primal_weight == 1.0
+
+    def test_restart_from_zero_primal_keeps_weight(self):
+        # delta just below ||y|| on tiny data: the dual moves while the primal
+        # stays 0 through the first restarts, so the weight has no estimate
+        mat, y, _, _ = random_bpdn_instance(3)
+        y = 1e-3 * y
+        cfg = SolverConfig(delta=0.999 * float(np.linalg.norm(y)), max_iter=100)
+        rep = solve_bpdn(dense_operator(mat), y, cfg)
+        assert rep.restarts >= 1 and not np.any(rep.coefficients)
+        assert rep.primal_weight == 1.0
+
+
 def test_soft_threshold_matches_where_form_bitwise(rng):
     t = 0.7
     x = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
