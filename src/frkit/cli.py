@@ -119,11 +119,17 @@ def _targets(args) -> dict[tuple[str, int], object]:
     return targets
 
 
+def _size_major(targets) -> list[tuple[str, int]]:
+    """The (fn, size) keys size by size: computed in this order, every sphere L
+    builds its norm tables once however many distinct L the run has."""
+    return sorted(targets, key=lambda key: (key[1], key[0]))
+
+
 def _report(args, config_hash: str, header: list[str], row) -> int:
     """One row(name, size, target, config_hash) per target, by fn and then size."""
-    rows = [row(name, size, target, config_hash)
-            for (name, size), target in sorted(_targets(args).items())]
-    _emit(header, rows, args.out)
+    targets = _targets(args)
+    rows = {key: row(*key, targets[key], config_hash) for key in _size_major(targets)}
+    _emit(header, [rows[key] for key in sorted(rows)], args.out)
     return 0
 
 
@@ -287,11 +293,10 @@ def _sweep_rn_vs_logn(args, config_hash: str) -> int:
         "fn", "N_or_L", "r", "A", "B", "C", "fitted_slope", "target_slope",
         "slope_ratio", "config_hash",
     ]
+    norm_data = {key: norms_of(targets[key], key[1]) for key in _size_major(targets)}
     rows = []
-    for name, items in itertools.groupby(
-        sorted(targets.items()), key=lambda item: item[0][0]
-    ):
-        per_size = [(size, norms_of(target, size)) for (_, size), target in items]
+    for name, keys in itertools.groupby(sorted(norm_data), key=lambda key: key[0]):
+        per_size = [(size, norm_data[name, size]) for _, size in keys]
         if len(per_size) < 2:
             continue  # --fn all on the sphere: a signal defined at one of the L only
         reports = [bound(norms, size) for size, norms in per_size]

@@ -37,6 +37,11 @@ per-m sums and adds up cos/sin(m ph) point by point, and the basis matrix is
 built from the table; both work in chunks of points sized so that one table
 or basis block holds a fixed number of entries, which bounds their memory.
 
+What depends on L only is built once per L and cached, read-only, for the
+last four bandwidths: the table positions' coefficient indices, and the
+two degree-2L tables and degree-4L quadrature of estimate_sphere_norms
+(about 6.5 MB per cached L at L = 32, 51 MB at L = 64).
+
 The bound r_L = A + B + C uses
 
     A = |int f dsigma| / ||f||_L2
@@ -49,6 +54,7 @@ magnitude obtained spectrally from |grad f|^2 = Lap(f^2)/2 - f Lap f.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +68,7 @@ SPHERE_AREA = 4.0 * math.pi
 SPECTRAL_GRID = "spectral-grid"
 
 _BLOCK_ENTRIES = 1 << 20  # (lmax+1)^2 x points per table or basis block: 8 MB
+_CACHED_BANDWIDTHS = 4  # bandwidths whose index and norm tables stay built
 
 
 def lm_to_index(l: int, m: int) -> int:
@@ -174,15 +181,20 @@ def build_quadrature(bandwidth: int) -> QuadratureRule:
     )
 
 
+@functools.lru_cache(maxsize=_CACHED_BANDWIDTHS)
 def _table_index(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat coefficient index of (l, m) and of (l, -m) at table position [m, l - m].
 
     The third array marks the positions with l <= lmax; the index is 0 elsewhere.
+    Cached per lmax; the arrays are read-only.
     """
     m, d = np.ogrid[: lmax + 1, : lmax + 1]
     l = m + d
     valid = l <= lmax
-    return np.where(valid, l * l + l + m, 0), np.where(valid, l * l + l - m, 0), valid
+    i_cos, i_sin = np.where(valid, l * l + l + m, 0), np.where(valid, l * l + l - m, 0)
+    for arr in (i_cos, i_sin, valid):
+        arr.setflags(write=False)
+    return i_cos, i_sin, valid
 
 
 def _legendre_table(lmax: int, theta: np.ndarray) -> np.ndarray:
@@ -357,6 +369,24 @@ class SphereNormData:
     provenance: str
 
 
+@functools.lru_cache(maxsize=_CACHED_BANDWIDTHS)
+def _norm_tables(lmax: int) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """The L-only data of estimate_sphere_norms, built once per bandwidth.
+
+    Returns the degree-2L table on the 4L x 8L grid rings, then the degree-4L
+    quadrature's n_phi, its weights as (rings, n_phi) and its degree-2L table.
+    The arrays are read-only.
+    """
+    n_theta = max(4 * lmax, 8)
+    theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
+    rule = build_quadrature(max(2 * lmax, 1))
+    grid_table = _legendre_table(2 * lmax, theta)
+    quad_table = _legendre_table(2 * lmax, rule.ring_theta)
+    for table in (grid_table, quad_table):
+        table.setflags(write=False)
+    return grid_table, rule.n_phi, rule.weights.reshape(-1, rule.n_phi), quad_table
+
+
 def estimate_sphere_norms(signal: SphericalSignal) -> SphereNormData:
     """Sup norms of f, |grad f|, Lap f on a 4L x 8L equiangular grid.
 
@@ -365,19 +395,21 @@ def estimate_sphere_norms(signal: SphericalSignal) -> SphereNormData:
     quadrature and spectral scaling. L2 and the integral are exact by Parseval.
     All five transforms run on rings, on one Legendre table per ring set at
     degree 2L (n_phi is 8L on the grid and 4L+1 on the quadrature).
+
+    The two tables and the quadrature depend on L only: they are built on the
+    first call at each L, kept read-only in a cache of the last
+    _CACHED_BANDWIDTHS bandwidths, and reused. A cached L holds about 6.5 MB
+    at L = 32 and 51 MB at L = 64, the memory one call allocates anyway.
     """
     lmax = signal.bandwidth
-    n_theta, n_phi = max(4 * lmax, 8), max(8 * lmax, 16)
-    theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
-    grid_table = _legendre_table(2 * lmax, theta)
+    n_phi = max(8 * lmax, 16)
+    grid_table, quad_n_phi, quad_weights, quad_table = _norm_tables(lmax)
 
     f_vals = _ring_synthesis(signal.coeffs, grid_table, 2 * lmax, n_phi)
     lap_vals = _ring_synthesis(laplacian(signal).coeffs, grid_table, 2 * lmax, n_phi)
 
-    rule2 = build_quadrature(max(2 * lmax, 1))
-    quad_table = _legendre_table(2 * lmax, rule2.ring_theta)
-    f_nodes = _ring_synthesis(signal.coeffs, quad_table, 2 * lmax, rule2.n_phi)
-    weighted = rule2.weights.reshape(f_nodes.shape) * (f_nodes * f_nodes)
+    f_nodes = _ring_synthesis(signal.coeffs, quad_table, 2 * lmax, quad_n_phi)
+    weighted = quad_weights * (f_nodes * f_nodes)
     f_sq = SphericalSignal(2 * lmax, _ring_analysis(weighted, quad_table, 2 * lmax))
     lap_sq_vals = _ring_synthesis(laplacian(f_sq).coeffs, grid_table, 2 * lmax, n_phi)
 

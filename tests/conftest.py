@@ -98,3 +98,19 @@ def random_bpdn_instance(seed, d_pool=(8, 16, 25, 36, 64)):
 @pytest.fixture
 def rng():
     return rng_from_seed(20260809)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Degree of every Legendre table built from here on, norm-table cache cleared."""
+    import frkit.sphere as sph
+
+    degrees, build = [], sph._legendre_table
+
+    def counted(lmax, theta):
+        degrees.append(lmax)
+        return build(lmax, theta)
+
+    monkeypatch.setattr(sph, "_legendre_table", counted)
+    sph._norm_tables.cache_clear()
+    return degrees

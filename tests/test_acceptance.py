@@ -158,29 +158,31 @@ def test_criterion_5_sphere_fr_bound():
 
 def test_criterion_6_solver_correctness():
     """solve_bpdn converges, agrees with oracle_solve within 1e-6 and has KKT
-    residual <= 1e-6 on 100 instances, in at most 30 s.
+    residual <= 1e-6 on 100 instances, spending at most 10 s in the solver.
 
-    The time budget counts this process's CPU time, which other processes on
-    the machine cannot inflate.
+    The time budget counts this process's CPU time in solve_bpdn and check_kkt
+    only, which other processes on the machine cannot inflate and the oracle
+    does not use up.
     """
-    start = time.process_time()
-    worst_diff = worst_kkt = 0.0
+    elapsed = worst_diff = worst_kkt = 0.0
     unconverged = []
     for seed in range(100):
         mat, y, delta, _ = random_bpdn_instance(seed)
         a_oracle = oracle_solve(mat, y, delta)
         op = dense_operator(mat)
+        start = time.process_time()
         rep = solve_bpdn(op, y, SolverConfig(delta=delta, tol=1e-9))
+        kkt = check_kkt(op, y, delta, rep.coefficients)
+        elapsed += time.process_time() - start
         if not rep.converged:
             unconverged.append(seed)
         worst_diff = max(worst_diff, float(np.max(np.abs(a_oracle - rep.coefficients))))
-        worst_kkt = max(worst_kkt, check_kkt(op, y, delta, rep.coefficients))
-    elapsed = time.process_time() - start
-    ok = not unconverged and worst_diff <= 1e-6 and worst_kkt <= 1e-6 and elapsed <= 30.0
+        worst_kkt = max(worst_kkt, kkt)
+    ok = not unconverged and worst_diff <= 1e-6 and worst_kkt <= 1e-6 and elapsed <= 10.0
     report(
         6, ok,
         f"coef agreement {worst_diff:.2e}, KKT {worst_kkt:.2e} over 100 instances, "
-        f"unconverged {unconverged}, {elapsed:.1f}s",
+        f"unconverged {unconverged}, solver {elapsed:.1f}s",
     )
 
 

@@ -100,6 +100,22 @@ class TestFr:
         _, rows = parse_csv(out)
         assert [(r[0], r[-1]) for r in rows] == [("8", "const1")]
 
+    @pytest.mark.parametrize("command, fn_col, size_col", [
+        (["fr"], 10, 0),
+        (["sweep", "--mode", "rn_vs_logn"], 0, 1),
+    ])
+    def test_each_bandwidth_builds_once_beyond_the_cache(
+        self, capsys, table_builds, command, fn_col, size_col
+    ):
+        bandwidths = ["2", "3", "4", "5", "6"]  # more than the norm-table cache holds
+        code, out, _ = run_cli(capsys, *command, "--setting", "sphere", "--fn", "all", "--l",
+                               *bandwidths)
+        assert code == 0
+        _, rows = parse_csv(out)
+        keys = [(row[fn_col], int(row[size_col])) for row in rows]
+        assert keys == sorted(keys)  # still reported by fn, then L
+        assert sorted(table_builds) == [4, 4, 6, 6, 8, 8, 10, 10, 12, 12]
+
 
 class TestDecayLemmas:
     def test_decay_rows_match_verify_decay(self, capsys):

@@ -10,6 +10,7 @@ from scipy.special import sph_harm_y
 import frkit.sphere as sph
 import sphere_reference as ref
 from frkit.battery import build_sphere_battery
+from frkit.cli import main
 from frkit.errors import DomainError, StructuralError
 from frkit.sampling import draw_sphere_points, rng_from_seed
 from frkit.sphere import (
@@ -402,9 +403,32 @@ class TestTransformCore:
 
     def test_norms_l64_cpu_time(self):
         signal = build_sphere_battery(64)["gauss_heat"]
+        sph._norm_tables.cache_clear()  # time the table build too
         start = time.process_time()
         estimate_sphere_norms(signal)
         assert time.process_time() - start <= 1.0
+
+
+class TestNormTableCache:
+    """estimate_sphere_norms builds its L-only tables once per bandwidth."""
+
+    def test_cached_arrays_are_read_only(self):
+        grid_table, _, weights, quad_table = sph._norm_tables(8)
+        for arr in (grid_table, weights, quad_table, *sph._table_index(8)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+
+    @pytest.mark.parametrize("bandwidth", (16, 32))
+    def test_cold_and_warm_calls_agree(self, bandwidth):
+        for name, signal in build_sphere_battery(bandwidth).items():
+            sph._norm_tables.cache_clear()
+            cold = estimate_sphere_norms(signal)
+            assert estimate_sphere_norms(signal) == cold, name
+            assert sph._norm_tables.cache_info().hits == 1
+
+    def test_fr_pass_builds_two_tables_per_bandwidth(self, table_builds, capsys):
+        assert main(["fr", "--setting", "sphere", "--fn", "all", "--l", "16", "32"]) == 0
+        assert sorted(table_builds) == [32, 32, 64, 64]  # 32 without the cache
 
 
 class TestSphereFrBound:
