@@ -10,7 +10,9 @@ Each file line `key = value...` becomes the flag tokens `--key value...`,
 parsed after the command and before the rest of the command line, so the
 file's values get the same types and choices as flags and explicit flags
 override the file. Output is CSV on stdout and optionally to --out; every
-row carries the config hash so runs are diffable. Exit codes: 0 ok, 1 config
+row carries the config hash so runs are diffable. sweep --workers W forks up
+to W processes, one task per (cell, trial); --workers 1 runs in-process, and
+the rows are byte-identical at every worker count. Exit codes: 0 ok, 1 config
 error (a bad flag, or a value outside a bound's domain), 2 internal error.
 """
 
@@ -23,7 +25,6 @@ import io
 import itertools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -226,55 +227,57 @@ RECOVER_HEADER = sol.RECOVERY_HEADER + ["config_hash", "fn", "ratio_source", "pr
 def cmd_recover(args, config_hash: str) -> int:
     targets = _recovery_targets(args)
     (name, size), target = next(iter(targets.items()))  # the first --fn at the first size
-    eps = args.eps[0]
-    c_univ = args.c_univ[0]
-    rows = []
-    for seed in spawn_seeds(args.seed, args.trials):
-        report = _recover_one(args, target, size, eps, c_univ, seed)
-        rows.append(
-            sol.recovery_csv_fields(report)
-            + [config_hash, name, args.ratio, report.norm_provenance]
-        )
+    reports = [_recover_one(args, target, size, args.eps[0], args.c_univ[0], seed)
+               for seed in spawn_seeds(args.seed, args.trials)]
+    rows = [sol.recovery_csv_fields(rep) + [config_hash, name, args.ratio, rep.norm_provenance]
+            for rep in reports]
     _emit(RECOVER_HEADER, rows, args.out)
     return 0
 
 
+# The running sweep's (args, config_hash, targets, cells). Forked workers inherit it: torus
+# targets hold lambdas, which do not pickle, and a fork spares each worker a fresh import.
+_SWEEP = None
+
+
+def _sweep_row(task: tuple[int, int]) -> list[str]:
+    """The row of one (cell index, trial seed) task of the running sweep."""
+    idx, seed = task
+    args, config_hash, targets, cells = _SWEEP
+    name, size, eps, c_univ = cells[idx]
+    try:
+        report = _recover_one(args, targets[name, size], size, eps, c_univ, seed)
+    except FrkitError as exc:
+        return ([args.setting, str(size), _g(eps), _g(c_univ), str(seed)] + [""] * 7
+                + [config_hash, name, args.ratio, "", f"error: {exc}"])
+    return (sol.recovery_csv_fields(report)
+            + [config_hash, name, args.ratio, report.norm_provenance, "ok"])
+
+
 def cmd_sweep(args, config_hash: str) -> int:
+    global _SWEEP
+    _require(args.workers >= 1, "workers must be >= 1")
     if args.mode == "rn_vs_logn":
         return _sweep_rn_vs_logn(args, config_hash)
+    import multiprocessing as mp  # imported here, so the other commands never load a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     targets = _recovery_targets(args)
-    cells = [
-        (name, size, eps, c_univ)
-        for name, size in sorted(targets)
-        for eps in sorted(args.eps)
-        for c_univ in sorted(args.c_univ)
-    ]
-    cell_seeds = spawn_seeds(args.seed, len(cells))
-
-    def run_cell(idx):
-        name, size, eps, c_univ = cells[idx]
-        target = targets[name, size]
-        rows = []
-        for trial_seed in spawn_seeds(cell_seeds[idx], args.trials):
-            try:
-                report = _recover_one(args, target, size, eps, c_univ, trial_seed)
-                rows.append(
-                    sol.recovery_csv_fields(report)
-                    + [config_hash, name, args.ratio, report.norm_provenance, "ok"]
-                )
-            except FrkitError as exc:
-                rows.append(
-                    [args.setting, str(size), _g(eps), _g(c_univ), str(trial_seed)]
-                    + [""] * 7
-                    + [config_hash, name, args.ratio, "", f"error: {exc}"]
-                )
-        return rows
-
-    header = RECOVER_HEADER + ["status"]
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        results = list(pool.map(run_cell, range(len(cells))))
-    rows = [row for cell_rows in results for row in cell_rows]
-    _emit(header, rows, args.out)
+    cells = [(name, size, eps, c_univ) for name, size in sorted(targets)
+             for eps in sorted(args.eps) for c_univ in sorted(args.c_univ)]
+    tasks = [(idx, seed) for idx, cell_seed in enumerate(spawn_seeds(args.seed, len(cells)))
+             for seed in spawn_seeds(cell_seed, args.trials)]
+    workers = min(args.workers, len(tasks))
+    _SWEEP = (args, config_hash, targets, cells)
+    try:
+        if workers == 1 or "fork" not in mp.get_all_start_methods():
+            rows = list(map(_sweep_row, tasks))
+        else:
+            with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork")) as pool:
+                rows = list(pool.map(_sweep_row, tasks))
+    finally:
+        _SWEEP = None
+    _emit(RECOVER_HEADER + ["status"], rows, args.out)
     return 0
 
 
@@ -328,13 +331,9 @@ def cmd_quadrature_check(args, config_hash: str) -> int:
         coeffs = rng.standard_normal((bandwidth + 1) ** 2)
         signal = sph.SphericalSignal(bandwidth, coeffs)
         back = sph.analyze(sph.synthesize(signal, rule.theta, rule.phi), rule, bandwidth)
-        rt_err = float(
-            np.linalg.norm(back.coeffs - coeffs) / np.linalg.norm(coeffs)
-        )
-        rows.append([
-            str(bandwidth), str(len(rule)), f"{w_err:.17g}", f"{gram_dev:.17g}",
-            f"{rt_err:.17g}", config_hash,
-        ])
+        rt_err = float(np.linalg.norm(back.coeffs - coeffs) / np.linalg.norm(coeffs))
+        rows.append([str(bandwidth), str(len(rule)), *map(_g, (w_err, gram_dev, rt_err)),
+                     config_hash])
     _emit(header, rows, args.out)
     return 0
 

@@ -1,10 +1,13 @@
+import concurrent.futures
 import csv
 
 import pytest
 
+from frkit import cli
 from frkit import torus as tor
 from frkit.battery import TORUS_BATTERY
 from frkit.cli import main
+from frkit.solver import Q_MAX
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +273,56 @@ class TestSweep:
         )
         assert code == 1
         assert "config error" in err and "mix5" in err and "L=2" in err
+
+
+class TestSweepWorkers:
+    # four (cell, trial) tasks; the c_univ = 1e6 cells need q > Q_MAX and give error rows
+    GRID = ["sweep", "--setting", "sphere", "--fn", "y00", "--l", "2", "--eps", "0.1", "0.2",
+            "--c-univ", "0.01", "1e6", "--seed", "4"]
+
+    def test_rows_byte_identical_at_every_worker_count(self, tmp_path, capsys):
+        bodies = []
+        for workers in ("1", "2", "3"):
+            path = tmp_path / f"w{workers}.csv"
+            code, _, err = run_cli(capsys, *self.GRID, "--workers", workers, "--out", str(path))
+            assert code == 0, err
+            bodies.append(path.read_bytes())
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+        header, rows = parse_csv(bodies[0].decode())
+        cells = [(r[header.index("eps")], r[header.index("C_univ")]) for r in rows]
+        assert cells == [(_g(0.1), "0.01"), (_g(0.1), "1000000"),
+                         (_g(0.2), "0.01"), (_g(0.2), "1000000")]
+        status = [r[header.index("status")] for r in rows]
+        assert status[0] == status[2] == "ok"
+        for text in (status[1], status[3]):
+            assert text.startswith("error: sample size ")
+            assert text.endswith(f" exceeds configured q_max={Q_MAX}")
+
+    def test_one_worker_runs_in_process(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("--workers 1 started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, _, err = run_cli(capsys, *self.GRID, "--workers", "1")
+        assert code == 0, err
+
+    def test_worker_exception_is_internal_error(self, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("broken trial")
+
+        # set before the pool forks, so every worker inherits it
+        monkeypatch.setattr(cli, "_recover_one", broken)
+        code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
+        assert code == 2
+        assert "internal error: broken trial" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_config_error(self, capsys, workers):
+        code, out, err = run_cli(capsys, *self.GRID, "--workers", workers)
+        assert code == 1
+        assert "config error" in err and "workers" in err
+        assert out == ""
 
 
 class TestQuadratureCheck:

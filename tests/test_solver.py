@@ -342,25 +342,48 @@ class TestOracle:
         delta = 1.2 * float(np.linalg.norm(noise))
 
         def support_solve(support):
+            # epigraph form over x = (Re z, Im z, t): minimize sum t subject to
+            # t^2 >= Re^2 + Im^2, t >= 0 and ||sub z - y|| <= delta
             sub = mat[:, support]
             s = len(support)
 
-            def obj(x):
-                return float(np.sum(np.sqrt(x[:s] ** 2 + x[s:] ** 2 + 1e-18)))
+            def residual(x):
+                return sub @ (x[:s] + 1j * x[s:2 * s]) - y
 
-            def cons(x):
-                r = sub @ (x[:s] + 1j * x[s:]) - y
+            def fidelity(x):
+                r = residual(x)
                 return delta**2 - float(np.real(np.vdot(r, r)))
 
+            def fidelity_jac(x):
+                g = sub.conj().T @ residual(x)
+                return np.concatenate([-2.0 * g.real, -2.0 * g.imag, np.zeros(s)])
+
+            def cone(x):
+                u, v, t = x[:s], x[s:2 * s], x[2 * s:]
+                return t**2 - u**2 - v**2
+
+            def cone_jac(x):
+                u, v, t = x[:s], x[s:2 * s], x[2 * s:]
+                return np.hstack([np.diag(-2.0 * u), np.diag(-2.0 * v), np.diag(2.0 * t)])
+
             stacked = np.block([[sub.real, -sub.imag], [sub.imag, sub.real]])
-            x0, *_ = np.linalg.lstsq(stacked, np.concatenate([y.real, y.imag]), rcond=None)
+            uv0, *_ = np.linalg.lstsq(stacked, np.concatenate([y.real, y.imag]), rcond=None)
+            x0 = np.concatenate([uv0, np.hypot(uv0[:s], uv0[s:])])
             res = minimize(
-                obj, x0, constraints=[{"type": "ineq", "fun": cons}],
+                lambda x: float(np.sum(x[2 * s:])), x0,
+                jac=lambda x: np.concatenate([np.zeros(2 * s), np.ones(s)]),
+                constraints=[
+                    {"type": "ineq", "fun": fidelity, "jac": fidelity_jac},
+                    {"type": "ineq", "fun": cone, "jac": cone_jac},
+                    {"type": "ineq", "fun": lambda x: x[2 * s:],
+                     "jac": lambda x: np.hstack([np.zeros((s, 2 * s)), np.eye(s)])},
+                ],
                 method="SLSQP", options={"maxiter": 500, "ftol": 1e-14},
             )
-            if not res.success or cons(res.x) < -1e-9:
+            if not res.success or fidelity(res.x) < -1e-9:
                 return np.inf, None
-            return res.fun, res.x[:s] + 1j * res.x[s:]
+            coef = res.x[:s] + 1j * res.x[s:2 * s]
+            return float(np.sum(np.abs(coef))), coef
 
         best_val, best_support, best_coef = np.inf, None, None
         for size in (1, 2, 3):
