@@ -17,7 +17,6 @@ from .torus import (
     discretize,
     estimate_norms,
     resolve_norms,
-    sample_size_torus,
     verify_decay,
     verify_fr_bound,
     verify_l2_lower_bound,
@@ -31,7 +30,6 @@ from .sphere import (
     build_quadrature,
     compute_rl,
     estimate_sphere_norms,
-    sample_size_sphere,
     sphere_fourier_ratio,
     synthesize,
     verify_sphere_fr_bound,
@@ -41,6 +39,7 @@ from .sampling import (
     SampleSet,
     draw_sphere_points,
     draw_subset,
+    sample_size,
     spawn_seeds,
 )
 from .solver import (

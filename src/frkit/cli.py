@@ -4,9 +4,9 @@ Subcommands: fr, decay, lemmas, recover, sweep, quadrature-check. Every
 command but quadrature-check runs on the targets of one resolver: a torus
 battery function at each --n or a sphere battery signal at each --l, keyed
 by (fn, size); fr, decay, lemmas and sweep report them in (fn, size) order.
-decay and lemmas are torus checks. Experiment configuration is plain flags
-plus an optional flat key=value config file.
-Each file line `key = value...` becomes the flag tokens `--key value...`,
+recover takes one target, one --eps and one --c-univ. decay and lemmas are
+torus checks. Experiment configuration is plain flags plus an optional flat
+key=value config file. Each file line `key = value...` becomes the flag tokens `--key value...`,
 parsed after the command and before the rest of the command line, so the
 file's values get the same types and choices as flags and explicit flags
 override the file. Output is CSV on stdout and optionally to --out; every
@@ -200,15 +200,13 @@ def cmd_lemmas(args, config_hash: str) -> int:
 
 
 def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
-    delta_override = 0.0 if args.exact_fit else None
     if args.setting == "torus":
         return sol.recover_torus(
             target, size, eps, seed, c_univ=c_univ, ratio_source=args.ratio,
-            allow_uncertified=args.allow_uncertified, delta_override=delta_override,
+            allow_uncertified=args.allow_uncertified, exact_fit=args.exact_fit,
         )
     return sol.recover_sphere(
-        target, eps, seed, c_univ=c_univ, ratio_source=args.ratio,
-        delta_override=delta_override,
+        target, eps, seed, c_univ=c_univ, ratio_source=args.ratio, exact_fit=args.exact_fit,
     )
 
 
@@ -225,8 +223,12 @@ RECOVER_HEADER = sol.RECOVERY_HEADER + ["config_hash", "fn", "ratio_source", "pr
 
 
 def cmd_recover(args, config_hash: str) -> int:
+    _require(len(set(args.eps)) == 1 and len(set(args.c_univ)) == 1,
+             "recover takes one --eps and one --c-univ; sweep runs a grid of them")
     targets = _recovery_targets(args)
-    (name, size), target = next(iter(targets.items()))  # the first --fn at the first size
+    _require(len(targets) == 1, f"recover takes one --fn at one size, got {sorted(targets)}; "
+             "sweep runs several")
+    (name, size), target = next(iter(targets.items()))
     reports = [_recover_one(args, target, size, args.eps[0], args.c_univ[0], seed)
                for seed in spawn_seeds(args.seed, args.trials)]
     rows = [sol.recovery_csv_fields(rep) + [config_hash, name, args.ratio, rep.norm_provenance]

@@ -1,18 +1,35 @@
-"""Reproducible random sampling: uniform grid subsets and i.i.d. sphere points.
+"""Sample sizes and reproducible random sampling: grid subsets, sphere points.
 
-All randomness flows through numpy's Philox counter-based generator keyed by
-an explicit 64-bit seed, so any sample can be regenerated exactly from the
-seed recorded in its report. Per-trial seeds are derived from a master seed
-with SeedSequence(master).generate_state(n_trials).
+sample_size is the one sample-size formula of both settings. All randomness
+flows through numpy's Philox counter-based generator keyed by an explicit
+64-bit seed, so any sample can be regenerated exactly from the seed recorded
+in its report. Per-trial seeds are derived from a master seed with
+SeedSequence(master).generate_state(n_trials).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
+
+
+def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
+    """ceil(C (r/eps)^2 ln(r/eps)^2 ln D): the sample size for D coefficients.
+
+    D is N^2 on the torus, whose caller clamps the size to the grid, and
+    (L+1)^2 on the sphere, whose points are drawn with repetition.
+    """
+    if not 0.0 < eps < 0.5:
+        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
+    if r < 1.0:
+        raise DomainError(f"r must be >= 1, got {r}")
+    if c_univ <= 0.0:
+        raise DomainError(f"C must be positive, got {c_univ}")
+    return int(math.ceil(c_univ * (r / eps) ** 2 * math.log(r / eps) ** 2 * math.log(dim)))
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -46,15 +63,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return int(self.flat.size)
-
-    @property
-    def coords(self) -> np.ndarray:
-        """(k, d) integer coordinates matching the flat indices."""
-        if self.flat.size == 0:
-            return np.empty((0, self.dims), dtype=np.int64)
-        return np.stack(
-            np.unravel_index(self.flat, (self.side,) * self.dims), axis=1
-        )
 
 
 @dataclass(frozen=True)

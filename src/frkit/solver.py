@@ -36,15 +36,16 @@ The sphere matrix, its measurements and its truth are real, so
 make_sphere_operator declares float64 coefficients and the whole sphere solve
 runs in real arithmetic.
 
-A real torus field has a Hermitian spectrum, a[-k] = conj(a[k]), so
-recover_torus solves on its rfftn half: the N^(d-1) x (N//2+1) coefficients
-with last-axis index 0..N//2. Each stored coefficient carries a weight, the
-number of full-spectrum coefficients it stands for: 1 in the self-conjugate
-columns (last-axis index 0, and N/2 when N is even), 2 elsewhere. The
-solver's coefficient norms and l1 objective are weighted sums, so its
-iterates are the half of the full-spectrum iterates, at half the FFT and
-elementwise work. Reports always carry the full unitary spectrum, expanded
-from the half by Hermitian symmetry.
+A real torus field has a Hermitian spectrum, a[-k] = conj(a[k]), so the
+torus operator acts on its rfftn half only: the N^(d-1) x (N//2+1)
+coefficients with last-axis index 0..N//2. Each stored coefficient carries a
+weight, the number of full-spectrum coefficients it stands for: 1 in the
+self-conjugate columns (last-axis index 0, and N/2 when N is even), 2
+elsewhere. The solver's coefficient norms and l1 objective are weighted sums,
+so its iterates are the half of the full-spectrum iterates, at half the FFT
+and elementwise work. Complex torus data has no half and is refused. Reports
+always carry the full unitary spectrum, expanded from the half by Hermitian
+symmetry.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ import numpy as np
 from .errors import (
     CertificationError, DataError, DomainError, InfeasibleCandidateError, StructuralError,
 )
-from .sampling import SampleMultiset, SampleSet, draw_sphere_points, draw_subset, rng_from_seed
+from .sampling import (
+    SampleMultiset, SampleSet, draw_sphere_points, draw_subset, rng_from_seed, sample_size,
+)
 from .spectral import forward_dft, fourier_ratio, inverse_dft, SpectralVector
 from . import sphere as sph
 from . import torus as tor
@@ -181,53 +184,16 @@ def _hermitian_full(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.concatenate([half, mirror], axis=-1).ravel()
 
 
-def make_torus_operator(sample: SampleSet, real: bool = False) -> MeasurementOperator:
-    """Restriction of the unitary synthesis map to the sampled grid points.
+def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
+    """Restriction of the unitary synthesis map of a real field to the sampled grid points.
 
-    Forward: coefficients -> field values on the sample; adjoint embeds the
-    sampled values at zero elsewhere and applies the forward DFT. Operator
+    The operator acts on the rfftn half spectrum (last axis cut to N//2+1
+    entries). Forward is irfftn times N^(d/2), sampled to real values; the
+    adjoint is rfftn of the zero-embedded real values over N^(d/2). Its
+    weights are 1 on the self-conjugate last-axis indices (0, and N/2 for
+    even N) and 2 elsewhere, expand() returns the full spectrum, and its
     norm is exactly 1 (row restriction of a unitary map).
-
-    With real=True the operator acts on the rfftn half spectrum of a real
-    field (last axis cut to N//2+1 entries): forward is irfftn times N^(d/2)
-    sampled to real values, adjoint is rfftn of the zero-embedded real
-    values over N^(d/2). Its weights are 1 on the self-conjugate last-axis
-    indices (0, and N/2 for even N) and 2 elsewhere, expand() returns the full
-    spectrum, and it has no dense form.
     """
-    if real:
-        return _make_half_torus_operator(sample)
-    side, dims = sample.side, sample.dims
-    total = side**dims
-    shape = (side,) * dims
-    scale = side ** (dims / 2.0)
-    flat = sample.flat
-
-    def forward(a: np.ndarray) -> np.ndarray:
-        fld = np.fft.ifftn(a.reshape(shape)) * scale
-        return fld.ravel()[flat]
-
-    def adjoint(y: np.ndarray) -> np.ndarray:
-        emb = np.zeros(total, dtype=np.complex128)
-        emb[flat] = y
-        return (np.fft.fftn(emb.reshape(shape)) / scale).ravel()
-
-    def dense() -> np.ndarray:
-        if len(flat) * total > 10_000_000:
-            raise MemoryError("dense torus operator requested at too large a size")
-        coords = sample.coords  # (k, d)
-        freqs = np.stack(
-            np.unravel_index(np.arange(total), shape), axis=1
-        )  # (total, d)
-        phase = (coords @ freqs.T) % side
-        return np.exp(2j * np.pi * phase / side) / scale
-
-    return MeasurementOperator(
-        forward, adjoint, shape=(len(sample), total), norm_bound=1.0, dense=dense
-    )
-
-
-def _make_half_torus_operator(sample: SampleSet) -> MeasurementOperator:
     side, dims = sample.side, sample.dims
     shape = (side,) * dims
     half_shape = shape[:-1] + (side // 2 + 1,)
@@ -331,7 +297,6 @@ class RecoveryReport(_Solution):
     """
 
     rel_error: float
-    imag_ratio: float
     setting: str
     size_param: int
     eps: float
@@ -614,24 +579,24 @@ def _recover(
     truth: np.ndarray,
     truth_norm: float,
     to_truth_space: Callable[[np.ndarray], np.ndarray],
-    delta_override: float | None,
+    exact_fit: bool,
     **fields,
 ) -> RecoveryReport:
     """Solve for the coefficients and score them against the real-valued truth.
 
-    The report carries the full coefficient vector, op.expand of the solver's.
-    to_truth_space maps it to the representation truth is stored in; its real
-    part gives rel_error, its imaginary part imag_ratio. fields are the
-    remaining RecoveryReport fields, eps among them.
+    The fidelity radius is eps ||truth||, or 0 for an exact fit. The report
+    carries the full coefficient vector, op.expand of the solver's.
+    to_truth_space maps it to the representation truth is stored in, whose
+    real part gives rel_error. fields are the remaining RecoveryReport fields,
+    eps among them.
     """
-    delta = fields["eps"] * truth_norm if delta_override is None else delta_override
+    delta = 0.0 if exact_fit else fields["eps"] * truth_norm
     solution = solve_bpdn(op, y, SolverConfig(delta=delta))
     solution = replace(solution, coefficients=op.expand(solution.coefficients))
     recovered = to_truth_space(solution.coefficients)
     return RecoveryReport(
         **vars(solution),
         rel_error=float(np.linalg.norm(recovered.real - truth) / truth_norm),
-        imag_ratio=float(np.linalg.norm(recovered.imag) / truth_norm),
         sample_size=op.shape[0],
         **fields,
     )
@@ -645,18 +610,18 @@ def recover_torus(
     c_univ: float = 1.0,
     ratio_source: str = RATIO_MEASURED,
     allow_uncertified: bool = False,
-    delta_override: float | None = None,
-    sample_size_override: int | None = None,
+    exact_fit: bool = False,
 ) -> RecoveryReport:
     """Recover the discretized field from a random subset of its values.
 
-    A real field (every discretized spec) is solved on its rfftn half
-    spectrum; the report still carries the full N^2 unitary spectrum.
+    The field is solved on its rfftn half spectrum; the report carries the
+    full N^2 unitary spectrum.
 
     ratio_source picks what enters the sample-size formula: the certified
     bound r_N ("bound", faithful but pessimistic enough to clamp to the full
-    grid at desk scales) or the measured Fourier ratio ("measured").
-    delta_override = 0 requests exact-fit basis pursuit on the observations.
+    grid at desk scales) or the measured Fourier ratio ("measured"). The
+    size is clamped to the N^2 grid points, and the report records the clamp.
+    exact_fit requests exact-fit basis pursuit (delta = 0) on the observations.
     """
     norms = tor.resolve_norms(f, side)
     rn = tor.compute_rn(norms, side)
@@ -667,14 +632,14 @@ def recover_torus(
         )
     g = tor.discretize(f, side)
     ratio, _ = _sample_ratio(ratio_source, fourier_ratio(forward_dft(g)), lambda: rn)
-    budget = tor.sample_size_torus(ratio, eps, side, 2, c_univ)
-    size = budget.size if sample_size_override is None else sample_size_override
-    sample = draw_subset(side, 2, size, seed)
+    total = side * side
+    size = sample_size(ratio, eps, total, c_univ)
+    sample = draw_subset(side, 2, min(size, total), seed)
     return _recover(
-        make_torus_operator(sample, real=g.is_real), g.values[sample.flat], g.values.real, g.l2,
+        make_torus_operator(sample), g.values[sample.flat], g.values.real, g.l2,
         lambda a: inverse_dft(SpectralVector(coeffs=a, side=side, dims=2)).values,
-        delta_override, setting="torus", size_param=side, eps=eps, c_univ=c_univ,
-        seed=seed, clamped=budget.clamped, norm_provenance=norms.provenance,
+        exact_fit, setting="torus", size_param=side, eps=eps, c_univ=c_univ,
+        seed=seed, clamped=size > total, norm_provenance=norms.provenance,
     )
 
 
@@ -684,8 +649,7 @@ def recover_sphere(
     seed: int,
     c_univ: float = 1.0,
     ratio_source: str = RATIO_MEASURED,
-    delta_override: float | None = None,
-    sample_size_override: int | None = None,
+    exact_fit: bool = False,
 ) -> RecoveryReport:
     """Recover a bandlimited sphere signal from i.i.d. uniform point samples."""
     bandwidth = signal.bandwidth
@@ -693,9 +657,7 @@ def recover_sphere(
         ratio_source, sph.sphere_fourier_ratio(signal),
         lambda: sph.compute_rl(sph.estimate_sphere_norms(signal), bandwidth),
     )
-    q = sph.sample_size_sphere(ratio, eps, bandwidth, c_univ)
-    if sample_size_override is not None:
-        q = sample_size_override
+    q = sample_size(ratio, eps, (bandwidth + 1) ** 2, c_univ)
     if q > Q_MAX:
         raise DomainError(f"sample size {q} exceeds configured q_max={Q_MAX}")
     points = draw_sphere_points(q, seed)
@@ -703,6 +665,6 @@ def recover_sphere(
         make_sphere_operator(points, bandwidth),
         sph.synthesize(signal, points.theta, points.phi),
         signal.coeffs, signal.l2, lambda a: a,
-        delta_override, setting="sphere", size_param=bandwidth, eps=eps, c_univ=c_univ,
+        exact_fit, setting="sphere", size_param=bandwidth, eps=eps, c_univ=c_univ,
         seed=seed, clamped=False, norm_provenance=provenance,
     )

@@ -31,7 +31,6 @@ class GridField:
     side: int
     dims: int
     values: np.ndarray
-    is_real: bool = False
 
     def __post_init__(self):
         if self.side < 2:
@@ -43,14 +42,7 @@ class GridField:
             raise StructuralError(
                 f"expected {self.side ** self.dims} values, got {vals.size}"
             )
-        if self.is_real and np.any(vals.imag != 0.0):
-            raise StructuralError("realness flag set but imaginary parts are nonzero")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_real(cls, side: int, dims: int, values) -> "GridField":
-        arr = np.asarray(values, dtype=float).ravel()
-        return cls(side=side, dims=dims, values=arr.astype(np.complex128), is_real=True)
 
     @property
     def grid(self) -> np.ndarray:

@@ -88,7 +88,12 @@ class SphericalSignal:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs = np.asarray(self.coeffs)
+        if np.iscomplexobj(coeffs):
+            if np.any(coeffs.imag != 0.0):
+                raise StructuralError("real harmonic coefficients cannot have imaginary parts")
+            coeffs = coeffs.real
+        coeffs = np.array(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size != (self.bandwidth + 1) ** 2:
             raise StructuralError(
                 f"bandwidth {self.bandwidth} needs {(self.bandwidth + 1) ** 2} "
@@ -106,9 +111,6 @@ class SphericalSignal:
     def integral(self) -> float:
         """int_{S^2} f dsigma = sqrt(4 pi) * coefficient at (0, 0)."""
         return math.sqrt(SPHERE_AREA) * float(self.coeffs[0])
-
-    def coefficient(self, l: int, m: int) -> float:
-        return float(self.coeffs[lm_to_index(l, m)])
 
 
 def _ring_phi(n_phi: int) -> np.ndarray:
@@ -470,10 +472,6 @@ class SphereFrCheck:
     slack: float
     norms: SphereNormData
 
-    @property
-    def holds(self) -> bool:
-        return self.slack >= 0.0
-
 
 def verify_sphere_fr_bound(signal: SphericalSignal) -> SphereFrCheck:
     """Measured FR_L against r_L; slack >= 0 expected on the smooth battery."""
@@ -481,16 +479,3 @@ def verify_sphere_fr_bound(signal: SphericalSignal) -> SphereFrCheck:
     report = compute_rl(norms, signal.bandwidth)
     fr = sphere_fourier_ratio(signal)
     return SphereFrCheck(report=report, fr_measured=fr, slack=report.r - fr, norms=norms)
-
-
-def sample_size_sphere(r: float, eps: float, bandwidth: int, c_univ: float) -> int:
-    """ceil(C (r/eps)^2 ln(r/eps)^2 ln((L+1)^2)); multiset sampling, so no clamp."""
-    if not 0.0 < eps < 0.5:
-        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
-    if r < 1.0:
-        raise DomainError(f"r must be >= 1, got {r}")
-    if c_univ <= 0.0:
-        raise DomainError(f"C must be positive, got {c_univ}")
-    dim = (bandwidth + 1) ** 2
-    value = c_univ * (r / eps) ** 2 * math.log(r / eps) ** 2 * math.log(dim)
-    return int(math.ceil(value))

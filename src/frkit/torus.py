@@ -109,7 +109,7 @@ class FrBoundReport:
 
 
 def discretize(f: SmoothFunctionSpec, side: int) -> GridField:
-    """g(x1, x2) = f(x1/N, x2/N) on the integer grid, as a real GridField."""
+    """g(x1, x2) = f(x1/N, x2/N) on the integer grid."""
     if side < 2:
         raise DomainError(f"N must be >= 2, got {side}")
     u = np.arange(side) / side
@@ -120,7 +120,7 @@ def discretize(f: SmoothFunctionSpec, side: int) -> GridField:
         raise DataError(
             f"{f.name}: evaluator non-finite at u=({bad[0] / side}, {bad[1] / side})"
         )
-    return GridField.from_real(side=side, dims=2, values=vals)
+    return GridField(side=side, dims=2, values=vals)
 
 
 def estimate_norms(f: SmoothFunctionSpec, refinement: int = 256) -> NormData:
@@ -201,10 +201,6 @@ class FrCheck:
     report: FrBoundReport
     fr_measured: float
     slack: float
-
-    @property
-    def holds(self) -> bool:
-        return self.slack >= 0.0
 
 
 def verify_fr_bound(f: SmoothFunctionSpec, side: int) -> FrCheck:
@@ -299,28 +295,3 @@ def verify_l2_lower_bound(
         sqrt_bound=sqrt_bound,
         sqrt_passed=(not certified) or g.l2 >= sqrt_bound * (1.0 - 1e-12),
     )
-
-
-@dataclass(frozen=True)
-class SampleBudget:
-    size: int
-    clamped: bool
-    formula_value: float
-
-
-def sample_size_torus(
-    r: float, eps: float, side: int, dims: int, c_univ: float
-) -> SampleBudget:
-    """min(ceil(C (r/eps)^2 ln(r/eps)^2 ln(N^d)), N^d), recording the clamp."""
-    if not 0.0 < eps < 0.5:
-        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
-    if r < 1.0:
-        raise DomainError(f"r must be >= 1, got {r}")
-    if c_univ <= 0.0:
-        raise DomainError(f"C must be positive, got {c_univ}")
-    total = side**dims
-    value = c_univ * (r / eps) ** 2 * math.log(r / eps) ** 2 * math.log(total)
-    size = int(math.ceil(value))
-    if size > total:
-        return SampleBudget(size=total, clamped=True, formula_value=value)
-    return SampleBudget(size=size, clamped=False, formula_value=value)

@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from frkit.errors import DataError, DomainError
-from frkit.solver import MeasurementOperator, duality_gap
+from frkit.solver import duality_gap
+from conftest import dense_operator
 
 
 class ConvergenceError(RuntimeError):
@@ -67,16 +68,6 @@ def oracle_solve(
     return (a, info) if return_info else a
 
 
-def _oracle_op(mat: np.ndarray) -> MeasurementOperator:
-    return MeasurementOperator(
-        forward=lambda a: mat @ a,
-        adjoint=lambda v: mat.conj().T @ v,
-        shape=mat.shape,
-        norm_bound=float(np.linalg.norm(mat, 2)),
-        dense=lambda: mat,
-    )
-
-
 def _soc_grad_hess(u, v, t, s):
     """Gradient columns and 3x3 Hessian blocks for -log(t^2 - u^2 - v^2)."""
     inv = 1.0 / s
@@ -108,11 +99,55 @@ def _assemble_soc(n_coef, grad, hess, eta):
     return g, h
 
 
+def _barrier_path(u, v, t, merit, newton_step, gap_of, gap_tol):
+    """Center the barrier by damped Newton steps at eta = 1, 10, 100, ...
+
+    newton_step(u, v, t, eta) returns the merit gradient g and the Newton
+    step, stacked as (du, dv, dt); gap_of(a, eta) is the duality gap at
+    a = u + i v once centered. The path stops when the gap is within gap_tol
+    of max(1, ||a||_1), and fails unless it is within 1e-6.
+    """
+    n_coef = u.size
+    eta = 1.0
+    gap = np.inf
+    a = u + 1j * v
+    for _ in range(60):
+        for _ in range(80):  # damped Newton centering at this eta
+            g, step = newton_step(u, v, t, eta)
+            decrement = float(-g @ step)
+            if not np.isfinite(decrement) or decrement <= 0:
+                break
+            base = merit(u, v, t, eta)
+            alpha = 1.0
+            du, dv, dt = step[:n_coef], step[n_coef : 2 * n_coef], step[2 * n_coef :]
+            while alpha > 1e-14:
+                if merit(u + alpha * du, v + alpha * dv, t + alpha * dt, eta) <= base - 0.01 * alpha * decrement:
+                    break
+                alpha *= 0.5
+            if alpha <= 1e-14:
+                break
+            u, v, t = u + alpha * du, v + alpha * dv, t + alpha * dt
+            if decrement * alpha < 1e-12:
+                break
+        a = u + 1j * v
+        gap = gap_of(a, eta)
+        if gap <= gap_tol * max(1.0, float(np.sum(np.abs(a)))):
+            break
+        eta *= 10.0
+        if eta > 1e14:
+            break
+    if gap > 1e-6 * max(1.0, float(np.sum(np.abs(a)))):
+        raise ConvergenceError(
+            f"oracle stalled: duality gap {gap:.3e} at barrier parameter {eta:.1e}"
+        )
+    return a, {"gap": gap, "eta": eta}
+
+
 def _oracle_ball(mat, yn, dn, gap_tol):
     n_meas, n_coef = mat.shape
     br = _real_stack(mat)  # (2m, 2D)
     yr = np.concatenate([yn.real, yn.imag])
-    op = _oracle_op(mat)
+    op = dense_operator(mat)
 
     w, *_ = np.linalg.lstsq(br, yr, rcond=None)
     min_res = float(np.linalg.norm(br @ w - yr))
@@ -135,53 +170,26 @@ def _oracle_ball(mat, yn, dn, gap_tol):
             return np.inf
         return eta * float(np.sum(t)) - float(np.sum(np.log(s))) - math.log(b)
 
-    eta = 1.0
-    gap = np.inf
-    a = u + 1j * v
-    for _ in range(60):
-        for _ in range(80):  # damped Newton centering at this eta
-            s = t * t - u * u - v * v
-            grad, hess = _soc_grad_hess(u, v, t, s)
-            g, h = _assemble_soc(n_coef, grad, hess, eta)
-            rr, b = ball_terms(np.concatenate([u, v]))
-            gw = 2.0 * (br.T @ rr) / b
-            g[: 2 * n_coef] += gw
-            brr = br.T @ rr
-            h[: 2 * n_coef, : 2 * n_coef] += 2.0 * (br.T @ br) / b + 4.0 * np.outer(
-                brr, brr
-            ) / (b * b)
-            try:
-                step = np.linalg.solve(h, -g)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(h, -g, rcond=None)
-            decrement = float(-g @ step)
-            if not np.isfinite(decrement) or decrement <= 0:
-                break
-            base = merit(u, v, t, eta)
-            alpha = 1.0
-            du, dv, dt = step[:n_coef], step[n_coef : 2 * n_coef], step[2 * n_coef :]
-            while alpha > 1e-14:
-                if merit(u + alpha * du, v + alpha * dv, t + alpha * dt, eta) <= base - 0.01 * alpha * decrement:
-                    break
-                alpha *= 0.5
-            if alpha <= 1e-14:
-                break
-            u, v, t = u + alpha * du, v + alpha * dv, t + alpha * dt
-            if decrement * alpha < 1e-12:
-                break
-        a = u + 1j * v
-        gap = duality_gap(op, yn, dn, a)
-        if gap <= gap_tol * max(1.0, float(np.sum(np.abs(a)))):
-            break
-        eta *= 10.0
-        if eta > 1e14:
-            break
-    info = {"gap": gap, "eta": eta}
-    if gap > 1e-6 * max(1.0, float(np.sum(np.abs(a)))):
-        raise ConvergenceError(
-            f"oracle stalled: duality gap {gap:.3e} at barrier parameter {eta:.1e}"
-        )
-    return a, info
+    def newton_step(u, v, t, eta):
+        s = t * t - u * u - v * v
+        grad, hess = _soc_grad_hess(u, v, t, s)
+        g, h = _assemble_soc(n_coef, grad, hess, eta)
+        rr, b = ball_terms(np.concatenate([u, v]))
+        gw = 2.0 * (br.T @ rr) / b
+        g[: 2 * n_coef] += gw
+        brr = br.T @ rr
+        h[: 2 * n_coef, : 2 * n_coef] += 2.0 * (br.T @ br) / b + 4.0 * np.outer(
+            brr, brr
+        ) / (b * b)
+        try:
+            step = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(h, -g, rcond=None)
+        return g, step
+
+    return _barrier_path(
+        u, v, t, merit, newton_step, lambda a, eta: duality_gap(op, yn, dn, a), gap_tol
+    )
 
 
 def _oracle_equality(mat, yn, gap_tol):
@@ -189,7 +197,6 @@ def _oracle_equality(mat, yn, gap_tol):
     n_meas, n_coef = mat.shape
     br = _real_stack(mat)
     yr = np.concatenate([yn.real, yn.imag])
-    op = _oracle_op(mat)
 
     w, *_ = np.linalg.lstsq(br, yr, rcond=None)
     if float(np.linalg.norm(br @ w - yr)) > 1e-10:
@@ -200,6 +207,7 @@ def _oracle_equality(mat, yn, gap_tol):
     n_eq = br.shape[0]
     c_mat = np.zeros((n_eq, 3 * n_coef))
     c_mat[:, : 2 * n_coef] = br
+    mu = np.zeros(n_eq)  # equality multipliers of the last Newton step
 
     def merit(u, v, t, eta):
         s = t * t - u * u - v * v
@@ -207,41 +215,24 @@ def _oracle_equality(mat, yn, gap_tol):
             return np.inf
         return eta * float(np.sum(t)) - float(np.sum(np.log(s)))
 
-    eta = 1.0
-    gap = np.inf
-    a = u + 1j * v
-    mu = np.zeros(n_eq)
-    for _ in range(60):
-        for _ in range(80):
-            s = t * t - u * u - v * v
-            grad, hess = _soc_grad_hess(u, v, t, s)
-            g, h = _assemble_soc(n_coef, grad, hess, eta)
-            kkt = np.zeros((3 * n_coef + n_eq, 3 * n_coef + n_eq))
-            kkt[: 3 * n_coef, : 3 * n_coef] = h
-            kkt[: 3 * n_coef, 3 * n_coef :] = c_mat.T
-            kkt[3 * n_coef :, : 3 * n_coef] = c_mat
-            rhs = np.concatenate([-g, np.zeros(n_eq)])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            step, mu = sol[: 3 * n_coef], sol[3 * n_coef :]
-            decrement = float(-g @ step)
-            if not np.isfinite(decrement) or decrement <= 0:
-                break
-            base = merit(u, v, t, eta)
-            alpha = 1.0
-            du, dv, dt = step[:n_coef], step[n_coef : 2 * n_coef], step[2 * n_coef :]
-            while alpha > 1e-14:
-                if merit(u + alpha * du, v + alpha * dv, t + alpha * dt, eta) <= base - 0.01 * alpha * decrement:
-                    break
-                alpha *= 0.5
-            if alpha <= 1e-14:
-                break
-            u, v, t = u + alpha * du, v + alpha * dv, t + alpha * dt
-            if decrement * alpha < 1e-12:
-                break
-        a = u + 1j * v
+    def newton_step(u, v, t, eta):
+        nonlocal mu
+        s = t * t - u * u - v * v
+        grad, hess = _soc_grad_hess(u, v, t, s)
+        g, h = _assemble_soc(n_coef, grad, hess, eta)
+        kkt = np.zeros((3 * n_coef + n_eq, 3 * n_coef + n_eq))
+        kkt[: 3 * n_coef, : 3 * n_coef] = h
+        kkt[: 3 * n_coef, 3 * n_coef :] = c_mat.T
+        kkt[3 * n_coef :, : 3 * n_coef] = c_mat
+        rhs = np.concatenate([-g, np.zeros(n_eq)])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        mu = sol[3 * n_coef :]
+        return g, sol[: 3 * n_coef]
+
+    def gap_of(a, eta):
         # dual candidate from the equality multipliers, scaled dual-feasible
         nu = (mu[:n_meas] + 1j * mu[n_meas:]) / eta
         g_dual = mat.conj().T @ nu
@@ -249,17 +240,7 @@ def _oracle_equality(mat, yn, gap_tol):
         obj = float(np.sum(np.abs(a)))
         if ginf > 0:
             w_cand = -nu / max(1.0, ginf)
-            gap = obj - float(np.real(np.vdot(w_cand, yn)))
-        else:
-            gap = obj
-        if gap <= gap_tol * max(1.0, obj):
-            break
-        eta *= 10.0
-        if eta > 1e14:
-            break
-    info = {"gap": gap, "eta": eta}
-    if gap > 1e-6 * max(1.0, float(np.sum(np.abs(a)))):
-        raise ConvergenceError(
-            f"oracle stalled: duality gap {gap:.3e} at barrier parameter {eta:.1e}"
-        )
-    return a, info
+            return obj - float(np.real(np.vdot(w_cand, yn)))
+        return obj
+
+    return _barrier_path(u, v, t, merit, newton_step, gap_of, gap_tol)

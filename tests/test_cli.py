@@ -188,6 +188,16 @@ class TestRecover:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("extra", [
+        "--fn const1 cc_half", "--n 8 16", "--eps 0.1 0.2", "--c-univ 0.01 0.02",
+    ])
+    def test_more_than_one_cell_is_config_error(self, capsys, extra):
+        base = "recover --setting torus --fn const1 --n 8 --eps 0.1 --c-univ 0.01 --allow-uncertified"
+        code, out, err = run_cli(capsys, *base.split(), *extra.split())
+        assert code == 1
+        assert "config error: recover takes one" in err
+        assert out == ""
+
     def test_bad_eps_config_error(self, capsys):
         code, _, err = run_cli(
             capsys, "recover", "--setting", "torus", "--fn", "const1", "--n", "8",

@@ -33,11 +33,6 @@ class TestDrawSubset:
         assert np.array_equal(a.flat, b.flat)
         assert not np.array_equal(a.flat, c.flat)
 
-    def test_coords_match_flat(self):
-        s = draw_subset(5, 2, 10, seed=3)
-        flat_back = np.ravel_multi_index((s.coords[:, 0], s.coords[:, 1]), (5, 5))
-        assert np.array_equal(np.sort(flat_back), s.flat)
-
     def test_oversized_rejected(self):
         with pytest.raises(DomainError):
             draw_subset(4, 2, 17, seed=0)

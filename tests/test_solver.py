@@ -32,12 +32,13 @@ from frkit.solver import (
 from frkit.spectral import SpectralVector, inverse_dft
 from bpdn_oracle import oracle_solve
 from conftest import dense_operator, random_bpdn_instance
+from torus_reference import dense_torus_matrix, full_torus_operator
 
 
 class TestOperators:
     def test_torus_adjoint_consistency(self, rng):
         sample = draw_subset(8, 2, 20, seed=4)
-        op = make_torus_operator(sample)
+        op = full_torus_operator(sample)
         for _ in range(10):
             a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
             y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
@@ -47,14 +48,14 @@ class TestOperators:
 
     def test_torus_norm_at_most_one(self, rng):
         sample = draw_subset(8, 2, 37, seed=6)
-        op = make_torus_operator(sample)
+        op = full_torus_operator(sample)
         for _ in range(20):
             a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
             assert np.linalg.norm(op.forward(a)) <= np.linalg.norm(a) * (1 + 1e-12)
 
     def test_torus_dense_matches_matfree(self, rng):
         sample = draw_subset(4, 2, 9, seed=8)
-        op = make_torus_operator(sample)
+        op = full_torus_operator(sample)
         mat = op.to_dense()
         a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         assert np.max(np.abs(mat @ a - op.forward(a))) < 1e-12
@@ -93,7 +94,7 @@ class TestHalfSpectrumTorus:
     @pytest.mark.parametrize("side", [8, 9])
     def test_weighted_adjoint_identity(self, side, rng):
         sample, _, _ = _real_bpdn_instance(side, seed=2)
-        op = make_torus_operator(sample, real=True)
+        op = make_torus_operator(sample)
         assert op.shape == (len(sample), side * (side // 2 + 1))
         for _ in range(10):
             a = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
@@ -104,11 +105,20 @@ class TestHalfSpectrumTorus:
             assert np.linalg.norm(op.forward(a)) <= op.coef_norm(a) * (1 + 1e-12)
 
     @pytest.mark.parametrize("side", [8, 9])
+    def test_matches_dense_reference(self, side, rng):
+        sample, _, _ = _real_bpdn_instance(side, seed=3)
+        op, dense = make_torus_operator(sample), dense_torus_matrix(sample)
+        a = (np.fft.rfftn(rng.standard_normal((side, side))) / side).ravel()  # Hermitian half
+        assert np.max(np.abs(op.forward(a) - dense @ op.expand(a))) <= 1e-12
+        y = rng.standard_normal(len(sample))
+        assert np.max(np.abs(op.expand(op.adjoint(y)) - dense.conj().T @ y)) <= 1e-12
+
+    @pytest.mark.parametrize("side", [8, 9])
     def test_matches_full_spectrum_solve(self, side):
         sample, y, delta = _real_bpdn_instance(side, seed=side)
         cfg = SolverConfig(delta=delta)
-        full = solve_bpdn(make_torus_operator(sample), y, cfg)
-        half_op = make_torus_operator(sample, real=True)
+        full = solve_bpdn(full_torus_operator(sample), y, cfg)
+        half_op = make_torus_operator(sample)
         half = solve_bpdn(half_op, y, cfg)
         assert (half.iterations, half.converged) == (full.iterations, full.converged)
         expanded = half_op.expand(half.coefficients)
@@ -120,7 +130,7 @@ class TestHalfSpectrumTorus:
     @pytest.mark.parametrize("side", [8, 9])
     def test_expanded_solution_passes_full_kkt(self, side):
         sample, y, delta = _real_bpdn_instance(side, seed=side + 1)
-        half_op, full_op = make_torus_operator(sample, real=True), make_torus_operator(sample)
+        half_op, full_op = make_torus_operator(sample), full_torus_operator(sample)
         rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
         expanded = half_op.expand(rep.coefficients)
         assert check_kkt(full_op, y, delta, expanded) <= 1e-6
@@ -129,7 +139,7 @@ class TestHalfSpectrumTorus:
         )
 
     def test_no_dense_form_and_real_data_only(self):
-        op = make_torus_operator(draw_subset(4, 2, 9, seed=8), real=True)
+        op = make_torus_operator(draw_subset(4, 2, 9, seed=8))
         with pytest.raises(StructuralError, match="no dense matrix form"):
             op.to_dense()
         with pytest.raises(DataError, match="real measurements"):
@@ -149,7 +159,7 @@ class TestRestarts:
 
     def test_restarted_half_spectrum_solve_reaches_minimizer(self):
         sample, y, delta = _real_bpdn_instance(8, seed=5)
-        half_op, full_op = make_torus_operator(sample, real=True), make_torus_operator(sample)
+        half_op, full_op = make_torus_operator(sample), full_torus_operator(sample)
         rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
         assert rep.converged and rep.restarts > 0
         expanded = half_op.expand(rep.coefficients)
@@ -233,7 +243,7 @@ class TestSolveBpdn:
     def test_full_observation_delta_zero(self):
         side = 8
         sample = draw_subset(side, 2, side * side, seed=0)
-        op = make_torus_operator(sample)
+        op = full_torus_operator(sample)
         rng = rng_from_seed(1)
         y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         rep = solve_bpdn(op, y, SolverConfig(delta=0.0))
@@ -250,7 +260,7 @@ class TestSolveBpdn:
             truth[int(rng.integers(64))] = rng.standard_normal() + 1j * rng.standard_normal()
             field = inverse_dft(SpectralVector(coeffs=truth, side=side, dims=2))
             sample = draw_subset(side, 2, 48, seed=seed)
-            rep = solve_bpdn(make_torus_operator(sample), field.values[sample.flat],
+            rep = solve_bpdn(full_torus_operator(sample), field.values[sample.flat],
                              SolverConfig(delta=0.0))
             err = np.max(np.abs(rep.coefficients - truth))
             failures += err > 1e-6
@@ -266,7 +276,7 @@ class TestSolveBpdn:
         sample = draw_subset(side, 2, 12, seed=34)
         y = field.values[sample.flat]
         delta = 0.01 * g_norm
-        op = make_torus_operator(sample)
+        op = full_torus_operator(sample)
         rep = solve_bpdn(op, y, SolverConfig(delta=delta, tol=1e-10))
         a_oracle = oracle_solve(op.to_dense(), y, delta)
         assert np.max(np.abs(rep.coefficients - a_oracle)) < 1e-6
@@ -444,7 +454,7 @@ class TestCheckKkt:
 
 class TestRecoverTorus:
     def test_constant_exact_fit(self):
-        rep = recover_torus(TORUS_BATTERY["const1"], 8, 0.1, seed=3, delta_override=0.0)
+        rep = recover_torus(TORUS_BATTERY["const1"], 8, 0.1, seed=3, exact_fit=True)
         assert rep.rel_error <= 1e-8
         assert rep.setting == "torus"
         assert rep.budget == pytest.approx(1.147)
@@ -452,9 +462,9 @@ class TestRecoverTorus:
     def test_constant_partial_observations_exact_fit(self):
         for seed in spawn_seeds(88, 5):
             rep = recover_torus(
-                TORUS_BATTERY["const1"], 8, 0.1, seed=seed,
-                delta_override=0.0, sample_size_override=16,
+                TORUS_BATTERY["const1"], 8, 0.1, seed=seed, c_univ=0.007, exact_fit=True,
             )
+            assert rep.sample_size == 16
             assert rep.rel_error <= 1e-6
 
     def test_uncertified_requires_override(self):
@@ -468,7 +478,6 @@ class TestRecoverTorus:
         )
         assert rep.rel_error <= rep.budget
         assert rep.sample_size <= 64 * 64
-        assert rep.imag_ratio <= 1e-6
 
     def test_ratio_bound_clamps_to_full_grid(self):
         rep = recover_torus(
@@ -481,15 +490,16 @@ class TestRecoverTorus:
         assert rep.rel_error <= 0.1 + 1e-6
 
     def test_csv_fields_schema(self):
-        rep = recover_torus(TORUS_BATTERY["const1"], 8, 0.1, seed=3, delta_override=0.0)
+        rep = recover_torus(TORUS_BATTERY["const1"], 8, 0.1, seed=3, exact_fit=True)
         fields = recovery_csv_fields(rep)
         assert len(fields) == len(RECOVERY_HEADER)
         assert fields[0] == "torus"
         assert fields[-1] in ("true", "false")
         rep = recover_sphere(
-            build_sphere_battery(1)["y00"], 0.1, seed=5, ratio_source="measured",
-            delta_override=0.0, sample_size_override=4,
+            build_sphere_battery(1)["y00"], 0.1, seed=5, c_univ=0.005, ratio_source="measured",
+            exact_fit=True,
         )
+        assert rep.sample_size == 4
         fields = recovery_csv_fields(rep)
         assert len(fields) == len(RECOVERY_HEADER)
         assert fields[0] == "sphere"
@@ -499,16 +509,14 @@ class TestRecoverTorus:
 class TestRecoverSphere:
     def test_y00_four_points_exact_fit(self):
         bat = build_sphere_battery(1)
-        rep = recover_sphere(
-            bat["y00"], 0.1, seed=5, delta_override=0.0, sample_size_override=4
-        )
+        rep = recover_sphere(bat["y00"], 0.1, seed=5, c_univ=0.005, exact_fit=True)
+        assert rep.sample_size == 4
         assert rep.rel_error <= 1e-8
 
     def test_mix5_within_budget(self):
         bat = build_sphere_battery(8)
         rep = recover_sphere(bat["mix5"], 0.1, seed=11, c_univ=2**-6)
         assert rep.rel_error <= rep.budget
-        assert rep.imag_ratio <= 1e-6
 
     def test_q_max_refusal(self):
         bat = build_sphere_battery(8)

@@ -19,14 +19,14 @@ from conftest import best_tail_by_enumeration, dft_direct, idft_direct
 
 class TestForwardDft:
     def test_constant_field(self):
-        spec = forward_dft(GridField.from_real(8, 2, np.ones(64)))
+        spec = forward_dft(GridField(8, 2, np.ones(64)))
         assert spec.coeffs[0] == pytest.approx(8.0)
         assert np.max(np.abs(spec.coeffs[1:])) == 0.0
 
     def test_delta_field(self):
         vals = np.zeros(64)
         vals[0] = 1.0
-        spec = forward_dft(GridField.from_real(8, 2, vals))
+        spec = forward_dft(GridField(8, 2, vals))
         assert np.allclose(spec.coeffs, 1.0 / 8.0, atol=1e-15)
 
     def test_cosine_against_direct_summation(self):
@@ -34,7 +34,7 @@ class TestForwardDft:
         x = np.arange(n)
         x1, _ = np.meshgrid(x, x, indexing="ij")
         vals = np.cos(2 * np.pi * x1 / n).ravel()
-        fld = GridField.from_real(n, 2, vals)
+        fld = GridField(n, 2, vals)
         spec = forward_dft(fld)
         expected = dft_direct(fld.values, n, 2)
         assert np.max(np.abs(spec.coeffs - expected)) < 1e-10
@@ -47,11 +47,7 @@ class TestForwardDft:
 
     def test_length_mismatch_is_structural(self):
         with pytest.raises(StructuralError):
-            GridField.from_real(8, 2, np.ones(63))
-
-    def test_realness_flag_enforced(self):
-        with pytest.raises(StructuralError):
-            GridField(side=4, dims=1, values=np.ones(4) * (1 + 1j), is_real=True)
+            GridField(8, 2, np.ones(63))
 
 
 class TestInverseDft:
@@ -87,19 +83,19 @@ class TestParseval:
         for dims in (1, 2):
             for side in range(2, 65, 7):
                 vals = rng.standard_normal(side**dims)
-                fld = GridField.from_real(side, dims, vals)
+                fld = GridField(side, dims, vals)
                 spec = forward_dft(fld)
                 assert abs(spec.norm2 - fld.l2) <= 1e-10 * fld.l2
 
     def test_translation_modulation(self, rng):
         side = 12
         vals = rng.standard_normal(side * side)
-        fld = GridField.from_real(side, 2, vals)
+        fld = GridField(side, 2, vals)
         spec = forward_dft(fld)
         shift = (3, 7)
         shifted = np.roll(vals.reshape(side, side), shift=(-shift[0], -shift[1]), axis=(0, 1))
         # translated g(x) = g(x + shift): coefficient picks up chi(shift . m)
-        spec_shift = forward_dft(GridField.from_real(side, 2, shifted.ravel()))
+        spec_shift = forward_dft(GridField(side, 2, shifted.ravel()))
         m = np.stack(np.unravel_index(np.arange(side * side), (side, side)), axis=1)
         factor = np.exp(2j * np.pi * (m @ shift) / side)
         assert np.max(np.abs(spec_shift.coeffs - factor * spec.coeffs)) <= 1e-12 * spec.norm2
@@ -107,20 +103,20 @@ class TestParseval:
 
 class TestFourierRatio:
     def test_constant_is_one(self):
-        spec = forward_dft(GridField.from_real(8, 2, 3.7 * np.ones(64)))
+        spec = forward_dft(GridField(8, 2, 3.7 * np.ones(64)))
         assert fourier_ratio(spec) == pytest.approx(1.0, abs=1e-12)
 
     def test_delta_field_is_sqrt_d(self):
         vals = np.zeros(64)
         vals[5] = 2.0
-        spec = forward_dft(GridField.from_real(8, 2, vals))
+        spec = forward_dft(GridField(8, 2, vals))
         assert fourier_ratio(spec) == pytest.approx(8.0, rel=1e-12)
 
     def test_cosine_is_sqrt2(self):
         n = 16
         x = np.arange(n)
         x1, _ = np.meshgrid(x, x, indexing="ij")
-        spec = forward_dft(GridField.from_real(n, 2, np.cos(2 * np.pi * x1 / n).ravel()))
+        spec = forward_dft(GridField(n, 2, np.cos(2 * np.pi * x1 / n).ravel()))
         assert fourier_ratio(spec) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_bounds_and_one_sparse_equality(self, rng):

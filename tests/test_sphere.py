@@ -12,7 +12,7 @@ import sphere_reference as ref
 from frkit.battery import build_sphere_battery
 from frkit.cli import main
 from frkit.errors import DomainError, StructuralError
-from frkit.sampling import draw_sphere_points, rng_from_seed
+from frkit.sampling import draw_sphere_points, rng_from_seed, sample_size
 from frkit.sphere import (
     QuadratureRule,
     SphericalSignal,
@@ -24,7 +24,6 @@ from frkit.sphere import (
     estimate_sphere_norms,
     laplacian,
     lm_to_index,
-    sample_size_sphere,
     sphere_fourier_ratio,
     synthesize,
     verify_sphere_fr_bound,
@@ -141,8 +140,8 @@ class TestAnalyzeSynthesize:
         sig = SphericalSignal(bandwidth, coeffs)
         rule = build_quadrature(bandwidth)
         got = analyze(synthesize(sig, rule.theta, rule.phi), rule, bandwidth)
-        assert got.coefficient(2, 1) == pytest.approx(3.0, rel=1e-12)
-        assert got.coefficient(5, -3) == pytest.approx(-1.0, rel=1e-12)
+        assert got.coeffs[lm_to_index(2, 1)] == pytest.approx(3.0, rel=1e-12)
+        assert got.coeffs[lm_to_index(5, -3)] == pytest.approx(-1.0, rel=1e-12)
         assert np.linalg.norm(got.coeffs - coeffs) < 1e-11
 
     def test_roundtrip_random_v6(self, rng):
@@ -174,7 +173,7 @@ class TestAnalyzeSynthesize:
     def test_analyze_accepts_evaluator(self):
         rule = build_quadrature(2)
         sig = analyze(lambda t, p: np.cos(t) * math.sqrt(3.0 / FOUR_PI), rule, 2)
-        assert sig.coefficient(1, 0) == pytest.approx(1.0, rel=1e-12)
+        assert sig.coeffs[lm_to_index(1, 0)] == pytest.approx(1.0, rel=1e-12)
 
     def test_node_count_mismatch(self):
         rule = build_quadrature(2)
@@ -185,6 +184,14 @@ class TestAnalyzeSynthesize:
         rule = build_quadrature(2)
         with pytest.raises(DomainError):
             analyze(np.ones(len(rule)), rule, 3)
+
+    def test_signal_refuses_imaginary_parts(self):
+        for coeffs in ([1, 0, 0, 1j], np.array([1, 0, 0, 1j])):
+            with pytest.raises(StructuralError, match="imaginary"):
+                SphericalSignal(1, coeffs)
+        sig = SphericalSignal(1, np.array([1, 0, 0, 2], dtype=complex))
+        assert sig.coeffs.dtype == np.float64
+        assert np.array_equal(sig.coeffs, [1.0, 0.0, 0.0, 2.0])
 
 
 class TestSpectralIdentities:
@@ -436,12 +443,12 @@ class TestSphereFrBound:
         bat = build_sphere_battery(4)
         chk = verify_sphere_fr_bound(bat["y00"])
         assert chk.fr_measured == pytest.approx(1.0, abs=1e-14)
-        assert chk.holds
+        assert chk.slack >= 0.0
 
     def test_decay_battery_l16(self):
         bat = build_sphere_battery(16)
         chk = verify_sphere_fr_bound(bat["decay_e"])
-        assert chk.holds
+        assert chk.slack >= 0.0
 
     def test_flat_spectrum_fr_is_l_plus_one(self):
         bandwidth = 6
@@ -456,17 +463,17 @@ class TestSphereFrBound:
 
 class TestSampleSizeSphere:
     def test_arithmetic_example(self):
-        q = sample_size_sphere(5.0, 0.1, 16, 1.0)
+        q = sample_size(5.0, 0.1, 17**2, 1.0)
         assert q == math.ceil(2500 * math.log(50) ** 2 * math.log(289))
 
     def test_small_eps_edge(self):
-        q = sample_size_sphere(1.0, 0.49, 2, 1.0)
+        q = sample_size(1.0, 0.49, 3**2, 1.0)
         assert q >= 1
 
     def test_r1_quarter(self):
-        q = sample_size_sphere(1.0, 0.25, 8, 1.0)
+        q = sample_size(1.0, 0.25, 9**2, 1.0)
         assert q == math.ceil(16 * math.log(4) ** 2 * math.log(81))
 
     def test_eps_domain(self):
         with pytest.raises(DomainError):
-            sample_size_sphere(1.0, 0.5, 8, 1.0)
+            sample_size(1.0, 0.5, 9**2, 1.0)
