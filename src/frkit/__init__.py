@@ -1,13 +1,6 @@
 """Fourier-ratio bounds for smooth signals and l1 recovery from random samples."""
 
-from .spectral import (
-    GridField,
-    SpectralVector,
-    best_s_truncation,
-    forward_dft,
-    fourier_ratio,
-    inverse_dft,
-)
+from .spectral import best_s_truncation, forward_dft, fourier_ratio, inverse_dft
 from .torus import (
     FrBoundReport,
     NormData,
@@ -30,7 +23,6 @@ from .sphere import (
     build_quadrature,
     compute_rl,
     estimate_sphere_norms,
-    sphere_fourier_ratio,
     synthesize,
     verify_sphere_fr_bound,
 )

@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fn", nargs="+", default=["all"], help="battery names or 'all'")
         p.add_argument("--n", nargs="+", type=int, default=[], help="grid sides N")
         p.add_argument("--l", nargs="+", type=int, default=[], help="bandwidths L")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=int, default=0, help="master seed (>= 0)")
         p.add_argument("--out", help="also write CSV here")
         if recovery:
             p.add_argument("--eps", nargs="+", type=float, default=[0.1])
@@ -402,6 +402,7 @@ def main(argv=None) -> int:
         if args.config:
             # the command, then the file's flags, then the rest of the command line
             args = parser.parse_args(argv[:1] + _config_tokens(args.config, args) + argv[1:])
+        _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
         return args.handler(args, _config_hash(args))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1

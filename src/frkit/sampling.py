@@ -1,5 +1,9 @@
 """Sample sizes and reproducible random sampling: grid subsets, sphere points.
 
+The torus is Z_N^2: a torus sample is a set of distinct grid points, kept by
+row-major flat index. A sphere sample is i.i.d. area-uniform points, with
+repetitions allowed.
+
 sample_size is the one sample-size formula of both settings. All randomness
 flows through numpy's Philox counter-based generator keyed by an explicit
 64-bit seed, so any sample can be regenerated exactly from the seed recorded
@@ -46,17 +50,16 @@ def spawn_seeds(master_seed: int, count: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Distinct grid points of Z_N^d, sorted by row-major flat index."""
+    """Distinct grid points of Z_N^2, sorted by row-major flat index."""
 
     side: int
-    dims: int
     flat: np.ndarray
 
     def __post_init__(self):
         flat = np.array(self.flat, dtype=np.int64)
         flat.setflags(write=False)
         object.__setattr__(self, "flat", flat)
-        if flat.size and (flat.min() < 0 or flat.max() >= self.side**self.dims):
+        if flat.size and (flat.min() < 0 or flat.max() >= self.side**2):
             raise StructuralError("sample indices out of grid range")
         if flat.size != np.unique(flat).size:
             raise StructuralError("sample indices must be distinct")
@@ -86,19 +89,19 @@ class SampleMultiset:
         return int(self.theta.size)
 
 
-def draw_subset(side: int, dims: int, k: int, seed: int) -> SampleSet:
-    """Uniform size-k subset of Z_N^d via partial Fisher-Yates over the index space."""
-    total = side**dims
+def draw_subset(side: int, k: int, seed: int) -> SampleSet:
+    """Uniform size-k subset of Z_N^2 via partial Fisher-Yates over the index space."""
+    total = side**2
     if not 0 <= k <= total:
         raise DomainError(f"subset size must lie in [0, {total}], got {k}")
     if k == total:
-        return SampleSet(side=side, dims=dims, flat=np.arange(total))
+        return SampleSet(side=side, flat=np.arange(total))
     rng = rng_from_seed(seed)
     pool = np.arange(total, dtype=np.int64)
     for i in range(k):
         j = i + int(rng.integers(0, total - i))
         pool[i], pool[j] = pool[j], pool[i]
-    return SampleSet(side=side, dims=dims, flat=np.sort(pool[:k]))
+    return SampleSet(side=side, flat=np.sort(pool[:k]))
 
 
 def draw_sphere_points(q: int, seed: int) -> SampleMultiset:

@@ -4,7 +4,11 @@ The solver is a first-order primal-dual splitting (Chambolle-Pock) on
 min ||a||_1  s.t.  ||A a - y||_2 <= delta,  whose proximal steps are
 soft-thresholding and projection onto the l2 ball. check_kkt and duality_gap
 certify a candidate independently of how it was found. recover_torus and
-recover_sphere run bound -> sample size -> sample -> solve -> report.
+recover_sphere run bound -> sample size -> sample -> solve -> report, and
+both end in one measure-and-score step: the truth's coefficients, in the
+operator's layout, give the measurements y = A truth, the fidelity radius
+delta = eps ||truth|| and rel_error = ||a - truth|| / ||truth||, which by
+Parseval is the relative L2 error of the field too.
 
 The loop restarts adaptively to the running average, as in PDLP (Applegate
 et al., "Practical large-scale linear programming using primal-dual hybrid
@@ -36,16 +40,15 @@ The sphere matrix, its measurements and its truth are real, so
 make_sphere_operator declares float64 coefficients and the whole sphere solve
 runs in real arithmetic.
 
-A real torus field has a Hermitian spectrum, a[-k] = conj(a[k]), so the
-torus operator acts on its rfftn half only: the N^(d-1) x (N//2+1)
-coefficients with last-axis index 0..N//2. Each stored coefficient carries a
-weight, the number of full-spectrum coefficients it stands for: 1 in the
-self-conjugate columns (last-axis index 0, and N/2 when N is even), 2
-elsewhere. The solver's coefficient norms and l1 objective are weighted sums,
-so its iterates are the half of the full-spectrum iterates, at half the FFT
-and elementwise work. Complex torus data has no half and is refused. Reports
-always carry the full unitary spectrum, expanded from the half by Hermitian
-symmetry.
+A real field on Z_N^2 has a Hermitian spectrum, a[-k] = conj(a[k]), so the
+torus operator acts on its rfft2 half only: the N x (N//2+1) coefficients
+with column index 0..N//2. Each stored coefficient carries a weight, the
+number of full-spectrum coefficients it stands for: 1 in the self-conjugate
+columns (0, and N/2 when N is even), 2 elsewhere. The solver's coefficient
+norms and l1 objective are weighted sums, so its iterates are the half of
+the full-spectrum iterates, at half the FFT and elementwise work. Complex
+torus data has no half and is refused. Reports always carry the full N^2
+unitary spectrum, expanded from the half by Hermitian symmetry.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from .errors import (
 from .sampling import (
     SampleMultiset, SampleSet, draw_sphere_points, draw_subset, rng_from_seed, sample_size,
 )
-from .spectral import forward_dft, fourier_ratio, inverse_dft, SpectralVector
+from .spectral import forward_dft, fourier_ratio
+from .spectral import inverse_dft  # noqa: F401 - perfbench traces frkit.solver.inverse_dft
 from . import sphere as sph
 from . import torus as tor
 
@@ -173,51 +177,45 @@ def _as_flat(x, dtype: np.dtype, what: str) -> np.ndarray:
     return x.astype(dtype, copy=False)
 
 
-def _hermitian_full(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Rebuild the flat full spectrum from its rfftn half via a[-k] = conj(a[k])."""
-    side = shape[-1]
-    half = half.reshape(shape[:-1] + (side // 2 + 1,))
-    # full last-axis index j = side//2+1 .. side-1 holds conj of half index side-j
-    mirror = np.conj(half[..., side - half.shape[-1]:0:-1])
-    for axis in range(len(shape) - 1):
-        mirror = np.roll(np.flip(mirror, axis), 1, axis)  # index k -> -k mod side
-    return np.concatenate([half, mirror], axis=-1).ravel()
+def _hermitian_full(half: np.ndarray, side: int) -> np.ndarray:
+    """Rebuild the flat N x N spectrum from its rfft2 half via a[-k] = conj(a[k])."""
+    half = half.reshape(side, side // 2 + 1)
+    # full column j = side//2+1 .. side-1 holds conj of half column side-j, rows k -> -k
+    mirror = np.roll(np.flip(np.conj(half[:, side - half.shape[1]:0:-1]), 0), 1, 0)
+    return np.concatenate([half, mirror], axis=1).ravel()
 
 
 def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
-    """Restriction of the unitary synthesis map of a real field to the sampled grid points.
+    """Restriction of the unitary synthesis map of a real field on Z_N^2 to the sample.
 
-    The operator acts on the rfftn half spectrum (last axis cut to N//2+1
-    entries). Forward is irfftn times N^(d/2), sampled to real values; the
-    adjoint is rfftn of the zero-embedded real values over N^(d/2). Its
-    weights are 1 on the self-conjugate last-axis indices (0, and N/2 for
-    even N) and 2 elsewhere, expand() returns the full spectrum, and its
-    norm is exactly 1 (row restriction of a unitary map).
+    The operator acts on the rfft2 half spectrum (second axis cut to N//2+1
+    entries). Forward is irfftn times N, sampled to real values; the
+    adjoint is rfftn of the zero-embedded real values over N. Its weights
+    are 1 on the self-conjugate columns (0, and N/2 for even N) and 2
+    elsewhere, expand() returns the full spectrum, and its norm is exactly 1
+    (row restriction of a unitary map).
     """
-    side, dims = sample.side, sample.dims
-    shape = (side,) * dims
-    half_shape = shape[:-1] + (side // 2 + 1,)
-    axes = tuple(range(dims))
-    scale = side ** (dims / 2.0)
-    flat = sample.flat
-    last = np.arange(half_shape[-1])
+    side, flat = sample.side, sample.flat
+    shape, half_shape = (side, side), (side, side // 2 + 1)
+    scale = float(side)
+    last = np.arange(half_shape[1])
     weights = np.broadcast_to(
         np.where((last == 0) | (2 * last == side), 1.0, 2.0), half_shape
     ).ravel()
     weights.setflags(write=False)
 
     def forward(a: np.ndarray) -> np.ndarray:
-        fld = np.fft.irfftn(a.reshape(half_shape), s=shape, axes=axes)
+        fld = np.fft.irfftn(a.reshape(half_shape), s=shape, axes=(0, 1))
         return fld.ravel()[flat] * scale
 
     def adjoint(y: np.ndarray) -> np.ndarray:
-        emb = np.zeros(side**dims)
+        emb = np.zeros(side * side)
         emb[flat] = y / scale
         return np.fft.rfftn(emb.reshape(shape)).ravel()
 
     return MeasurementOperator(
         forward, adjoint, shape=(len(sample), weights.size), norm_bound=1.0,
-        weights=weights, expand=lambda a: _hermitian_full(a, shape),
+        weights=weights, expand=lambda a: _hermitian_full(a, side),
     )
 
 
@@ -484,14 +482,19 @@ def check_kkt(
 ) -> float:
     """Violation of the l1 subdifferential conditions at a feasible candidate.
 
-    Builds the dual variable from the residual direction: with
-    nu = lambda * direction and lambda = 1/||A^H d||_inf, dual feasibility
+    For delta > 0 the dual variable comes from the residual direction d:
+    with nu = lambda * d and lambda = 1/||A^H d||_inf, dual feasibility
     |(A^H nu)_i| <= 1 holds by construction. Returned is the larger of the
     worst deviation of (A^H nu)_i from the phase of a_i over the support and
-    the complementary slackness defect |  ||rho|| - delta | (when the dual is
-    active). Entries below KKT_SUPPORT_RTOL * ||a||_inf count as numerical
-    zeros, for which the subdifferential condition is the (exact)
-    dual-feasibility bound.
+    the complementary slackness defect | ||rho|| - delta |.
+
+    For delta = 0 (or a zero residual, which has no direction) nu is the
+    least-squares solution of A_S^H nu = phase(a_S) on the support S, from
+    op.to_dense(). Returned is the larger of the worst deviation of A^H nu
+    from the phases on S and the worst excess of |(A^H nu)_i| over 1 off S.
+
+    Entries below KKT_SUPPORT_RTOL * ||a||_inf count as numerical zeros, for
+    which the subdifferential condition is the (exact) dual-feasibility bound.
     """
     y = op.measurements(y)
     a = op.coefficients(a)
@@ -511,24 +514,22 @@ def check_kkt(
         return 1.0
 
     support = np.abs(a) > KKT_SUPPORT_RTOL * amax
-    if r <= 1e-14 * y_scale:
-        # delta = 0 with exact fit: find a least-squares dual certificate
-        mat = op.to_dense()
-        target = np.zeros_like(a)
-        target[support] = a[support] / np.abs(a[support])
-        nu, *_ = np.linalg.lstsq(mat.conj().T, target, rcond=None)
-        g = mat.conj().T @ nu
-    else:
-        d = -rho / r
-        g = op.adjoint(d)
+    phases = a[support] / np.abs(a[support])
+    if delta == 0.0 or r == 0.0:
+        mat_h = op.to_dense().conj().T
+        nu, *_ = np.linalg.lstsq(mat_h[support], phases, rcond=None)
+        g = mat_h @ nu
+        return max(
+            float(np.max(np.abs(g[support] - phases))),
+            float(np.max(np.abs(g[~support]), initial=1.0)) - 1.0,
+        )
+    g = op.adjoint(-rho / r)
     ginf = float(np.max(np.abs(g)))
     if ginf == 0.0:
         return 1.0
     lam = 1.0 / ginf
-    phases = a[support] / np.abs(a[support])
     support_viol = float(np.max(np.abs(lam * g[support] - phases)))
-    slack_viol = abs(r - delta) / max(1.0, delta) if delta > 0 else 0.0
-    return max(support_viol, slack_viol)
+    return max(support_viol, abs(r - delta) / max(1.0, delta))
 
 
 def duality_gap(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray) -> float:
@@ -574,29 +575,24 @@ def _sample_ratio(
 
 
 def _recover(
-    op: MeasurementOperator,
-    y: np.ndarray,
-    truth: np.ndarray,
-    truth_norm: float,
-    to_truth_space: Callable[[np.ndarray], np.ndarray],
-    exact_fit: bool,
-    **fields,
+    op: MeasurementOperator, truth: np.ndarray, exact_fit: bool, **fields
 ) -> RecoveryReport:
-    """Solve for the coefficients and score them against the real-valued truth.
+    """Measure the truth, solve for its coefficients and score them.
 
-    The fidelity radius is eps ||truth||, or 0 for an exact fit. The report
-    carries the full coefficient vector, op.expand of the solver's.
-    to_truth_space maps it to the representation truth is stored in, whose
-    real part gives rel_error. fields are the remaining RecoveryReport fields,
-    eps among them.
+    truth is the coefficient vector in the operator's own layout. The
+    measurements are op.forward(truth), the fidelity radius is
+    eps * op.coef_norm(truth), or 0 for an exact fit, and rel_error is
+    op.coef_norm(a - truth) / op.coef_norm(truth): by Parseval the relative L2
+    error of the field as well. The report carries op.expand of the solver's
+    coefficients. fields are the remaining RecoveryReport fields, eps among them.
     """
+    truth_norm = op.coef_norm(truth)
     delta = 0.0 if exact_fit else fields["eps"] * truth_norm
-    solution = solve_bpdn(op, y, SolverConfig(delta=delta))
-    solution = replace(solution, coefficients=op.expand(solution.coefficients))
-    recovered = to_truth_space(solution.coefficients)
+    solution = solve_bpdn(op, op.forward(truth), SolverConfig(delta=delta))
+    a = solution.coefficients
     return RecoveryReport(
-        **vars(solution),
-        rel_error=float(np.linalg.norm(recovered.real - truth) / truth_norm),
+        **vars(replace(solution, coefficients=op.expand(a))),
+        rel_error=op.coef_norm(a - truth) / truth_norm,
         sample_size=op.shape[0],
         **fields,
     )
@@ -614,7 +610,7 @@ def recover_torus(
 ) -> RecoveryReport:
     """Recover the discretized field from a random subset of its values.
 
-    The field is solved on its rfftn half spectrum; the report carries the
+    The field is solved on its rfft2 half spectrum; the report carries the
     full N^2 unitary spectrum.
 
     ratio_source picks what enters the sample-size formula: the certified
@@ -630,14 +626,13 @@ def recover_torus(
             f"{f.name} at N={side} fails N L2^2 >= 8 C2^2; "
             "pass allow_uncertified=True to override"
         )
-    g = tor.discretize(f, side)
-    ratio, _ = _sample_ratio(ratio_source, fourier_ratio(forward_dft(g)), lambda: rn)
+    spectrum = forward_dft(tor.discretize(f, side))
+    ratio, _ = _sample_ratio(ratio_source, fourier_ratio(spectrum), lambda: rn)
     total = side * side
     size = sample_size(ratio, eps, total, c_univ)
-    sample = draw_subset(side, 2, min(size, total), seed)
+    sample = draw_subset(side, min(size, total), seed)
     return _recover(
-        make_torus_operator(sample), g.values[sample.flat], g.values.real, g.l2,
-        lambda a: inverse_dft(SpectralVector(coeffs=a, side=side, dims=2)).values,
+        make_torus_operator(sample), spectrum[:, :side // 2 + 1].ravel(),
         exact_fit, setting="torus", size_param=side, eps=eps, c_univ=c_univ,
         seed=seed, clamped=size > total, norm_provenance=norms.provenance,
     )
@@ -654,17 +649,14 @@ def recover_sphere(
     """Recover a bandlimited sphere signal from i.i.d. uniform point samples."""
     bandwidth = signal.bandwidth
     ratio, provenance = _sample_ratio(
-        ratio_source, sph.sphere_fourier_ratio(signal),
+        ratio_source, fourier_ratio(signal.coeffs),
         lambda: sph.compute_rl(sph.estimate_sphere_norms(signal), bandwidth),
     )
     q = sample_size(ratio, eps, (bandwidth + 1) ** 2, c_univ)
     if q > Q_MAX:
         raise DomainError(f"sample size {q} exceeds configured q_max={Q_MAX}")
-    points = draw_sphere_points(q, seed)
     return _recover(
-        make_sphere_operator(points, bandwidth),
-        sph.synthesize(signal, points.theta, points.phi),
-        signal.coeffs, signal.l2, lambda a: a,
+        make_sphere_operator(draw_sphere_points(q, seed), bandwidth), signal.coeffs,
         exact_fit, setting="sphere", size_param=bandwidth, eps=eps, c_univ=c_univ,
         seed=seed, clamped=False, norm_provenance=provenance,
     )

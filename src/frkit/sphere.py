@@ -61,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, StructuralError
+from .spectral import fourier_ratio
 
 C0_SPHERE = 48.0 * math.sqrt(math.pi)
 SPHERE_AREA = 4.0 * math.pi
@@ -458,13 +459,6 @@ def compute_rl(norms: SphereNormData, bandwidth: int) -> SphereFrBoundReport:
     )
 
 
-def sphere_fourier_ratio(signal: SphericalSignal) -> float:
-    n2 = signal.l2
-    if n2 == 0.0:
-        raise DegenerateInputError("Fourier ratio undefined for the zero signal")
-    return float(np.sum(np.abs(signal.coeffs))) / n2
-
-
 @dataclass(frozen=True)
 class SphereFrCheck:
     report: SphereFrBoundReport
@@ -477,5 +471,5 @@ def verify_sphere_fr_bound(signal: SphericalSignal) -> SphereFrCheck:
     """Measured FR_L against r_L; slack >= 0 expected on the smooth battery."""
     norms = estimate_sphere_norms(signal)
     report = compute_rl(norms, signal.bandwidth)
-    fr = sphere_fourier_ratio(signal)
+    fr = fourier_ratio(signal.coeffs)
     return SphereFrCheck(report=report, fr_measured=fr, slack=report.r - fr, norms=norms)

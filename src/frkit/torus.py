@@ -25,13 +25,9 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     PeriodicityError,
+    StructuralError,
 )
-from .spectral import (
-    GridField,
-    forward_dft,
-    fourier_ratio,
-    wrapped_mag_sq_grid,
-)
+from .spectral import forward_dft, fourier_ratio, wrapped_mag_sq_grid
 
 SIXTEEN_PI_SQ = 16.0 * math.pi**2
 EIGHT_PI_SQ = 8.0 * math.pi**2
@@ -108,19 +104,22 @@ class FrBoundReport:
     provenance: str
 
 
-def discretize(f: SmoothFunctionSpec, side: int) -> GridField:
-    """g(x1, x2) = f(x1/N, x2/N) on the integer grid."""
+def discretize(f: SmoothFunctionSpec, side: int) -> np.ndarray:
+    """g(x1, x2) = f(x1/N, x2/N) on the integer grid: a read-only real (N, N) array."""
     if side < 2:
         raise DomainError(f"N must be >= 2, got {side}")
     u = np.arange(side) / side
     u1, u2 = np.meshgrid(u, u, indexing="ij")
-    vals = f(u1, u2)
+    vals = np.array(f(u1, u2), dtype=float)
+    if vals.shape != u1.shape:
+        raise StructuralError(f"{f.name}: evaluator gave shape {vals.shape}, not {u1.shape}")
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
         raise DataError(
             f"{f.name}: evaluator non-finite at u=({bad[0] / side}, {bad[1] / side})"
         )
-    return GridField(side=side, dims=2, values=vals)
+    vals.setflags(write=False)
+    return vals
 
 
 def estimate_norms(f: SmoothFunctionSpec, refinement: int = 256) -> NormData:
@@ -234,7 +233,7 @@ def verify_decay(
         norms = resolve_norms(f, side)
     spec = forward_dft(discretize(f, side))
     mag_sq = wrapped_mag_sq_grid(side, 2).astype(float)
-    ratios = np.abs(spec.coeffs.reshape(side, side)) * mag_sq / (side * norms.c2)
+    ratios = np.abs(spec) * mag_sq / (side * norms.c2)
     ratios[0, 0] = 0.0  # bound concerns m != 0 only
     worst = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     return DecayCheck(
@@ -258,7 +257,7 @@ def verify_riemann_lemma(
 ) -> RiemannCheck:
     if norms is None:
         norms = resolve_norms(h, side)
-    grid_mean = float(np.mean(discretize(h, side).values.real))
+    grid_mean = float(np.mean(discretize(h, side)))
     lhs = abs(grid_mean - norms.mean)
     rhs = (norms.grad_sups[0] + norms.grad_sups[1]) / side
     return RiemannCheck(lhs=lhs, rhs=rhs, passed=lhs <= rhs * (1.0 + 1e-6))
@@ -281,8 +280,8 @@ def verify_l2_lower_bound(
 ) -> L2LowerBoundCheck:
     if norms is None:
         norms = resolve_norms(f, side)
-    g = discretize(f, side)
-    energy = g.l2**2
+    g_l2 = float(np.linalg.norm(discretize(f, side)))
+    energy = g_l2**2
     lower = side**2 * norms.l2**2 - 4.0 * side * norms.c2**2
     certified = side * norms.l2**2 >= 8.0 * norms.c2**2
     sqrt_bound = side / math.sqrt(2.0) * norms.l2
@@ -293,5 +292,5 @@ def verify_l2_lower_bound(
         passed=energy >= lower - slack,
         certified=certified,
         sqrt_bound=sqrt_bound,
-        sqrt_passed=(not certified) or g.l2 >= sqrt_bound * (1.0 - 1e-12),
+        sqrt_passed=(not certified) or g_l2 >= sqrt_bound * (1.0 - 1e-12),
     )

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from frkit.battery import MIX5_TERMS, TORUS_BATTERY, build_sphere_battery, verify_torus_battery
-from frkit.sphere import lm_to_index, sphere_fourier_ratio
+from frkit.spectral import fourier_ratio
+from frkit.sphere import lm_to_index
 from frkit.torus import certification_threshold
 
 
@@ -53,7 +54,7 @@ def test_mix5_layout_and_fr():
         assert sig.coeffs[lm_to_index(l, m)] == v
     values = np.array([v for _, _, v in MIX5_TERMS])
     expected = values.sum() / math.sqrt(float((values**2).sum()))
-    assert sphere_fourier_ratio(sig) == pytest.approx(expected, rel=1e-14)
+    assert fourier_ratio(sig.coeffs) == pytest.approx(expected, rel=1e-14)
 
 
 def test_small_bandwidth_battery_drops_wide_entries():

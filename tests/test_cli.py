@@ -335,6 +335,18 @@ class TestSweepWorkers:
         assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    "sweep --setting torus --fn const1 --n 8",
+    "recover --setting torus --fn const1 --n 8",
+    "quadrature-check --l 2",
+])
+def test_negative_seed_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split(), "--seed", "-1")
+    assert code == 1
+    assert "config error" in err and "--seed" in err
+    assert out == ""
+
+
 class TestQuadratureCheck:
     def test_reports_small_deviations(self, capsys):
         code, out, _ = run_cli(capsys, "quadrature-check", "--l", "2", "4")

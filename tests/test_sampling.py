@@ -14,34 +14,34 @@ from frkit.sampling import (
 
 class TestDrawSubset:
     def test_full_grid(self):
-        s = draw_subset(4, 2, 16, seed=1)
+        s = draw_subset(4, 16, seed=1)
         assert np.array_equal(s.flat, np.arange(16))
 
     def test_empty(self):
-        s = draw_subset(4, 2, 0, seed=1)
+        s = draw_subset(4, 0, seed=1)
         assert len(s) == 0
 
     def test_distinct_sorted(self):
-        s = draw_subset(8, 2, 30, seed=99)
+        s = draw_subset(8, 30, seed=99)
         assert len(np.unique(s.flat)) == 30
         assert np.all(np.diff(s.flat) > 0)
 
     def test_determinism_and_regeneration(self):
-        a = draw_subset(16, 2, 50, seed=1234)
-        b = draw_subset(16, 2, 50, seed=1234)
-        c = draw_subset(16, 2, 50, seed=1235)
+        a = draw_subset(16, 50, seed=1234)
+        b = draw_subset(16, 50, seed=1234)
+        c = draw_subset(16, 50, seed=1235)
         assert np.array_equal(a.flat, b.flat)
         assert not np.array_equal(a.flat, c.flat)
 
     def test_oversized_rejected(self):
         with pytest.raises(DomainError):
-            draw_subset(4, 2, 17, seed=0)
+            draw_subset(4, 17, seed=0)
 
     def test_inclusion_frequency_and_chi_square(self):
         trials = 100_000
         counts = np.zeros(16)
         for seed in spawn_seeds(777, trials):
-            counts[draw_subset(4, 2, 8, seed).flat] += 1
+            counts[draw_subset(4, 8, seed).flat] += 1
         freq = counts / trials
         assert np.max(np.abs(freq - 0.5)) < 0.01
         stat = float(np.sum((counts - trials * 0.5) ** 2 / (trials * 0.5)))
@@ -86,11 +86,11 @@ class TestSeeds:
 class TestInvariantValidation:
     def test_sample_set_rejects_duplicates(self):
         with pytest.raises(StructuralError):
-            SampleSet(side=4, dims=2, flat=np.array([1, 1, 2]))
+            SampleSet(side=4, flat=np.array([1, 1, 2]))
 
     def test_sample_set_rejects_out_of_range(self):
         with pytest.raises(StructuralError):
-            SampleSet(side=4, dims=2, flat=np.array([16]))
+            SampleSet(side=4, flat=np.array([16]))
 
     def test_multiset_shape_check(self):
         with pytest.raises(StructuralError):

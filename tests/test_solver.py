@@ -29,7 +29,10 @@ from frkit.solver import (
     RECOVERY_HEADER,
     _soft_threshold,
 )
-from frkit.spectral import SpectralVector, inverse_dft
+from frkit.spectral import inverse_dft
+from frkit.sphere import synthesize
+from frkit.torus import discretize
+import frkit.solver as solver
 from bpdn_oracle import oracle_solve
 from conftest import dense_operator, random_bpdn_instance
 from torus_reference import dense_torus_matrix, full_torus_operator
@@ -37,7 +40,7 @@ from torus_reference import dense_torus_matrix, full_torus_operator
 
 class TestOperators:
     def test_torus_adjoint_consistency(self, rng):
-        sample = draw_subset(8, 2, 20, seed=4)
+        sample = draw_subset(8, 20, seed=4)
         op = full_torus_operator(sample)
         for _ in range(10):
             a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -47,14 +50,14 @@ class TestOperators:
             assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(y)
 
     def test_torus_norm_at_most_one(self, rng):
-        sample = draw_subset(8, 2, 37, seed=6)
+        sample = draw_subset(8, 37, seed=6)
         op = full_torus_operator(sample)
         for _ in range(20):
             a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
             assert np.linalg.norm(op.forward(a)) <= np.linalg.norm(a) * (1 + 1e-12)
 
     def test_torus_dense_matches_matfree(self, rng):
-        sample = draw_subset(4, 2, 9, seed=8)
+        sample = draw_subset(4, 9, seed=8)
         op = full_torus_operator(sample)
         mat = op.to_dense()
         a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -85,7 +88,7 @@ class TestOperators:
 
 def _real_bpdn_instance(side, seed):
     """A sample of Z_side^2, real observations on it and a 10% fidelity radius."""
-    sample = draw_subset(side, 2, side * side // 2, seed=seed)
+    sample = draw_subset(side, side * side // 2, seed=seed)
     y = rng_from_seed(seed).standard_normal(len(sample))
     return sample, y, 0.1 * float(np.linalg.norm(y))
 
@@ -139,7 +142,7 @@ class TestHalfSpectrumTorus:
         )
 
     def test_no_dense_form_and_real_data_only(self):
-        op = make_torus_operator(draw_subset(4, 2, 9, seed=8))
+        op = make_torus_operator(draw_subset(4, 9, seed=8))
         with pytest.raises(StructuralError, match="no dense matrix form"):
             op.to_dense()
         with pytest.raises(DataError, match="real measurements"):
@@ -242,7 +245,7 @@ def test_soft_threshold_matches_where_form_bitwise(rng):
 class TestSolveBpdn:
     def test_full_observation_delta_zero(self):
         side = 8
-        sample = draw_subset(side, 2, side * side, seed=0)
+        sample = draw_subset(side, side * side, seed=0)
         op = full_torus_operator(sample)
         rng = rng_from_seed(1)
         y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -258,9 +261,9 @@ class TestSolveBpdn:
             rng = rng_from_seed(seed)
             truth = np.zeros(64, dtype=complex)
             truth[int(rng.integers(64))] = rng.standard_normal() + 1j * rng.standard_normal()
-            field = inverse_dft(SpectralVector(coeffs=truth, side=side, dims=2))
-            sample = draw_subset(side, 2, 48, seed=seed)
-            rep = solve_bpdn(full_torus_operator(sample), field.values[sample.flat],
+            field = inverse_dft(truth.reshape(side, side)).ravel()
+            sample = draw_subset(side, 48, seed=seed)
+            rep = solve_bpdn(full_torus_operator(sample), field[sample.flat],
                              SolverConfig(delta=0.0))
             err = np.max(np.abs(rep.coefficients - truth))
             failures += err > 1e-6
@@ -271,10 +274,10 @@ class TestSolveBpdn:
         rng = rng_from_seed(33)
         truth = np.zeros(16, dtype=complex)
         truth[[1, 7, 12]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        field = inverse_dft(SpectralVector(coeffs=truth, side=side, dims=2))
-        g_norm = float(np.linalg.norm(field.values))
-        sample = draw_subset(side, 2, 12, seed=34)
-        y = field.values[sample.flat]
+        field = inverse_dft(truth.reshape(side, side)).ravel()
+        g_norm = float(np.linalg.norm(field))
+        sample = draw_subset(side, 12, seed=34)
+        y = field[sample.flat]
         delta = 0.01 * g_norm
         op = full_torus_operator(sample)
         rep = solve_bpdn(op, y, SolverConfig(delta=delta, tol=1e-10))
@@ -423,7 +426,37 @@ class TestOracle:
         )
 
 
+def _null_vector(mat):
+    """A unit vector v with mat @ v = 0 (mat has more columns than rows)."""
+    assert mat.shape[0] < mat.shape[1]
+    return np.linalg.svd(mat)[2][-1].conj()
+
+
 class TestCheckKkt:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_fit_solution_certifies(self, seed):
+        # delta = 0 certifies with the least-squares dual on the support, not
+        # with the direction of a residual that the solver leaves at ~1e-9
+        mat, y, _, _ = random_bpdn_instance(seed)
+        op = dense_operator(mat)
+        rep = solve_bpdn(op, y, SolverConfig(delta=0.0, tol=1e-9))
+        assert rep.converged
+        assert check_kkt(op, y, 0.0, rep.coefficients) <= 1e-7
+        # a feasible step along the null space leaves the l1 minimizer
+        bumped = rep.coefficients + 0.1 * _null_vector(mat)
+        assert check_kkt(op, y, 0.0, bumped) > 0.1
+
+    def test_exact_fit_torus_solution_certifies_on_full_spectrum(self):
+        sample = draw_subset(8, 16, seed=3)
+        half_op, full_op = make_torus_operator(sample), full_torus_operator(sample)
+        y = np.ones(16)  # const1 at the sample
+        rep = solve_bpdn(half_op, y, SolverConfig(delta=0.0))
+        assert rep.converged
+        expanded = half_op.expand(rep.coefficients)
+        assert check_kkt(full_op, y, 0.0, expanded) <= 1e-7
+        bumped = expanded + 0.1 * _null_vector(full_op.to_dense())
+        assert check_kkt(full_op, y, 0.0, bumped) > 0.1
+
     def test_oracle_output_certifies(self):
         mat, y, delta, _ = random_bpdn_instance(21)
         a = oracle_solve(mat, y, delta)
@@ -504,6 +537,52 @@ class TestRecoverTorus:
         assert len(fields) == len(RECOVERY_HEADER)
         assert fields[0] == "sphere"
         assert rep.norm_provenance == ""
+
+
+class TestSharedScoring:
+    """Both recover_* measure, set delta and score in one place; check it against the field."""
+
+    @staticmethod
+    def _spy_solves(monkeypatch):
+        calls = []
+
+        def spy(op, y, cfg):
+            calls.append((y, cfg.delta))
+            return solve_bpdn(op, y, cfg)
+
+        monkeypatch.setattr(solver, "solve_bpdn", spy)
+        return calls
+
+    def test_torus_cc_half(self, monkeypatch):
+        side, f = 16, TORUS_BATTERY["cc_half"]
+        calls = self._spy_solves(monkeypatch)
+        rep = recover_torus(f, side, 0.1, seed=7, c_univ=2**-6, allow_uncertified=True)
+        [(y, delta)] = calls
+        assert not rep.clamped and rep.coefficients.shape == (side * side,)
+        # scored as the benchmark rechecks it: the inverse DFT of the full
+        # spectrum against the evaluator
+        u = np.arange(side) / side
+        truth = f.evaluator(*np.meshgrid(u, u, indexing="ij"))
+        field = np.fft.ifftn(rep.coefficients.reshape(side, side)) * side
+        rel = np.linalg.norm(field.real - truth) / np.linalg.norm(truth)
+        assert rep.rel_error == pytest.approx(rel, rel=1e-12)
+        # measured at the field's values on the sample
+        g = discretize(f, side).ravel()
+        want = g[draw_subset(side, rep.sample_size, rep.seed).flat]
+        assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+        assert delta == pytest.approx(0.1 * np.linalg.norm(g), rel=1e-13)
+
+    def test_sphere_mix5(self, monkeypatch):
+        signal = build_sphere_battery(8)["mix5"]
+        calls = self._spy_solves(monkeypatch)
+        rep = recover_sphere(signal, 0.1, seed=11, c_univ=2**-6)
+        [(y, delta)] = calls
+        rel = np.linalg.norm(rep.coefficients.real - signal.coeffs) / np.linalg.norm(signal.coeffs)
+        assert rep.rel_error == pytest.approx(rel, rel=1e-12)
+        points = draw_sphere_points(rep.sample_size, rep.seed)
+        want = synthesize(signal, points.theta, points.phi)
+        assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+        assert delta == pytest.approx(0.1 * np.linalg.norm(signal.coeffs), rel=1e-13)
 
 
 class TestRecoverSphere:
