@@ -5,6 +5,8 @@ summation, exhaustive enumeration, and quadrature stand on their own so they
 can certify the fast implementations.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,23 @@ def dense_operator(mat, norm_bound=None):
         norm_bound=float(np.linalg.norm(mat, 2)) if norm_bound is None else norm_bound,
         dense=lambda: mat,
     )
+
+
+def counting_operator(op):
+    """A shallow copy of op that counts its forward and adjoint calls in .calls."""
+    counted = copy.copy(op)
+    counted.calls = {"forward": 0, "adjoint": 0}
+
+    def forward(a):
+        counted.calls["forward"] += 1
+        return op.forward(a)
+
+    def adjoint(y):
+        counted.calls["adjoint"] += 1
+        return op.adjoint(y)
+
+    counted.forward, counted.adjoint = forward, adjoint
+    return counted
 
 
 def random_bpdn_instance(seed, d_pool=(8, 16, 25, 36, 64)):
