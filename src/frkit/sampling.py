@@ -25,14 +25,15 @@ def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
     """ceil(C (r/eps)^2 ln(r/eps)^2 ln D): the sample size for D coefficients.
 
     D is N^2 on the torus, whose caller clamps the size to the grid, and
-    (L+1)^2 on the sphere, whose points are drawn with repetition.
+    (L+1)^2 on the sphere, whose points are drawn with repetition. r, eps
+    and C must be finite.
     """
     if not 0.0 < eps < 0.5:
-        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
-    if r < 1.0:
-        raise DomainError(f"r must be >= 1, got {r}")
-    if c_univ <= 0.0:
-        raise DomainError(f"C must be positive, got {c_univ}")
+        raise DomainError(f"eps must be finite and lie in (0, 1/2), got {eps}")
+    if not 1.0 <= r < math.inf:
+        raise DomainError(f"r must be finite and >= 1, got {r}")
+    if not 0.0 < c_univ < math.inf:
+        raise DomainError(f"C must be finite and positive, got {c_univ}")
     return int(math.ceil(c_univ * (r / eps) ** 2 * math.log(r / eps) ** 2 * math.log(dim)))
 
 

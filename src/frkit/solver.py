@@ -43,7 +43,13 @@ PDLP's theta = 0.5 moves either count by under 3%.
 
 The sphere matrix, its measurements and its truth are real, so
 make_sphere_operator declares float64 coefficients and the whole sphere solve
-runs in real arithmetic.
+runs in real arithmetic. Nearly all of a sphere iteration's cost is its two
+products with the q x (L+1)^2 matrix, so the operator stores the matrix once,
+harmonic-major (A^T, one contiguous row of point values per coefficient),
+and its forward product reads only the rows of the iterate's nonzeros. The
+iterate is soft-thresholded, and in recover_sphere's solves a median of
+0.5-3% of its coefficients are nonzero. The adjoint and the power
+iteration's forward act on dense vectors and take the full product.
 
 A real field on Z_N^2 has a Hermitian spectrum, a[-k] = conj(a[k]), so the
 torus operator acts on its rfft2 half only: the N x (N//2+1) coefficients
@@ -247,18 +253,31 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
     The real spherical harmonics make A real, so the operator acts on real
     coefficients and takes real measurements (dtype float64). That loses no
     minimizer: if a is feasible so is Re a, and ||Re a||_1 <= ||a||_1.
+
+    The one stored copy is A^T, harmonic-major: rows[(l,m)] holds Y_l^m at
+    every point, C-contiguous. The forward product reads only the rows of
+    the nonzero coefficients, a[nz] @ rows[nz], since the solver applies it
+    to soft-thresholded iterates; the adjoint is rows @ y and to_dense()
+    returns the view rows.T. The power iteration's vectors are dense, so its
+    forward is the plain product x @ rows.
     """
-    mat = sph.basis_matrix(bandwidth, points.theta, points.phi)
-    mat.setflags(write=False)  # to_dense hands out the operator's own matrix
-    mat_t = mat.T
-    forward, adjoint = (lambda a: mat @ a), (lambda y: mat_t @ y)
-    bound = power_norm_bound(forward, adjoint, dim=mat.shape[1])
+    rows = sph.basis_matrix(bandwidth, points.theta, points.phi).T
+    rows.setflags(write=False)  # to_dense hands out a view of the operator's own matrix
+
+    def forward(a: np.ndarray) -> np.ndarray:
+        nz = np.flatnonzero(a)
+        return a[nz] @ rows[nz]
+
+    def adjoint(y: np.ndarray) -> np.ndarray:
+        return rows @ y
+
+    bound = power_norm_bound(lambda x: x @ rows, adjoint, dim=rows.shape[0])
     return MeasurementOperator(
         forward=forward,
         adjoint=adjoint,
-        shape=mat.shape,
+        shape=rows.shape[::-1],
         norm_bound=max(bound, 1e-12),
-        dense=lambda: mat,
+        dense=lambda: rows.T,
         dtype=np.float64,
     )
 
@@ -272,10 +291,10 @@ class SolverConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise DomainError(f"feasibility radius must be >= 0, got {self.delta}")
-        if self.tol <= 0:
-            raise DomainError("tolerance must be positive")
+        if not 0.0 <= self.delta < math.inf:
+            raise DomainError(f"feasibility radius must be finite and >= 0, got {self.delta}")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -377,6 +396,7 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     delta >= ||y||, a = 0 is feasible and hence the minimizer: it is returned
     at once, with iterations 0 and no product. Non-convergence is reported,
     not raised; the coefficients returned are then T(x) of the last step.
+    Measurements with a NaN or infinite entry raise DataError.
     """
     y = op.measurements(y)
     n_meas, n_coef = op.shape
@@ -384,6 +404,8 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
         raise DataError(f"expected {n_meas} measurements, got {y.size}")
     delta = cfg.delta
     y_norm = float(np.linalg.norm(y))
+    if not math.isfinite(y_norm):
+        raise DataError(f"measurements must be finite, got norm {y_norm}")
     a = a_t = np.zeros(n_coef, dtype=op.dtype)
     feas = y_norm - delta  # ||A 0 - y|| - delta
     if feas <= 0.0:

@@ -34,7 +34,8 @@ Seljebotn, "libsharp", A&A 2013):
 Both need n_phi >= 2 lmax + 1, so that no order m <= lmax aliases in ph.
 synthesize and basis_matrix take scattered points: synthesis forms the same
 per-m sums and adds up cos/sin(m ph) point by point, and the basis matrix is
-built from the table; both work in chunks of points sized so that one table
+built from the table, harmonic-major (one row of point values per harmonic,
+returned transposed); both work in chunks of points sized so that one table
 or basis block holds a fixed number of entries, which bounds their memory.
 
 What depends on L only is built once per L and cached, read-only, for the
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, StructuralError
+from .errors import DataError, DegenerateInputError, DomainError, StructuralError
 from .spectral import fourier_ratio
 
 C0_SPHERE = 48.0 * math.sqrt(math.pi)
@@ -100,6 +101,8 @@ class SphericalSignal:
                 f"bandwidth {self.bandwidth} needs {(self.bandwidth + 1) ** 2} "
                 f"coefficients, got {coeffs.size}"
             )
+        if not np.all(np.isfinite(coeffs)):
+            raise DataError("harmonic coefficients must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -292,28 +295,31 @@ def _point_synthesis(
     return f_cos[0] + math.sqrt(2.0) * np.sum(trig, axis=0)
 
 
-def _basis_rows(lmax: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """((lmax+1)^2, npoints) basis values, one row per harmonic."""
+def _fill_basis_rows(out: np.ndarray, lmax: int, theta: np.ndarray, phi: np.ndarray) -> None:
+    """Write the basis values into out, ((lmax+1)^2, npoints): one row per harmonic."""
     table = _legendre_table(lmax, theta)
     i_cos, i_sin, valid = _table_index(lmax)
     m_phi = np.arange(lmax + 1)[:, None] * phi
     cos_m = math.sqrt(2.0) * np.cos(m_phi)
     cos_m[0] = 1.0
     sin_m = math.sqrt(2.0) * np.sin(m_phi)
-    out = np.empty(((lmax + 1) ** 2, theta.size))
     out[i_sin[valid]] = (table * sin_m[:, None, :])[valid]
     out[i_cos[valid]] = (table * cos_m[:, None, :])[valid]  # overwrites the m = 0 sin rows
-    return out
 
 
 def basis_matrix(bandwidth: int, theta, phi) -> np.ndarray:
-    """Dense (npoints, (L+1)^2) matrix of basis values; desk-scale only."""
+    """Dense (npoints, (L+1)^2) matrix of basis values; desk-scale only.
+
+    It is built harmonic-major, one C-contiguous row of point values per
+    harmonic, and returned as that array's transpose, a view: its .T is the
+    ((L+1)^2, npoints) row array itself, with no copy.
+    """
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
-    out = np.empty((theta.size, (bandwidth + 1) ** 2))
+    rows = np.empty(((bandwidth + 1) ** 2, theta.size))
     for part in _point_chunks(theta.size, bandwidth):
-        out[part] = _basis_rows(bandwidth, theta[part], phi[part]).T
-    return out
+        _fill_basis_rows(rows[:, part], bandwidth, theta[part], phi[part])
+    return rows.T
 
 
 def analyze(values_or_fn, rule: QuadratureRule, bandwidth: int) -> SphericalSignal:

@@ -347,6 +347,27 @@ def test_negative_seed_is_config_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("c_univ", ["nan", "inf"])
+def test_non_finite_c_univ_is_config_error(capsys, c_univ):
+    code, out, err = run_cli(capsys, "recover", "--setting", "sphere", "--fn", "y00",
+                             "--l", "2", "--c-univ", c_univ)
+    assert code == 1
+    assert "config error" in err and "finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("c_univ", ["nan", "inf"])
+def test_non_finite_c_univ_is_sweep_error_row(capsys, c_univ):
+    code, out, err = run_cli(capsys, "sweep", "--mode", "recover", "--setting", "sphere",
+                             "--fn", "y00", "--l", "2", "--c-univ", "0.01", c_univ,
+                             "--workers", "1")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    status = [r[header.index("status")] for r in rows]
+    assert status[0] == "ok"
+    assert status[1].startswith("error: C must be finite")
+
+
 class TestQuadratureCheck:
     def test_reports_small_deviations(self, capsys):
         code, out, _ = run_cli(capsys, "quadrature-check", "--l", "2", "4")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -8,6 +10,7 @@ from frkit.sampling import (
     SampleSet,
     draw_sphere_points,
     draw_subset,
+    sample_size,
     spawn_seeds,
 )
 
@@ -71,6 +74,15 @@ class TestDrawSpherePoints:
     def test_q_domain(self):
         with pytest.raises(DomainError):
             draw_sphere_points(0, seed=1)
+
+
+class TestSampleSize:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("arg", ["r", "eps", "c_univ"])
+    def test_non_finite_arguments_rejected(self, arg, bad):
+        args = {"r": 2.0, "eps": 0.1, "dim": 64, "c_univ": 1.0, arg: bad}
+        with pytest.raises(DomainError, match="finite"):
+            sample_size(**args)
 
 
 class TestSeeds:

@@ -85,6 +85,26 @@ class TestOperators:
             assert np.max(np.abs(op.forward(a) - want_fwd)) <= 1e-13 * np.max(np.abs(want_fwd))
             assert np.max(np.abs(op.adjoint(y) - want_adj)) <= 1e-13 * np.max(np.abs(want_adj))
 
+    def test_sphere_forward_over_nonzeros_matches_dense(self, rng):
+        # the forward product reads only the rows of a's nonzeros; every
+        # support shape must give the full product
+        op = make_sphere_operator(draw_sphere_points(120, seed=13), 6)
+        mat = op.to_dense()
+        zero = np.zeros(49)
+        assert np.array_equal(op.forward(zero), np.zeros(120))
+        one = zero.copy()
+        one[17] = -0.75
+        few = zero.copy()
+        few[[0, 5, 23, 48]] = [1.5, -2.0, 0.25, -0.5]
+        mixed = few.astype(complex)
+        mixed[[5, 30]] = [0.5 - 1.25j, -2j]
+        dense = rng.standard_normal(49)
+        for a in (one, few, mixed, dense):
+            want = mat @ a
+            got = op.forward(a)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
 
 def _real_bpdn_instance(side, seed):
     """A sample of Z_side^2, real observations on it and a 10% fidelity radius."""
@@ -336,6 +356,19 @@ class TestSolveBpdn:
     def test_negative_delta_rejected(self):
         with pytest.raises(DomainError):
             SolverConfig(delta=-1.0)
+
+    @pytest.mark.parametrize("field", ["delta", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            SolverConfig(**{"delta": 0.1, field: value})
+
+    def test_non_finite_measurements_rejected(self):
+        mat, y, delta, _ = random_bpdn_instance(3)
+        y = y.copy()
+        y[1] = math.nan
+        with pytest.raises(DataError, match="finite"):
+            solve_bpdn(dense_operator(mat), y, SolverConfig(delta=delta))
 
     def test_config_and_report_are_frozen(self):
         cfg = SolverConfig(delta=0.0)

@@ -11,7 +11,7 @@ import frkit.sphere as sph
 import sphere_reference as ref
 from frkit.battery import build_sphere_battery
 from frkit.cli import main
-from frkit.errors import DomainError, StructuralError
+from frkit.errors import DataError, DomainError, StructuralError
 from frkit.sampling import draw_sphere_points, rng_from_seed, sample_size
 from frkit.spectral import fourier_ratio
 from frkit.sphere import (
@@ -192,6 +192,11 @@ class TestAnalyzeSynthesize:
         sig = SphericalSignal(1, np.array([1, 0, 0, 2], dtype=complex))
         assert sig.coeffs.dtype == np.float64
         assert np.array_equal(sig.coeffs, [1.0, 0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_signal_refuses_non_finite_coefficients(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            SphericalSignal(1, [1.0, 0.0, bad, 0.5])
 
 
 class TestSpectralIdentities:
