@@ -256,6 +256,11 @@ def _sweep_row(task: tuple[int, int]) -> list[str]:
             + [config_hash, name, args.ratio, report.norm_provenance, "ok"])
 
 
+def _ascending(values: list[float]) -> list[float]:
+    """values in ascending order with NaN last; sorted() stops ordering at a NaN."""
+    return sorted(values, key=lambda v: (math.isnan(v), v))
+
+
 def cmd_sweep(args, config_hash: str) -> int:
     global _SWEEP
     _require(args.workers >= 1, "workers must be >= 1")
@@ -266,7 +271,7 @@ def cmd_sweep(args, config_hash: str) -> int:
 
     targets = _recovery_targets(args)
     cells = [(name, size, eps, c_univ) for name, size in sorted(targets)
-             for eps in sorted(args.eps) for c_univ in sorted(args.c_univ)]
+             for eps in _ascending(args.eps) for c_univ in _ascending(args.c_univ)]
     tasks = [(idx, seed) for idx, cell_seed in enumerate(spawn_seeds(args.seed, len(cells)))
              for seed in spawn_seeds(cell_seed, args.trials)]
     workers = min(args.workers, len(tasks))

@@ -99,8 +99,10 @@ def draw_subset(side: int, k: int, seed: int) -> SampleSet:
         return SampleSet(side=side, flat=np.arange(total))
     rng = rng_from_seed(seed)
     pool = np.arange(total, dtype=np.int64)
-    for i in range(k):
-        j = i + int(rng.integers(0, total - i))
+    # one call draws the k swap offsets, uniform on [0, total - i) for swap i
+    steps = np.arange(k)
+    targets = steps + rng.integers(0, total - steps)
+    for i, j in enumerate(targets.tolist()):
         pool[i], pool[j] = pool[j], pool[i]
     return SampleSet(side=side, flat=np.sort(pool[:k]))
 

@@ -24,11 +24,16 @@ restarts (r0 starts at infinity, and the last rule holds), which sets r0.
 Without restarts the anchored iteration does not reach tol = 1e-8 on the
 N=64 torus in 50,000 iterations; with them it takes about 200.
 
-The products A a and A^H z are carried beside the state and updated by the
-same linear combinations, so T costs one forward and one adjoint product and
-its residual is formed from differences of products already made. A check
-then costs no product, which is why it runs every CHECK_EVERY = 5
-iterations: a stop or a restart comes at most 4 iterations late.
+The loop carries z, the product A a and the prox input u = a - tau A^H z in
+place of a and A^H z: T(x) needs a only as soft(u, tau), and u takes the same
+linear combinations as a and A^H z while tau is fixed, which it is between
+restarts. A restart re-forms u from T(x) with the new tau; the anchor keeps
+T(x)'s coefficients for the restart distance. So T costs one forward and one
+adjoint product, its residual is formed from differences of arrays already
+made, and a step makes 12 passes over the coefficients: 5 to soft-threshold,
+2 to form u and 5 for the Halpern step. A check then costs no product, which
+is why it runs every CHECK_EVERY = 5 iterations: a stop or a restart comes
+at most 4 iterations late.
 
 The steps are balanced by PDLP's primal weight w: the dual step is
 sigma = eta * w and the primal step tau = eta / w, with eta = 0.99 / ||A||,
@@ -59,7 +64,12 @@ columns (0, and N/2 when N is even), 2 elsewhere. The solver's coefficient
 norms and l1 objective are weighted sums, so its iterates are the half of
 the full-spectrum iterates, at half the FFT and elementwise work. Complex
 torus data has no half and is refused. Reports always carry the full N^2
-unitary spectrum, expanded from the half by Hermitian symmetry.
+unitary spectrum, expanded from the half by Hermitian symmetry. As on the
+sphere, the torus forward product runs over the iterate's nonzeros only, a
+sum of nnz |X| phases, and falls back to an inverse FFT on dense iterates;
+in recover_torus's cc_half solves at N = 64 and 256 the median iterate has
+1 nonzero half-spectrum coefficient. The adjoint acts on a dense vector and
+stays an rfft2.
 """
 
 from __future__ import annotations
@@ -92,6 +102,12 @@ RESTART_ARTIFICIAL = 0.36
 PRIMAL_WEIGHT_SMOOTHING = 0.2
 
 CHECK_EVERY = 5  # iterations between stop and restart checks
+
+# make_torus_operator's forward sums over the iterate's nonzeros while
+# nnz * |X| <= TORUS_SPARSE_FORWARD_MAX * N^2, and takes an inverse FFT above.
+# The two cost the same at nnz * |X| / N^2 = 0.75-0.95 for (N, |X|) = (64, 50),
+# (64, 198), (256, 527), (256, 1053) and (512, 593) (one core of a 2-core VM).
+TORUS_SPARSE_FORWARD_MAX = 0.8
 
 # power_norm_bound: iterations and start-vector seed
 POWER_ITERS = 40
@@ -200,11 +216,20 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
     """Restriction of the unitary synthesis map of a real field on Z_N^2 to the sample.
 
     The operator acts on the rfft2 half spectrum (second axis cut to N//2+1
-    entries). Forward is irfftn times N, sampled to real values; the
-    adjoint is rfftn of the zero-embedded real values over N. Its weights
-    are 1 on the self-conjugate columns (0, and N/2 for even N) and 2
-    elsewhere, expand() returns the full spectrum, and its norm is exactly 1
-    (row restriction of a unitary map).
+    entries). Its weights are 1 on the self-conjugate columns (0, and N/2
+    for even N) and 2 elsewhere, expand() returns the full spectrum, and its
+    norm is exactly 1 (row restriction of a unitary map).
+
+    Forward sums over the nonzeros nz of a only: at the sample points x,
+    (A a)(x) = (1/N) sum_{k in nz} w_k Re(a_k e^{2 pi i (k1 x1 + k2 x2)/N}),
+    with cos and sin read from one table of the N-th roots of unity at
+    (k1 x1 + k2 x2) mod N. That costs O(nnz |X|) against the O(N^2 log N)
+    of an inverse FFT, and the solver's soft-thresholded iterates hold few
+    nonzeros. Gathering cos and sin one at a time, for two real products,
+    keeps its peak memory near the crossover at the inverse FFT's. Once
+    nnz |X| exceeds TORUS_SPARSE_FORWARD_MAX N^2 it takes irfftn times N,
+    sampled to real values, instead. The adjoint is rfftn of the
+    zero-embedded real values over N.
     """
     side, flat = sample.side, sample.flat
     shape, half_shape = (side, side), (side, side // 2 + 1)
@@ -214,10 +239,21 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
         np.where((last == 0) | (2 * last == side), 1.0, 2.0), half_shape
     ).ravel()
     weights.setflags(write=False)
+    x1, x2 = np.divmod(flat, side)
+    roots = np.exp(2j * np.pi * np.arange(side) / side)
+    cos, sin = roots.real, roots.imag
+    max_terms = TORUS_SPARSE_FORWARD_MAX * side * side
 
     def forward(a: np.ndarray) -> np.ndarray:
-        fld = np.fft.irfftn(a.reshape(half_shape), s=shape, axes=(0, 1))
-        return fld.ravel()[flat] * scale
+        nz = np.flatnonzero(a != 0)
+        if nz.size * flat.size > max_terms:
+            fld = np.fft.irfftn(a.reshape(half_shape), s=shape, axes=(0, 1))
+            return fld.ravel()[flat] * scale
+        k1, k2 = np.divmod(nz, half_shape[1])
+        phase = k1[:, None] * x1 + k2[:, None] * x2
+        phase %= side
+        c = a[nz] * (weights[nz] / scale)
+        return c.real @ cos[phase] - c.imag @ sin[phase]
 
     def adjoint(y: np.ndarray) -> np.ndarray:
         emb = np.zeros(side * side)
@@ -387,8 +423,9 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     op.coef_norm / op.coef_l1, and the returned coefficients are in the
     operator's own layout.
 
-    A a and A^H z are carried beside the state and combined like it, so each
-    step makes one forward and one adjoint product, and the checks make none.
+    The loop carries A a and the prox input u = a - tau A^H z instead of a
+    and A^H z (module docstring), so each step makes one forward and one
+    adjoint product, and the checks make none.
     Every CHECK_EVERY iterations the loop stops once the fixed-point residual
     of x is <= tol and T(x) is feasible, with ||A a+ - y|| - delta <=
     tol * max(1, ||y||), both from that step's fresh A a+. Otherwise it
@@ -406,18 +443,19 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     y_norm = float(np.linalg.norm(y))
     if not math.isfinite(y_norm):
         raise DataError(f"measurements must be finite, got norm {y_norm}")
-    a = a_t = np.zeros(n_coef, dtype=op.dtype)
+    a_t = np.zeros(n_coef, dtype=op.dtype)
     feas = y_norm - delta  # ||A 0 - y|| - delta
     if feas <= 0.0:
-        return _Solution(coefficients=a, objective=0.0, feasibility_residual=feas,
+        return _Solution(coefficients=a_t, objective=0.0, feasibility_residual=feas,
                          iterations=0, converged=True, restarts=0, primal_weight=1.0)
     eta = 0.99 / max(op.norm_bound, 1e-12)
     weight = 1.0  # primal weight: sigma = eta * weight, tau = eta / weight
     sigma = tau = eta
 
+    u = np.zeros(n_coef, dtype=op.dtype)  # prox input a - tau A^H z
     z = np.zeros(n_meas, dtype=y.dtype)
-    f, g = np.zeros_like(z), np.zeros_like(a)  # A a and A^H z
-    anchor = (a, z, f, g)  # the last restart point and its products
+    f = np.zeros_like(z)  # A a
+    anchor = (a_t, z, f, u)  # the last restart point, its product and prox input
     k = 0  # Halpern steps since the last restart
     res_restart = res_prev = math.inf  # residual at the last restart / last check
     last_restart = restarts = 0
@@ -425,16 +463,17 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     converged, it = False, 0
 
     for it in range(1, cfg.max_iter + 1):
-        # T(x) and its products: one forward, one adjoint
-        a_t = _soft_threshold(a - tau * g, tau)
+        # T(x), its forward product and its prox input: one forward, one adjoint
+        a_t = _soft_threshold(u, tau)
         f_t = op.forward(a_t)
         v = z + sigma * (2.0 * f_t - f - y)
         vnorm = float(np.linalg.norm(v))
         z_t = v * max(0.0, 1.0 - sigma * delta / vnorm) if delta > 0.0 and vnorm > 0.0 else v
         g_t = op.adjoint(z_t)
+        u_t = a_t - tau * g_t
         if it % CHECK_EVERY == 0 or it == cfg.max_iter:
             d_res = float(np.linalg.norm((z - z_t) / sigma - (f - f_t)))
-            p_res = op.coef_norm((a - a_t) / tau - (g - g_t))
+            p_res = op.coef_norm(u - u_t) / tau
             res = (p_res + d_res) / max(1.0, op.coef_norm(a_t), float(np.linalg.norm(z_t)))
             feas = float(np.linalg.norm(f_t - y)) - delta  # f_t is A a_t, made this step
             converged = res <= cfg.tol and feas <= feas_tol
@@ -454,16 +493,18 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
                         + (1.0 - PRIMAL_WEIGHT_SMOOTHING) * math.log(weight)
                     )
                     sigma, tau = eta * weight, eta / weight
-                a, z, f, g = anchor = (a_t, z_t, f_t, g_t)
+                    u_t = a_t - tau * g_t
+                z, f, u = z_t, f_t, u_t
+                anchor = (a_t, z, f, u)
                 k = 0
                 res_restart, last_restart = res, it
                 restarts += 1
                 continue
-        # Halpern step on the reflection 2T - I, products alongside
+        # Halpern step on the reflection 2T - I, product and prox input alongside
         lam = (k + 1) / (k + 2)
-        a, z, f, g = (
+        z, f, u = (
             lam * (2.0 * t - x) + (1.0 - lam) * x0
-            for t, x, x0 in zip((a_t, z_t, f_t, g_t), (a, z, f, g), anchor)
+            for t, x, x0 in zip((z_t, f_t, u_t), (z, f, u), anchor[1:])
         )
         k += 1
 

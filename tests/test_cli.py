@@ -368,6 +368,20 @@ def test_non_finite_c_univ_is_sweep_error_row(capsys, c_univ):
     assert status[1].startswith("error: C must be finite")
 
 
+def test_sweep_cell_order_ignores_nan_position(capsys):
+    # a NaN C cell is an error row; the cells must still come out ascending,
+    # NaN last, wherever the NaN sits on the command line
+    orders = []
+    for values in (["0.02", "nan", "0.01"], ["nan", "0.02", "0.01"], ["0.02", "0.01", "nan"]):
+        code, out, err = run_cli(capsys, "sweep", "--mode", "recover", "--setting", "torus",
+                                 "--fn", "const1", "--n", "8", "--allow-uncertified",
+                                 "--c-univ", *values, "--workers", "1")
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        orders.append([row[header.index("C_univ")] for row in rows])
+    assert orders == [["0.01", "0.02", "nan"]] * 3
+
+
 class TestQuadratureCheck:
     def test_reports_small_deviations(self, capsys):
         code, out, _ = run_cli(capsys, "quadrature-check", "--l", "2", "4")

@@ -10,6 +10,7 @@ from frkit.sampling import (
     SampleSet,
     draw_sphere_points,
     draw_subset,
+    rng_from_seed,
     sample_size,
     spawn_seeds,
 )
@@ -35,6 +36,22 @@ class TestDrawSubset:
         c = draw_subset(16, 50, seed=1235)
         assert np.array_equal(a.flat, b.flat)
         assert not np.array_equal(a.flat, c.flat)
+
+    @pytest.mark.parametrize("side, k", [(64, 50), (64, 198), (256, 1053), (8, 63), (512, 593)])
+    def test_same_sample_as_one_draw_per_swap(self, side, k):
+        # the swap offsets come from one vectorized draw; every recorded seed
+        # must still regenerate the sample of one scalar draw per swap
+        def scalar_draws(seed):
+            total = side * side
+            rng = rng_from_seed(seed)
+            pool = np.arange(total, dtype=np.int64)
+            for i in range(k):
+                j = i + int(rng.integers(0, total - i))
+                pool[i], pool[j] = pool[j], pool[i]
+            return np.sort(pool[:k])
+
+        for seed in [0, 1, 2, 2**63 + 5] + spawn_seeds(3, 3):
+            assert np.array_equal(draw_subset(side, k, seed).flat, scalar_draws(seed))
 
     def test_oversized_rejected(self):
         with pytest.raises(DomainError):

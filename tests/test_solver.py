@@ -17,6 +17,7 @@ from frkit.errors import (
 from frkit.sampling import draw_sphere_points, draw_subset, rng_from_seed, spawn_seeds
 from frkit.solver import (
     Q_MAX,
+    MeasurementOperator,
     SolverConfig,
     check_kkt,
     duality_gap,
@@ -136,6 +137,49 @@ class TestHalfSpectrumTorus:
         y = rng.standard_normal(len(sample))
         assert np.max(np.abs(op.expand(op.adjoint(y)) - dense.conj().T @ y)) <= 1e-12
 
+    @pytest.mark.parametrize("side", [8, 9, 64])
+    def test_sparse_forward_matches_dense_reference(self, side, monkeypatch):
+        # forward sums over a's nonzeros while nnz |X| <= TORUS_SPARSE_FORWARD_MAX N^2
+        # and takes irfftn above; both must give the dense product with the
+        # expanded spectrum, for nonzeros in every kind of column
+        sample = draw_subset(side, side * side // 2 if side < 64 else 200, seed=side)
+        op, dense = make_torus_operator(sample), dense_torus_matrix(sample)
+        irfftn, irfftn_calls = np.fft.irfftn, []
+
+        def counted_irfftn(*args, **kwargs):
+            irfftn_calls.append(1)
+            return irfftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfftn", counted_irfftn)
+        half = side // 2 + 1
+        rng = rng_from_seed(side)
+        crossover = solver.TORUS_SPARSE_FORWARD_MAX * side * side / len(sample)
+        columns = {"zero": [0], "interior": list(range(1, (side + 1) // 2))}
+        if side % 2 == 0:
+            columns["half"] = [side // 2]
+        supports = [[(k1, col)] for cols in columns.values() for col in cols[:2] for k1 in (0, 3)]
+        supports.append([(1, 0), (2, 1), (side - 1, half - 1), (side // 2, 2)])
+        full_positions = [(k1, k2) for k1 in range(side) for k2 in range(half)]
+        for many in (max(1, int(crossover) // 3), int(crossover) + 3, 3 * side):
+            picks = rng.choice(len(full_positions), size=min(many, len(full_positions)), replace=False)
+            supports.append([full_positions[i] for i in picks])
+        for support in supports:
+            # a Hermitian spectrum on support and its mirror, cut to the half
+            spec = np.zeros((side, side), dtype=complex)
+            for k1, k2 in support:
+                value = complex(rng.standard_normal(), rng.standard_normal())
+                if (-k1 % side, -k2 % side) == (k1, k2):
+                    value = value.real
+                spec[k1, k2] = value
+                spec[-k1 % side, -k2 % side] = np.conj(value)
+            a = spec[:, :half].ravel()
+            irfftn_calls.clear()
+            got = op.forward(a)
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - dense @ op.expand(a))) <= 1e-12
+            assert bool(irfftn_calls) == (np.count_nonzero(a) > crossover)
+        assert irfftn_calls  # the last support lies above the crossover
+
     @pytest.mark.parametrize("side", [8, 9])
     def test_matches_full_spectrum_solve(self, side):
         sample, y, delta = _real_bpdn_instance(side, seed=side)
@@ -190,6 +234,34 @@ class TestRestarts:
         assert check_kkt(full_op, y, delta, expanded) <= 1e-6
         a_oracle = oracle_solve(full_op.to_dense(), y, delta)
         assert np.max(np.abs(expanded - a_oracle)) <= 1e-6
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_torus_solve_matches_plain_fft_forward(self, seed, monkeypatch):
+        # the sparse forward changes how A a is summed, not the iteration
+        def plain_fft_operator(sample):
+            op = make_torus_operator(sample)
+            side, flat = sample.side, sample.flat
+
+            def forward(a):
+                fld = np.fft.irfftn(a.reshape(side, side // 2 + 1), s=(side, side), axes=(0, 1))
+                return fld.ravel()[flat] * side
+
+            return MeasurementOperator(
+                forward, op.adjoint, shape=op.shape, norm_bound=op.norm_bound,
+                weights=op.weights, expand=op.expand,
+            )
+
+        def solve():
+            return recover_torus(
+                TORUS_BATTERY["cc_half"], 64, 0.1, seed, c_univ=2**-8, allow_uncertified=True
+            )
+
+        sparse = solve()
+        monkeypatch.setattr(solver, "make_torus_operator", plain_fft_operator)
+        plain = solve()
+        assert sparse.converged and sparse.iterations > solver.CHECK_EVERY
+        assert (sparse.iterations, sparse.restarts) == (plain.iterations, plain.restarts)
+        assert np.max(np.abs(sparse.coefficients - plain.coefficients)) <= 1e-12
 
     def test_real_sphere_path_matches_complex_reference(self, rng):
         op = make_sphere_operator(draw_sphere_points(120, seed=31), 6)
