@@ -24,16 +24,29 @@ restarts (r0 starts at infinity, and the last rule holds), which sets r0.
 Without restarts the anchored iteration does not reach tol = 1e-8 on the
 N=64 torus in 50,000 iterations; with them it takes about 200.
 
-The loop carries z, the product A a and the prox input u = a - tau A^H z in
-place of a and A^H z: T(x) needs a only as soft(u, tau), and u takes the same
-linear combinations as a and A^H z while tau is fixed, which it is between
-restarts. A restart re-forms u from T(x) with the new tau; the anchor keeps
-T(x)'s coefficients for the restart distance. So T costs one forward and one
-adjoint product, its residual is formed from differences of arrays already
-made, and a step makes 12 passes over the coefficients: 5 to soft-threshold,
-2 to form u and 5 for the Halpern step. A check then costs no product, which
-is why it runs every CHECK_EVERY = 5 iterations: a stop or a restart comes
-at most 4 iterations late.
+The loop carries the prox inputs s = z - sigma A a and u = a - tau A^H z in
+place of a, z, A a and A^H z: T(x) needs a only as soft(u, tau) and z only in
+z + sigma (A (2a+ - a) - y) = s + sigma (2 A a+ - y), and s and u take the
+same linear combinations as a and z while sigma and tau are fixed, which they
+are between restarts. A restart re-forms s and u from T(x) with the new steps;
+the anchor keeps T(x)'s a and z for the restart distances and the primal
+weight. So T costs one forward and one adjoint product, its residual is
+formed from differences of arrays already made, and a step makes 12 passes
+over the coefficients (5 to soft-threshold, 2 to form u, 5 for the Halpern
+step) and 12 over the measurements (4 to form the ball-prox input, 1 to
+shrink it, 2 to form s, 5 for the Halpern step). A check then costs no
+product, which is why it runs every CHECK_EVERY = 5 iterations: a stop or a
+restart comes at most 4 iterations late.
+
+An operator with a normal product a -> A^H A a replaces the adjoint with it.
+The loop forms b = A^H y once and carries r = A^H s beside s and u: with c
+the ball-prox's shrink factor, A^H z+ = c (r + sigma (2 A^H A a+ - b)) and
+A^H s+ = A^H z+ - sigma A^H A a+, which costs 12 more passes over the
+coefficients. A restart re-forms r from these too, never by an adjoint. Over
+a 50,000-iteration exact-fit sphere solve (gauss_heat, L = 32, seed 3),
+whose primal weight climbs to 1.2e7 so that ||A^H s|| reaches 6e5 ||b||,
+r stays within 3.5e-11 of A^H s relative to its norm, and the solve ends at
+the adjoint path's rel_error 2.4e-12.
 
 The steps are balanced by PDLP's primal weight w: the dual step is
 sigma = eta * w and the primal step tau = eta / w, with eta = 0.99 / ||A||,
@@ -48,13 +61,19 @@ PDLP's theta = 0.5 moves either count by under 3%.
 
 The sphere matrix, its measurements and its truth are real, so
 make_sphere_operator declares float64 coefficients and the whole sphere solve
-runs in real arithmetic. Nearly all of a sphere iteration's cost is its two
-products with the q x (L+1)^2 matrix, so the operator stores the matrix once,
-harmonic-major (A^T, one contiguous row of point values per coefficient),
-and its forward product reads only the rows of the iterate's nonzeros. The
-iterate is soft-thresholded, and in recover_sphere's solves a median of
-0.5-3% of its coefficients are nonzero. The adjoint and the power
-iteration's forward act on dense vectors and take the full product.
+runs in real arithmetic. A sphere iteration's products with the
+q x (L+1)^2 matrix cost nearly all of it, so the operator stores the matrix
+once, harmonic-major (A^T, one contiguous row of point values per
+coefficient), and both products the loop takes read the rows of the
+iterate's nonzeros only: the forward product those rows of A^T, and the
+normal product those rows of the Gram matrix A^T A, each built once, the
+first time its coefficient turns nonzero. The iterate is soft-thresholded:
+in recover_sphere's solves a median of 0.5-3% of its coefficients are
+nonzero, and the union of the supports over one solve holds 1-20 of the 289
+coefficients at L = 16, 9-44 of 1,089 at L = 32 and 27-267 of 4,225 at
+L = 64 (the sphere battery, C = 2^-6, seed 5). The one adjoint, A^T y, and
+the power iteration's forward act on dense vectors and take the full
+product.
 
 A real field on Z_N^2 has a Hermitian spectrum, a[-k] = conj(a[k]), so the
 torus operator acts on its rfft2 half only: the N x (N//2+1) coefficients
@@ -131,7 +150,8 @@ class MeasurementOperator:
     expand(a) rebuilds. Such an operator stores half of a Hermitian spectrum
     and has real measurements; its adjoint is taken in the weighted inner
     product, Re<y, A a> = Re sum_i w_i conj((A^H y)_i) a_i, and norm_bound
-    bounds ||A a|| by the weighted norm of a.
+    bounds ||A a|| by the weighted norm of a. normal, when given, maps a to
+    A^H A a; solve_bpdn then forms A^H z from it instead of calling adjoint.
     """
 
     def __init__(
@@ -144,9 +164,11 @@ class MeasurementOperator:
         weights: np.ndarray | None = None,
         expand: Callable[[np.ndarray], np.ndarray] | None = None,
         dtype: type = np.complex128,
+        normal: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self._forward = forward
         self._adjoint = adjoint
+        self.normal = normal
         self.shape = shape  # (n_measurements, n_coefficients)
         self.norm_bound = float(norm_bound)
         self._dense = dense
@@ -283,6 +305,41 @@ def power_norm_bound(forward: Callable, adjoint: Callable, dim: int) -> float:
     return math.sqrt(lam) * 1.02  # safety margin over the Rayleigh estimate
 
 
+class _GramRows:
+    """a -> A^T A a for the harmonic-major sphere matrix, from Gram rows built on first use.
+
+    Gram row n, rows[n] @ rows.T, is built the first time coefficient n is
+    nonzero, and the call returns a[nz] @ G[nz] over a's nonzeros nz. slot[n]
+    is the row of the block that holds Gram row n, -1 while it is not built;
+    the block's first `built` rows are in use, and its capacity at least
+    doubles when it grows, up to the (L+1)^2 rows of the full Gram.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+        dim = rows.shape[0]
+        self.slot = np.full(dim, -1, dtype=np.intp)
+        self.built = 0
+        self._block = np.empty((0, dim))
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        nz = np.flatnonzero(a)
+        missing = nz[self.slot[nz] < 0]
+        if missing.size:
+            self._build(missing)
+        return a[nz] @ self._block[self.slot[nz]]
+
+    def _build(self, missing: np.ndarray) -> None:
+        start, stop = self.built, self.built + missing.size
+        if stop > len(self._block):
+            grown = np.empty((min(self.slot.size, max(stop, 2 * len(self._block))), self.slot.size))
+            grown[:start] = self._block[:start]
+            self._block = grown
+        self._block[start:stop] = self._rows[missing] @ self._rows.T
+        self.slot[missing] = np.arange(start, stop)  # published once their rows are filled
+        self.built = stop
+
+
 def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementOperator:
     """Dense evaluation matrix A[j, (l,m)] = Y_l^m(omega_j) with a power-iteration bound.
 
@@ -294,8 +351,13 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
     every point, C-contiguous. The forward product reads only the rows of
     the nonzero coefficients, a[nz] @ rows[nz], since the solver applies it
     to soft-thresholded iterates; the adjoint is rows @ y and to_dense()
-    returns the view rows.T. The power iteration's vectors are dense, so its
-    forward is the plain product x @ rows.
+    returns the view rows.T. normal(a) = A^T A a reads the Gram rows
+    rows[n] @ rows.T of a's nonzeros only, each built once, the first time
+    its coefficient is nonzero (_GramRows): they take rows built x (L+1)^2
+    x 8 B, in a block allocated at most twice that, and they are the full
+    Gram only if every coefficient turns nonzero. The power
+    iteration's vectors are dense, so its forward is the plain product
+    x @ rows.
     """
     rows = sph.basis_matrix(bandwidth, points.theta, points.phi).T
     rows.setflags(write=False)  # to_dense hands out a view of the operator's own matrix
@@ -315,6 +377,7 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
         norm_bound=max(bound, 1e-12),
         dense=lambda: rows.T,
         dtype=np.float64,
+        normal=_GramRows(rows),
     )
 
 
@@ -406,6 +469,16 @@ def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return x * scale
 
 
+def _carried(a, z, f, g, h, sigma: float, tau: float) -> tuple[np.ndarray, ...]:
+    """The prox inputs z - sigma A a and a - tau A^H z of (a, z), and A^H of the first.
+
+    f = A a, g = A^H z and h = A^H A a; the third array is carried only with a
+    normal product, and h is None without one.
+    """
+    x = (z - sigma * f, a - tau * g)
+    return x if h is None else x + (g - sigma * h,)
+
+
 def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _Solution:
     """Restarted reflected Halpern PDHG for min ||a||_1 s.t. ||A a - y|| <= delta.
 
@@ -423,9 +496,11 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     op.coef_norm / op.coef_l1, and the returned coefficients are in the
     operator's own layout.
 
-    The loop carries A a and the prox input u = a - tau A^H z instead of a
-    and A^H z (module docstring), so each step makes one forward and one
-    adjoint product, and the checks make none.
+    The loop carries the prox inputs s = z - sigma A a and u = a - tau A^H z
+    instead of a and z (module docstring), so each step makes one forward
+    and one adjoint product, and the checks make none. When op.normal is
+    set, the step takes it in place of the adjoint, and the solve makes one
+    adjoint product in all, b = A^H y, with r = A^H s carried beside s and u.
     Every CHECK_EVERY iterations the loop stops once the fixed-point residual
     of x is <= tol and T(x) is feasible, with ||A a+ - y|| - delta <=
     tol * max(1, ||y||), both from that step's fresh A a+. Otherwise it
@@ -452,10 +527,14 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     weight = 1.0  # primal weight: sigma = eta * weight, tau = eta / weight
     sigma = tau = eta
 
-    u = np.zeros(n_coef, dtype=op.dtype)  # prox input a - tau A^H z
-    z = np.zeros(n_meas, dtype=y.dtype)
-    f = np.zeros_like(z)  # A a
-    anchor = (a_t, z, f, u)  # the last restart point, its product and prox input
+    normal = op.normal
+    # the carried arrays at a = 0, z = 0
+    x = (np.zeros(n_meas, dtype=y.dtype), np.zeros(n_coef, dtype=op.dtype))
+    h_t = None
+    if normal is not None:
+        b = op.adjoint(y)
+        x += (np.zeros_like(b),)
+    anchor = (a_t, x[0], x)  # the last restart point a, z and its carried arrays
     k = 0  # Halpern steps since the last restart
     res_restart = res_prev = math.inf  # residual at the last restart / last check
     last_restart = restarts = 0
@@ -463,17 +542,24 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     converged, it = False, 0
 
     for it in range(1, cfg.max_iter + 1):
-        # T(x), its forward product and its prox input: one forward, one adjoint
+        # T(x) from the prox inputs s and u: one forward product, and one adjoint
+        # or one normal product
+        s, u = x[0], x[1]
         a_t = _soft_threshold(u, tau)
         f_t = op.forward(a_t)
-        v = z + sigma * (2.0 * f_t - f - y)
+        v = s + sigma * (2.0 * f_t - y)
         vnorm = float(np.linalg.norm(v))
-        z_t = v * max(0.0, 1.0 - sigma * delta / vnorm) if delta > 0.0 and vnorm > 0.0 else v
-        g_t = op.adjoint(z_t)
-        u_t = a_t - tau * g_t
+        shrink = max(0.0, 1.0 - sigma * delta / vnorm) if delta > 0.0 and vnorm > 0.0 else 1.0
+        z_t = v * shrink
+        if normal is None:
+            g_t = op.adjoint(z_t)
+        else:
+            h_t = normal(a_t)
+            g_t = shrink * (x[2] + sigma * (2.0 * h_t - b))
+        x_t = _carried(a_t, z_t, f_t, g_t, h_t, sigma, tau)
         if it % CHECK_EVERY == 0 or it == cfg.max_iter:
-            d_res = float(np.linalg.norm((z - z_t) / sigma - (f - f_t)))
-            p_res = op.coef_norm(u - u_t) / tau
+            d_res = float(np.linalg.norm(s - x_t[0])) / sigma
+            p_res = op.coef_norm(u - x_t[1]) / tau
             res = (p_res + d_res) / max(1.0, op.coef_norm(a_t), float(np.linalg.norm(z_t)))
             feas = float(np.linalg.norm(f_t - y)) - delta  # f_t is A a_t, made this step
             converged = res <= cfg.tol and feas <= feas_tol
@@ -493,18 +579,17 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
                         + (1.0 - PRIMAL_WEIGHT_SMOOTHING) * math.log(weight)
                     )
                     sigma, tau = eta * weight, eta / weight
-                    u_t = a_t - tau * g_t
-                z, f, u = z_t, f_t, u_t
-                anchor = (a_t, z, f, u)
+                    x_t = _carried(a_t, z_t, f_t, g_t, h_t, sigma, tau)
+                x = x_t
+                anchor = (a_t, z_t, x)
                 k = 0
                 res_restart, last_restart = res, it
                 restarts += 1
                 continue
-        # Halpern step on the reflection 2T - I, product and prox input alongside
+        # Halpern step on the reflection 2T - I, taken on the carried arrays
         lam = (k + 1) / (k + 2)
-        z, f, u = (
-            lam * (2.0 * t - x) + (1.0 - lam) * x0
-            for t, x, x0 in zip((z_t, f_t, u_t), (z, f, u), anchor[1:])
+        x = tuple(
+            lam * (2.0 * t - c) + (1.0 - lam) * c0 for t, c, c0 in zip(x_t, x, anchor[2])
         )
         k += 1
 

@@ -82,7 +82,10 @@ def dense_operator(mat, norm_bound=None):
 
 
 def counting_operator(op):
-    """A shallow copy of op that counts its forward and adjoint calls in .calls."""
+    """A shallow copy of op that counts its forward and adjoint calls in .calls.
+
+    An operator with a normal product has its normal calls counted too.
+    """
     counted = copy.copy(op)
     counted.calls = {"forward": 0, "adjoint": 0}
 
@@ -94,7 +97,14 @@ def counting_operator(op):
         counted.calls["adjoint"] += 1
         return op.adjoint(y)
 
+    def normal(a):
+        counted.calls["normal"] += 1
+        return op.normal(a)
+
     counted.forward, counted.adjoint = forward, adjoint
+    if op.normal is not None:
+        counted.calls["normal"] = 0
+        counted.normal = normal
     return counted
 
 

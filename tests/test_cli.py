@@ -308,6 +308,24 @@ class TestSweepWorkers:
             assert text.startswith("error: sample size ")
             assert text.endswith(f" exceeds configured q_max={Q_MAX}")
 
+    def test_iterating_sphere_rows_byte_identical(self, tmp_path, capsys):
+        # solves that iterate build the operator's Gram rows in the order their
+        # coefficients turn nonzero; the rows must not depend on that order
+        grid = ["sweep", "--setting", "sphere", "--fn", "mix5", "--l", "8",
+                "--c-univ", "0.015625", "--trials", "2", "--seed", "4"]
+        bodies = []
+        for run, workers in enumerate(("1", "2", "1")):
+            path = tmp_path / f"run{run}.csv"
+            code, _, err = run_cli(capsys, *grid, "--workers", workers, "--out", str(path))
+            assert code == 0, err
+            bodies.append(path.read_bytes())
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+        header, rows = parse_csv(bodies[0].decode())
+        assert len(rows) == 2
+        for row in rows:
+            assert row[header.index("status")] == "ok"
+            assert int(row[header.index("iterations")]) > 0
+
     def test_one_worker_runs_in_process(self, monkeypatch, capsys):
         def no_pool(*args, **kwargs):
             raise AssertionError("--workers 1 started a process pool")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 from itertools import combinations
@@ -105,6 +106,42 @@ class TestOperators:
             got = op.forward(a)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_sphere_normal_matches_dense(self, rng):
+        op = make_sphere_operator(draw_sphere_points(120, seed=13), 6)
+        mat = op.to_dense()
+        zero = np.zeros(49)
+        assert np.array_equal(op.normal(zero), zero)
+        assert op.normal.built == 0  # a zero iterate builds no Gram row
+        one = zero.copy()
+        one[17] = -0.75
+        few = zero.copy()
+        few[[0, 5, 23, 48]] = [1.5, -2.0, 0.25, -0.5]
+        mixed = few.astype(complex)
+        mixed[[5, 30]] = [0.5 - 1.25j, -2j]
+        dense = rng.standard_normal(49)
+        for a, built in ((one, 1), (few, 5), (mixed, 6), (dense, 49)):
+            want = mat.T @ (mat @ a)
+            got = op.normal(a)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert op.normal.built == built
+
+    def test_sphere_normal_reuses_rows_as_supports_grow(self, rng):
+        # supports that overlap and then grow: each Gram row is built once, at
+        # the first call whose support holds it, and read again after that
+        op = make_sphere_operator(draw_sphere_points(90, seed=14), 5)
+        mat = op.to_dense()
+        supports = ([3, 10], [10, 20], [3, 10], [3, 10, 20, 35], [0, 35], list(range(0, 36, 2)))
+        built = set()
+        for support in supports:
+            a = np.zeros(36)
+            a[support] = rng.standard_normal(len(support))
+            want = mat.T @ (mat @ a)
+            assert np.max(np.abs(op.normal(a) - want)) <= 1e-13 * np.max(np.abs(want))
+            built.update(support)
+            assert op.normal.built == len(built)
+            assert sorted(np.flatnonzero(op.normal.slot >= 0)) == sorted(built)
 
 
 def _real_bpdn_instance(side, seed):
@@ -263,6 +300,28 @@ class TestRestarts:
         assert (sparse.iterations, sparse.restarts) == (plain.iterations, plain.restarts)
         assert np.max(np.abs(sparse.coefficients - plain.coefficients)) <= 1e-12
 
+    @pytest.mark.parametrize("exact_fit", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sphere_solve_matches_adjoint_path(self, seed, exact_fit, monkeypatch):
+        # the normal product changes how A^H z is summed, not the iteration
+        make = solver.make_sphere_operator
+
+        def adjoint_operator(points, bandwidth):
+            op = copy.copy(make(points, bandwidth))
+            op.normal = None
+            return op
+
+        def solve():
+            signal = build_sphere_battery(16)["gauss_heat"]
+            return recover_sphere(signal, 0.1, seed, c_univ=2**-6, exact_fit=exact_fit)
+
+        gram = solve()
+        monkeypatch.setattr(solver, "make_sphere_operator", adjoint_operator)
+        plain = solve()
+        assert gram.iterations > solver.CHECK_EVERY and gram.restarts > 0
+        assert (gram.iterations, gram.restarts) == (plain.iterations, plain.restarts)
+        assert np.max(np.abs(gram.coefficients - plain.coefficients)) <= 1e-12
+
     def test_real_sphere_path_matches_complex_reference(self, rng):
         op = make_sphere_operator(draw_sphere_points(120, seed=31), 6)
         mat = op.to_dense()
@@ -335,6 +394,15 @@ def test_soft_threshold_matches_where_form_bitwise(rng):
     assert np.array_equal(_soft_threshold(x, t).view(np.int64), old.view(np.int64))
 
 
+def _sphere_bpdn_instance():
+    """A 4-sparse real truth at L = 6, 1% noise on 120 points and a feasible radius."""
+    op = make_sphere_operator(draw_sphere_points(120, seed=31), 6)
+    truth = np.zeros(op.shape[1])
+    truth[[0, 5, 17, 30]] = [1.0, -0.5, 0.8, 0.3]
+    noise = 0.01 * rng_from_seed(32).standard_normal(op.shape[0])
+    return op, op.forward(truth) + noise, 1.2 * float(np.linalg.norm(noise))
+
+
 class TestSolveBpdn:
     def test_full_observation_delta_zero(self):
         side = 8
@@ -399,16 +467,19 @@ class TestSolveBpdn:
             sample, y, delta = _real_bpdn_instance(16, seed=7)
             op = make_torus_operator(sample)
         else:
-            op = make_sphere_operator(draw_sphere_points(120, seed=31), 6)
-            truth = np.zeros(op.shape[1])
-            truth[[0, 5, 17, 30]] = [1.0, -0.5, 0.8, 0.3]
-            noise = 0.01 * rng_from_seed(32).standard_normal(op.shape[0])
-            y = op.forward(truth) + noise
-            delta = 1.2 * float(np.linalg.norm(noise))
+            op, y, delta = _sphere_bpdn_instance()
         counted = counting_operator(op)
         rep = solve_bpdn(counted, y, SolverConfig(delta=delta))
         assert rep.converged and rep.iterations > solver.CHECK_EVERY
         assert sum(counted.calls.values()) <= 2 * rep.iterations + 2
+
+    def test_sphere_solve_takes_one_adjoint(self):
+        # A^H y once; every iteration's A^H z comes from the normal product
+        op, y, delta = _sphere_bpdn_instance()
+        counted = counting_operator(op)
+        rep = solve_bpdn(counted, y, SolverConfig(delta=delta))
+        assert rep.converged and rep.iterations > solver.CHECK_EVERY
+        assert counted.calls["adjoint"] <= 1
 
     @pytest.mark.parametrize("max_iter", [50_000, 7])
     def test_feasibility_residual_is_recomputed(self, max_iter):
