@@ -72,8 +72,10 @@ in recover_sphere's solves a median of 0.5-3% of its coefficients are
 nonzero, and the union of the supports over one solve holds 1-20 of the 289
 coefficients at L = 16, 9-44 of 1,089 at L = 32 and 27-267 of 4,225 at
 L = 64 (the sphere battery, C = 2^-6, seed 5). The one adjoint, A^T y, and
-the power iteration's forward act on dense vectors and take the full
-product.
+the products of the norm estimate act on dense vectors and take the full
+product. That estimate, which sets eta, is 12 Lanczos steps on A^T A times
+a margin of 1.02 (lanczos_norm_bound): 24 products with the matrix per
+operator, and not a certified bound on ||A||.
 
 A real field on Z_N^2 has a Hermitian spectrum, a[-k] = conj(a[k]), so the
 torus operator acts on its rfft2 half only: the N x (N//2+1) coefficients
@@ -128,9 +130,15 @@ CHECK_EVERY = 5  # iterations between stop and restart checks
 # (64, 198), (256, 527), (256, 1053) and (512, 593) (one core of a 2-core VM).
 TORUS_SPARSE_FORWARD_MAX = 0.8
 
-# power_norm_bound: iterations and start-vector seed
-POWER_ITERS = 40
-POWER_SEED = 0
+# lanczos_norm_bound: Lanczos steps on A^H A, start-vector seed, and the factor
+# over the top Ritz value's square root. Over the 160 sphere_recover operators
+# of benchmark seeds 1-10, 12 steps put the bound at 1.002-1.020 ||A|| except
+# on two, where the start vector's component along the top eigenvector is
+# small and it reads 0.953 and 0.975 ||A|| (the 40-step power iteration fell
+# below ||A|| on three; 20 Lanczos steps on none).
+LANCZOS_STEPS = 12
+LANCZOS_SEED = 0
+NORM_MARGIN = 1.02
 
 # check_kkt: feasibility slack relative to max(1, ||y||), and the relative
 # magnitude below which a coefficient counts as a numerical zero
@@ -288,21 +296,40 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
     )
 
 
-def power_norm_bound(forward: Callable, adjoint: Callable, dim: int) -> float:
-    """Upper bound on the operator norm via POWER_ITERS steps of power iteration on A^H A.
+def lanczos_norm_bound(forward: Callable, adjoint: Callable, dim: int) -> float:
+    """Operator-norm estimate from LANCZOS_STEPS Lanczos steps on A^H A, times NORM_MARGIN.
 
-    It starts from a real vector, so a real operator iterates in real arithmetic.
+    Each step takes one forward and one adjoint product. The basis is
+    reorthogonalized in full (two Gram-Schmidt passes against every stored
+    vector), and the run stops early once the residual is at most 1e-12
+    times the largest diagonal entry: the Krylov space is then invariant, as
+    it is after dim steps or on a low-rank operator, and the tridiagonal
+    holds the exact top eigenvalue. The top Ritz value never exceeds
+    lambda_max(A^H A), so its square root is at most ||A||; only the margin
+    lifts the estimate above ||A||, and nothing certifies that it does.
+    The start vector is real, so a real operator runs in real arithmetic.
     """
-    x = rng_from_seed(POWER_SEED).standard_normal(dim)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(POWER_ITERS):
-        y = adjoint(forward(x))
-        lam = float(np.linalg.norm(y))
-        if lam == 0.0:
-            return 0.0
-        x = y / lam
-    return math.sqrt(lam) * 1.02  # safety margin over the Rayleigh estimate
+    steps = min(LANCZOS_STEPS, dim)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    q = rng_from_seed(LANCZOS_SEED).standard_normal(dim)
+    q /= np.linalg.norm(q)
+    for j in range(steps):
+        w = adjoint(forward(q))
+        if j == 0:
+            basis = np.empty((steps, dim), dtype=np.result_type(w, np.float64))
+        basis[j] = q
+        alpha[j] = np.vdot(q, w).real
+        done = basis[:j + 1]
+        for _ in range(2):
+            w = w - (done.conj() @ w) @ done
+        beta[j] = np.linalg.norm(w)
+        if beta[j] <= 1e-12 * alpha[:j + 1].max():
+            break
+        q = w / beta[j]
+    k = j + 1
+    off = beta[:k - 1]
+    tri = np.diag(alpha[:k]) + np.diag(off, 1) + np.diag(off, -1)  # eigvalsh reads the lower triangle
+    return math.sqrt(max(float(np.linalg.eigvalsh(tri)[-1]), 0.0)) * NORM_MARGIN
 
 
 class _GramRows:
@@ -341,7 +368,7 @@ class _GramRows:
 
 
 def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementOperator:
-    """Dense evaluation matrix A[j, (l,m)] = Y_l^m(omega_j) with a power-iteration bound.
+    """Dense evaluation matrix A[j, (l,m)] = Y_l^m(omega_j) with a Lanczos norm estimate.
 
     The real spherical harmonics make A real, so the operator acts on real
     coefficients and takes real measurements (dtype float64). That loses no
@@ -355,9 +382,11 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
     rows[n] @ rows.T of a's nonzeros only, each built once, the first time
     its coefficient is nonzero (_GramRows): they take rows built x (L+1)^2
     x 8 B, in a block allocated at most twice that, and they are the full
-    Gram only if every coefficient turns nonzero. The power
-    iteration's vectors are dense, so its forward is the plain product
-    x @ rows.
+    Gram only if every coefficient turns nonzero.
+
+    norm_bound is lanczos_norm_bound's 12-step Lanczos estimate of ||A||
+    times 1.02: an estimate with a margin, not a certified bound. The
+    Lanczos vectors are dense, so its forward is the plain product x @ rows.
     """
     rows = sph.basis_matrix(bandwidth, points.theta, points.phi).T
     rows.setflags(write=False)  # to_dense hands out a view of the operator's own matrix
@@ -369,7 +398,7 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
     def adjoint(y: np.ndarray) -> np.ndarray:
         return rows @ y
 
-    bound = power_norm_bound(lambda x: x @ rows, adjoint, dim=rows.shape[0])
+    bound = lanczos_norm_bound(lambda x: x @ rows, adjoint, dim=rows.shape[0])
     return MeasurementOperator(
         forward=forward,
         adjoint=adjoint,

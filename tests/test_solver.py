@@ -74,7 +74,17 @@ class TestOperators:
             lhs = np.vdot(y, op.forward(a))
             rhs = np.vdot(op.adjoint(y), a)
             assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(y)
-            assert np.linalg.norm(op.forward(a)) <= op.norm_bound * np.linalg.norm(a)
+        # random vectors never come near ||A||, so the bound is bracketed by
+        # the exact norm. The Lanczos estimate alone stays below ||A||, and
+        # the margin is not a certificate: on a start vector nearly orthogonal
+        # to the top eigenvector the bound falls below ||A|| (ROADMAP item 2)
+        for bandwidth in (4, 8, 16, 32):
+            dim = (bandwidth + 1) ** 2
+            for q in (dim // 2, 3 * dim // 2):
+                for seed in (1, 2, 3):
+                    op = make_sphere_operator(draw_sphere_points(q, seed=seed), bandwidth)
+                    exact = _exact_norm(op.to_dense())
+                    assert exact <= op.norm_bound <= 1.03 * exact, (bandwidth, q, seed)
 
     def test_sphere_real_matvec_matches_complex_product(self, rng):
         pts = draw_sphere_points(700, seed=12)
@@ -142,6 +152,37 @@ class TestOperators:
             built.update(support)
             assert op.normal.built == len(built)
             assert sorted(np.flatnonzero(op.normal.slot >= 0)) == sorted(built)
+
+
+def _exact_norm(mat):
+    """||mat||_2 from eigvalsh of the smaller of its two Gram matrices."""
+    gram = mat.T @ mat if mat.shape[1] <= mat.shape[0] else mat @ mat.T
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
+class TestLanczosNormBound:
+    def test_at_most_lanczos_steps_products(self):
+        op = counting_operator(dense_operator(rng_from_seed(21).standard_normal((70, 50))))
+        bound = solver.lanczos_norm_bound(op.forward, op.adjoint, 50)
+        assert op.calls["forward"] <= solver.LANCZOS_STEPS
+        assert op.calls["adjoint"] <= solver.LANCZOS_STEPS
+        assert op.norm_bound < bound <= solver.NORM_MARGIN * op.norm_bound * (1 + 1e-12)
+
+    @pytest.mark.parametrize("case", ["l1", "l2", "one_point", "zero"])
+    def test_small_and_degenerate_operators_are_exact(self, case):
+        # fewer coefficients than steps, rank one, and the zero matrix: the
+        # Krylov space turns invariant before LANCZOS_STEPS, the run stops
+        # there, and the tridiagonal holds the exact top eigenvalue
+        if case == "zero":
+            mat = np.zeros((30, 40))
+        else:
+            bandwidth, q = {"l1": (1, 40), "l2": (2, 40), "one_point": (8, 1)}[case]
+            mat = make_sphere_operator(draw_sphere_points(q, seed=5), bandwidth).to_dense()
+        op = counting_operator(dense_operator(mat))
+        bound = solver.lanczos_norm_bound(op.forward, op.adjoint, mat.shape[1])
+        want = solver.NORM_MARGIN * op.norm_bound
+        assert abs(bound - want) <= 1e-12 * max(want, 1.0)
+        assert op.calls["forward"] <= min(mat.shape[1], solver.LANCZOS_STEPS)
 
 
 def _real_bpdn_instance(side, seed):
