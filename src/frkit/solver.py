@@ -31,18 +31,24 @@ same linear combinations as a and z while sigma and tau are fixed, which they
 are between restarts. A restart re-forms s and u from T(x) with the new steps;
 the anchor keeps T(x)'s a and z for the restart distances and the primal
 weight. So T costs one forward and one adjoint product, its residual is
-formed from differences of arrays already made, and a step makes 12 passes
-over the coefficients (5 to soft-threshold, 2 to form u, 5 for the Halpern
-step) and 12 over the measurements (4 to form the ball-prox input, 1 to
-shrink it, 2 to form s, 5 for the Halpern step). A check then costs no
-product, which is why it runs every CHECK_EVERY = 5 iterations: a stop or a
-restart comes at most 4 iterations late.
+formed from differences of arrays already made, and a step makes 11 passes
+over the coefficients (5 to soft-threshold, 1 to read the support off the
+threshold factor, 5 for the Halpern step) and 13 over the measurements (4 to
+form the ball-prox input, 1 to shrink it, 2 to form s, 1 to scale z+ by
+-tau, 5 for the Halpern step). Soft-thresholding hands its support to both
+products, so neither scans the coefficients for nonzeros, and u+ takes no
+pass of its own: the adjoint of -tau z+ is -tau A^H z+, and a+ is added to
+it on its support. A restart that changes tau re-forms u from u - a, which
+scales with tau, at no product. A check then costs no product, which is why
+it runs every CHECK_EVERY = 5 iterations: a stop or a restart comes at most 4
+iterations late.
 
 An operator with a normal product a -> A^H A a replaces the adjoint with it.
 The loop forms b = A^H y once and carries r = A^H s beside s and u: with c
 the ball-prox's shrink factor, A^H z+ = c (r + sigma (2 A^H A a+ - b)) and
-A^H s+ = A^H z+ - sigma A^H A a+, which costs 12 more passes over the
-coefficients. A restart re-forms r from these too, never by an adjoint. Over
+A^H s+ = A^H z+ - sigma A^H A a+, which costs 14 more passes over the
+coefficients, 2 of them to form u+ = a+ - tau A^H z+. A restart re-forms r
+from these too, never by an adjoint. Over
 a 50,000-iteration exact-fit sphere solve (gauss_heat, L = 32, seed 3),
 whose primal weight climbs to 1.2e7 so that ||A^H s|| reaches 6e5 ||b||,
 r stays within 3.5e-11 of A^H s relative to its norm, and the solve ends at
@@ -90,7 +96,10 @@ sphere, the torus forward product runs over the iterate's nonzeros only, a
 sum of nnz |X| phases, and falls back to an inverse FFT on dense iterates;
 in recover_torus's cc_half solves at N = 64 and 256 the median iterate has
 1 nonzero half-spectrum coefficient. The adjoint acts on a dense vector and
-stays an rfft2.
+is one FFT pass: a real FFT along the rows of a zero embedding that the
+operator keeps and writes at the sample points only, then a complex FFT
+along the columns, in place. That is rfft2 bit for bit, without a fresh N^2
+embedding or a fresh array for the column stage per call.
 """
 
 from __future__ import annotations
@@ -126,8 +135,10 @@ CHECK_EVERY = 5  # iterations between stop and restart checks
 
 # make_torus_operator's forward sums over the iterate's nonzeros while
 # nnz * |X| <= TORUS_SPARSE_FORWARD_MAX * N^2, and takes an inverse FFT above.
-# The two cost the same at nnz * |X| / N^2 = 0.75-0.95 for (N, |X|) = (64, 50),
-# (64, 198), (256, 527), (256, 1053) and (512, 593) (one core of a 2-core VM).
+# With the support handed in, so that neither side scans the coefficients, the
+# median ratio of their times over 15 alternating rounds crosses 1 at
+# nnz * |X| / N^2 = 0.75-0.9 for (N, |X|) = (64, 50), (64, 198), (256, 527),
+# (256, 1053) and (512, 593) (one core of a 2-core VM, two runs).
 TORUS_SPARSE_FORWARD_MAX = 0.8
 
 # lanczos_norm_bound: Lanczos steps on A^H A, start-vector seed, and the factor
@@ -160,11 +171,17 @@ class MeasurementOperator:
     product, Re<y, A a> = Re sum_i w_i conj((A^H y)_i) a_i, and norm_bound
     bounds ||A a|| by the weighted norm of a. normal, when given, maps a to
     A^H A a; solve_bpdn then forms A^H z from it instead of calling adjoint.
+
+    forward and normal are called as f(a, nz), where nz is either None or
+    np.flatnonzero(a): solve_bpdn hands them the support that soft-thresholding
+    has just decided, and an operator that sums over the nonzeros scans a for
+    them only when nz is None. adjoint must return a fresh array, since
+    solve_bpdn writes into it.
     """
 
     def __init__(
         self,
-        forward: Callable[[np.ndarray], np.ndarray],
+        forward: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
         adjoint: Callable[[np.ndarray], np.ndarray],
         shape: tuple[int, int],
         norm_bound: float,
@@ -172,7 +189,7 @@ class MeasurementOperator:
         weights: np.ndarray | None = None,
         expand: Callable[[np.ndarray], np.ndarray] | None = None,
         dtype: type = np.complex128,
-        normal: Callable[[np.ndarray], np.ndarray] | None = None,
+        normal: Callable[[np.ndarray, np.ndarray | None], np.ndarray] | None = None,
     ):
         self._forward = forward
         self._adjoint = adjoint
@@ -184,8 +201,8 @@ class MeasurementOperator:
         self._expand = expand
         self.dtype = np.dtype(dtype)
 
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        return self._forward(a)
+    def forward(self, a: np.ndarray, nz: np.ndarray | None = None) -> np.ndarray:
+        return self._forward(a, nz)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self._adjoint(y)
@@ -250,7 +267,8 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
     for even N) and 2 elsewhere, expand() returns the full spectrum, and its
     norm is exactly 1 (row restriction of a unitary map).
 
-    Forward sums over the nonzeros nz of a only: at the sample points x,
+    Forward sums over the nonzeros nz of a only (handed in by the caller,
+    or found by a scan of a when nz is None): at the sample points x,
     (A a)(x) = (1/N) sum_{k in nz} w_k Re(a_k e^{2 pi i (k1 x1 + k2 x2)/N}),
     with cos and sin read from one table of the N-th roots of unity at
     (k1 x1 + k2 x2) mod N. That costs O(nnz |X|) against the O(N^2 log N)
@@ -259,7 +277,12 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
     keeps its peak memory near the crossover at the inverse FFT's. Once
     nnz |X| exceeds TORUS_SPARSE_FORWARD_MAX N^2 it takes irfftn times N,
     sampled to real values, instead. The adjoint is rfftn of the
-    zero-embedded real values over N.
+    zero-embedded real values over N, taken as rfft along axis 1 and then fft
+    along axis 0 in place of its output (bitwise rfftn), and returns a fresh
+    array. The embedding is one N x N array per operator, written at the
+    sample points on every call and zero elsewhere, so the adjoint is not
+    reentrant: two threads must not call one operator's adjoint at once (a
+    sweep runs its trials in processes, each with its own operator).
     """
     side, flat = sample.side, sample.flat
     shape, half_shape = (side, side), (side, side // 2 + 1)
@@ -273,9 +296,11 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
     roots = np.exp(2j * np.pi * np.arange(side) / side)
     cos, sin = roots.real, roots.imag
     max_terms = TORUS_SPARSE_FORWARD_MAX * side * side
+    emb = np.zeros(side * side)  # the adjoint's zero embedding, written only at the sample
 
-    def forward(a: np.ndarray) -> np.ndarray:
-        nz = np.flatnonzero(a != 0)
+    def forward(a: np.ndarray, nz: np.ndarray | None = None) -> np.ndarray:
+        if nz is None:
+            nz = np.flatnonzero(a != 0)
         if nz.size * flat.size > max_terms:
             fld = np.fft.irfftn(a.reshape(half_shape), s=shape, axes=(0, 1))
             return fld.ravel()[flat] * scale
@@ -286,9 +311,9 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
         return c.real @ cos[phase] - c.imag @ sin[phase]
 
     def adjoint(y: np.ndarray) -> np.ndarray:
-        emb = np.zeros(side * side)
         emb[flat] = y / scale
-        return np.fft.rfftn(emb.reshape(shape)).ravel()
+        half = np.fft.rfft(emb.reshape(shape), axis=1)
+        return np.fft.fft(half, axis=0, out=half).ravel()
 
     return MeasurementOperator(
         forward, adjoint, shape=(len(sample), weights.size), norm_bound=1.0,
@@ -349,8 +374,9 @@ class _GramRows:
         self.built = 0
         self._block = np.empty((0, dim))
 
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        nz = np.flatnonzero(a)
+    def __call__(self, a: np.ndarray, nz: np.ndarray | None = None) -> np.ndarray:
+        if nz is None:
+            nz = np.flatnonzero(a)
         missing = nz[self.slot[nz] < 0]
         if missing.size:
             self._build(missing)
@@ -391,8 +417,9 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
     rows = sph.basis_matrix(bandwidth, points.theta, points.phi).T
     rows.setflags(write=False)  # to_dense hands out a view of the operator's own matrix
 
-    def forward(a: np.ndarray) -> np.ndarray:
-        nz = np.flatnonzero(a)
+    def forward(a: np.ndarray, nz: np.ndarray | None = None) -> np.ndarray:
+        if nz is None:
+            nz = np.flatnonzero(a)
         return a[nz] @ rows[nz]
 
     def adjoint(y: np.ndarray) -> np.ndarray:
@@ -485,27 +512,29 @@ def recovery_csv_fields(report: RecoveryReport) -> list[str]:
     ]
 
 
-def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
-    """Complex soft-thresholding x * max(0, 1 - t/|x|) for t > 0.
+def _soft_threshold(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Complex soft-thresholding x * max(0, 1 - t/|x|) for t > 0, and its support.
 
     Written as x * (1 - t / max(|x|, t)) on one scratch array; entries with
-    |x| <= t get the factor 1 - t/t = 0 exactly.
+    |x| <= t get the factor 1 - t/t = 0 exactly. The support, the indices of
+    the result's nonzeros in order, is read off the factor, a real array that
+    is cheaper to scan than the complex result: where the factor is nonzero,
+    |x| > t and the product's magnitude is about |x| - t, at least about one
+    ulp of t, so it does not underflow to zero.
     """
     scale = np.abs(x)
     np.maximum(scale, t, out=scale)
     np.divide(t, scale, out=scale)
     np.subtract(1.0, scale, out=scale)
-    return x * scale
+    return x * scale, np.flatnonzero(scale != 0.0)
 
 
 def _carried(a, z, f, g, h, sigma: float, tau: float) -> tuple[np.ndarray, ...]:
     """The prox inputs z - sigma A a and a - tau A^H z of (a, z), and A^H of the first.
 
-    f = A a, g = A^H z and h = A^H A a; the third array is carried only with a
-    normal product, and h is None without one.
+    f = A a, g = A^H z and h = A^H A a; this form serves the normal product.
     """
-    x = (z - sigma * f, a - tau * g)
-    return x if h is None else x + (g - sigma * h,)
+    return z - sigma * f, a - tau * g, g - sigma * h
 
 
 def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _Solution:
@@ -559,7 +588,6 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     normal = op.normal
     # the carried arrays at a = 0, z = 0
     x = (np.zeros(n_meas, dtype=y.dtype), np.zeros(n_coef, dtype=op.dtype))
-    h_t = None
     if normal is not None:
         b = op.adjoint(y)
         x += (np.zeros_like(b),)
@@ -574,18 +602,20 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
         # T(x) from the prox inputs s and u: one forward product, and one adjoint
         # or one normal product
         s, u = x[0], x[1]
-        a_t = _soft_threshold(u, tau)
-        f_t = op.forward(a_t)
+        a_t, nz = _soft_threshold(u, tau)
+        f_t = op.forward(a_t, nz)
         v = s + sigma * (2.0 * f_t - y)
         vnorm = float(np.linalg.norm(v))
         shrink = max(0.0, 1.0 - sigma * delta / vnorm) if delta > 0.0 and vnorm > 0.0 else 1.0
         z_t = v * shrink
         if normal is None:
-            g_t = op.adjoint(z_t)
+            u_t = op.adjoint(-tau * z_t)  # a_t - tau A^H z_t, with a_t added on its support
+            u_t[nz] += a_t[nz]
+            x_t = (z_t - sigma * f_t, u_t)
         else:
-            h_t = normal(a_t)
+            h_t = normal(a_t, nz)
             g_t = shrink * (x[2] + sigma * (2.0 * h_t - b))
-        x_t = _carried(a_t, z_t, f_t, g_t, h_t, sigma, tau)
+            x_t = _carried(a_t, z_t, f_t, g_t, h_t, sigma, tau)
         if it % CHECK_EVERY == 0 or it == cfg.max_iter:
             d_res = float(np.linalg.norm(s - x_t[0])) / sigma
             p_res = op.coef_norm(u - x_t[1]) / tau
@@ -607,8 +637,12 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
                         PRIMAL_WEIGHT_SMOOTHING * math.log(dz / da)
                         + (1.0 - PRIMAL_WEIGHT_SMOOTHING) * math.log(weight)
                     )
+                    tau_prev = tau
                     sigma, tau = eta * weight, eta / weight
-                    x_t = _carried(a_t, z_t, f_t, g_t, h_t, sigma, tau)
+                    if normal is None:  # u_t - a_t is -tau_prev A^H z_t
+                        x_t = (z_t - sigma * f_t, a_t + (tau / tau_prev) * (x_t[1] - a_t))
+                    else:
+                        x_t = _carried(a_t, z_t, f_t, g_t, h_t, sigma, tau)
                 x = x_t
                 anchor = (a_t, z_t, x)
                 k = 0

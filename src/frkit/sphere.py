@@ -262,7 +262,8 @@ def _ring_synthesis(coeffs: np.ndarray, table: np.ndarray, lmax: int, n_phi: int
     f_cos, f_sin = _order_sums(coeffs, table, lmax)
     spec = (f_cos - 1j * f_sin) * (math.sqrt(2.0) / 2.0)
     spec[0] = f_cos[0]
-    return np.fft.irfft(spec.T, n=n_phi, axis=1) * n_phi
+    # a contiguous (rings, m) copy: irfft along the strided rows of spec.T is slower
+    return np.fft.irfft(np.ascontiguousarray(spec.T), n=n_phi, axis=1) * n_phi
 
 
 def _ring_analysis(weighted: np.ndarray, table: np.ndarray, lmax: int) -> np.ndarray:

@@ -73,7 +73,7 @@ def dense_operator(mat, norm_bound=None):
     from frkit.solver import MeasurementOperator
 
     return MeasurementOperator(
-        forward=lambda a: mat @ a,
+        forward=lambda a, nz=None: mat @ a,
         adjoint=lambda y: mat.conj().T @ y,
         shape=mat.shape,
         norm_bound=float(np.linalg.norm(mat, 2)) if norm_bound is None else norm_bound,
@@ -84,22 +84,23 @@ def dense_operator(mat, norm_bound=None):
 def counting_operator(op):
     """A shallow copy of op that counts its forward and adjoint calls in .calls.
 
-    An operator with a normal product has its normal calls counted too.
+    An operator with a normal product has its normal calls counted too. The
+    support a caller hands forward or normal is passed through.
     """
     counted = copy.copy(op)
     counted.calls = {"forward": 0, "adjoint": 0}
 
-    def forward(a):
+    def forward(a, nz=None):
         counted.calls["forward"] += 1
-        return op.forward(a)
+        return op.forward(a, nz)
 
     def adjoint(y):
         counted.calls["adjoint"] += 1
         return op.adjoint(y)
 
-    def normal(a):
+    def normal(a, nz=None):
         counted.calls["normal"] += 1
-        return op.normal(a)
+        return op.normal(a, nz)
 
     counted.forward, counted.adjoint = forward, adjoint
     if op.normal is not None:

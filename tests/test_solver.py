@@ -258,6 +258,26 @@ class TestHalfSpectrumTorus:
             assert bool(irfftn_calls) == (np.count_nonzero(a) > crossover)
         assert irfftn_calls  # the last support lies above the crossover
 
+    @pytest.mark.parametrize("side", [8, 9, 64, 256])
+    def test_adjoint_reuses_one_zero_embedding(self, side, rng):
+        # the adjoint writes the sample positions of one embedding per
+        # operator, and must still equal rfftn of a fresh zero embedding and
+        # hand out a fresh array on every call
+        sample = draw_subset(side, max(1, side * side // 20), seed=side)
+        op = make_torus_operator(sample)
+        y1, y2 = rng.standard_normal((2, len(sample)))
+        first = op.adjoint(y1)
+        kept = first.copy()
+        second = op.adjoint(y2)
+        for y, got in ((y1, kept), (y2, second)):
+            emb = np.zeros(side * side)
+            emb[sample.flat] = y / side
+            assert np.array_equal(got, np.fft.rfftn(emb.reshape(side, side)).ravel())
+        assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+        # rfftn of a zero field is exactly zero, so this holds only if the
+        # embedding is zero off the sample positions
+        assert not np.any(op.adjoint(np.zeros(len(sample))))
+
     @pytest.mark.parametrize("side", [8, 9])
     def test_matches_full_spectrum_solve(self, side):
         sample, y, delta = _real_bpdn_instance(side, seed=side)
@@ -320,7 +340,7 @@ class TestRestarts:
             op = make_torus_operator(sample)
             side, flat = sample.side, sample.flat
 
-            def forward(a):
+            def forward(a, nz=None):
                 fld = np.fft.irfftn(a.reshape(side, side // 2 + 1), s=(side, side), axes=(0, 1))
                 return fld.ravel()[flat] * side
 
@@ -432,7 +452,46 @@ def test_soft_threshold_matches_where_form_bitwise(rng):
     mags = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         old = x * np.where(mags > t, 1.0 - t / np.where(mags > 0, mags, 1.0), 0.0)
-    assert np.array_equal(_soft_threshold(x, t).view(np.int64), old.view(np.int64))
+    assert np.array_equal(_soft_threshold(x, t)[0].view(np.int64), old.view(np.int64))
+
+
+def _thresholded(rng, dim, nnz, complex_=True):
+    """_soft_threshold of a random vector at the threshold that leaves nnz nonzeros."""
+    u = rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if complex_ else 0.0)
+    t = float(np.sort(np.abs(u))[dim - nnz - 1])
+    return _soft_threshold(u, t)
+
+
+class TestSupportHandOff:
+    def test_soft_threshold_support_is_flatnonzero(self, rng):
+        for dim, nnz in ((1, 0), (50, 0), (50, 1), (50, 17), (4000, 3), (4000, 3999)):
+            for complex_ in (True, False):
+                a, nz = _thresholded(rng, dim, nnz, complex_)
+                assert nz.dtype == np.intp
+                assert np.array_equal(nz, np.flatnonzero(a)) and nz.size == nnz
+        # exact zeros, entries at and just above the threshold, subnormals
+        x = np.array([0.0, -0.0, 0.7, -0.7j, 0.7 + 1e-16, 2.0, -2j, 5e-324, 3e-323j])
+        for t in (0.7, 2e-323):
+            a, nz = _soft_threshold(x.astype(complex), t)
+            assert np.array_equal(nz, np.flatnonzero(a))
+
+    @pytest.mark.parametrize("side", [8, 9, 64])
+    def test_torus_forward_with_support_is_bitwise(self, side, rng):
+        # on both sides of the crossover to the inverse FFT
+        sample = draw_subset(side, side * side // 2 if side < 64 else 200, seed=side)
+        op = make_torus_operator(sample)
+        crossover = int(solver.TORUS_SPARSE_FORWARD_MAX * side * side / len(sample))
+        for nnz in (0, 1, max(1, crossover // 2), crossover + 1, op.shape[1] // 2):
+            a, nz = _thresholded(rng, op.shape[1], nnz)
+            assert np.array_equal(op.forward(a, nz), op.forward(a))
+
+    def test_sphere_forward_and_normal_with_support_are_bitwise(self, rng):
+        op = make_sphere_operator(draw_sphere_points(120, seed=13), 6)
+        for nnz in (0, 1, 4, 20, 48):
+            a, nz = _thresholded(rng, op.shape[1], nnz, complex_=False)
+            assert np.array_equal(op.forward(a, nz), op.forward(a))
+            # Gram rows are built by the first call and read by the second
+            assert np.array_equal(op.normal(a), op.normal(a, nz))
 
 
 def _sphere_bpdn_instance():

@@ -31,7 +31,7 @@ def full_torus_operator(sample: SampleSet) -> MeasurementOperator:
     shape = (side, side)
     scale = float(side)
 
-    def forward(a: np.ndarray) -> np.ndarray:
+    def forward(a: np.ndarray, nz=None) -> np.ndarray:
         fld = np.fft.ifftn(a.reshape(shape)) * scale
         return fld.ravel()[flat]
 
