@@ -202,12 +202,10 @@ def cmd_lemmas(args, config_hash: str) -> int:
 def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
     if args.setting == "torus":
         return sol.recover_torus(
-            target, size, eps, seed, c_univ=c_univ, ratio_source=args.ratio,
+            target, size, eps, seed, c_univ=c_univ,
             allow_uncertified=args.allow_uncertified, exact_fit=args.exact_fit,
         )
-    return sol.recover_sphere(
-        target, eps, seed, c_univ=c_univ, ratio_source=args.ratio, exact_fit=args.exact_fit,
-    )
+    return sol.recover_sphere(target, eps, seed, c_univ=c_univ, exact_fit=args.exact_fit)
 
 
 def _recovery_targets(args) -> dict[tuple[str, int], object]:
@@ -219,7 +217,19 @@ def _recovery_targets(args) -> dict[tuple[str, int], object]:
     return targets
 
 
-RECOVER_HEADER = sol.RECOVERY_HEADER + ["config_hash", "fn", "ratio_source", "provenance"]
+RECOVERY_HEADER = [
+    "setting", "N_or_L", "eps", "C_univ", "seed", "sample_size", "objective",
+    "feasibility_residual", "rel_error", "budget_11.47eps", "iterations", "converged",
+    "config_hash", "fn",
+]
+
+
+def recovery_csv_fields(report: sol.RecoveryReport, config_hash: str, name: str) -> list[str]:
+    """The RECOVERY_HEADER row of one trial; sweep appends its status."""
+    numbers = (report.objective, report.feasibility_residual, report.rel_error, report.budget)
+    return [report.setting, str(report.size_param), _g(report.eps), _g(report.c_univ),
+            str(report.seed), str(report.sample_size), *map(_g, numbers),
+            str(report.iterations), _flag(report.converged), config_hash, name]
 
 
 def cmd_recover(args, config_hash: str) -> int:
@@ -231,9 +241,8 @@ def cmd_recover(args, config_hash: str) -> int:
     (name, size), target = next(iter(targets.items()))
     reports = [_recover_one(args, target, size, args.eps[0], args.c_univ[0], seed)
                for seed in spawn_seeds(args.seed, args.trials)]
-    rows = [sol.recovery_csv_fields(rep) + [config_hash, name, args.ratio, rep.norm_provenance]
-            for rep in reports]
-    _emit(RECOVER_HEADER, rows, args.out)
+    _emit(RECOVERY_HEADER, [recovery_csv_fields(rep, config_hash, name) for rep in reports],
+          args.out)
     return 0
 
 
@@ -250,10 +259,10 @@ def _sweep_row(task: tuple[int, int]) -> list[str]:
     try:
         report = _recover_one(args, targets[name, size], size, eps, c_univ, seed)
     except FrkitError as exc:
-        return ([args.setting, str(size), _g(eps), _g(c_univ), str(seed)] + [""] * 7
-                + [config_hash, name, args.ratio, "", f"error: {exc}"])
-    return (sol.recovery_csv_fields(report)
-            + [config_hash, name, args.ratio, report.norm_provenance, "ok"])
+        cell = [args.setting, str(size), _g(eps), _g(c_univ), str(seed)]
+        blank = [""] * (RECOVERY_HEADER.index("config_hash") - len(cell))
+        return cell + blank + [config_hash, name, f"error: {exc}"]
+    return recovery_csv_fields(report, config_hash, name) + ["ok"]
 
 
 def _ascending(values: list[float]) -> list[float]:
@@ -284,7 +293,7 @@ def cmd_sweep(args, config_hash: str) -> int:
                 rows = list(pool.map(_sweep_row, tasks))
     finally:
         _SWEEP = None
-    _emit(RECOVER_HEADER + ["status"], rows, args.out)
+    _emit(RECOVERY_HEADER + ["status"], rows, args.out)
     return 0
 
 
@@ -364,11 +373,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", nargs="+", type=float, default=[0.1])
             p.add_argument("--c-univ", dest="c_univ", nargs="+", type=float, default=[1.0])
             p.add_argument("--trials", type=int, default=1)
-            p.add_argument("--ratio", choices=[sol.RATIO_MEASURED, sol.RATIO_BOUND],
-                           default=sol.RATIO_MEASURED)
             p.add_argument("--exact-fit", action="store_true",
                            help="force delta = 0 (exact-fit basis pursuit)")
-            p.add_argument("--allow-uncertified", action="store_true")
+            p.add_argument("--allow-uncertified", action="store_true",
+                           help="recover a torus function that fails N L2^2 >= 8 C2^2 "
+                                "(torus recoveries only)")
 
     p_fr = sub.add_parser("fr", help="Fourier-ratio bound reports")
     common(p_fr)

@@ -4,8 +4,8 @@ The solver is a first-order primal-dual splitting (Chambolle-Pock) on
 min ||a||_1  s.t.  ||A a - y||_2 <= delta,  whose proximal steps are
 soft-thresholding and projection onto the l2 ball. check_kkt and duality_gap
 certify a candidate independently of how it was found. recover_torus and
-recover_sphere run bound -> sample size -> sample -> solve -> report, and
-both end in one measure-and-score step: the truth's coefficients, in the
+recover_sphere run measured ratio -> sample size -> sample -> solve -> report,
+and both end in one measure-and-score step: the truth's coefficients, in the
 operator's layout, give the measurements y = A truth, the fidelity radius
 delta = eps ||truth|| and rel_error = ||a - truth|| / ||truth||, which by
 Parseval is the relative L2 error of the field too.
@@ -155,9 +155,6 @@ NORM_MARGIN = 1.02
 # magnitude below which a coefficient counts as a numerical zero
 KKT_FEAS_TOL = 1e-6
 KKT_SUPPORT_RTOL = 1e-5
-
-RATIO_MEASURED = "measured"
-RATIO_BOUND = "bound"
 
 
 class MeasurementOperator:
@@ -469,8 +466,8 @@ class _Solution:
 class RecoveryReport(_Solution):
     """Solver output of one recovery trial plus the trial's setting and error.
 
-    norm_provenance names the norms the sample size or certification used
-    ("" when none were needed).
+    sample_size is the number of samples drawn; clamped records that the
+    sample-size formula asked for more than the N^2 torus grid points.
     """
 
     rel_error: float
@@ -481,35 +478,11 @@ class RecoveryReport(_Solution):
     seed: int
     sample_size: int
     clamped: bool
-    norm_provenance: str
 
     @property
     def budget(self) -> float:
         """The relative-error budget 11.47 eps."""
         return ERROR_BUDGET_FACTOR * self.eps
-
-
-RECOVERY_HEADER = [
-    "setting", "N_or_L", "eps", "C_univ", "seed", "sample_size", "objective",
-    "feasibility_residual", "rel_error", "budget_11.47eps", "iterations", "converged",
-]
-
-
-def recovery_csv_fields(report: RecoveryReport) -> list[str]:
-    return [
-        report.setting,
-        str(report.size_param),
-        f"{report.eps:.17g}",
-        f"{report.c_univ:.17g}",
-        str(report.seed),
-        str(report.sample_size),
-        f"{report.objective:.17g}",
-        f"{report.feasibility_residual:.17g}",
-        f"{report.rel_error:.17g}",
-        f"{report.budget:.17g}",
-        str(report.iterations),
-        str(report.converged).lower(),
-    ]
 
 
 def _soft_threshold(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -745,27 +718,8 @@ def duality_gap(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndar
 
 
 # ---------------------------------------------------------------------------
-# End-to-end pipelines: bound -> sample size -> sample -> solve -> report.
+# End-to-end pipelines: measured ratio -> sample size -> sample -> solve -> report.
 # ---------------------------------------------------------------------------
-
-def _sample_ratio(
-    ratio_source: str,
-    measured: float,
-    bound: Callable[[], tor.FrBoundReport | sph.SphereFrBoundReport],
-) -> tuple[float, str]:
-    """The ratio for the sample-size formula, floored at 1, and its norm provenance.
-
-    "measured" is the Fourier ratio of the truth and needs no norms; "bound"
-    is the certified r_N / r_L, built by bound() only when asked for because
-    the sphere norms are costly.
-    """
-    if ratio_source == RATIO_MEASURED:
-        return max(1.0, measured), ""
-    if ratio_source == RATIO_BOUND:
-        report = bound()
-        return max(1.0, report.r), report.provenance
-    raise DomainError(f"unknown ratio source {ratio_source!r}")
-
 
 def _recover(
     op: MeasurementOperator, truth: np.ndarray, exact_fit: bool, **fields
@@ -796,8 +750,8 @@ def recover_torus(
     side: int,
     eps: float,
     seed: int,
+    *,
     c_univ: float = 1.0,
-    ratio_source: str = RATIO_MEASURED,
     allow_uncertified: bool = False,
     exact_fit: bool = False,
 ) -> RecoveryReport:
@@ -806,28 +760,24 @@ def recover_torus(
     The field is solved on its rfft2 half spectrum; the report carries the
     full N^2 unitary spectrum.
 
-    ratio_source picks what enters the sample-size formula: the certified
-    bound r_N ("bound", faithful but pessimistic enough to clamp to the full
-    grid at desk scales) or the measured Fourier ratio ("measured"). The
-    size is clamped to the N^2 grid points, and the report records the clamp.
+    The sample size comes from the field's measured Fourier ratio, floored
+    at 1, and is clamped to the N^2 grid points; the report records the clamp.
     exact_fit requests exact-fit basis pursuit (delta = 0) on the observations.
     """
-    norms = tor.resolve_norms(f, side)
-    rn = tor.compute_rn(norms, side)
+    rn = tor.compute_rn(tor.resolve_norms(f, side), side)
     if not rn.certified and not allow_uncertified:
         raise CertificationError(
             f"{f.name} at N={side} fails N L2^2 >= 8 C2^2; "
             "pass allow_uncertified=True to override"
         )
     spectrum = forward_dft(tor.discretize(f, side))
-    ratio, _ = _sample_ratio(ratio_source, fourier_ratio(spectrum), lambda: rn)
     total = side * side
-    size = sample_size(ratio, eps, total, c_univ)
+    size = sample_size(max(1.0, fourier_ratio(spectrum)), eps, total, c_univ)
     sample = draw_subset(side, min(size, total), seed)
     return _recover(
         make_torus_operator(sample), spectrum[:, :side // 2 + 1].ravel(),
         exact_fit, setting="torus", size_param=side, eps=eps, c_univ=c_univ,
-        seed=seed, clamped=size > total, norm_provenance=norms.provenance,
+        seed=seed, clamped=size > total,
     )
 
 
@@ -835,21 +785,20 @@ def recover_sphere(
     signal: sph.SphericalSignal,
     eps: float,
     seed: int,
+    *,
     c_univ: float = 1.0,
-    ratio_source: str = RATIO_MEASURED,
     exact_fit: bool = False,
 ) -> RecoveryReport:
-    """Recover a bandlimited sphere signal from i.i.d. uniform point samples."""
+    """Recover a bandlimited sphere signal from i.i.d. uniform point samples.
+
+    The sample is sized like the torus one, and refused above Q_MAX points.
+    """
     bandwidth = signal.bandwidth
-    ratio, provenance = _sample_ratio(
-        ratio_source, fourier_ratio(signal.coeffs),
-        lambda: sph.compute_rl(sph.estimate_sphere_norms(signal), bandwidth),
-    )
-    q = sample_size(ratio, eps, (bandwidth + 1) ** 2, c_univ)
+    q = sample_size(max(1.0, fourier_ratio(signal.coeffs)), eps, (bandwidth + 1) ** 2, c_univ)
     if q > Q_MAX:
         raise DomainError(f"sample size {q} exceeds configured q_max={Q_MAX}")
     return _recover(
         make_sphere_operator(draw_sphere_points(q, seed), bandwidth), signal.coeffs,
         exact_fit, setting="sphere", size_param=bandwidth, eps=eps, c_univ=c_univ,
-        seed=seed, clamped=False, norm_provenance=provenance,
+        seed=seed, clamped=False,
     )

@@ -90,6 +90,8 @@ class SphericalSignal:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        if self.bandwidth < 0:
+            raise DomainError(f"bandwidth must be >= 0, got {self.bandwidth}")
         coeffs = np.asarray(self.coeffs)
         if np.iscomplexobj(coeffs):
             if np.any(coeffs.imag != 0.0):

@@ -5,9 +5,9 @@ import pytest
 
 from frkit import cli
 from frkit import torus as tor
-from frkit.battery import TORUS_BATTERY
-from frkit.cli import main
-from frkit.solver import Q_MAX
+from frkit.battery import TORUS_BATTERY, build_sphere_battery
+from frkit.cli import RECOVERY_HEADER, main, recovery_csv_fields
+from frkit.solver import Q_MAX, recover_sphere, recover_torus
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +198,21 @@ class TestRecover:
         assert "config error: recover takes one" in err
         assert out == ""
 
+    def test_csv_fields_schema(self):
+        converged = RECOVERY_HEADER.index("converged")
+        reports = [
+            recover_torus(TORUS_BATTERY["const1"], 8, 0.1, seed=3, exact_fit=True),
+            recover_sphere(build_sphere_battery(1)["y00"], 0.1, seed=5, c_univ=0.005,
+                           exact_fit=True),
+        ]
+        assert reports[1].sample_size == 4
+        for rep, setting in zip(reports, ["torus", "sphere"]):
+            fields = recovery_csv_fields(rep, "abc123", "fn_name")
+            assert len(fields) == len(RECOVERY_HEADER)
+            assert fields[0] == setting
+            assert fields[converged] in ("true", "false")
+            assert fields[-2:] == ["abc123", "fn_name"]
+
     def test_bad_eps_config_error(self, capsys):
         code, _, err = run_cli(
             capsys, "recover", "--setting", "torus", "--fn", "const1", "--n", "8",
@@ -381,6 +396,7 @@ def test_non_finite_c_univ_is_sweep_error_row(capsys, c_univ):
                              "--workers", "1")
     assert code == 0, err
     header, rows = parse_csv(out)
+    assert [len(r) for r in rows] == [len(header)] * 2
     status = [r[header.index("status")] for r in rows]
     assert status[0] == "ok"
     assert status[1].startswith("error: C must be finite")
@@ -443,7 +459,7 @@ class TestConfigFile:
         assert errors["false"] == pytest.approx(0.1, rel=0.05)  # delta = eps ||g||
         assert errors["true"] <= 1e-8  # exact fit
 
-    @pytest.mark.parametrize("line", ["setting = sfere", "ratio = bogus"])
+    @pytest.mark.parametrize("line", ["setting = sfere", "mode = bogus"])
     def test_file_values_face_the_flag_choices(self, tmp_path, capsys, line):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"fn = const1\nn = 8\n{line}\n")

@@ -193,6 +193,12 @@ class TestAnalyzeSynthesize:
         assert sig.coeffs.dtype == np.float64
         assert np.array_equal(sig.coeffs, [1.0, 0.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("bandwidth, coeffs", [(-2, [1.0]), (-1, [])])
+    def test_signal_refuses_negative_bandwidth(self, bandwidth, coeffs):
+        # (L+1)^2 matches the coefficient count, so only the sign check refuses these
+        with pytest.raises(DomainError, match="bandwidth must be >= 0"):
+            SphericalSignal(bandwidth, coeffs)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_signal_refuses_non_finite_coefficients(self, bad):
         with pytest.raises(DataError, match="finite"):
