@@ -156,7 +156,7 @@ def _fr_row(name: str, size: int, target, config_hash: str) -> list[str]:
         chk = tor.verify_fr_bound(target, size)
         certified = _flag(chk.report.certified)
         if not chk.report.certified:
-            threshold = tor.certification_threshold(tor.resolve_norms(target, size))
+            threshold = tor.certification_threshold(chk.norms)
             print(f"warning: {name} at N={size} is not certified (threshold {threshold})",
                   file=sys.stderr)
     rep = chk.report

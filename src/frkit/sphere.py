@@ -21,9 +21,9 @@ Pbar_{m+1}^{m+1} and runs the recurrence in l for all m at once; it is
 the only loop over orders.
 
 On an iso-latitude grid (rings of n_phi equispaced ph from 0: every
-QuadratureRule, and the 4L x 8L norm grid) the table is built on the ring
-colatitudes only and ph is done by FFT (Driscoll & Healy 1994; Reinecke &
-Seljebotn, "libsharp", A&A 2013):
+QuadratureRule, and the 4L x 8L norm grid) the table, or its th-derivative,
+is built on the ring colatitudes only and ph is done by FFT (Driscoll &
+Healy 1994; Reinecke & Seljebotn, "libsharp", A&A 2013):
 
     synthesis  F_m(th) = sum_l c_{l,m} Pbar_l^m(th)  (cos part; c_{l,-m} the
                sin part, both times sqrt(2) for m > 0), then an irfft of
@@ -40,8 +40,8 @@ or basis block holds a fixed number of entries, which bounds their memory.
 
 What depends on L only is built once per L and cached, read-only, for the
 last four bandwidths: the table positions' coefficient indices, and the
-two degree-2L tables and degree-4L quadrature of estimate_sphere_norms
-(about 6.5 MB per cached L at L = 32, 51 MB at L = 64).
+degree-L grid table, its th-derivative and 1/sin(th) per ring of
+estimate_sphere_norms (about 2.2 MB per cached L at L = 32, 17 MB at L = 64).
 
 The bound r_L = A + B + C uses
 
@@ -50,7 +50,7 @@ The bound r_L = A + B + C uses
     C = C0 (||f||_C2 / ||f||_L2) / L,     C0 = 48 sqrt(pi)
 
 with ||f||_C2(S^2) = max(sup|f|, sup|grad f|, sup|Lap f|), the gradient
-magnitude obtained spectrally from |grad f|^2 = Lap(f^2)/2 - f Lap f.
+magnitude taken directly, |grad f|^2 = (d_th f)^2 + (d_ph f / sin th)^2.
 """
 
 from __future__ import annotations
@@ -247,14 +247,12 @@ def _order_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per table column, F_m = sum_l c_{l,m} Pbar_l^m and sum_l c_{l,-m} Pbar_l^m.
 
-    Returns the cos and sin parts, each (lmax+1, columns). Coefficients of a
-    lower bandwidth are zero-padded to lmax. The sin part of m = 0 is unused.
+    Returns the cos and sin parts, each (lmax+1, columns), of coefficients of
+    degree <= lmax. The sin part of m = 0 is unused.
     """
     i_cos, i_sin, valid = _table_index(lmax)
-    padded = np.zeros((lmax + 1) ** 2)
-    padded[: coeffs.size] = coeffs
-    f_cos = np.matmul(np.where(valid, padded[i_cos], 0.0)[:, None, :], table)[:, 0]
-    f_sin = np.matmul(np.where(valid, padded[i_sin], 0.0)[:, None, :], table)[:, 0]
+    f_cos = np.matmul(np.where(valid, coeffs[i_cos], 0.0)[:, None, :], table)[:, 0]
+    f_sin = np.matmul(np.where(valid, coeffs[i_sin], 0.0)[:, None, :], table)[:, 0]
     return f_cos, f_sin
 
 
@@ -382,52 +380,54 @@ class SphereNormData:
 
 
 @functools.lru_cache(maxsize=_CACHED_BANDWIDTHS)
-def _norm_tables(lmax: int) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """The L-only data of estimate_sphere_norms, built once per bandwidth.
+def _norm_tables(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The degree-L table on the 4L x 8L grid rings, its th-derivative and 1/sin(th).
 
-    Returns the degree-2L table on the 4L x 8L grid rings, then the degree-4L
-    quadrature's n_phi, its weights as (rings, n_phi) and its degree-2L table.
-    The arrays are read-only.
+    The rings are midpoints, so sin(th) > 0. The derivative table has the same
+    layout, built from the neighbouring orders Pbar_l^{m-1} at [m - 1, l - m + 1]
+    and Pbar_l^{m+1} at [m + 1, l - m - 1]:
+    dPbar_l^m/dth = (sqrt((l+m)(l-m+1)) Pbar_l^{m-1} - sqrt((l-m)(l+m+1)) Pbar_l^{m+1}) / 2
+    and dPbar_l^0/dth = -sqrt(l(l+1)) Pbar_l^1. The arrays are read-only.
     """
     n_theta = max(4 * lmax, 8)
     theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
-    rule = build_quadrature(max(2 * lmax, 1))
-    grid_table = _legendre_table(2 * lmax, theta)
-    quad_table = _legendre_table(2 * lmax, rule.ring_theta)
-    for table in (grid_table, quad_table):
-        table.setflags(write=False)
-    return grid_table, rule.n_phi, rule.weights.reshape(-1, rule.n_phi), quad_table
+    table = _legendre_table(lmax, theta)
+    m, d = np.ogrid[: lmax + 1, : lmax + 1]
+    l = m + d
+    d_table = np.zeros_like(table)
+    d_table[1:, :-1] = (0.5 * np.sqrt((l + m) * (l - m + 1.0)))[1:, :-1, None] * table[:-1, 1:]
+    upper = np.where(m > 0, 0.5, 1.0) * np.sqrt((l - m) * (l + m + 1.0))
+    d_table[:-1, 1:] -= upper[:-1, 1:, None] * table[1:, :-1]
+    inv_sin = 1.0 / np.sin(theta)
+    for arr in (table, d_table, inv_sin):
+        arr.setflags(write=False)
+    return table, d_table, inv_sin
 
 
 def estimate_sphere_norms(signal: SphericalSignal) -> SphereNormData:
     """Sup norms of f, |grad f|, Lap f on a 4L x 8L equiangular grid.
 
-    Gradient magnitude comes from the identity |grad f|^2 = Lap(f^2)/2 - f Lap f;
-    f^2 lives in V_{2L}, so its Laplacian is computed exactly with a degree-4L
-    quadrature and spectral scaling. L2 and the integral are exact by Parseval.
-    All five transforms run on rings, on one Legendre table per ring set at
-    degree 2L (n_phi is 8L on the grid and 4L+1 on the quadrature).
-
-    The two tables and the quadrature depend on L only: they are built on the
-    first call at each L, kept read-only in a cache of the last
-    _CACHED_BANDWIDTHS bandwidths, and reused. A cached L holds about 6.5 MB
-    at L = 32 and 51 MB at L = 64, the memory one call allocates anyway.
+    Four degree-L ring syntheses: f and Lap f on the Legendre table, d_th f on
+    its derivative table, and d_ph f (coefficient m c_{l,-m} at (l, m)) on the
+    table, divided by sin(th) per ring; |grad f|^2 = (d_th f)^2 + (d_ph f / sin th)^2.
+    L2 and the integral are exact by Parseval. The tables are built on the
+    first call at each L and cached, read-only, for _CACHED_BANDWIDTHS
+    bandwidths: about 2.2 MB at L = 32 and 17 MB at L = 64.
     """
     lmax = signal.bandwidth
     n_phi = max(8 * lmax, 16)
-    grid_table, quad_n_phi, quad_weights, quad_table = _norm_tables(lmax)
+    table, d_table, inv_sin = _norm_tables(lmax)
+    ells = degrees_for_indices(signal.coeffs.size)
+    index, centre = np.arange(ells.size), ells * ells + ells  # (l, -m) mirrors (l, m) about (l, 0)
+    phi_coeffs = (index - centre) * signal.coeffs[2 * centre - index]
 
-    f_vals = _ring_synthesis(signal.coeffs, grid_table, 2 * lmax, n_phi)
-    lap_vals = _ring_synthesis(laplacian(signal).coeffs, grid_table, 2 * lmax, n_phi)
+    f_vals = _ring_synthesis(signal.coeffs, table, lmax, n_phi)
+    lap_vals = _ring_synthesis(laplacian(signal).coeffs, table, lmax, n_phi)
+    d_theta = _ring_synthesis(signal.coeffs, d_table, lmax, n_phi)
+    d_phi = _ring_synthesis(phi_coeffs, table, lmax, n_phi) * inv_sin[:, None]
 
-    f_nodes = _ring_synthesis(signal.coeffs, quad_table, 2 * lmax, quad_n_phi)
-    weighted = quad_weights * (f_nodes * f_nodes)
-    f_sq = SphericalSignal(2 * lmax, _ring_analysis(weighted, quad_table, 2 * lmax))
-    lap_sq_vals = _ring_synthesis(laplacian(f_sq).coeffs, grid_table, 2 * lmax, n_phi)
-
-    grad_sq = np.maximum(0.5 * lap_sq_vals - f_vals * lap_vals, 0.0)
     sup = float(np.max(np.abs(f_vals)))
-    grad_sup = float(np.sqrt(np.max(grad_sq)))
+    grad_sup = float(np.sqrt(np.max(d_theta * d_theta + d_phi * d_phi)))
     lap_sup = float(np.max(np.abs(lap_vals)))
     return SphereNormData(
         l2=signal.l2,

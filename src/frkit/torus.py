@@ -178,6 +178,11 @@ def certification_threshold(norms: NormData) -> int:
     return max(2, int(math.ceil(8.0 * norms.c2**2 / norms.l2**2)))
 
 
+def _hypothesis_holds(norms: NormData, side: int) -> bool:
+    """The theorem's hypothesis N ||f||_L2^2 >= 8 ||f||_C2^2."""
+    return side * norms.l2**2 >= 8.0 * norms.c2**2
+
+
 def compute_rn(norms: NormData, side: int) -> FrBoundReport:
     """The three-term bound report at grid side N."""
     if side < 2:
@@ -188,10 +193,9 @@ def compute_rn(norms: NormData, side: int) -> FrBoundReport:
     a = 2.0 * abs(norms.mean) / norms.l2
     b = SIXTEEN_PI_SQ * ratio * math.log(side)
     c = EIGHT_PI_SQ * ratio / side
-    certified = side * norms.l2**2 >= 8.0 * norms.c2**2
     return FrBoundReport(
         side=side, a=a, b=b, c=c, r=a + b + c,
-        certified=certified, provenance=norms.provenance,
+        certified=_hypothesis_holds(norms, side), provenance=norms.provenance,
     )
 
 
@@ -200,6 +204,7 @@ class FrCheck:
     report: FrBoundReport
     fr_measured: float
     slack: float
+    norms: NormData
 
 
 def verify_fr_bound(f: SmoothFunctionSpec, side: int) -> FrCheck:
@@ -208,9 +213,10 @@ def verify_fr_bound(f: SmoothFunctionSpec, side: int) -> FrCheck:
     A non-certified hypothesis is reported via the report's flag, never
     raised; certified inputs must come out with slack >= 0.
     """
-    report = compute_rn(resolve_norms(f, side), side)
+    norms = resolve_norms(f, side)
+    report = compute_rn(norms, side)
     fr = fourier_ratio(forward_dft(discretize(f, side)))
-    return FrCheck(report=report, fr_measured=fr, slack=report.r - fr)
+    return FrCheck(report=report, fr_measured=fr, slack=report.r - fr, norms=norms)
 
 
 @dataclass(frozen=True)
@@ -283,7 +289,7 @@ def verify_l2_lower_bound(
     g_l2 = float(np.linalg.norm(discretize(f, side)))
     energy = g_l2**2
     lower = side**2 * norms.l2**2 - 4.0 * side * norms.c2**2
-    certified = side * norms.l2**2 >= 8.0 * norms.c2**2
+    certified = _hypothesis_holds(norms, side)
     sqrt_bound = side / math.sqrt(2.0) * norms.l2
     slack = 1e-9 * max(1.0, abs(lower))
     return L2LowerBoundCheck(

@@ -1,10 +1,15 @@
 """Point-wise sphere transforms (test support).
 
-These are the per-point m-loop forms of frkit.sphere's synthesize, analyze,
-basis_matrix and estimate_sphere_norms: each evaluates the Legendre
-recurrence for every m at every node, with no ring structure and no FFT.
-They are slow, and the test suite keeps them as the reference that the ring
-transforms and the Legendre table are checked against.
+These are the per-point m-loop forms of frkit.sphere's synthesize, analyze
+and basis_matrix: each evaluates the Legendre recurrence for every m at every
+node, with no ring structure and no FFT. They are slow, and the test suite
+keeps them as the reference that the ring transforms and the Legendre table
+are checked against.
+
+estimate_sphere_norms here is an independent method, not a per-point copy:
+it takes |grad f|^2 from the identity Lap(f^2)/2 - f Lap f, with f^2
+analyzed on a degree-4L quadrature, where frkit.sphere differentiates the
+Legendre table and the phi factor directly.
 """
 
 import math

@@ -117,7 +117,7 @@ class TestFr:
         _, rows = parse_csv(out)
         keys = [(row[fn_col], int(row[size_col])) for row in rows]
         assert keys == sorted(keys)  # still reported by fn, then L
-        assert sorted(table_builds) == [4, 4, 6, 6, 8, 8, 10, 10, 12, 12]
+        assert sorted(table_builds) == [2, 3, 4, 5, 6]
 
 
 class TestDecayLemmas:

@@ -260,6 +260,11 @@ class TestNorms:
         assert norms.grad_sup < 1e-6
         assert norms.integral == pytest.approx(math.sqrt(FOUR_PI), rel=1e-14)
 
+    def test_y00_gradient_is_exactly_zero(self):
+        c = np.zeros(65**2)
+        c[0] = 1.0
+        assert estimate_sphere_norms(SphericalSignal(64, c)).grad_sup == 0.0
+
     def test_y10_norms_closed_form(self):
         c = np.zeros(9)
         c[lm_to_index(1, 0)] = 1.0
@@ -333,6 +338,16 @@ class TestRingTransforms:
                 block = ref.legendre_block(m, lmax, np.cos(theta), np.sin(theta))
                 assert np.array_equal(table[m, : lmax - m + 1], block)
                 assert not np.any(table[m, lmax - m + 1:])
+
+    @pytest.mark.parametrize("lmax", (1, 2, 9, 40))
+    def test_derivative_table_matches_central_differences(self, lmax):
+        _, d_table, inv_sin = sph._norm_tables(lmax)
+        theta = _norm_grid(lmax)[0]
+        assert np.array_equal(inv_sin, 1.0 / np.sin(theta))
+        h = 1e-6
+        plus, minus = sph._legendre_table(lmax, theta + h), sph._legendre_table(lmax, theta - h)
+        want = (plus - minus) / (2 * h)
+        assert np.max(np.abs(d_table - want)) <= 1e-8 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("bandwidth", RING_BANDWIDTHS)
     def test_ring_synthesis_matches_reference(self, rng, bandwidth):
@@ -431,8 +446,7 @@ class TestNormTableCache:
     """estimate_sphere_norms builds its L-only tables once per bandwidth."""
 
     def test_cached_arrays_are_read_only(self):
-        grid_table, _, weights, quad_table = sph._norm_tables(8)
-        for arr in (grid_table, weights, quad_table, *sph._table_index(8)):
+        for arr in (*sph._norm_tables(8), *sph._table_index(8)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
 
@@ -444,9 +458,12 @@ class TestNormTableCache:
             assert estimate_sphere_norms(signal) == cold, name
             assert sph._norm_tables.cache_info().hits == 1
 
-    def test_fr_pass_builds_two_tables_per_bandwidth(self, table_builds, capsys):
+    def test_fr_pass_builds_one_table_per_bandwidth(self, table_builds, capsys):
         assert main(["fr", "--setting", "sphere", "--fn", "all", "--l", "16", "32"]) == 0
-        assert sorted(table_builds) == [32, 32, 64, 64]  # 32 without the cache
+        assert sorted(table_builds) == [16, 32]  # 16 without the cache
+
+    def test_l64_tables_fit_17_mib(self):
+        assert sum(arr.nbytes for arr in sph._norm_tables(64)) <= 17 * 2**20
 
 
 class TestSphereFrBound:
