@@ -1,8 +1,7 @@
 """Fourier-ratio bounds for smooth signals and l1 recovery from random samples."""
 
-from .spectral import best_s_truncation, forward_dft, fourier_ratio, inverse_dft
+from .spectral import FrBoundReport, best_s_truncation, forward_dft, fourier_ratio, inverse_dft
 from .torus import (
-    FrBoundReport,
     NormData,
     SmoothFunctionSpec,
     compute_rn,
@@ -17,7 +16,6 @@ from .torus import (
 )
 from .sphere import (
     QuadratureRule,
-    SphereFrBoundReport,
     SphericalSignal,
     analyze,
     build_quadrature,

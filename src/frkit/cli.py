@@ -4,7 +4,9 @@ Subcommands: fr, decay, lemmas, recover, sweep, quadrature-check. Every
 command but quadrature-check runs on the targets of one resolver: a torus
 battery function at each --n or a sphere battery signal at each --l, keyed
 by (fn, size); fr, decay, lemmas and sweep report them in (fn, size) order.
-recover takes one target, one --eps and one --c-univ. decay and lemmas are
+recover takes one target, one --eps and one --c-univ; sweep runs each cell
+(fn, size, eps, C) of its grid once, and a trial's row takes these inputs
+from the cell and its results from the RecoveryReport. decay and lemmas are
 torus checks. Experiment configuration is plain flags plus an optional flat
 key=value config file. Each file line `key = value...` becomes the flag tokens `--key value...`,
 parsed after the command and before the rest of the command line, so the
@@ -149,18 +151,16 @@ FR_HEADER = [
 
 
 def _fr_row(name: str, size: int, target, config_hash: str) -> list[str]:
-    """One fr row of a torus or sphere check; the sphere leaves certified empty."""
-    if isinstance(target, sph.SphericalSignal):
-        chk, certified = sph.verify_sphere_fr_bound(target), ""
-    else:
-        chk = tor.verify_fr_bound(target, size)
-        certified = _flag(chk.report.certified)
-        if not chk.report.certified:
-            threshold = tor.certification_threshold(chk.norms)
-            print(f"warning: {name} at N={size} is not certified (threshold {threshold})",
-                  file=sys.stderr)
+    """One fr row of a torus or sphere check; the sphere's certified is None, printed empty."""
+    sphere = isinstance(target, sph.SphericalSignal)
+    chk = sph.verify_sphere_fr_bound(target) if sphere else tor.verify_fr_bound(target, size)
     rep = chk.report
+    if rep.certified is False:
+        threshold = tor.certification_threshold(chk.norms)
+        print(f"warning: {name} at N={size} is not certified (threshold {threshold})",
+              file=sys.stderr)
     numbers = (rep.a, rep.b, rep.c, rep.r, chk.fr_measured, chk.slack)
+    certified = "" if rep.certified is None else _flag(rep.certified)
     return [str(size), *map(_g, numbers), certified, rep.provenance, config_hash, name]
 
 
@@ -199,15 +199,6 @@ def cmd_lemmas(args, config_hash: str) -> int:
     return _report(args, config_hash, header, _lemmas_row)
 
 
-def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
-    if args.setting == "torus":
-        return sol.recover_torus(
-            target, size, eps, seed, c_univ=c_univ,
-            allow_uncertified=args.allow_uncertified, exact_fit=args.exact_fit,
-        )
-    return sol.recover_sphere(target, eps, seed, c_univ=c_univ, exact_fit=args.exact_fit)
-
-
 def _recovery_targets(args) -> dict[tuple[str, int], object]:
     """The targets of a recover/sweep run, after its --eps and --trials checks."""
     targets = _targets(args)
@@ -224,12 +215,27 @@ RECOVERY_HEADER = [
 ]
 
 
-def recovery_csv_fields(report: sol.RecoveryReport, config_hash: str, name: str) -> list[str]:
-    """The RECOVERY_HEADER row of one trial; sweep appends its status."""
-    numbers = (report.objective, report.feasibility_residual, report.rel_error, report.budget)
-    return [report.setting, str(report.size_param), _g(report.eps), _g(report.c_univ),
-            str(report.seed), str(report.sample_size), *map(_g, numbers),
-            str(report.iterations), _flag(report.converged), config_hash, name]
+def _trial_inputs(setting: str, cell, seed: int) -> list[str]:
+    """The five input columns of a trial of cell = (fn, size, eps, c_univ), seed."""
+    _, size, eps, c_univ = cell
+    return [setting, str(size), _g(eps), _g(c_univ), str(seed)]
+
+
+def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
+    if args.setting == "sphere":
+        return sol.recover_sphere(target, eps, seed, c_univ=c_univ, exact_fit=args.exact_fit)
+    return sol.recover_torus(target, size, eps, seed, c_univ=c_univ, exact_fit=args.exact_fit,
+                             allow_uncertified=args.allow_uncertified)
+
+
+def _trial_row(args, config_hash: str, target, cell, seed: int) -> list[str]:
+    """Recover target in one trial of cell and return its RECOVERY_HEADER row."""
+    name, size, eps, c_univ = cell
+    rep = _recover_one(args, target, size, eps, c_univ, seed)
+    numbers = (rep.objective, rep.feasibility_residual, rep.rel_error,
+               sol.ERROR_BUDGET_FACTOR * eps)
+    return [*_trial_inputs(args.setting, cell, seed), str(rep.sample_size), *map(_g, numbers),
+            str(rep.iterations), _flag(rep.converged), config_hash, name]
 
 
 def cmd_recover(args, config_hash: str) -> int:
@@ -239,10 +245,10 @@ def cmd_recover(args, config_hash: str) -> int:
     _require(len(targets) == 1, f"recover takes one --fn at one size, got {sorted(targets)}; "
              "sweep runs several")
     (name, size), target = next(iter(targets.items()))
-    reports = [_recover_one(args, target, size, args.eps[0], args.c_univ[0], seed)
-               for seed in spawn_seeds(args.seed, args.trials)]
-    _emit(RECOVERY_HEADER, [recovery_csv_fields(rep, config_hash, name) for rep in reports],
-          args.out)
+    cell = (name, size, args.eps[0], args.c_univ[0])
+    rows = [_trial_row(args, config_hash, target, cell, seed)
+            for seed in spawn_seeds(args.seed, args.trials)]
+    _emit(RECOVERY_HEADER, rows, args.out)
     return 0
 
 
@@ -255,19 +261,18 @@ def _sweep_row(task: tuple[int, int]) -> list[str]:
     """The row of one (cell index, trial seed) task of the running sweep."""
     idx, seed = task
     args, config_hash, targets, cells = _SWEEP
-    name, size, eps, c_univ = cells[idx]
+    cell = cells[idx]
     try:
-        report = _recover_one(args, targets[name, size], size, eps, c_univ, seed)
+        return _trial_row(args, config_hash, targets[cell[:2]], cell, seed) + ["ok"]
     except FrkitError as exc:
-        cell = [args.setting, str(size), _g(eps), _g(c_univ), str(seed)]
-        blank = [""] * (RECOVERY_HEADER.index("config_hash") - len(cell))
-        return cell + blank + [config_hash, name, f"error: {exc}"]
-    return recovery_csv_fields(report, config_hash, name) + ["ok"]
+        inputs = _trial_inputs(args.setting, cell, seed)
+        blank = [""] * (RECOVERY_HEADER.index("config_hash") - len(inputs))
+        return inputs + blank + [config_hash, cell[0], f"error: {exc}"]
 
 
 def _ascending(values: list[float]) -> list[float]:
-    """values in ascending order with NaN last; sorted() stops ordering at a NaN."""
-    return sorted(values, key=lambda v: (math.isnan(v), v))
+    """values once each, ascending with NaN last; sorted() stops ordering at a NaN."""
+    return sorted(dict.fromkeys(values), key=lambda v: (math.isnan(v), v))
 
 
 def cmd_sweep(args, config_hash: str) -> int:

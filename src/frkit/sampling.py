@@ -26,7 +26,7 @@ def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
 
     D is N^2 on the torus, whose caller clamps the size to the grid, and
     (L+1)^2 on the sphere, whose points are drawn with repetition. r, eps
-    and C must be finite.
+    and C must be finite, and so must the size they give.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must be finite and lie in (0, 1/2), got {eps}")
@@ -34,7 +34,10 @@ def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
         raise DomainError(f"r must be finite and >= 1, got {r}")
     if not 0.0 < c_univ < math.inf:
         raise DomainError(f"C must be finite and positive, got {c_univ}")
-    return int(math.ceil(c_univ * (r / eps) ** 2 * math.log(r / eps) ** 2 * math.log(dim)))
+    try:
+        return math.ceil(c_univ * (r / eps) ** 2 * math.log(r / eps) ** 2 * math.log(dim))
+    except (OverflowError, ValueError):  # the formula is infinite or NaN
+        raise DomainError(f"sample size is not finite at C={c_univ}, r={r}, eps={eps}") from None
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

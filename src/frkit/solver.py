@@ -464,25 +464,13 @@ class _Solution:
 
 @dataclass(frozen=True)
 class RecoveryReport(_Solution):
-    """Solver output of one recovery trial plus the trial's setting and error.
-
-    sample_size is the number of samples drawn; clamped records that the
-    sample-size formula asked for more than the N^2 torus grid points.
-    """
+    """The results of one recovery trial, none of its inputs: the solver's output,
+    rel_error, the number of samples drawn, and whether the sample-size formula
+    asked for more than the N^2 torus grid points (clamped)."""
 
     rel_error: float
-    setting: str
-    size_param: int
-    eps: float
-    c_univ: float
-    seed: int
     sample_size: int
     clamped: bool
-
-    @property
-    def budget(self) -> float:
-        """The relative-error budget 11.47 eps."""
-        return ERROR_BUDGET_FACTOR * self.eps
 
 
 def _soft_threshold(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -722,7 +710,7 @@ def duality_gap(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndar
 # ---------------------------------------------------------------------------
 
 def _recover(
-    op: MeasurementOperator, truth: np.ndarray, exact_fit: bool, **fields
+    op: MeasurementOperator, truth: np.ndarray, eps: float, exact_fit: bool, clamped: bool
 ) -> RecoveryReport:
     """Measure the truth, solve for its coefficients and score them.
 
@@ -731,17 +719,17 @@ def _recover(
     eps * op.coef_norm(truth), or 0 for an exact fit, and rel_error is
     op.coef_norm(a - truth) / op.coef_norm(truth): by Parseval the relative L2
     error of the field as well. The report carries op.expand of the solver's
-    coefficients. fields are the remaining RecoveryReport fields, eps among them.
+    coefficients, op's row count as the sample size, and clamped.
     """
     truth_norm = op.coef_norm(truth)
-    delta = 0.0 if exact_fit else fields["eps"] * truth_norm
+    delta = 0.0 if exact_fit else eps * truth_norm
     solution = solve_bpdn(op, op.forward(truth), SolverConfig(delta=delta))
     a = solution.coefficients
     return RecoveryReport(
         **vars(replace(solution, coefficients=op.expand(a))),
         rel_error=op.coef_norm(a - truth) / truth_norm,
         sample_size=op.shape[0],
-        **fields,
+        clamped=clamped,
     )
 
 
@@ -774,11 +762,8 @@ def recover_torus(
     total = side * side
     size = sample_size(max(1.0, fourier_ratio(spectrum)), eps, total, c_univ)
     sample = draw_subset(side, min(size, total), seed)
-    return _recover(
-        make_torus_operator(sample), spectrum[:, :side // 2 + 1].ravel(),
-        exact_fit, setting="torus", size_param=side, eps=eps, c_univ=c_univ,
-        seed=seed, clamped=size > total,
-    )
+    return _recover(make_torus_operator(sample), spectrum[:, :side // 2 + 1].ravel(),
+                    eps, exact_fit, clamped=size > total)
 
 
 def recover_sphere(
@@ -797,8 +782,5 @@ def recover_sphere(
     q = sample_size(max(1.0, fourier_ratio(signal.coeffs)), eps, (bandwidth + 1) ** 2, c_univ)
     if q > Q_MAX:
         raise DomainError(f"sample size {q} exceeds configured q_max={Q_MAX}")
-    return _recover(
-        make_sphere_operator(draw_sphere_points(q, seed), bandwidth), signal.coeffs,
-        exact_fit, setting="sphere", size_param=bandwidth, eps=eps, c_univ=c_univ,
-        seed=seed, clamped=False,
-    )
+    return _recover(make_sphere_operator(draw_sphere_points(q, seed), bandwidth),
+                    signal.coeffs, eps, exact_fit, clamped=False)

@@ -5,11 +5,14 @@ d come from the shape. The transforms are unitary (N^{-d/2} normalization,
 so Parseval holds with unnormalized counting-measure norms on the grid).
 Also here: the Fourier ratio ||a||_1/||a||_2 of any coefficient array (the
 sphere's coefficient vectors included), best-S truncation with its
-Stechkin-type tail bound, and the grid of wrapped frequency magnitudes
-|k|_* = min(k, N-k).
+Stechkin-type tail bound, the grid of wrapped frequency magnitudes
+|k|_* = min(k, N-k), and the report of FR <= r = A + B + C that both
+settings share (r_N on the torus, r_L on the sphere).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,3 +80,31 @@ def best_s_truncation(coeffs, s: int) -> tuple[np.ndarray, float]:
     kept[keep] = flat[keep]
     tail = float(np.linalg.norm(flat - kept)) / n2
     return kept.reshape(coeffs.shape), tail
+
+
+@dataclass(frozen=True)
+class FrBoundReport:
+    """Terms A, B, C of r = A + B + C; certified is None where no hypothesis applies."""
+
+    a: float
+    b: float
+    c: float
+    certified: bool | None
+    provenance: str
+
+    @property
+    def r(self) -> float:
+        return self.a + self.b + self.c
+
+
+@dataclass(frozen=True)
+class FrCheck:
+    """A measured Fourier ratio against its bound report, with the norms behind it."""
+
+    report: FrBoundReport
+    fr_measured: float
+    norms: object
+
+    @property
+    def slack(self) -> float:
+        return self.report.r - self.fr_measured

@@ -43,7 +43,7 @@ last four bandwidths: the table positions' coefficient indices, and the
 degree-L grid table, its th-derivative and 1/sin(th) per ring of
 estimate_sphere_norms (about 2.2 MB per cached L at L = 32, 17 MB at L = 64).
 
-The bound r_L = A + B + C uses
+The bound r_L = A + B + C, reported as spectral.FrBoundReport, uses
 
     A = |int f dsigma| / ||f||_L2
     B = C0 (||f||_C2 / ||f||_L2) ln L
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DomainError, StructuralError
-from .spectral import fourier_ratio
+from .spectral import FrBoundReport, FrCheck, fourier_ratio
 
 C0_SPHERE = 48.0 * math.sqrt(math.pi)
 SPHERE_AREA = 4.0 * math.pi
@@ -440,19 +440,8 @@ def estimate_sphere_norms(signal: SphericalSignal) -> SphereNormData:
     )
 
 
-@dataclass(frozen=True)
-class SphereFrBoundReport:
-    """A_L, B_L, C_L and their sum r_L, with C0 = C0_SPHERE."""
-
-    bandwidth: int
-    a: float
-    b: float
-    c: float
-    r: float
-    provenance: str
-
-
-def compute_rl(norms: SphereNormData, bandwidth: int) -> SphereFrBoundReport:
+def compute_rl(norms: SphereNormData, bandwidth: int) -> FrBoundReport:
+    """A_L, B_L and C_L with C0 = C0_SPHERE; certified is None, as r_L needs no hypothesis."""
     if bandwidth < 2:
         raise DomainError(
             f"bandwidth must be >= 2 (log L degenerates at L < 2), got {bandwidth}"
@@ -463,22 +452,12 @@ def compute_rl(norms: SphereNormData, bandwidth: int) -> SphereFrBoundReport:
     a = abs(norms.integral) / norms.l2
     b = C0_SPHERE * ratio * math.log(bandwidth)
     c = C0_SPHERE * ratio / bandwidth
-    return SphereFrBoundReport(
-        bandwidth=bandwidth, a=a, b=b, c=c, r=a + b + c, provenance=norms.provenance,
-    )
+    return FrBoundReport(a, b, c, None, norms.provenance)
 
 
-@dataclass(frozen=True)
-class SphereFrCheck:
-    report: SphereFrBoundReport
-    fr_measured: float
-    slack: float
-    norms: SphereNormData
-
-
-def verify_sphere_fr_bound(signal: SphericalSignal) -> SphereFrCheck:
+def verify_sphere_fr_bound(signal: SphericalSignal) -> FrCheck:
     """Measured FR_L against r_L; slack >= 0 expected on the smooth battery."""
     norms = estimate_sphere_norms(signal)
     report = compute_rl(norms, signal.bandwidth)
     fr = fourier_ratio(signal.coeffs)
-    return SphereFrCheck(report=report, fr_measured=fr, slack=report.r - fr, norms=norms)
+    return FrCheck(report=report, fr_measured=fr, norms=norms)

@@ -1,7 +1,7 @@
 """Discretization of smooth periodic functions on Z_N^2 and the r_N bound.
 
 The chain: sample f on the N x N grid, estimate or accept analytic norms,
-form the three-term bound r_N = A + B + C with
+form the three-term bound r_N = A + B + C, reported as spectral.FrBoundReport, with
 
     A = 2 |mean(f)| / ||f||_L2
     B = 16 pi^2 (||f||_C2 / ||f||_L2) ln N
@@ -27,7 +27,7 @@ from .errors import (
     PeriodicityError,
     StructuralError,
 )
-from .spectral import forward_dft, fourier_ratio, wrapped_mag_sq_grid
+from .spectral import FrBoundReport, FrCheck, forward_dft, fourier_ratio, wrapped_mag_sq_grid
 
 SIXTEEN_PI_SQ = 16.0 * math.pi**2
 EIGHT_PI_SQ = 8.0 * math.pi**2
@@ -89,19 +89,6 @@ class SmoothFunctionSpec:
 
     def __call__(self, u1, u2) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(u1), np.asarray(u2)), dtype=float)
-
-
-@dataclass(frozen=True)
-class FrBoundReport:
-    """The bound terms A, B, C, their sum r, and the hypothesis flag."""
-
-    side: int
-    a: float
-    b: float
-    c: float
-    r: float
-    certified: bool
-    provenance: str
 
 
 def discretize(f: SmoothFunctionSpec, side: int) -> np.ndarray:
@@ -184,7 +171,7 @@ def _hypothesis_holds(norms: NormData, side: int) -> bool:
 
 
 def compute_rn(norms: NormData, side: int) -> FrBoundReport:
-    """The three-term bound report at grid side N."""
+    """The three-term bound report at grid side N; certified is the hypothesis."""
     if side < 2:
         raise DomainError(f"N must be >= 2, got {side}")
     if norms.l2 <= 0:
@@ -193,18 +180,7 @@ def compute_rn(norms: NormData, side: int) -> FrBoundReport:
     a = 2.0 * abs(norms.mean) / norms.l2
     b = SIXTEEN_PI_SQ * ratio * math.log(side)
     c = EIGHT_PI_SQ * ratio / side
-    return FrBoundReport(
-        side=side, a=a, b=b, c=c, r=a + b + c,
-        certified=_hypothesis_holds(norms, side), provenance=norms.provenance,
-    )
-
-
-@dataclass(frozen=True)
-class FrCheck:
-    report: FrBoundReport
-    fr_measured: float
-    slack: float
-    norms: NormData
+    return FrBoundReport(a, b, c, _hypothesis_holds(norms, side), norms.provenance)
 
 
 def verify_fr_bound(f: SmoothFunctionSpec, side: int) -> FrCheck:
@@ -216,7 +192,7 @@ def verify_fr_bound(f: SmoothFunctionSpec, side: int) -> FrCheck:
     norms = resolve_norms(f, side)
     report = compute_rn(norms, side)
     fr = fourier_ratio(forward_dft(discretize(f, side)))
-    return FrCheck(report=report, fr_measured=fr, slack=report.r - fr, norms=norms)
+    return FrCheck(report=report, fr_measured=fr, norms=norms)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ import pytest
 
 from frkit import cli
 from frkit import torus as tor
-from frkit.battery import TORUS_BATTERY, build_sphere_battery
-from frkit.cli import RECOVERY_HEADER, main, recovery_csv_fields
-from frkit.solver import Q_MAX, recover_sphere, recover_torus
+from frkit.battery import TORUS_BATTERY
+from frkit.cli import RECOVERY_HEADER, main
+from frkit.solver import Q_MAX
 
 
 def run_cli(capsys, *argv):
@@ -198,20 +198,26 @@ class TestRecover:
         assert "config error: recover takes one" in err
         assert out == ""
 
-    def test_csv_fields_schema(self):
-        converged = RECOVERY_HEADER.index("converged")
-        reports = [
-            recover_torus(TORUS_BATTERY["const1"], 8, 0.1, seed=3, exact_fit=True),
-            recover_sphere(build_sphere_battery(1)["y00"], 0.1, seed=5, c_univ=0.005,
-                           exact_fit=True),
-        ]
-        assert reports[1].sample_size == 4
-        for rep, setting in zip(reports, ["torus", "sphere"]):
-            fields = recovery_csv_fields(rep, "abc123", "fn_name")
-            assert len(fields) == len(RECOVERY_HEADER)
-            assert fields[0] == setting
-            assert fields[converged] in ("true", "false")
-            assert fields[-2:] == ["abc123", "fn_name"]
+    def test_csv_fields_schema(self, capsys):
+        runs = {
+            "torus": "recover --fn const1 --n 8 --eps 0.1 --seed 3 --exact-fit",
+            "sphere": "recover --setting sphere --fn y00 --l 1 --eps 0.1 --seed 5 "
+                      "--c-univ 0.005 --exact-fit",
+        }
+        for setting, argv in runs.items():
+            code, out, err = run_cli(capsys, *argv.split())
+            assert code == 0, err
+            header, (row,) = parse_csv(out)
+            fields = dict(zip(header, row, strict=True))
+            assert header == RECOVERY_HEADER
+            assert fields["setting"] == setting
+            assert fields["eps"] == "0.10000000000000001"
+            assert fields["budget_11.47eps"] == _g(11.47 * 0.1)
+            assert fields["converged"] in ("true", "false")
+            assert len(fields["config_hash"]) == 12
+        # the sphere's row, the last one read: y00 at L = 1 from four points
+        assert fields["N_or_L"] == "1" and fields["sample_size"] == "4"
+        assert fields["fn"] == "y00"
 
     def test_bad_eps_config_error(self, capsys):
         code, _, err = run_cli(
@@ -400,6 +406,37 @@ def test_non_finite_c_univ_is_sweep_error_row(capsys, c_univ):
     status = [r[header.index("status")] for r in rows]
     assert status[0] == "ok"
     assert status[1].startswith("error: C must be finite")
+
+
+def test_overflowing_sample_size_is_config_error_and_sweep_error_row(capsys):
+    base = ["--fn", "const1", "--n", "8", "--eps", "0.1", "--allow-uncertified"]
+    code, out, err = run_cli(capsys, "recover", *base, "--c-univ", "1e308")
+    assert code == 1
+    assert "config error: sample size is not finite" in err
+    assert out == ""
+    code, out, err = run_cli(capsys, "sweep", *base, "--c-univ", "1", "1e308")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    status = [r[header.index("status")] for r in rows]
+    assert status[0] == "ok"
+    assert status[1].startswith("error: sample size is not finite")
+    assert rows[1][:4] == ["torus", "8", "0.10000000000000001", "1e+308"]
+    assert rows[1][header.index("sample_size")] == ""
+
+
+def test_sweep_runs_a_repeated_grid_value_once(capsys):
+    base = ["sweep", "--fn", "const1", "--n", "8", "--allow-uncertified", "--trials", "2"]
+    code, out, err = run_cli(capsys, *base, "--eps", "0.1", "--c-univ", "1")
+    assert code == 0, err
+    header, once = parse_csv(out)
+    code, out, err = run_cli(capsys, *base, "--eps", "0.1", "0.1", "--c-univ", "1", "1.0")
+    assert code == 0, err
+    _, repeated = parse_csv(out)
+    hash_col = header.index("config_hash")
+    assert len(repeated) == len(once) == 2
+    assert [r[:hash_col] + r[hash_col + 1:] for r in repeated] == [
+        r[:hash_col] + r[hash_col + 1:] for r in once
+    ]
 
 
 def test_sweep_cell_order_ignores_nan_position(capsys):

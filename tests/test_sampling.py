@@ -101,6 +101,16 @@ class TestSampleSize:
         with pytest.raises(DomainError, match="finite"):
             sample_size(**args)
 
+    @pytest.mark.parametrize("args", [
+        {"c_univ": 1e308},  # finite inputs, infinite size
+        {"eps": 1e-200},  # (r/eps)^2 overflows
+        {"eps": 5e-324, "dim": 1},  # inf * ln 1 is NaN
+    ])
+    def test_non_finite_size_rejected(self, args):
+        args = {"r": 2.0, "eps": 0.1, "dim": 64, "c_univ": 1.0, **args}
+        with pytest.raises(DomainError, match="sample size is not finite"):
+            sample_size(**args)
+
 
 class TestSeeds:
     def test_spawn_deterministic(self):

@@ -17,6 +17,7 @@ from frkit.errors import (
 )
 from frkit.sampling import draw_sphere_points, draw_subset, rng_from_seed, spawn_seeds
 from frkit.solver import (
+    ERROR_BUDGET_FACTOR,
     Q_MAX,
     MeasurementOperator,
     SolverConfig,
@@ -806,8 +807,7 @@ class TestRecoverTorus:
     def test_constant_exact_fit(self):
         rep = recover_torus(TORUS_BATTERY["const1"], 8, 0.1, seed=3, exact_fit=True)
         assert rep.rel_error <= 1e-8
-        assert rep.setting == "torus"
-        assert rep.budget == pytest.approx(1.147)
+        assert ERROR_BUDGET_FACTOR * 0.1 == pytest.approx(1.147)
 
     def test_constant_partial_observations_exact_fit(self):
         for seed in spawn_seeds(88, 5):
@@ -826,7 +826,7 @@ class TestRecoverTorus:
             TORUS_BATTERY["cc_half"], 64, 0.1, seed=7, c_univ=2**-6,
             allow_uncertified=True,
         )
-        assert rep.rel_error <= rep.budget
+        assert rep.rel_error <= ERROR_BUDGET_FACTOR * 0.1
         assert rep.sample_size <= 64 * 64
 
     def test_clamps_to_full_grid(self):
@@ -836,6 +836,14 @@ class TestRecoverTorus:
         assert rep.sample_size == 256
         # full observation with slack delta: error bounded by eps
         assert rep.rel_error <= 0.1 + 1e-6
+
+    def test_report_holds_results_only(self):
+        rep = recover_torus(TORUS_BATTERY["const1"], 8, 0.1, seed=3, exact_fit=True)
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "coefficients", "objective", "feasibility_residual", "iterations", "converged",
+            "restarts", "primal_weight", "rel_error", "sample_size", "clamped",
+        ]
+        assert not hasattr(rep, "budget")
 
     def test_options_after_seed_are_keyword_only(self):
         with pytest.raises(TypeError):
@@ -873,7 +881,7 @@ class TestSharedScoring:
         assert rep.rel_error == pytest.approx(rel, rel=1e-12)
         # measured at the field's values on the sample
         g = discretize(f, side).ravel()
-        want = g[draw_subset(side, rep.sample_size, rep.seed).flat]
+        want = g[draw_subset(side, rep.sample_size, 7).flat]
         assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
         assert delta == pytest.approx(0.1 * np.linalg.norm(g), rel=1e-13)
 
@@ -884,7 +892,7 @@ class TestSharedScoring:
         [(y, delta)] = calls
         rel = np.linalg.norm(rep.coefficients.real - signal.coeffs) / np.linalg.norm(signal.coeffs)
         assert rep.rel_error == pytest.approx(rel, rel=1e-12)
-        points = draw_sphere_points(rep.sample_size, rep.seed)
+        points = draw_sphere_points(rep.sample_size, 11)
         want = synthesize(signal, points.theta, points.phi)
         assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
         assert delta == pytest.approx(0.1 * np.linalg.norm(signal.coeffs), rel=1e-13)
@@ -900,7 +908,7 @@ class TestRecoverSphere:
     def test_mix5_within_budget(self):
         bat = build_sphere_battery(8)
         rep = recover_sphere(bat["mix5"], 0.1, seed=11, c_univ=2**-6)
-        assert rep.rel_error <= rep.budget
+        assert rep.rel_error <= ERROR_BUDGET_FACTOR * 0.1
 
     def test_q_max_refusal(self):
         bat = build_sphere_battery(8)

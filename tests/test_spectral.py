@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from frkit.errors import DegenerateInputError, DomainError, StructuralError
 from frkit.sampling import rng_from_seed
+from frkit.battery import TORUS_BATTERY, build_sphere_battery
+import frkit.spectral as spectral
 from frkit.spectral import (
     best_s_truncation,
     forward_dft,
@@ -12,6 +15,8 @@ from frkit.spectral import (
     inverse_dft,
     wrapped_mag_sq_grid,
 )
+from frkit.sphere import compute_rl, estimate_sphere_norms, verify_sphere_fr_bound
+from frkit.torus import compute_rn, resolve_norms, verify_fr_bound
 from conftest import best_tail_by_enumeration, dft_direct, idft_direct
 
 
@@ -192,3 +197,31 @@ class TestWrappedMagnitude:
         for n in (2, 5, 8):
             w = wrapped_mag_sq_grid(n, 1)
             assert np.all((0 <= w) & (w <= (n / 2) ** 2))
+
+
+class TestFrBoundReport:
+    """Both settings fill in one report; r and slack are derived, never stored."""
+
+    def test_both_settings_return_one_type(self):
+        spec, signal = TORUS_BATTERY["cos_small"], build_sphere_battery(8)["mix5"]
+        torus = compute_rn(resolve_norms(spec, 64), 64)
+        sphere = compute_rl(estimate_sphere_norms(signal), 8)
+        assert type(torus) is type(sphere) is spectral.FrBoundReport
+        assert isinstance(torus.certified, bool) and sphere.certified is None
+        for rep in (torus, sphere):
+            assert rep.r == rep.a + rep.b + rep.c
+
+    def test_slack_is_r_minus_the_measured_ratio(self):
+        checks = [verify_fr_bound(TORUS_BATTERY["cc_half"], 64),
+                  verify_sphere_fr_bound(build_sphere_battery(16)["gauss_heat"])]
+        for chk in checks:
+            assert type(chk) is spectral.FrCheck
+            assert chk.slack == chk.report.r - chk.fr_measured
+
+    def test_fields_hold_no_derived_value(self):
+        assert [f.name for f in dataclasses.fields(spectral.FrBoundReport)] == [
+            "a", "b", "c", "certified", "provenance",
+        ]
+        assert [f.name for f in dataclasses.fields(spectral.FrCheck)] == [
+            "report", "fr_measured", "norms",
+        ]
