@@ -60,11 +60,14 @@ class SampleSet:
     flat: np.ndarray
 
     def __post_init__(self):
-        flat = np.array(self.flat, dtype=np.int64)
+        raw = np.asarray(self.flat)
+        if raw.dtype.kind not in "iuf" or not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise StructuralError(f"sample indices must be integers, got {raw.dtype}")
+        if raw.size and (raw.min() < 0 or raw.max() >= self.side**2):
+            raise StructuralError("sample indices out of grid range")
+        flat = raw.astype(np.int64)
         flat.setflags(write=False)
         object.__setattr__(self, "flat", flat)
-        if flat.size and (flat.min() < 0 or flat.max() >= self.side**2):
-            raise StructuralError("sample indices out of grid range")
         if flat.size != np.unique(flat).size:
             raise StructuralError("sample indices must be distinct")
 

@@ -11,6 +11,7 @@ with int_{S^2} Y^2 dsigma = 1. Coefficients are stored flat with index
 l^2 + l + m. The quadrature is Gauss-Legendre in cos(th) (L+1 nodes)
 tensored with 2L+1 equispaced ph values, exact through degree 2L, so the
 discrete coefficients of a bandlimited signal equal the continuous ones.
+A QuadratureRule holds one colatitude and one weight per ring, no per-node copies.
 
 Every transform reads one Legendre table, Pbar_l^m at a set of
 colatitudes for 0 <= m <= l <= lmax, stored m-major as table[m, l - m]:
@@ -119,54 +120,45 @@ class SphericalSignal:
         return math.sqrt(SPHERE_AREA) * float(self.coeffs[0])
 
 
-def _ring_phi(n_phi: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(n_phi) / n_phi
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes (theta, phi) and positive weights, exact through exactness_degree.
+    """A product rule stored as its rings, exact through exactness_degree.
 
-    The nodes are stored ring-major: rings of n_phi nodes at one colatitude
-    each, with phi = 2 pi k / n_phi, so analyze works ring by ring with an FFT.
+    Ring i is n_phi nodes at colatitude ring_theta[i] and phi = 2 pi k / n_phi,
+    each of weight ring_weights[i]; theta, phi and weights build the ring-major nodes.
     """
 
-    bandwidth: int
-    theta: np.ndarray
-    phi: np.ndarray
-    weights: np.ndarray
-    exactness_degree: int
+    ring_theta: np.ndarray
+    ring_weights: np.ndarray
     n_phi: int
+    exactness_degree: int
 
     def __post_init__(self):
-        for name in ("theta", "phi", "weights"):
+        for name in ("ring_theta", "ring_weights"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (self.theta.shape == self.phi.shape == self.weights.shape):
-            raise StructuralError("node and weight arrays must share a shape")
-        if np.any(self.weights <= 0):
+        if not (self.ring_theta.ndim == 1 and self.ring_theta.shape == self.ring_weights.shape):
+            raise StructuralError("ring colatitudes and weights must be 1-d of equal length")
+        if np.any(self.ring_weights <= 0):
             raise StructuralError("quadrature weights must be positive")
-        if not (
-            self.n_phi > 0
-            and self.theta.ndim == 1
-            and self.theta.size % self.n_phi == 0
-            and np.all(self.theta.reshape(-1, self.n_phi) == self.ring_theta[:, None])
-            and np.allclose(
-                self.phi.reshape(-1, self.n_phi), _ring_phi(self.n_phi), rtol=0.0, atol=1e-12
-            )
-        ):
-            raise StructuralError(
-                f"nodes are not rings of {self.n_phi} equispaced phi from 0"
-            )
+        if self.n_phi < 1:
+            raise StructuralError(f"a ring needs n_phi >= 1 nodes, got {self.n_phi}")
 
     def __len__(self) -> int:
-        return int(self.theta.size)
+        return self.ring_theta.size * self.n_phi
 
     @property
-    def ring_theta(self) -> np.ndarray:
-        """Colatitude of each ring."""
-        return self.theta[:: self.n_phi]
+    def theta(self) -> np.ndarray:
+        return np.repeat(self.ring_theta, self.n_phi)
+
+    @property
+    def phi(self) -> np.ndarray:
+        return np.tile(2.0 * np.pi * np.arange(self.n_phi) / self.n_phi, self.ring_theta.size)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.repeat(self.ring_weights, self.n_phi)
 
 
 def build_quadrature(bandwidth: int) -> QuadratureRule:
@@ -175,18 +167,8 @@ def build_quadrature(bandwidth: int) -> QuadratureRule:
         raise DomainError(f"bandwidth must be >= 1, got {bandwidth}")
     nodes, gl_weights = np.polynomial.legendre.leggauss(bandwidth + 1)
     n_phi = 2 * bandwidth + 1
-    theta_ring = np.arccos(nodes)
-    theta = np.repeat(theta_ring, n_phi)
-    phi = np.tile(_ring_phi(n_phi), bandwidth + 1)
-    weights = np.repeat(gl_weights * (2.0 * np.pi / n_phi), n_phi)
-    return QuadratureRule(
-        bandwidth=bandwidth,
-        theta=theta,
-        phi=phi,
-        weights=weights,
-        exactness_degree=2 * bandwidth,
-        n_phi=n_phi,
-    )
+    return QuadratureRule(np.arccos(nodes), gl_weights * (2.0 * np.pi / n_phi), n_phi,
+                          2 * bandwidth)
 
 
 @functools.lru_cache(maxsize=_CACHED_BANDWIDTHS)
@@ -323,25 +305,20 @@ def basis_matrix(bandwidth: int, theta, phi) -> np.ndarray:
     return rows.T
 
 
-def analyze(values_or_fn, rule: QuadratureRule, bandwidth: int) -> SphericalSignal:
+def analyze(values, rule: QuadratureRule, bandwidth: int) -> SphericalSignal:
     """Discrete coefficients sum_j w_j g(j) Y_l^m(omega_j) for l <= bandwidth.
 
-    For input bandlimited to the rule's exactness these coincide with the
-    continuous coefficients. Accepts node values or an evaluator f(theta, phi).
+    values holds g at the rule's nodes, ring-major. For input bandlimited to
+    the rule's exactness these coincide with the continuous coefficients.
     """
     if bandwidth < 0 or 2 * bandwidth > rule.exactness_degree:
         raise DomainError(
             f"rule exact to degree {rule.exactness_degree} cannot analyze bandwidth {bandwidth}"
         )
-    if callable(values_or_fn):
-        values = np.asarray(values_or_fn(rule.theta, rule.phi), dtype=float)
-    else:
-        values = np.asarray(values_or_fn, dtype=float)
-    if values.shape != rule.theta.shape:
-        raise StructuralError(
-            f"expected {rule.theta.size} node values, got {values.size}"
-        )
-    weighted = (rule.weights * values).reshape(-1, rule.n_phi)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(rule),):
+        raise StructuralError(f"expected {len(rule)} node values, got {values.size}")
+    weighted = values.reshape(-1, rule.n_phi) * rule.ring_weights[:, None]
     table = _legendre_table(bandwidth, rule.ring_theta)
     return SphericalSignal(bandwidth, _ring_analysis(weighted, table, bandwidth))
 

@@ -253,7 +253,6 @@ class L2LowerBoundCheck:
     lower_bound: float
     passed: bool
     certified: bool
-    sqrt_bound: float
     sqrt_passed: bool
 
 
@@ -266,13 +265,11 @@ def verify_l2_lower_bound(
     energy = g_l2**2
     lower = side**2 * norms.l2**2 - 4.0 * side * norms.c2**2
     certified = _hypothesis_holds(norms, side)
-    sqrt_bound = side / math.sqrt(2.0) * norms.l2
     slack = 1e-9 * max(1.0, abs(lower))
     return L2LowerBoundCheck(
         grid_energy=energy,
         lower_bound=lower,
         passed=energy >= lower - slack,
         certified=certified,
-        sqrt_bound=sqrt_bound,
-        sqrt_passed=(not certified) or g_l2 >= sqrt_bound * (1.0 - 1e-12),
+        sqrt_passed=(not certified) or g_l2 >= side / math.sqrt(2.0) * norms.l2 * (1.0 - 1e-12),
     )

@@ -1,11 +1,15 @@
-"""CLI output against the committed CSVs under tests/golden.
+"""CLI output against the committed goldens under tests/golden.
 
-Strings and integers must match exactly, floats to 1e-9 relative.
+Each command's stdout is kept as <name>.csv: strings and integers must match
+exactly, floats to 1e-9 relative. Beside it, <stem>.err holds the exit code
+on its first line ("exit 0") and then the command's stderr; both must match
+exactly.
 
     PYTHONPATH=src python tests/test_golden.py --diff
 
-lists, for each golden, the columns that moved beyond that rule, and writes
-nothing. A change that moves numbers on purpose regenerates the goldens with
+lists, for each golden, the columns that moved beyond that rule, and "exit"
+or "stderr" when those differ, and writes nothing. A change that moves
+numbers on purpose regenerates the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -40,6 +44,11 @@ COMMANDS = {
     "recover_torus_exact.csv": [*_TORUS_RECOVER, "--exact-fit"],
     "recover_sphere.csv": _SPHERE_RECOVER,
     "recover_sphere_exact.csv": [*_SPHERE_RECOVER, "--exact-fit"],
+    # config errors: no stdout, exit 1
+    "recover_uncertified.csv": ["recover", "--fn", "cc_half", "--n", "32", "--eps", "0.1"],
+    "decay_sphere.csv": ["decay", "--setting", "sphere", "--l", "8"],
+    "recover_infinite_size.csv": ["recover", "--fn", "cc_half", "--n", "32", "--eps", "0.1",
+                                  "--c-univ", "1e308", "--allow-uncertified"],
 }
 
 
@@ -68,22 +77,26 @@ def _cells_match(got: str, want: str) -> bool:
     return math.isclose(g, w, rel_tol=1e-9, abs_tol=0.0)
 
 
-def _output(name: str) -> list[list[str]]:
-    """The rows the golden's command prints now; its warnings are dropped."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(COMMANDS[name]) == 0
-    return list(csv.reader(out.getvalue().splitlines()))
+def _run(name: str) -> tuple[str, str]:
+    """The golden's command run now: its stdout, and its exit line followed by its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(COMMANDS[name])
+    return out.getvalue(), f"exit {code}\n{err.getvalue()}"
 
 
-def _golden(name: str) -> list[list[str]]:
-    return list(csv.reader((GOLDEN / name).read_text().splitlines()))
+def _status_path(name: str) -> pathlib.Path:
+    return GOLDEN / f"{pathlib.Path(name).stem}.err"
+
+
+def _rows(text: str) -> list[list[str]]:
+    return list(csv.reader(text.splitlines()))
 
 
 def _moved(got: list[list[str]], want: list[list[str]]) -> list[str]:
     """The header names of the columns with a cell that breaks the rule, or
     "layout" when the header, the row count or a row length differs."""
-    if got[0] != want[0] or len(got) != len(want):
+    if got[:1] != want[:1] or len(got) != len(want):
         return ["layout"]
     moved = set()
     for got_row, want_row in zip(got[1:], want[1:]):
@@ -94,9 +107,19 @@ def _moved(got: list[list[str]], want: list[list[str]]) -> list[str]:
     return [want[0][col] for col in sorted(moved)]
 
 
+def _differences(name: str) -> list[str]:
+    """_moved's names for stdout, then "exit" and "stderr" if either differs at all."""
+    stdout, status = _run(name)
+    diffs = _moved(_rows(stdout), _rows((GOLDEN / name).read_text()))
+    got_exit, _, got_err = status.partition("\n")
+    want_exit, _, want_err = _status_path(name).read_text().partition("\n")
+    return diffs + [label for label, got, want in
+                    (("exit", got_exit, want_exit), ("stderr", got_err, want_err)) if got != want]
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_matches_golden(name):
-    assert _moved(_output(name), _golden(name)) == [], name
+    assert _differences(name) == [], name
 
 
 def test_comparison_can_fail():
@@ -115,14 +138,18 @@ def test_moved_names_the_columns_beyond_the_rule():
     assert _moved(got, want) == ["r", "iterations"]
     assert _moved(want[:2], want) == ["layout"]
     assert _moved([want[0], ["a", "1.5"], want[2]], want) == ["layout"]
+    assert _moved([], []) == []
+    assert _moved([], want) == ["layout"]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
         for name in COMMANDS:
-            print(f"{name}: {', '.join(_moved(_output(name), _golden(name))) or 'unchanged'}")
+            print(f"{name}: {', '.join(_differences(name)) or 'unchanged'}")
     elif sys.argv[1:]:
         sys.exit("usage: test_golden.py [--diff]")
     else:
-        for name, argv in COMMANDS.items():
-            main([*argv, "--out", str(GOLDEN / name)])
+        for name in COMMANDS:
+            stdout, status = _run(name)
+            (GOLDEN / name).write_text(stdout, newline="")
+            _status_path(name).write_text(status, newline="")

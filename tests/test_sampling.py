@@ -131,6 +131,14 @@ class TestInvariantValidation:
         with pytest.raises(StructuralError):
             SampleSet(side=4, flat=np.array([16]))
 
+    def test_sample_set_rejects_non_integer_indices(self):
+        for flat in ([1.5, 2.9], [True, False], [1.0, np.nan], [1.0, np.inf], ["1"]):
+            with pytest.raises(StructuralError, match="integers"):
+                SampleSet(side=4, flat=np.array(flat))
+        got = SampleSet(side=4, flat=np.array([1.0, 15.0]))
+        assert got.flat.dtype == np.int64 and got.flat.tolist() == [1, 15]
+        assert SampleSet(side=4, flat=np.array([], dtype=float)).flat.size == 0
+
     def test_multiset_shape_check(self):
         with pytest.raises(StructuralError):
             SampleMultiset(theta=np.ones(3), phi=np.ones(4))

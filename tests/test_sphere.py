@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 import time
@@ -170,9 +171,9 @@ class TestAnalyzeSynthesize:
                 direct += coeffs[lm_to_index(l, m)] * basis_column(l, m, pts.theta, pts.phi)
         assert np.max(np.abs(synthesize(sig, pts.theta, pts.phi) - direct)) < 1e-12
 
-    def test_analyze_accepts_evaluator(self):
+    def test_analyze_node_values_of_y10(self):
         rule = build_quadrature(2)
-        sig = analyze(lambda t, p: np.cos(t) * math.sqrt(3.0 / FOUR_PI), rule, 2)
+        sig = analyze(np.cos(rule.theta) * math.sqrt(3.0 / FOUR_PI), rule, 2)
         assert sig.coeffs[lm_to_index(1, 0)] == pytest.approx(1.0, rel=1e-12)
 
     def test_node_count_mismatch(self):
@@ -363,9 +364,9 @@ class TestRingTransforms:
     @pytest.mark.parametrize("bandwidth", RING_BANDWIDTHS)
     def test_ring_analysis_matches_reference(self, rng, bandwidth):
         rule = build_quadrature(bandwidth)
-        theta, n_phi, tg, pg = _norm_grid(bandwidth)
-        weights = np.sin(tg) * (math.pi / theta.size) * (2.0 * math.pi / n_phi)
-        grid_rule = QuadratureRule(bandwidth, tg, pg, weights, 2 * bandwidth, n_phi=n_phi)
+        theta, n_phi = _norm_grid(bandwidth)[:2]
+        weights = np.sin(theta) * (math.pi / theta.size) * (2.0 * math.pi / n_phi)
+        grid_rule = QuadratureRule(theta, weights, n_phi, 2 * bandwidth)
         for r in (rule, grid_rule):
             values = rng.standard_normal(len(r))
             want = ref.analyze(values, r, bandwidth).coeffs
@@ -403,12 +404,37 @@ class TestRingTransforms:
             sph._ring_analysis(np.ones((bandwidth + 1, 2 * bandwidth)), table, bandwidth)
         sph._ring_synthesis(coeffs, table, bandwidth, 2 * bandwidth + 1)
 
-    def test_ring_rule_must_hold_rings(self):
+    def test_rule_is_its_rings(self):
         rule = build_quadrature(3)
-        with pytest.raises(StructuralError, match="rings"):
-            QuadratureRule(3, rule.theta, rule.phi, rule.weights, 6, n_phi=rule.n_phi - 1)
-        with pytest.raises(StructuralError, match="rings"):
-            QuadratureRule(3, rule.theta, rule.phi[::-1], rule.weights, 6, n_phi=rule.n_phi)
+        assert [f.name for f in dataclasses.fields(rule)] == [
+            "ring_theta", "ring_weights", "n_phi", "exactness_degree"]
+        rings, n_phi = rule.ring_theta, rule.n_phi
+        assert len(rule) == rings.size * n_phi == 28
+        assert np.array_equal(rule.theta, np.repeat(rings, n_phi))
+        assert np.array_equal(rule.phi, np.tile(2.0 * np.pi * np.arange(n_phi) / n_phi, 4))
+        assert np.array_equal(rule.weights, np.repeat(rule.ring_weights, n_phi))
+        for bad in (
+            (rings[:-1], rule.ring_weights, n_phi),
+            (rings[None, :], rule.ring_weights[None, :], n_phi),
+            (rings, np.where(np.arange(4) == 2, 0.0, rule.ring_weights), n_phi),
+            (rings, -rule.ring_weights, n_phi),
+            (rings, rule.ring_weights, 0),
+        ):
+            with pytest.raises(StructuralError):
+                QuadratureRule(*bad, 6)
+
+    def test_rule_is_not_changed_through_its_arrays(self):
+        rule = build_quadrature(3)
+        before = rule.weights.copy()
+        rule.weights[:] = 1.0
+        assert np.array_equal(rule.weights, before)
+        for arr in (rule.ring_theta, rule.ring_weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        rings = np.array(rule.ring_weights)
+        copied = QuadratureRule(rule.ring_theta, rings, rule.n_phi, 6)
+        rings[0] = 1.0
+        assert np.array_equal(copied.weights, before)
 
 
 class TestTransformCore:
