@@ -1,10 +1,13 @@
 """Built-in test functions with analytic norm data.
 
-Torus entries are 1-periodic trigonometric polynomials on [0,1]^2 whose L2,
-C2, mean, sup and first-partial sups are known in closed form; the analytic
-values are re-verified against estimate_norms at startup by the CLI and in
-the test suite (2% agreement at refinement 256). Sphere entries are exactly
-bandlimited coefficient profiles.
+A torus entry is its terms: TORUS_TERMS lists each one as a sum of terms
+amp * f1(2 pi u1) * f2(2 pi u2) with every factor 1, cos or sin, and both its
+evaluator and its analytic norms are built from that list. The (f1, f2) pairs
+of an entry are distinct, so its terms are orthogonal and the mean and L2 norm
+are exact; sup|f|, the first-partial sups and C2 are triangle-inequality upper
+bounds (sup_bound), which all seven entries attain. The test suite re-checks
+them against estimate_norms (2% agreement at refinement 256). Sphere entries
+are exactly bandlimited coefficient profiles.
 """
 
 from __future__ import annotations
@@ -17,94 +20,59 @@ from .errors import DomainError
 from .sphere import SphericalSignal, lm_to_index
 from .torus import ANALYTIC, NormData, SmoothFunctionSpec, estimate_norms
 
-PI = math.pi
 TWO_PI = 2.0 * math.pi
 
-VERIFY_REFINEMENT = 256  # estimate_norms grid for the startup check
+VERIFY_REFINEMENT = 256  # estimate_norms grid for the test suite's agreement check
 VERIFY_RTOL = 0.02  # largest relative analytic-vs-estimate disagreement accepted
 
+TORUS_TERMS = {
+    "const1": ((1.0, "1", "1"),),
+    "cos_tiny": ((1.0, "1", "1"), (0.025, "cos", "1")),
+    "cos_small": ((1.0, "1", "1"), (0.1, "cos", "1")),
+    "sin_quarter": ((1.0, "1", "1"), (0.25, "sin", "1")),
+    "cc_half": ((1.0, "1", "1"), (0.5, "cos", "cos")),
+    "sin1": ((1.0, "sin", "1"),),
+    "prod_cos": ((1.0, "1", "1"), (0.5, "cos", "1"), (0.5, "1", "cos"), (0.25, "cos", "cos")),
+}
+_FACTORS = {"1": lambda t: 1.0, "cos": np.cos, "sin": np.sin}
+_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # every partial of order <= 2
 
-def _spec(name, fn, l2, c2, mean, sup, grads) -> SmoothFunctionSpec:
-    return SmoothFunctionSpec(
-        name=name,
-        evaluator=fn,
-        analytic=NormData(
-            l2=l2, c2=c2, mean=mean, sup=sup, grad_sups=grads, provenance=ANALYTIC
-        ),
+
+def _evaluator(terms):
+    def f(u1, u2):
+        t1, t2 = TWO_PI * u1, TWO_PI * u2
+        return sum((amp * _FACTORS[f1](t1) * _FACTORS[f2](t2) for amp, f1, f2 in terms),
+                   np.zeros(np.broadcast(u1, u2).shape))
+    return f
+
+
+def sup_bound(terms, a1: int, a2: int) -> float:
+    """Upper bound on sup|d1^a1 d2^a2 f|: sum |amp| over the terms that vary
+    along every differentiated axis, times 2 pi per derivative."""
+    return TWO_PI ** (a1 + a2) * sum(
+        abs(amp) for amp, f1, f2 in terms if (a1 == 0 or f1 != "1") and (a2 == 0 or f2 != "1"))
+
+
+def _norms(terms) -> NormData:
+    sups = [sup_bound(terms, a1, a2) for a1, a2 in _ORDERS]
+    return NormData(
+        l2=math.sqrt(sum(amp * amp * 0.5 ** ((f1 != "1") + (f2 != "1")) for amp, f1, f2 in terms)),
+        c2=max(sups),
+        mean=sum((amp for amp, f1, f2 in terms if f1 == f2 == "1"), 0.0),
+        sup=sups[0],
+        grad_sups=(sups[1], sups[2]),
+        provenance=ANALYTIC,
     )
 
 
-def _cosine_ridge(name: str, amp: float) -> SmoothFunctionSpec:
-    """1 + amp cos(2 pi u1): C2 is sup|f| for tiny amp, else 4 pi^2 amp."""
-    return _spec(
-        name,
-        lambda u1, u2: 1.0 + amp * np.cos(TWO_PI * u1) + 0.0 * u2,
-        l2=math.sqrt(1.0 + amp * amp / 2.0),
-        c2=max(1.0 + amp, 4.0 * PI * PI * amp),
-        mean=1.0,
-        sup=1.0 + amp,
-        grads=(TWO_PI * amp, 0.0),
-    )
+TORUS_BATTERY = {name: SmoothFunctionSpec(name, _evaluator(terms), _norms(terms))
+                 for name, terms in TORUS_TERMS.items()}
 
 
-def build_torus_battery() -> dict[str, SmoothFunctionSpec]:
-    battery = {
-        "const1": _spec(
-            "const1",
-            lambda u1, u2: np.ones_like(np.asarray(u1, dtype=float)),
-            l2=1.0, c2=1.0, mean=1.0, sup=1.0, grads=(0.0, 0.0),
-        ),
-        "cos_tiny": _cosine_ridge("cos_tiny", 0.025),
-        "cos_small": _cosine_ridge("cos_small", 0.1),
-        "sin_quarter": _spec(
-            "sin_quarter",
-            lambda u1, u2: 1.0 + 0.25 * np.sin(TWO_PI * u1) + 0.0 * u2,
-            l2=math.sqrt(1.0 + 1.0 / 32.0),
-            c2=PI * PI,
-            mean=1.0,
-            sup=1.25,
-            grads=(0.5 * PI, 0.0),
-        ),
-        "cc_half": _spec(
-            "cc_half",
-            lambda u1, u2: 1.0 + 0.5 * np.cos(TWO_PI * u1) * np.cos(TWO_PI * u2),
-            l2=math.sqrt(17.0 / 16.0),
-            c2=2.0 * PI * PI,
-            mean=1.0,
-            sup=1.5,
-            grads=(PI, PI),
-        ),
-        "sin1": _spec(
-            "sin1",
-            lambda u1, u2: np.sin(TWO_PI * u1) + 0.0 * u2,
-            l2=math.sqrt(0.5),
-            c2=4.0 * PI * PI,
-            mean=0.0,
-            sup=1.0,
-            grads=(TWO_PI, 0.0),
-        ),
-        "prod_cos": _spec(
-            "prod_cos",
-            lambda u1, u2: (1.0 + 0.5 * np.cos(TWO_PI * u1))
-            * (1.0 + 0.5 * np.cos(TWO_PI * u2)),
-            l2=9.0 / 8.0,
-            c2=3.0 * PI * PI,
-            mean=1.0,
-            sup=2.25,
-            grads=(1.5 * PI, 1.5 * PI),
-        ),
-    }
-    return battery
-
-
-TORUS_BATTERY = build_torus_battery()
-
-
-def verify_torus_battery(names=None) -> dict[str, float]:
+def verify_torus_battery() -> dict[str, float]:
     """Worst relative disagreement between analytic and estimated norms per entry."""
     worst = {}
-    for name in names or TORUS_BATTERY:
-        spec = TORUS_BATTERY[name]
+    for name, spec in TORUS_BATTERY.items():
         ana = spec.analytic
         est = estimate_norms(spec, VERIFY_REFINEMENT)
         rel = max(

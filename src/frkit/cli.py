@@ -102,9 +102,10 @@ def _require(condition: bool, message: str) -> None:
 def _targets(args) -> dict[tuple[str, int], object]:
     """The run's targets by (fn name, size); a repeated name or size gives one.
 
-    A target is a torus battery spec at each --n, its analytic norms checked
-    once, or a sphere battery signal at each --l; there --fn all takes the
-    signals defined at that L, and explicit names must exist at every L.
+    A target is a torus battery spec at each --n, whose analytic norms are
+    derived from its terms, or a sphere battery signal at each --l; there
+    --fn all takes the signals defined at that L, and explicit names must
+    exist at every L.
     """
     torus = args.setting == "torus"
     sizes, flag = (args.n, "--n") if torus else (args.l, "--l")
@@ -117,8 +118,6 @@ def _targets(args) -> dict[tuple[str, int], object]:
         _require(not missing, f"unknown {args.setting} battery name(s) {missing} at "
                  f"{flag[2:].upper()}={size}; available: {sorted(entries)}")
         targets.update({(name, size): entries[name] for name in names})
-    if torus:
-        bat.verify_torus_battery(list(dict.fromkeys(name for name, _ in targets)))
     return targets
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import DataError, DomainError, StructuralError
 
 
 def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
@@ -61,6 +61,8 @@ class SampleSet:
 
     def __post_init__(self):
         raw = np.asarray(self.flat)
+        if raw.ndim != 1:
+            raise StructuralError(f"sample indices must be a 1-d array, got shape {raw.shape}")
         if raw.dtype.kind not in "iuf" or not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
             raise StructuralError(f"sample indices must be integers, got {raw.dtype}")
         if raw.size and (raw.min() < 0 or raw.max() >= self.side**2):
@@ -75,6 +77,14 @@ class SampleSet:
         return int(self.flat.size)
 
 
+def check_sphere_points(theta: np.ndarray, phi: np.ndarray) -> None:
+    """DataError unless every coordinate is finite, DomainError unless every theta is in [0, pi]."""
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+        raise DataError("sphere point coordinates must be finite")
+    if np.any((theta < 0.0) | (theta > np.pi)):
+        raise DomainError("colatitudes must lie in [0, pi]")
+
+
 @dataclass(frozen=True)
 class SampleMultiset:
     """I.i.d. uniform points on S^2 as (theta, phi) pairs; repetitions allowed."""
@@ -87,6 +97,7 @@ class SampleMultiset:
         phi = np.array(self.phi, dtype=float)
         if theta.shape != phi.shape or theta.ndim != 1:
             raise StructuralError("theta and phi must be 1-d arrays of equal length")
+        check_sphere_points(theta, phi)
         theta.setflags(write=False)
         phi.setflags(write=False)
         object.__setattr__(self, "theta", theta)

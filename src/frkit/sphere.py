@@ -63,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DomainError, StructuralError
+from .sampling import check_sphere_points
 from .spectral import FrBoundReport, FrCheck, fourier_ratio
 
 C0_SPHERE = 48.0 * math.sqrt(math.pi)
@@ -140,7 +141,8 @@ class QuadratureRule:
             object.__setattr__(self, name, arr)
         if not (self.ring_theta.ndim == 1 and self.ring_theta.shape == self.ring_weights.shape):
             raise StructuralError("ring colatitudes and weights must be 1-d of equal length")
-        if np.any(self.ring_weights <= 0):
+        check_sphere_points(self.ring_theta, 0.0)
+        if not np.all(self.ring_weights > 0):
             raise StructuralError("quadrature weights must be positive")
         if self.n_phi < 1:
             raise StructuralError(f"a ring needs n_phi >= 1 nodes, got {self.n_phi}")

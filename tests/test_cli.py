@@ -51,6 +51,15 @@ class TestFr:
         assert row[7] == "true"
         assert row[8] == "analytic"
 
+    def test_torus_commands_do_not_recheck_the_battery(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("battery norms re-checked")
+        monkeypatch.setattr("frkit.battery.verify_torus_battery", refuse)
+        monkeypatch.setattr("frkit.torus.estimate_norms", refuse)
+        for command in ("fr", "decay", "lemmas"):
+            code, _, err = run_cli(capsys, command, "--fn", "all", "--n", "64")
+            assert code == 0 and "re-checked" not in err, command
+
     def test_noncertified_warns_but_exits_zero(self, capsys):
         code, out, err = run_cli(capsys, "fr", "--setting", "torus", "--fn", "cc_half", "--n", "64")
         assert code == 0

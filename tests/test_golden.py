@@ -8,7 +8,8 @@ exactly.
     PYTHONPATH=src python tests/test_golden.py --diff
 
 lists, for each golden, the columns that moved beyond that rule, and "exit"
-or "stderr" when those differ, and writes nothing. A change that moves
+or "stderr" when those differ, and writes nothing; it exits 1 when any golden
+moved, so it can gate a shell step. A change that moves
 numbers on purpose regenerates the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -144,8 +145,10 @@ def test_moved_names_the_columns_beyond_the_rule():
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        for name in COMMANDS:
-            print(f"{name}: {', '.join(_differences(name)) or 'unchanged'}")
+        moved = {name: _differences(name) for name in COMMANDS}
+        for name, diffs in moved.items():
+            print(f"{name}: {', '.join(diffs) or 'unchanged'}")
+        sys.exit(1 if any(moved.values()) else 0)
     elif sys.argv[1:]:
         sys.exit("usage: test_golden.py [--diff]")
     else:

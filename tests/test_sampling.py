@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from frkit.errors import DomainError, StructuralError
+from frkit.errors import DataError, DomainError, StructuralError
 from frkit.sampling import (
     SampleMultiset,
     SampleSet,
@@ -138,6 +138,22 @@ class TestInvariantValidation:
         got = SampleSet(side=4, flat=np.array([1.0, 15.0]))
         assert got.flat.dtype == np.int64 and got.flat.tolist() == [1, 15]
         assert SampleSet(side=4, flat=np.array([], dtype=float)).flat.size == 0
+
+    def test_sample_set_rejects_a_2d_array(self):
+        for flat in ([[1, 2], [3, 5]], 3):
+            with pytest.raises(StructuralError, match="1-d"):
+                SampleSet(side=4, flat=np.array(flat))
+
+    def test_multiset_rejects_bad_coordinates(self):
+        with pytest.raises(DataError):
+            SampleMultiset(theta=[np.nan, 7.0], phi=[0.0, -3.0])
+        with pytest.raises(DataError):
+            SampleMultiset(theta=[1.0], phi=[np.inf])
+        for theta in (7.0, -1e-9, np.pi + 1e-12):
+            with pytest.raises(DomainError, match="colatitudes"):
+                SampleMultiset(theta=[theta], phi=[0.0])
+        pts = SampleMultiset(theta=[0.0, np.pi], phi=[-3.0, 100.0])
+        assert pts.theta.tolist() == [0.0, np.pi]
 
     def test_multiset_shape_check(self):
         with pytest.raises(StructuralError):

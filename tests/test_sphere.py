@@ -418,10 +418,16 @@ class TestRingTransforms:
             (rings[None, :], rule.ring_weights[None, :], n_phi),
             (rings, np.where(np.arange(4) == 2, 0.0, rule.ring_weights), n_phi),
             (rings, -rule.ring_weights, n_phi),
+            (rings, np.where(np.arange(4) == 1, np.nan, rule.ring_weights), n_phi),
             (rings, rule.ring_weights, 0),
         ):
             with pytest.raises(StructuralError):
                 QuadratureRule(*bad, 6)
+        with pytest.raises(DataError):
+            QuadratureRule([np.nan], [1.0], 3, 4)
+        for theta in (-0.1, 4.0):
+            with pytest.raises(DomainError, match="colatitudes"):
+                QuadratureRule([theta], [1.0], 3, 4)
 
     def test_rule_is_not_changed_through_its_arrays(self):
         rule = build_quadrature(3)
