@@ -36,8 +36,7 @@ from .solver import (
     MeasurementOperator,
     RecoveryReport,
     SolverConfig,
-    check_kkt,
-    duality_gap,
+    certify,
     make_sphere_operator,
     make_torus_operator,
     recover_sphere,

@@ -2,8 +2,8 @@
 
 The solver is a first-order primal-dual splitting (Chambolle-Pock) on
 min ||a||_1  s.t.  ||A a - y||_2 <= delta,  whose proximal steps are
-soft-thresholding and projection onto the l2 ball. check_kkt and duality_gap
-certify a candidate independently of how it was found. recover_torus and
+soft-thresholding and projection onto the l2 ball. certify checks a candidate,
+however it was found, by one dual vector. recover_torus and
 recover_sphere run measured ratio -> sample size -> sample -> solve -> report,
 and both end in one measure-and-score step: the truth's coefficients, in the
 operator's layout, give the measurements y = A truth, the fidelity radius
@@ -111,7 +111,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    CertificationError, DataError, DomainError, InfeasibleCandidateError, StructuralError,
+    CertificationError, DataError, DomainError, InfeasibleCandidateError,
 )
 from .sampling import (
     SampleMultiset, SampleSet, draw_sphere_points, draw_subset, rng_from_seed, sample_size,
@@ -151,7 +151,7 @@ LANCZOS_STEPS = 12
 LANCZOS_SEED = 0
 NORM_MARGIN = 1.02
 
-# check_kkt: feasibility slack relative to max(1, ||y||), and the relative
+# certify: feasibility slack relative to max(1, ||y||), and the relative
 # magnitude below which a coefficient counts as a numerical zero
 KKT_FEAS_TOL = 1e-6
 KKT_SUPPORT_RTOL = 1e-5
@@ -173,7 +173,7 @@ class MeasurementOperator:
     np.flatnonzero(a): solve_bpdn hands them the support that soft-thresholding
     has just decided, and an operator that sums over the nonzeros scans a for
     them only when nz is None. adjoint must return a fresh array, since
-    solve_bpdn writes into it.
+    solve_bpdn writes into it. There is no matrix form: certify needs products only.
     """
 
     def __init__(
@@ -182,7 +182,6 @@ class MeasurementOperator:
         adjoint: Callable[[np.ndarray], np.ndarray],
         shape: tuple[int, int],
         norm_bound: float,
-        dense: Callable[[], np.ndarray] | None = None,
         weights: np.ndarray | None = None,
         expand: Callable[[np.ndarray], np.ndarray] | None = None,
         dtype: type = np.complex128,
@@ -193,7 +192,6 @@ class MeasurementOperator:
         self.normal = normal
         self.shape = shape  # (n_measurements, n_coefficients)
         self.norm_bound = float(norm_bound)
-        self._dense = dense
         self.weights = weights
         self._expand = expand
         self.dtype = np.dtype(dtype)
@@ -203,11 +201,6 @@ class MeasurementOperator:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self._adjoint(y)
-
-    def to_dense(self) -> np.ndarray:
-        if self._dense is None:
-            raise StructuralError("this operator has no dense matrix form")
-        return self._dense()
 
     def measurements(self, y) -> np.ndarray:
         """y as a flat vector of this operator's measurement dtype.
@@ -400,19 +393,17 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
     The one stored copy is A^T, harmonic-major: rows[(l,m)] holds Y_l^m at
     every point, C-contiguous. The forward product reads only the rows of
     the nonzero coefficients, a[nz] @ rows[nz], since the solver applies it
-    to soft-thresholded iterates; the adjoint is rows @ y and to_dense()
-    returns the view rows.T. normal(a) = A^T A a reads the Gram rows
-    rows[n] @ rows.T of a's nonzeros only, each built once, the first time
-    its coefficient is nonzero (_GramRows): they take rows built x (L+1)^2
-    x 8 B, in a block allocated at most twice that, and they are the full
-    Gram only if every coefficient turns nonzero.
+    to soft-thresholded iterates; the adjoint is rows @ y. normal(a) = A^T A a
+    reads the Gram rows rows[n] @ rows.T of a's nonzeros only, each built
+    once, the first time its coefficient is nonzero (_GramRows): they take
+    rows built x (L+1)^2 x 8 B, in a block allocated at most twice that, and
+    they are the full Gram only if every coefficient turns nonzero.
 
     norm_bound is lanczos_norm_bound's 12-step Lanczos estimate of ||A||
     times 1.02: an estimate with a margin, not a certified bound. The
     Lanczos vectors are dense, so its forward is the plain product x @ rows.
     """
     rows = sph.basis_matrix(bandwidth, points.theta, points.phi).T
-    rows.setflags(write=False)  # to_dense hands out a view of the operator's own matrix
 
     def forward(a: np.ndarray, nz: np.ndarray | None = None) -> np.ndarray:
         if nz is None:
@@ -428,7 +419,6 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
         adjoint=adjoint,
         shape=rows.shape[::-1],
         norm_bound=max(bound, 1e-12),
-        dense=lambda: rows.T,
         dtype=np.float64,
         normal=_GramRows(rows),
     )
@@ -447,6 +437,8 @@ class SolverConfig:
             raise DomainError(f"feasibility radius must be finite and >= 0, got {self.delta}")
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
+        if type(self.max_iter) is not int or self.max_iter < 1:  # bool is a subclass of int
+            raise DomainError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -628,27 +620,51 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     )
 
 
-def check_kkt(
-    op: MeasurementOperator,
-    y: np.ndarray,
-    delta: float,
-    a: np.ndarray,
-) -> float:
-    """Violation of the l1 subdifferential conditions at a feasible candidate.
+@dataclass(frozen=True)
+class Certificate:
+    """certify's verdict on a candidate: its duality gap and its KKT residual."""
 
-    For delta > 0 the dual variable comes from the residual direction d:
-    with nu = lambda * d and lambda = 1/||A^H d||_inf, dual feasibility
-    |(A^H nu)_i| <= 1 holds by construction. Returned is the larger of the
-    worst deviation of (A^H nu)_i from the phase of a_i over the support and
-    the complementary slackness defect | ||rho|| - delta |.
+    gap: float
+    kkt: float
 
-    For delta = 0 (or a zero residual, which has no direction) nu is the
-    least-squares solution of A_S^H nu = phase(a_S) on the support S, from
-    op.to_dense(). Returned is the larger of the worst deviation of A^H nu
-    from the phases on S and the worst excess of |(A^H nu)_i| over 1 off S.
 
-    Entries below KKT_SUPPORT_RTOL * ||a||_inf count as numerical zeros, for
-    which the subdifferential condition is the (exact) dual-feasibility bound.
+def _support_dual(op: MeasurementOperator, support: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Minimum-norm nu for (A^H nu)_S = phases, least squares in the weighted norm.
+
+    The weighted adjoint gives w_k Re (A^H nu)_k = Re<A e_k, nu> and
+    w_k Im (A^H nu)_k = Re<A (i e_k), nu>: one forward product per unit
+    direction e_k on S, and one per i e_k when the coefficients are complex.
+    Equation k is scaled by sqrt(w_k), so the fit is the full spectrum's.
+    """
+    units = (1.0, 1j) if op.dtype == np.complex128 else (1.0,)
+    root_w = np.ones(op.shape[1]) if op.weights is None else np.sqrt(op.weights)
+    unit_vec = np.zeros(op.shape[1], dtype=op.dtype)
+    rows, rhs = [], []
+    for k, phase in zip(support, phases):
+        for unit, part in zip(units, (phase.real, phase.imag)):
+            unit_vec[k] = unit
+            rows.append(op.forward(unit_vec, np.array([k])) / root_w[k])
+            rhs.append(part * root_w[k])
+        unit_vec[k] = 0.0
+    rows = np.array(rows)
+    # Re<c, nu> pairs the (re, im) entries of c with those of nu, as the float views do
+    nu = np.linalg.lstsq(rows.view(np.float64), rhs, rcond=None)[0]
+    return nu.view(rows.dtype)
+
+
+def certify(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray) -> Certificate:
+    """Duality gap and KKT residual of a feasible candidate, both read off one dual nu.
+
+    nu is the residual direction -rho / ||rho|| (rho = A a - y) when delta > 0
+    and rho != 0, else _support_dual's nu on the support S of a, where entries
+    below KKT_SUPPORT_RTOL ||a||_inf count as zeros. With g = A^H nu, nu / ||g||_inf
+    is dual-feasible: gap = ||a||_1 - max(0, (Re<nu, y> - delta ||nu||) / ||g||_inf).
+    kkt is 1 if the constraint is inactive (its multiplier must vanish). Else it
+    is the worst deviation of g_S / ||g||_inf from phase(a_S), or the slackness
+    defect | ||rho|| - delta | / max(1, delta) if larger, for the residual
+    direction; for the least-squares nu, that of g_S, or the worst excess of
+    |g_i| over 1 off S if larger. A feasible zero vector is the minimizer: (0, 0).
+    Raises InfeasibleCandidateError if ||rho|| > delta + KKT_FEAS_TOL max(1, ||y||).
     """
     y = op.measurements(y)
     a = op.coefficients(a)
@@ -659,50 +675,33 @@ def check_kkt(
         raise InfeasibleCandidateError(
             f"candidate residual {r:.3e} exceeds delta {delta:.3e}"
         )
-    amax = float(np.max(np.abs(a))) if a.size else 0.0
+    mags = np.abs(a)
+    amax = float(np.max(mags, initial=0.0))
     if amax == 0.0:
-        return 0.0  # the zero vector is l1-minimal whenever it is feasible
-    if delta > 0.0 and (delta - r) > KKT_FEAS_TOL * y_scale:
-        # inactive constraint: lambda must vanish, so any nonzero coefficient
-        # violates stationarity
-        return 1.0
-
-    support = np.abs(a) > KKT_SUPPORT_RTOL * amax
-    phases = a[support] / np.abs(a[support])
-    if delta == 0.0 or r == 0.0:
-        mat_h = op.to_dense().conj().T
-        nu, *_ = np.linalg.lstsq(mat_h[support], phases, rcond=None)
-        g = mat_h @ nu
-        return max(
+        return Certificate(gap=0.0, kkt=0.0)
+    obj = op.coef_l1(a)
+    support = mags > KKT_SUPPORT_RTOL * amax
+    phases = a[support] / mags[support]
+    least_squares = delta == 0.0 or r == 0.0
+    nu = _support_dual(op, np.flatnonzero(support), phases) if least_squares else -rho / r
+    g = op.adjoint(nu)
+    ginf = float(np.max(np.abs(g)))
+    if ginf == 0.0:
+        return Certificate(gap=obj, kkt=1.0)
+    dual = (float(np.vdot(nu, y).real) - delta * float(np.linalg.norm(nu))) / ginf
+    if delta - r > KKT_FEAS_TOL * y_scale:  # inactive constraint
+        kkt = 1.0
+    elif least_squares:
+        kkt = max(
             float(np.max(np.abs(g[support] - phases))),
             float(np.max(np.abs(g[~support]), initial=1.0)) - 1.0,
         )
-    g = op.adjoint(-rho / r)
-    ginf = float(np.max(np.abs(g)))
-    if ginf == 0.0:
-        return 1.0
-    lam = 1.0 / ginf
-    support_viol = float(np.max(np.abs(lam * g[support] - phases)))
-    return max(support_viol, abs(r - delta) / max(1.0, delta))
-
-
-def duality_gap(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray) -> float:
-    """Rigorous gap ||a||_1 - (Re<w, y> - delta ||w||) with w scaled dual-feasible."""
-    y = op.measurements(y)
-    a = op.coefficients(a)
-    rho = op.forward(a) - y
-    r = float(np.linalg.norm(rho))
-    obj = op.coef_l1(a)
-    if r <= 1e-15:
-        return obj
-    d = -rho / r
-    g = op.adjoint(d)
-    ginf = float(np.max(np.abs(g)))
-    if ginf == 0.0:
-        return obj
-    lam = 1.0 / ginf
-    dual_value = lam * (float(np.real(np.vdot(d, y))) - delta)
-    return obj - max(dual_value, 0.0)
+    else:
+        kkt = max(
+            float(np.max(np.abs(g[support] / ginf - phases))),
+            abs(r - delta) / max(1.0, delta),
+        )
+    return Certificate(gap=obj - max(dual, 0.0), kkt=kkt)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from frkit.errors import DataError, DomainError
-from frkit.solver import duality_gap
+from frkit.solver import certify
 from conftest import dense_operator
 
 
@@ -188,7 +188,7 @@ def _oracle_ball(mat, yn, dn, gap_tol):
         return g, step
 
     return _barrier_path(
-        u, v, t, merit, newton_step, lambda a, eta: duality_gap(op, yn, dn, a), gap_tol
+        u, v, t, merit, newton_step, lambda a, eta: certify(op, yn, dn, a).gap, gap_tol
     )
 
 

@@ -77,7 +77,6 @@ def dense_operator(mat, norm_bound=None):
         adjoint=lambda y: mat.conj().T @ y,
         shape=mat.shape,
         norm_bound=float(np.linalg.norm(mat, 2)) if norm_bound is None else norm_bound,
-        dense=lambda: mat,
     )
 
 

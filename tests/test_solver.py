@@ -13,7 +13,6 @@ from frkit.errors import (
     DataError,
     DomainError,
     InfeasibleCandidateError,
-    StructuralError,
 )
 from frkit.sampling import draw_sphere_points, draw_subset, rng_from_seed, spawn_seeds
 from frkit.solver import (
@@ -21,8 +20,7 @@ from frkit.solver import (
     Q_MAX,
     MeasurementOperator,
     SolverConfig,
-    check_kkt,
-    duality_gap,
+    certify,
     make_sphere_operator,
     make_torus_operator,
     recover_sphere,
@@ -30,8 +28,8 @@ from frkit.solver import (
     solve_bpdn,
     _soft_threshold,
 )
-from frkit.spectral import inverse_dft
-from frkit.sphere import synthesize
+from frkit.spectral import forward_dft, inverse_dft
+from frkit.sphere import basis_matrix, synthesize
 from frkit.torus import discretize
 import frkit.solver as solver
 from bpdn_oracle import oracle_solve
@@ -60,7 +58,7 @@ class TestOperators:
     def test_torus_dense_matches_matfree(self, rng):
         sample = draw_subset(4, 9, seed=8)
         op = full_torus_operator(sample)
-        mat = op.to_dense()
+        mat = dense_torus_matrix(sample)
         a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         assert np.max(np.abs(mat @ a - op.forward(a))) < 1e-12
 
@@ -81,14 +79,15 @@ class TestOperators:
             dim = (bandwidth + 1) ** 2
             for q in (dim // 2, 3 * dim // 2):
                 for seed in (1, 2, 3):
-                    op = make_sphere_operator(draw_sphere_points(q, seed=seed), bandwidth)
-                    exact = _exact_norm(op.to_dense())
+                    pts = draw_sphere_points(q, seed=seed)
+                    op = make_sphere_operator(pts, bandwidth)
+                    exact = _exact_norm(basis_matrix(bandwidth, pts.theta, pts.phi))
                     assert exact <= op.norm_bound <= 1.03 * exact, (bandwidth, q, seed)
 
     def test_sphere_real_matvec_matches_complex_product(self, rng):
         pts = draw_sphere_points(700, seed=12)
         op = make_sphere_operator(pts, 6)
-        mat = op.to_dense()
+        mat = basis_matrix(6, pts.theta, pts.phi)
         for _ in range(5):
             a = rng.standard_normal(49) + 1j * rng.standard_normal(49)
             y = rng.standard_normal(700) + 1j * rng.standard_normal(700)
@@ -99,8 +98,8 @@ class TestOperators:
     def test_sphere_forward_over_nonzeros_matches_dense(self, rng):
         # the forward product reads only the rows of a's nonzeros; every
         # support shape must give the full product
-        op = make_sphere_operator(draw_sphere_points(120, seed=13), 6)
-        mat = op.to_dense()
+        pts = draw_sphere_points(120, seed=13)
+        op, mat = make_sphere_operator(pts, 6), basis_matrix(6, pts.theta, pts.phi)
         zero = np.zeros(49)
         assert np.array_equal(op.forward(zero), np.zeros(120))
         one = zero.copy()
@@ -117,8 +116,8 @@ class TestOperators:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_sphere_normal_matches_dense(self, rng):
-        op = make_sphere_operator(draw_sphere_points(120, seed=13), 6)
-        mat = op.to_dense()
+        pts = draw_sphere_points(120, seed=13)
+        op, mat = make_sphere_operator(pts, 6), basis_matrix(6, pts.theta, pts.phi)
         zero = np.zeros(49)
         assert np.array_equal(op.normal(zero), zero)
         assert op.normal.built == 0  # a zero iterate builds no Gram row
@@ -139,8 +138,8 @@ class TestOperators:
     def test_sphere_normal_reuses_rows_as_supports_grow(self, rng):
         # supports that overlap and then grow: each Gram row is built once, at
         # the first call whose support holds it, and read again after that
-        op = make_sphere_operator(draw_sphere_points(90, seed=14), 5)
-        mat = op.to_dense()
+        pts = draw_sphere_points(90, seed=14)
+        op, mat = make_sphere_operator(pts, 5), basis_matrix(5, pts.theta, pts.phi)
         supports = ([3, 10], [10, 20], [3, 10], [3, 10, 20, 35], [0, 35], list(range(0, 36, 2)))
         built = set()
         for support in supports:
@@ -176,7 +175,8 @@ class TestLanczosNormBound:
             mat = np.zeros((30, 40))
         else:
             bandwidth, q = {"l1": (1, 40), "l2": (2, 40), "one_point": (8, 1)}[case]
-            mat = make_sphere_operator(draw_sphere_points(q, seed=5), bandwidth).to_dense()
+            pts = draw_sphere_points(q, seed=5)
+            mat = basis_matrix(bandwidth, pts.theta, pts.phi)
         op = counting_operator(dense_operator(mat))
         bound = solver.lanczos_norm_bound(op.forward, op.adjoint, mat.shape[1])
         want = solver.NORM_MARGIN * op.norm_bound
@@ -293,19 +293,35 @@ class TestHalfSpectrumTorus:
 
     @pytest.mark.parametrize("side", [8, 9])
     def test_expanded_solution_passes_full_kkt(self, side):
-        sample, y, delta = _real_bpdn_instance(side, seed=side + 1)
+        # the half-spectrum certificate is the full spectrum's, at delta > 0
+        # from the residual direction and at delta = 0 from the support's
+        # least squares, weighted by the coefficients' multiplicities
+        sample, y, radius = _real_bpdn_instance(side, seed=side + 1)
         half_op, full_op = make_torus_operator(sample), full_torus_operator(sample)
-        rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
-        expanded = half_op.expand(rep.coefficients)
-        assert check_kkt(full_op, y, delta, expanded) <= 1e-6
-        assert duality_gap(half_op, y, delta, rep.coefficients) == pytest.approx(
-            duality_gap(full_op, y, delta, expanded), abs=1e-12 * rep.objective
+        for delta in (radius, 0.0):
+            rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
+            assert rep.converged
+            half = certify(half_op, y, delta, rep.coefficients)
+            full = certify(full_op, y, delta, half_op.expand(rep.coefficients))
+            assert full.kkt <= 1e-6
+            assert half.kkt == pytest.approx(full.kkt, abs=1e-12)
+            assert half.gap == pytest.approx(full.gap, abs=1e-12 * rep.objective)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_exact_fit_recovery_certifies_on_half_spectrum(self, seed):
+        f, side = TORUS_BATTERY["cc_half"], 64
+        rep = recover_torus(
+            f, side, 0.1, seed, c_univ=2**-8, exact_fit=True, allow_uncertified=True
         )
+        op = make_torus_operator(draw_subset(side, rep.sample_size, seed))
+        half = side // 2 + 1
+        y = op.forward(forward_dft(discretize(f, side))[:, :half].ravel())
+        cert = certify(op, y, 0.0, rep.coefficients.reshape(side, side)[:, :half].ravel())
+        assert cert.kkt <= 1e-7
+        assert abs(cert.gap) <= 1e-7 * rep.objective
 
     def test_no_dense_form_and_real_data_only(self):
         op = make_torus_operator(draw_subset(4, 9, seed=8))
-        with pytest.raises(StructuralError, match="no dense matrix form"):
-            op.to_dense()
         with pytest.raises(DataError, match="real measurements"):
             solve_bpdn(op, np.full(9, 1j), SolverConfig(delta=0.0))
 
@@ -328,8 +344,8 @@ class TestRestarts:
         rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
         assert rep.converged and rep.restarts > 0
         expanded = half_op.expand(rep.coefficients)
-        assert check_kkt(full_op, y, delta, expanded) <= 1e-6
-        a_oracle = oracle_solve(full_op.to_dense(), y, delta)
+        assert certify(full_op, y, delta, expanded).kkt <= 1e-6
+        a_oracle = oracle_solve(dense_torus_matrix(sample), y, delta)
         assert np.max(np.abs(expanded - a_oracle)) <= 1e-6
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -383,8 +399,8 @@ class TestRestarts:
         assert np.max(np.abs(gram.coefficients - plain.coefficients)) <= 1e-12
 
     def test_real_sphere_path_matches_complex_reference(self, rng):
-        op = make_sphere_operator(draw_sphere_points(120, seed=31), 6)
-        mat = op.to_dense()
+        pts = draw_sphere_points(120, seed=31)
+        op, mat = make_sphere_operator(pts, 6), basis_matrix(6, pts.theta, pts.phi)
         assert op.dtype == np.float64 and mat.dtype == np.float64
         truth = np.zeros(mat.shape[1])
         truth[[0, 5, 17, 30]] = rng.standard_normal(4)
@@ -405,7 +421,7 @@ class TestRestarts:
         with pytest.raises(DataError, match="real measurements"):
             solve_bpdn(op, np.full(20, 1j), SolverConfig(delta=0.0))
         with pytest.raises(DataError, match="real coefficients"):
-            check_kkt(op, np.ones(20), 10.0, np.full(9, 1j))
+            certify(op, np.ones(20), 10.0, np.full(9, 1j))
 
 
 class TestPrimalWeight:
@@ -541,7 +557,7 @@ class TestSolveBpdn:
         delta = 0.01 * g_norm
         op = full_torus_operator(sample)
         rep = solve_bpdn(op, y, SolverConfig(delta=delta, tol=1e-10))
-        a_oracle = oracle_solve(op.to_dense(), y, delta)
+        a_oracle = oracle_solve(dense_torus_matrix(sample), y, delta)
         assert np.max(np.abs(rep.coefficients - a_oracle)) < 1e-6
 
     def test_trivial_zero_returns_at_once(self):
@@ -604,6 +620,14 @@ class TestSolveBpdn:
     def test_non_finite_config_rejected(self, field, value):
         with pytest.raises(DomainError, match="finite"):
             SolverConfig(**{"delta": 0.1, field: value})
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
+    def test_invalid_max_iter_rejected(self, max_iter):
+        # unchecked, 0 and -3 return a = 0 unconverged after 0 iterations, 2.5
+        # fails inside range() with a TypeError, and True runs one iteration
+        _, _, delta, _ = random_bpdn_instance(3)
+        with pytest.raises(DomainError, match="max_iter"):
+            SolverConfig(delta=delta, max_iter=max_iter)
 
     def test_non_finite_measurements_rejected(self):
         mat, y, delta, _ = random_bpdn_instance(3)
@@ -739,7 +763,7 @@ class TestOracle:
         # gap tolerance is relative on the ||y||-normalized instance
         scale = max(float(np.linalg.norm(y)), float(np.sum(np.abs(a))))
         assert info["gap"] <= 1e-9 * scale
-        assert duality_gap(dense_operator(mat), y, delta, a) == pytest.approx(
+        assert certify(dense_operator(mat), y, delta, a).gap == pytest.approx(
             info["gap"], abs=1e-12 * scale
         )
 
@@ -751,18 +775,32 @@ def _null_vector(mat):
 
 
 class TestCheckKkt:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    """certify's KKT residual and duality gap."""
+
+    @pytest.mark.parametrize("seed", range(5))
     def test_exact_fit_solution_certifies(self, seed):
         # delta = 0 certifies with the least-squares dual on the support, not
-        # with the direction of a residual that the solver leaves at ~1e-9
+        # with the direction of a residual that the solver leaves at ~1e-9;
+        # a gap read off that direction stays near ||a||_1
         mat, y, _, _ = random_bpdn_instance(seed)
         op = dense_operator(mat)
         rep = solve_bpdn(op, y, SolverConfig(delta=0.0, tol=1e-9))
         assert rep.converged
-        assert check_kkt(op, y, 0.0, rep.coefficients) <= 1e-7
-        # a feasible step along the null space leaves the l1 minimizer
-        bumped = rep.coefficients + 0.1 * _null_vector(mat)
-        assert check_kkt(op, y, 0.0, bumped) > 0.1
+        cert = certify(op, y, 0.0, rep.coefficients)
+        assert cert.kkt <= 1e-7
+        assert abs(cert.gap) <= 1e-7 * rep.objective
+        # a feasible step along the null space leaves the l1 minimizer: the
+        # gap bounds the objective's excess over the minimum from above
+        bumped = certify(op, y, 0.0, rep.coefficients + 0.1 * _null_vector(mat))
+        assert bumped.kkt > 0.1 and bumped.gap > 0.1
+
+    def test_infeasible_zero_candidate_rejected(self):
+        # delta = 0.0164 < ||y|| = 1.37: a = 0 lies outside the ball, where a
+        # residual-direction dual reads a negative gap (-1.95)
+        mat, y, delta, _ = random_bpdn_instance(3)
+        assert delta < float(np.linalg.norm(y))
+        with pytest.raises(InfeasibleCandidateError):
+            certify(dense_operator(mat), y, delta, np.zeros(mat.shape[1], dtype=complex))
 
     def test_exact_fit_torus_solution_certifies_on_full_spectrum(self):
         sample = draw_subset(8, 16, seed=3)
@@ -771,20 +809,21 @@ class TestCheckKkt:
         rep = solve_bpdn(half_op, y, SolverConfig(delta=0.0))
         assert rep.converged
         expanded = half_op.expand(rep.coefficients)
-        assert check_kkt(full_op, y, 0.0, expanded) <= 1e-7
-        bumped = expanded + 0.1 * _null_vector(full_op.to_dense())
-        assert check_kkt(full_op, y, 0.0, bumped) > 0.1
+        assert certify(full_op, y, 0.0, expanded).kkt <= 1e-7
+        bumped = expanded + 0.1 * _null_vector(dense_torus_matrix(sample))
+        assert certify(full_op, y, 0.0, bumped).kkt > 0.1
 
     def test_oracle_output_certifies(self):
         mat, y, delta, _ = random_bpdn_instance(21)
         a = oracle_solve(mat, y, delta)
-        assert check_kkt(dense_operator(mat), y, delta, a) <= 1e-7
+        assert certify(dense_operator(mat), y, delta, a).kkt <= 1e-7
 
     def test_zero_candidate_with_big_delta(self, rng):
         mat = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         delta = float(np.linalg.norm(y)) * 2.0
-        assert check_kkt(dense_operator(mat), y, delta, np.zeros(10, dtype=complex)) == 0.0
+        cert = certify(dense_operator(mat), y, delta, np.zeros(10, dtype=complex))
+        assert (cert.kkt, cert.gap) == (0.0, 0.0)
 
     def test_perturbed_candidate_flagged(self):
         mat, y, delta, _ = random_bpdn_instance(23)
@@ -792,7 +831,7 @@ class TestCheckKkt:
         bumped = a.copy()
         bumped[int(np.argmax(np.abs(a)))] += 0.1
         try:
-            assert check_kkt(dense_operator(mat), y, delta, bumped) > 1e-3
+            assert certify(dense_operator(mat), y, delta, bumped).kkt > 1e-3
         except InfeasibleCandidateError:
             pass  # the bump may push the candidate off the constraint set
 
@@ -800,7 +839,7 @@ class TestCheckKkt:
         mat, y, delta, _ = random_bpdn_instance(29)
         huge = np.full(mat.shape[1], 100.0, dtype=complex)
         with pytest.raises(InfeasibleCandidateError):
-            check_kkt(dense_operator(mat), y, delta, huge)
+            certify(dense_operator(mat), y, delta, huge)
 
 
 class TestRecoverTorus:

@@ -1,12 +1,14 @@
-"""Full-spectrum torus operator (test support).
+"""Full-spectrum torus operator and matrix (test support).
 
 frkit.solver.make_torus_operator acts on the rfftn half spectrum of a real
-field on Z_N^2. This is the complex operator on all N^2 unitary coefficients:
-forward is ifftn times N sampled at the grid points, adjoint is fftn of the
-zero-embedded values over N, and its dense matrix is built entry by
-entry from the phases. The test suite keeps it as the reference that the
-half-spectrum operator and its solves are checked against, and as a complex
-operator for the solver's complex-data tests.
+field on Z_N^2. full_torus_operator is the complex operator on all N^2
+unitary coefficients: forward is ifftn times N sampled at the grid points,
+adjoint is fftn of the zero-embedded values over N. dense_torus_matrix is the
+same map as a matrix, built entry by entry from the phases, for the tests
+that need one (operators have no matrix form). The test suite keeps both as
+the reference that the half-spectrum operator, its solves and its
+certificates are checked against, and the operator as a complex operator for
+the solver's complex-data tests.
 """
 
 import numpy as np
@@ -42,5 +44,4 @@ def full_torus_operator(sample: SampleSet) -> MeasurementOperator:
 
     return MeasurementOperator(
         forward, adjoint, shape=(len(sample), side * side), norm_bound=1.0,
-        dense=lambda: dense_torus_matrix(sample),
     )
