@@ -8,7 +8,6 @@ from .torus import (
     certification_threshold,
     discretize,
     estimate_norms,
-    resolve_norms,
     verify_decay,
     verify_fr_bound,
     verify_l2_lower_bound,

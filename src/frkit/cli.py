@@ -168,10 +168,9 @@ def cmd_fr(args, config_hash: str) -> int:
 
 
 def _decay_row(name: str, side: int, spec, config_hash: str) -> list[str]:
-    norms = tor.resolve_norms(spec, side)
-    chk = tor.verify_decay(spec, side, norms)
+    chk = tor.verify_decay(spec, side)
     return [name, str(side), _g(chk.max_ratio), _g(chk.limit), _flag(chk.passed),
-            norms.provenance, config_hash]
+            spec.analytic.provenance, config_hash]
 
 
 def cmd_decay(args, config_hash: str) -> int:
@@ -181,12 +180,11 @@ def cmd_decay(args, config_hash: str) -> int:
 
 
 def _lemmas_row(name: str, side: int, spec, config_hash: str) -> list[str]:
-    norms = tor.resolve_norms(spec, side)
-    rie = tor.verify_riemann_lemma(spec, side, norms)
-    low = tor.verify_l2_lower_bound(spec, side, norms)
+    rie = tor.verify_riemann_lemma(spec, side)
+    low = tor.verify_l2_lower_bound(spec, side)
     return [name, str(side), _g(rie.lhs), _g(rie.rhs), _flag(rie.passed),
             _g(low.grid_energy), _g(low.lower_bound), _flag(low.passed and low.sqrt_passed),
-            _flag(low.certified), norms.provenance, config_hash]
+            _flag(low.certified), spec.analytic.provenance, config_hash]
 
 
 def cmd_lemmas(args, config_hash: str) -> int:
@@ -304,11 +302,9 @@ def cmd_sweep(args, config_hash: str) -> int:
 def _sweep_rn_vs_logn(args, config_hash: str) -> int:
     """r_N (r_L) at each size, its fitted slope in ln N (ln L) and the predicted one."""
     if args.setting == "torus":
-        norms_of, bound, constant = tor.resolve_norms, tor.compute_rn, tor.SIXTEEN_PI_SQ
+        norms_of, bound, constant = tor.carried_norms, tor.compute_rn, tor.SIXTEEN_PI_SQ
     else:
-        norms_of, bound, constant = (
-            lambda signal, _: sph.estimate_sphere_norms(signal), sph.compute_rl, sph.C0_SPHERE
-        )
+        norms_of, bound, constant = sph.estimate_sphere_norms, sph.compute_rl, sph.C0_SPHERE
     targets = _targets(args)
     _require(len({size for _, size in targets}) >= 2, "rn_vs_logn needs at least two "
              f"distinct {'N' if args.setting == 'torus' else 'L'} values")
@@ -316,7 +312,7 @@ def _sweep_rn_vs_logn(args, config_hash: str) -> int:
         "fn", "N_or_L", "r", "A", "B", "C", "fitted_slope", "target_slope",
         "slope_ratio", "config_hash",
     ]
-    norm_data = {key: norms_of(targets[key], key[1]) for key in _size_major(targets)}
+    norm_data = {key: norms_of(targets[key]) for key in _size_major(targets)}
     rows = []
     for name, keys in itertools.groupby(sorted(norm_data), key=lambda key: key[0]):
         per_size = [(size, norm_data[name, size]) for _, size in keys]

@@ -122,7 +122,8 @@ from . import sphere as sph
 from . import torus as tor
 
 ERROR_BUDGET_FACTOR = 11.47
-Q_MAX = 200_000  # largest sphere sample recover_sphere accepts
+# most entries q (L+1)^2 of the basis matrix a sphere operator stores (512 MiB)
+BASIS_ENTRIES_MAX = 1 << 26
 
 # PDLP's adaptive restart parameters (sufficient, necessary, artificial)
 RESTART_SUFFICIENT = 0.2
@@ -751,7 +752,7 @@ def recover_torus(
     at 1, and is clamped to the N^2 grid points; the report records the clamp.
     exact_fit requests exact-fit basis pursuit (delta = 0) on the observations.
     """
-    rn = tor.compute_rn(tor.resolve_norms(f, side), side)
+    rn = tor.compute_rn(tor.carried_norms(f), side)
     if not rn.certified and not allow_uncertified:
         raise CertificationError(
             f"{f.name} at N={side} fails N L2^2 >= 8 C2^2; "
@@ -775,11 +776,14 @@ def recover_sphere(
 ) -> RecoveryReport:
     """Recover a bandlimited sphere signal from i.i.d. uniform point samples.
 
-    The sample is sized like the torus one, and refused above Q_MAX points.
+    The sample is sized like the torus one. A sample whose q x (L+1)^2 basis
+    matrix would exceed BASIS_ENTRIES_MAX entries is refused before any point is drawn.
     """
     bandwidth = signal.bandwidth
-    q = sample_size(max(1.0, fourier_ratio(signal.coeffs)), eps, (bandwidth + 1) ** 2, c_univ)
-    if q > Q_MAX:
-        raise DomainError(f"sample size {q} exceeds configured q_max={Q_MAX}")
+    harmonics = (bandwidth + 1) ** 2
+    q = sample_size(max(1.0, fourier_ratio(signal.coeffs)), eps, harmonics, c_univ)
+    if q * harmonics > BASIS_ENTRIES_MAX:
+        raise DomainError(f"sample size {q} at L={bandwidth} needs {q * harmonics} basis "
+                          f"entries, over the limit of {BASIS_ENTRIES_MAX}")
     return _recover(make_sphere_operator(draw_sphere_points(q, seed), bandwidth),
                     signal.coeffs, eps, exact_fit, clamped=False)

@@ -33,11 +33,11 @@ Healy 1994; Reinecke & Seljebotn, "libsharp", A&A 2013):
                projected onto its table segment.
 
 Both need n_phi >= 2 lmax + 1, so that no order m <= lmax aliases in ph.
-synthesize and basis_matrix take scattered points: synthesis forms the same
-per-m sums and adds up cos/sin(m ph) point by point, and the basis matrix is
-built from the table, harmonic-major (one row of point values per harmonic,
-returned transposed); both work in chunks of points sized so that one table
-or basis block holds a fixed number of entries, which bounds their memory.
+synthesize and basis_matrix take scattered points. Both build the basis
+rows from the table, harmonic-major (one row of point values per harmonic):
+basis_matrix returns them transposed, and synthesize multiplies each block
+of rows by the coefficients. Both work in chunks of points sized so that one
+table or basis block holds a fixed number of entries, which bounds their memory.
 
 What depends on L only is built once per L and cached, read-only, for the
 last four bandwidths: the table positions' coefficient indices, and the
@@ -226,24 +226,16 @@ def _check_rings(n_phi: int, lmax: int) -> None:
         )
 
 
-def _order_sums(
-    coeffs: np.ndarray, table: np.ndarray, lmax: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per table column, F_m = sum_l c_{l,m} Pbar_l^m and sum_l c_{l,-m} Pbar_l^m.
+def _ring_synthesis(coeffs: np.ndarray, table: np.ndarray, lmax: int, n_phi: int) -> np.ndarray:
+    """(rings, n_phi) values of coefficients of degree <= lmax on the table's rings.
 
-    Returns the cos and sin parts, each (lmax+1, columns), of coefficients of
-    degree <= lmax. The sin part of m = 0 is unused.
+    Per ring, F_m = sum_l c_{l,m} Pbar_l^m (cos part) and sum_l c_{l,-m} Pbar_l^m
+    (sin part) are one batched product over the table; an irfft sums them over m.
     """
+    _check_rings(n_phi, lmax)
     i_cos, i_sin, valid = _table_index(lmax)
     f_cos = np.matmul(np.where(valid, coeffs[i_cos], 0.0)[:, None, :], table)[:, 0]
     f_sin = np.matmul(np.where(valid, coeffs[i_sin], 0.0)[:, None, :], table)[:, 0]
-    return f_cos, f_sin
-
-
-def _ring_synthesis(coeffs: np.ndarray, table: np.ndarray, lmax: int, n_phi: int) -> np.ndarray:
-    """(rings, n_phi) values of coefficients of degree <= lmax on the table's rings."""
-    _check_rings(n_phi, lmax)
-    f_cos, f_sin = _order_sums(coeffs, table, lmax)
     spec = (f_cos - 1j * f_sin) * (math.sqrt(2.0) / 2.0)
     spec[0] = f_cos[0]
     # a contiguous (rings, m) copy: irfft along the strided rows of spec.T is slower
@@ -268,16 +260,6 @@ def _point_chunks(size: int, lmax: int) -> list[slice]:
     """Runs of scattered points whose table and basis block fit _BLOCK_ENTRIES."""
     step = max(1, _BLOCK_ENTRIES // (lmax + 1) ** 2)
     return [slice(start, start + step) for start in range(0, size, step)]
-
-
-def _point_synthesis(
-    coeffs: np.ndarray, lmax: int, theta: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
-    """Values at scattered points: the order sums F_m, then sum_m over cos/sin(m phi)."""
-    f_cos, f_sin = _order_sums(coeffs, _legendre_table(lmax, theta), lmax)
-    m_phi = np.arange(1, lmax + 1)[:, None] * phi
-    trig = f_cos[1:] * np.cos(m_phi) + f_sin[1:] * np.sin(m_phi)
-    return f_cos[0] + math.sqrt(2.0) * np.sum(trig, axis=0)
 
 
 def _fill_basis_rows(out: np.ndarray, lmax: int, theta: np.ndarray, phi: np.ndarray) -> None:
@@ -330,9 +312,12 @@ def synthesize(signal: SphericalSignal, theta, phi) -> np.ndarray:
     shape = np.shape(theta)
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
+    lmax = signal.bandwidth
     values = np.empty(theta.size)
-    for part in _point_chunks(theta.size, signal.bandwidth):
-        values[part] = _point_synthesis(signal.coeffs, signal.bandwidth, theta[part], phi[part])
+    for part in _point_chunks(theta.size, lmax):
+        rows = np.empty(((lmax + 1) ** 2, theta[part].size))
+        _fill_basis_rows(rows, lmax, theta[part], phi[part])
+        values[part] = signal.coeffs @ rows
     return values.reshape(shape)
 
 

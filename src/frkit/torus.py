@@ -1,6 +1,6 @@
 """Discretization of smooth periodic functions on Z_N^2 and the r_N bound.
 
-The chain: sample f on the N x N grid, estimate or accept analytic norms,
+The chain: sample f on the N x N grid, read the norms its spec carries,
 form the three-term bound r_N = A + B + C, reported as spectral.FrBoundReport, with
 
     A = 2 |mean(f)| / ||f||_L2
@@ -10,6 +10,10 @@ form the three-term bound r_N = A + B + C, reported as spectral.FrBoundReport, w
 which dominates the measured Fourier ratio whenever the hypothesis
 N ||f||_L2^2 >= 8 ||f||_C2^2 is certified. The C2 norm is the unweighted
 max of sup|d^a f| over all |a| <= 2 (no factorial or multinomial weights).
+
+Every bound and check reads the norms the spec carries and refuses a spec
+without them; none estimates. estimate_norms is the finite-difference
+reference: a spec built with its result reports provenance "estimated".
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ class SmoothFunctionSpec:
     """A 1-periodic function on [0,1]^2 given by a vectorized evaluator.
 
     The evaluator takes two equal-shaped arrays (u1, u2) and returns real
-    values. Analytic norms, when supplied, take precedence over estimates
-    everywhere. Construction spot-checks periodicity on boundary points.
+    values. The norms (named analytic, whatever their provenance) are the
+    ones every bound and check reads; a spec without them is refused there.
+    Construction spot-checks periodicity on boundary points.
     """
 
     name: str
@@ -153,11 +158,11 @@ def estimate_norms(f: SmoothFunctionSpec, refinement: int = 256) -> NormData:
     )
 
 
-def resolve_norms(f: SmoothFunctionSpec, side: int) -> NormData:
-    """Analytic norms when available, otherwise estimates at M = max(8N, 256)."""
-    if f.analytic is not None:
-        return f.analytic
-    return estimate_norms(f, max(8 * side, 256))
+def carried_norms(f: SmoothFunctionSpec) -> NormData:
+    """The norms f carries; DomainError, before any grid is built, if it has none."""
+    if f.analytic is None:
+        raise DomainError(f"{f.name}: no norms; build the spec with NormData or estimate_norms")
+    return f.analytic
 
 
 def certification_threshold(norms: NormData) -> int:
@@ -189,7 +194,7 @@ def verify_fr_bound(f: SmoothFunctionSpec, side: int) -> FrCheck:
     A non-certified hypothesis is reported via the report's flag, never
     raised; certified inputs must come out with slack >= 0.
     """
-    norms = resolve_norms(f, side)
+    norms = carried_norms(f)
     report = compute_rn(norms, side)
     fr = fourier_ratio(forward_dft(discretize(f, side)))
     return FrCheck(report=report, fr_measured=fr, norms=norms)
@@ -208,11 +213,8 @@ class DecayCheck:
         return self.max_ratio <= self.limit
 
 
-def verify_decay(
-    f: SmoothFunctionSpec, side: int, norms: NormData | None = None
-) -> DecayCheck:
-    if norms is None:
-        norms = resolve_norms(f, side)
+def verify_decay(f: SmoothFunctionSpec, side: int) -> DecayCheck:
+    norms = carried_norms(f)
     spec = forward_dft(discretize(f, side))
     mag_sq = wrapped_mag_sq_grid(side, 2).astype(float)
     ratios = np.abs(spec) * mag_sq / (side * norms.c2)
@@ -234,11 +236,8 @@ class RiemannCheck:
     passed: bool
 
 
-def verify_riemann_lemma(
-    h: SmoothFunctionSpec, side: int, norms: NormData | None = None
-) -> RiemannCheck:
-    if norms is None:
-        norms = resolve_norms(h, side)
+def verify_riemann_lemma(h: SmoothFunctionSpec, side: int) -> RiemannCheck:
+    norms = carried_norms(h)
     grid_mean = float(np.mean(discretize(h, side)))
     lhs = abs(grid_mean - norms.mean)
     rhs = (norms.grad_sups[0] + norms.grad_sups[1]) / side
@@ -256,11 +255,8 @@ class L2LowerBoundCheck:
     sqrt_passed: bool
 
 
-def verify_l2_lower_bound(
-    f: SmoothFunctionSpec, side: int, norms: NormData | None = None
-) -> L2LowerBoundCheck:
-    if norms is None:
-        norms = resolve_norms(f, side)
+def verify_l2_lower_bound(f: SmoothFunctionSpec, side: int) -> L2LowerBoundCheck:
+    norms = carried_norms(f)
     g_l2 = float(np.linalg.norm(discretize(f, side)))
     energy = g_l2**2
     lower = side**2 * norms.l2**2 - 4.0 * side * norms.c2**2

@@ -92,12 +92,12 @@ def test_criterion_3_lemma_suite():
         norms = spec.analytic
         threshold = tor.certification_threshold(norms)
         for side in sides:
-            rie = tor.verify_riemann_lemma(spec, side, norms)
-            low = tor.verify_l2_lower_bound(spec, side, norms)
+            rie = tor.verify_riemann_lemma(spec, side)
+            low = tor.verify_l2_lower_bound(spec, side)
             if not (rie.passed and low.passed and low.sqrt_passed):
                 lemma_fail.append((name, side))
             if side >= threshold:
-                chk = tor.verify_decay(spec, side, norms)
+                chk = tor.verify_decay(spec, side)
                 decay_cells += 1
                 decay_worst = max(decay_worst, chk.max_ratio)
     ok = not lemma_fail and decay_worst <= tor.FOUR_PI_SQ and decay_cells > 0

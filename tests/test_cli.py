@@ -7,7 +7,7 @@ from frkit import cli
 from frkit import torus as tor
 from frkit.battery import TORUS_BATTERY
 from frkit.cli import RECOVERY_HEADER, main
-from frkit.solver import Q_MAX
+from frkit.solver import BASIS_ENTRIES_MAX
 
 
 def run_cli(capsys, *argv):
@@ -142,9 +142,9 @@ class TestDecayLemmas:
         for row in rows:
             spec, n = TORUS_BATTERY[row[0]], int(row[1])
             chk = tor.verify_decay(spec, n)
-            norms = tor.resolve_norms(spec, n)
             assert row[2:6] == [
-                _g(chk.max_ratio), _g(chk.limit), str(chk.passed).lower(), norms.provenance,
+                _g(chk.max_ratio), _g(chk.limit), str(chk.passed).lower(),
+                spec.analytic.provenance,
             ]
 
     def test_lemmas_rows_match_verify_functions(self, capsys):
@@ -166,7 +166,7 @@ class TestDecayLemmas:
                 _g(rie.lhs), _g(rie.rhs), str(rie.passed).lower(),
                 _g(low.grid_energy), _g(low.lower_bound),
                 str(low.passed and low.sqrt_passed).lower(), str(low.certified).lower(),
-                tor.resolve_norms(spec, n).provenance,
+                spec.analytic.provenance,
             ]
 
     @pytest.mark.parametrize("command", ["decay", "lemmas"])
@@ -316,7 +316,8 @@ class TestSweep:
 
 
 class TestSweepWorkers:
-    # four (cell, trial) tasks; the c_univ = 1e6 cells need q > Q_MAX and give error rows
+    # four (cell, trial) tasks; the c_univ = 1e6 cells need a basis matrix of more
+    # than BASIS_ENTRIES_MAX entries and give error rows
     GRID = ["sweep", "--setting", "sphere", "--fn", "y00", "--l", "2", "--eps", "0.1", "0.2",
             "--c-univ", "0.01", "1e6", "--seed", "4"]
 
@@ -336,7 +337,7 @@ class TestSweepWorkers:
         assert status[0] == status[2] == "ok"
         for text in (status[1], status[3]):
             assert text.startswith("error: sample size ")
-            assert text.endswith(f" exceeds configured q_max={Q_MAX}")
+            assert text.endswith(f" basis entries, over the limit of {BASIS_ENTRIES_MAX}")
 
     def test_iterating_sphere_rows_byte_identical(self, tmp_path, capsys):
         # solves that iterate build the operator's Gram rows in the order their

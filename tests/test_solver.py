@@ -17,7 +17,7 @@ from frkit.errors import (
 from frkit.sampling import draw_sphere_points, draw_subset, rng_from_seed, spawn_seeds
 from frkit.solver import (
     ERROR_BUDGET_FACTOR,
-    Q_MAX,
+    BASIS_ENTRIES_MAX,
     MeasurementOperator,
     SolverConfig,
     certify,
@@ -951,9 +951,19 @@ class TestRecoverSphere:
 
     def test_q_max_refusal(self):
         bat = build_sphere_battery(8)
-        # c_univ = 16 asks for 270,641 points at the measured ratio
-        with pytest.raises(DomainError, match=f"exceeds configured q_max={Q_MAX}"):
-            recover_sphere(bat["mix5"], 0.1, seed=1, c_univ=16.0)
+        # c_univ = 64 asks for 1,082,562 points at the measured ratio: 87.7M entries at L = 8
+        with pytest.raises(DomainError, match=f"over the limit of {BASIS_ENTRIES_MAX}"):
+            recover_sphere(bat["mix5"], 0.1, seed=1, c_univ=64.0)
+
+    def test_basis_entries_refused_before_drawing(self, monkeypatch):
+        # gauss_heat at L = 64, C = 1 asks for 100,940 points: 426M entries, 3.2 GiB
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn or basis built")
+        monkeypatch.setattr("frkit.solver.draw_sphere_points", refuse)
+        monkeypatch.setattr("frkit.sphere.basis_matrix", refuse)
+        signal = build_sphere_battery(64)["gauss_heat"]
+        with pytest.raises(DomainError, match="needs 426471500 basis entries"):
+            recover_sphere(signal, 0.1, seed=1)
 
     def test_monotone_error_in_sample_size(self):
         bat = build_sphere_battery(8)

@@ -16,7 +16,7 @@ from frkit.spectral import (
     wrapped_mag_sq_grid,
 )
 from frkit.sphere import compute_rl, estimate_sphere_norms, verify_sphere_fr_bound
-from frkit.torus import compute_rn, resolve_norms, verify_fr_bound
+from frkit.torus import compute_rn, verify_fr_bound
 from conftest import best_tail_by_enumeration, dft_direct, idft_direct
 
 
@@ -204,7 +204,7 @@ class TestFrBoundReport:
 
     def test_both_settings_return_one_type(self):
         spec, signal = TORUS_BATTERY["cos_small"], build_sphere_battery(8)["mix5"]
-        torus = compute_rn(resolve_norms(spec, 64), 64)
+        torus = compute_rn(spec.analytic, 64)
         sphere = compute_rl(estimate_sphere_norms(signal), 8)
         assert type(torus) is type(sphere) is spectral.FrBoundReport
         assert isinstance(torus.certified, bool) and sphere.certified is None

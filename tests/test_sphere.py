@@ -386,12 +386,15 @@ class TestRingTransforms:
             # |grad f|^2 is a difference of two O(C2^2) terms: compare it absolutely
             assert abs(got.grad_sup**2 - want.grad_sup**2) <= 1e-10 * want.c2**2, name
 
-    def test_basis_matrix_matches_reference_at_scattered_points(self):
+    def test_basis_matrix_matches_reference_at_scattered_points(self, rng):
         pts = draw_sphere_points(1200, seed=21)  # more than one point chunk at L=32
         for bandwidth in (0, 3, 32):
             got = basis_matrix(bandwidth, pts.theta, pts.phi)
             want = ref.basis_matrix(bandwidth, pts.theta, pts.phi)
             assert np.max(np.abs(got - want)) <= 1e-13
+            sig = SphericalSignal(bandwidth, rng.standard_normal((bandwidth + 1) ** 2))
+            assert _rel_max(synthesize(sig, pts.theta, pts.phi),
+                            ref.synthesize(sig, pts.theta, pts.phi)) <= 1e-12
 
     def test_ring_paths_reject_aliasing_rings(self):
         bandwidth = 8

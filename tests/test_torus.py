@@ -6,6 +6,7 @@ import pytest
 from frkit.battery import TORUS_BATTERY
 from frkit.errors import DomainError, PeriodicityError
 from frkit.sampling import sample_size
+from frkit.solver import recover_torus
 from frkit.torus import (
     NormData,
     SmoothFunctionSpec,
@@ -13,7 +14,6 @@ from frkit.torus import (
     compute_rn,
     discretize,
     estimate_norms,
-    resolve_norms,
     verify_decay,
     verify_fr_bound,
     verify_l2_lower_bound,
@@ -81,10 +81,24 @@ class TestEstimateNorms:
         assert est.c2 == pytest.approx(2 * PI * PI, rel=0.02)
 
     def test_analytic_precedence(self):
-        norms = resolve_norms(TORUS_BATTERY["cc_half"], 64)
-        assert norms.provenance == "analytic"
+        spec = TORUS_BATTERY["cc_half"]
+        chk = verify_fr_bound(spec, 64)
+        assert chk.norms is spec.analytic and chk.report.provenance == "analytic"
         bare = SmoothFunctionSpec("s", lambda u1, u2: np.sin(2 * PI * u1) + 0 * u2)
-        assert resolve_norms(bare, 64).provenance == "estimated"
+        estimated = SmoothFunctionSpec(bare.name, bare.evaluator, estimate_norms(bare, 512))
+        assert verify_fr_bound(estimated, 64).report.provenance == "estimated"
+
+    def test_spec_without_norms_is_refused_without_estimating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("norms estimated or grid built")
+        monkeypatch.setattr("frkit.torus.estimate_norms", refuse)
+        monkeypatch.setattr("frkit.torus.discretize", refuse)
+        bare = SmoothFunctionSpec("bare_sine", lambda u1, u2: np.sin(2 * PI * u1) + 0 * u2)
+        checks = (verify_fr_bound, verify_decay, verify_riemann_lemma, verify_l2_lower_bound,
+                  lambda f, side: recover_torus(f, side, 0.1, seed=1))
+        for check in checks:
+            with pytest.raises(DomainError, match="bare_sine: no norms"):
+                check(bare, 64)
 
 
 class TestComputeRn:
@@ -138,7 +152,6 @@ class TestVerifyFrBound:
         assert chk.fr_measured == pytest.approx(1.25 / math.sqrt(1.0 + 1.0 / 32.0), rel=1e-10)
         assert chk.report.r > 10 * chk.fr_measured
 
-    @pytest.mark.slow
     def test_cc_half_certified_at_4096(self):
         chk = verify_fr_bound(TORUS_BATTERY["cc_half"], 4096)
         assert chk.report.certified
@@ -170,7 +183,8 @@ class TestVerifyDecay:
                     out += coeff[j, k] * np.cos(2 * PI * (j * u1 + k * u2))
             return out
 
-        spec = SmoothFunctionSpec("trig", fn)
+        bare = SmoothFunctionSpec("trig", fn)
+        spec = SmoothFunctionSpec("trig", fn, estimate_norms(bare, 512))
         chk = verify_decay(spec, 64)
         assert chk.max_ratio <= FOUR_PI_SQ
 
@@ -189,13 +203,14 @@ class TestRiemannLemma:
         assert chk.passed
 
     def test_sin_squared_with_quadrature_oracle(self):
-        spec = SmoothFunctionSpec("sinsq", lambda u1, u2: np.sin(PI * u1) ** 2 + 0 * u2)
+        bare = SmoothFunctionSpec("sinsq", lambda u1, u2: np.sin(PI * u1) ** 2 + 0 * u2)
         oracle_mean = midpoint_integral_2d(lambda u1, u2: np.sin(PI * u1) ** 2 + 0 * u2, 512)
         assert oracle_mean == pytest.approx(0.5, abs=1e-12)
-        norms = estimate_norms(spec, 256)
+        norms = estimate_norms(bare, 256)
         assert norms.mean == pytest.approx(oracle_mean, abs=1e-12)
+        spec = SmoothFunctionSpec(bare.name, bare.evaluator, norms)
         for n in (10, 32):
-            chk = verify_riemann_lemma(spec, n, norms)
+            chk = verify_riemann_lemma(spec, n)
             assert chk.passed
             assert chk.rhs == pytest.approx(PI / n, rel=0.01)
 
