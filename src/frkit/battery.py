@@ -74,7 +74,7 @@ def verify_torus_battery() -> dict[str, float]:
     worst = {}
     for name, spec in TORUS_BATTERY.items():
         ana = spec.analytic
-        est = estimate_norms(spec, VERIFY_REFINEMENT)
+        est = estimate_norms(spec.evaluator, VERIFY_REFINEMENT)
         rel = max(
             abs(est.l2 - ana.l2) / ana.l2,
             abs(est.c2 - ana.c2) / ana.c2,

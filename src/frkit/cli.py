@@ -302,7 +302,7 @@ def cmd_sweep(args, config_hash: str) -> int:
 def _sweep_rn_vs_logn(args, config_hash: str) -> int:
     """r_N (r_L) at each size, its fitted slope in ln N (ln L) and the predicted one."""
     if args.setting == "torus":
-        norms_of, bound, constant = tor.carried_norms, tor.compute_rn, tor.SIXTEEN_PI_SQ
+        norms_of, bound, constant = lambda f: f.analytic, tor.compute_rn, tor.SIXTEEN_PI_SQ
     else:
         norms_of, bound, constant = sph.estimate_sphere_norms, sph.compute_rl, sph.C0_SPHERE
     targets = _targets(args)

@@ -90,16 +90,17 @@ number of full-spectrum coefficients it stands for: 1 in the self-conjugate
 columns (0, and N/2 when N is even), 2 elsewhere. The solver's coefficient
 norms and l1 objective are weighted sums, so its iterates are the half of
 the full-spectrum iterates, at half the FFT and elementwise work. Complex
-torus data has no half and is refused. Reports always carry the full N^2
-unitary spectrum, expanded from the half by Hermitian symmetry. As on the
-sphere, the torus forward product runs over the iterate's nonzeros only, a
-sum of nnz |X| phases, and falls back to an inverse FFT on dense iterates;
-in recover_torus's cc_half solves at N = 64 and 256 the median iterate has
-1 nonzero half-spectrum coefficient. The adjoint acts on a dense vector and
-is one FFT pass: a real FFT along the rows of a zero embedding that the
-operator keeps and writes at the sample points only, then a complex FFT
-along the columns, in place. That is rfft2 bit for bit, without a fresh N^2
-embedding or a fresh array for the column stage per call.
+torus data has no half and is refused. recover_torus's report carries the
+full N^2 unitary spectrum, which it rebuilds from the solver's half by
+Hermitian symmetry. As on the sphere, the torus forward product runs over
+the iterate's nonzeros only, a sum of nnz |X| phases, and falls back to an
+inverse FFT on dense iterates; in recover_torus's cc_half solves at N = 64
+and 256 the median iterate has 1 nonzero half-spectrum coefficient. The
+adjoint acts on a dense vector and is one FFT pass: a real FFT along the
+rows of a zero embedding that the operator keeps and writes at the sample
+points only, then a complex FFT along the columns, in place. That is rfft2
+bit for bit, without a fresh N^2 embedding or a fresh array for the column
+stage per call.
 """
 
 from __future__ import annotations
@@ -163,30 +164,30 @@ class MeasurementOperator:
 
     dtype is the coefficient dtype: float64 for a real matrix with real
     measurements (the sphere), complex128 otherwise. weights, when given, is
-    the multiplicity of each stored coefficient in the full spectrum that
-    expand(a) rebuilds. Such an operator stores half of a Hermitian spectrum
-    and has real measurements; its adjoint is taken in the weighted inner
-    product, Re<y, A a> = Re sum_i w_i conj((A^H y)_i) a_i, and norm_bound
-    bounds ||A a|| by the weighted norm of a. normal, when given, maps a to
+    the multiplicity of each stored coefficient in the full spectrum it
+    stands for. Such an operator stores half of a Hermitian spectrum and has
+    real measurements; its adjoint is taken in the weighted inner product,
+    Re<y, A a> = Re sum_i w_i conj((A^H y)_i) a_i, and norm_bound bounds
+    ||A a|| by the weighted norm of a. normal, when given, maps a to
     A^H A a; solve_bpdn then forms A^H z from it instead of calling adjoint.
 
-    forward and normal are called as f(a, nz), where nz is either None or
-    np.flatnonzero(a): solve_bpdn hands them the support that soft-thresholding
-    has just decided, and an operator that sums over the nonzeros scans a for
-    them only when nz is None. adjoint must return a fresh array, since
-    solve_bpdn writes into it. There is no matrix form: certify needs products only.
+    The forward and normal closures are called as f(a, nz) with nz always
+    np.flatnonzero(a), so neither scans a for its nonzeros: forward(a) finds
+    the support once and forward(a, nz) hands nz through, and solve_bpdn
+    calls normal with the support that soft-thresholding has just decided.
+    adjoint must return a fresh array, since solve_bpdn writes into it.
+    There is no matrix form: certify needs products only.
     """
 
     def __init__(
         self,
-        forward: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
+        forward: Callable[[np.ndarray, np.ndarray], np.ndarray],
         adjoint: Callable[[np.ndarray], np.ndarray],
         shape: tuple[int, int],
         norm_bound: float,
         weights: np.ndarray | None = None,
-        expand: Callable[[np.ndarray], np.ndarray] | None = None,
         dtype: type = np.complex128,
-        normal: Callable[[np.ndarray, np.ndarray | None], np.ndarray] | None = None,
+        normal: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     ):
         self._forward = forward
         self._adjoint = adjoint
@@ -194,11 +195,10 @@ class MeasurementOperator:
         self.shape = shape  # (n_measurements, n_coefficients)
         self.norm_bound = float(norm_bound)
         self.weights = weights
-        self._expand = expand
         self.dtype = np.dtype(dtype)
 
     def forward(self, a: np.ndarray, nz: np.ndarray | None = None) -> np.ndarray:
-        return self._forward(a, nz)
+        return self._forward(a, np.flatnonzero(a) if nz is None else nz)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self._adjoint(y)
@@ -227,10 +227,6 @@ class MeasurementOperator:
             return float(np.sum(np.abs(a)))
         return float(np.dot(self.weights, np.abs(a)))
 
-    def expand(self, a: np.ndarray) -> np.ndarray:
-        """The full coefficient vector that the stored coefficients a stand for."""
-        return a if self._expand is None else self._expand(a)
-
 
 def _as_flat(x, dtype: np.dtype, what: str) -> np.ndarray:
     """x raveled and cast to dtype; a real dtype refuses a nonzero imaginary part."""
@@ -255,11 +251,12 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
 
     The operator acts on the rfft2 half spectrum (second axis cut to N//2+1
     entries). Its weights are 1 on the self-conjugate columns (0, and N/2
-    for even N) and 2 elsewhere, expand() returns the full spectrum, and its
-    norm is exactly 1 (row restriction of a unitary map).
+    for even N) and 2 elsewhere, and its norm is exactly 1 (row restriction
+    of a unitary map). It knows no full-spectrum layout: _hermitian_full
+    rebuilds the N^2 spectrum from its coefficients.
 
-    Forward sums over the nonzeros nz of a only (handed in by the caller,
-    or found by a scan of a when nz is None): at the sample points x,
+    Forward sums over the nonzeros nz of a only, the support that
+    MeasurementOperator.forward hands it: at the sample points x,
     (A a)(x) = (1/N) sum_{k in nz} w_k Re(a_k e^{2 pi i (k1 x1 + k2 x2)/N}),
     with cos and sin read from one table of the N-th roots of unity at
     (k1 x1 + k2 x2) mod N. That costs O(nnz |X|) against the O(N^2 log N)
@@ -289,9 +286,7 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
     max_terms = TORUS_SPARSE_FORWARD_MAX * side * side
     emb = np.zeros(side * side)  # the adjoint's zero embedding, written only at the sample
 
-    def forward(a: np.ndarray, nz: np.ndarray | None = None) -> np.ndarray:
-        if nz is None:
-            nz = np.flatnonzero(a != 0)
+    def forward(a: np.ndarray, nz: np.ndarray) -> np.ndarray:
         if nz.size * flat.size > max_terms:
             fld = np.fft.irfftn(a.reshape(half_shape), s=shape, axes=(0, 1))
             return fld.ravel()[flat] * scale
@@ -307,8 +302,7 @@ def make_torus_operator(sample: SampleSet) -> MeasurementOperator:
         return np.fft.fft(half, axis=0, out=half).ravel()
 
     return MeasurementOperator(
-        forward, adjoint, shape=(len(sample), weights.size), norm_bound=1.0,
-        weights=weights, expand=lambda a: _hermitian_full(a, side),
+        forward, adjoint, shape=(len(sample), weights.size), norm_bound=1.0, weights=weights,
     )
 
 
@@ -365,9 +359,7 @@ class _GramRows:
         self.built = 0
         self._block = np.empty((0, dim))
 
-    def __call__(self, a: np.ndarray, nz: np.ndarray | None = None) -> np.ndarray:
-        if nz is None:
-            nz = np.flatnonzero(a)
+    def __call__(self, a: np.ndarray, nz: np.ndarray) -> np.ndarray:
         missing = nz[self.slot[nz] < 0]
         if missing.size:
             self._build(missing)
@@ -406,20 +398,17 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
     """
     rows = sph.basis_matrix(bandwidth, points.theta, points.phi).T
 
-    def forward(a: np.ndarray, nz: np.ndarray | None = None) -> np.ndarray:
-        if nz is None:
-            nz = np.flatnonzero(a)
+    def forward(a: np.ndarray, nz: np.ndarray) -> np.ndarray:
         return a[nz] @ rows[nz]
 
     def adjoint(y: np.ndarray) -> np.ndarray:
         return rows @ y
 
-    bound = lanczos_norm_bound(lambda x: x @ rows, adjoint, dim=rows.shape[0])
     return MeasurementOperator(
         forward=forward,
         adjoint=adjoint,
         shape=rows.shape[::-1],
-        norm_bound=max(bound, 1e-12),
+        norm_bound=lanczos_norm_bound(lambda x: x @ rows, adjoint, dim=rows.shape[0]),
         dtype=np.float64,
         normal=_GramRows(rows),
     )
@@ -718,16 +707,15 @@ def _recover(
     measurements are op.forward(truth), the fidelity radius is
     eps * op.coef_norm(truth), or 0 for an exact fit, and rel_error is
     op.coef_norm(a - truth) / op.coef_norm(truth): by Parseval the relative L2
-    error of the field as well. The report carries op.expand of the solver's
-    coefficients, op's row count as the sample size, and clamped.
+    error of the field as well. The report carries the solver's coefficients
+    as they are, in that layout, op's row count as the sample size, and clamped.
     """
     truth_norm = op.coef_norm(truth)
     delta = 0.0 if exact_fit else eps * truth_norm
     solution = solve_bpdn(op, op.forward(truth), SolverConfig(delta=delta))
-    a = solution.coefficients
     return RecoveryReport(
-        **vars(replace(solution, coefficients=op.expand(a))),
-        rel_error=op.coef_norm(a - truth) / truth_norm,
+        **vars(solution),
+        rel_error=op.coef_norm(solution.coefficients - truth) / truth_norm,
         sample_size=op.shape[0],
         clamped=clamped,
     )
@@ -746,13 +734,13 @@ def recover_torus(
     """Recover the discretized field from a random subset of its values.
 
     The field is solved on its rfft2 half spectrum; the report carries the
-    full N^2 unitary spectrum.
+    full N^2 unitary spectrum, which _hermitian_full rebuilds from the half.
 
     The sample size comes from the field's measured Fourier ratio, floored
     at 1, and is clamped to the N^2 grid points; the report records the clamp.
     exact_fit requests exact-fit basis pursuit (delta = 0) on the observations.
     """
-    rn = tor.compute_rn(tor.carried_norms(f), side)
+    rn = tor.compute_rn(f.analytic, side)
     if not rn.certified and not allow_uncertified:
         raise CertificationError(
             f"{f.name} at N={side} fails N L2^2 >= 8 C2^2; "
@@ -762,8 +750,9 @@ def recover_torus(
     total = side * side
     size = sample_size(max(1.0, fourier_ratio(spectrum)), eps, total, c_univ)
     sample = draw_subset(side, min(size, total), seed)
-    return _recover(make_torus_operator(sample), spectrum[:, :side // 2 + 1].ravel(),
-                    eps, exact_fit, clamped=size > total)
+    report = _recover(make_torus_operator(sample), spectrum[:, :side // 2 + 1].ravel(),
+                      eps, exact_fit, clamped=size > total)
+    return replace(report, coefficients=_hermitian_full(report.coefficients, side))
 
 
 def recover_sphere(

@@ -33,7 +33,8 @@ Healy 1994; Reinecke & Seljebotn, "libsharp", A&A 2013):
                projected onto its table segment.
 
 Both need n_phi >= 2 lmax + 1, so that no order m <= lmax aliases in ph.
-synthesize and basis_matrix take scattered points. Both build the basis
+synthesize and basis_matrix take scattered points, theta and phi of one
+shape, checked as a SampleMultiset checks its points. Both build the basis
 rows from the table, harmonic-major (one row of point values per harmonic):
 basis_matrix returns them transposed, and synthesize multiplies each block
 of rows by the coefficients. Both work in chunks of points sized so that one
@@ -274,15 +275,25 @@ def _fill_basis_rows(out: np.ndarray, lmax: int, theta: np.ndarray, phi: np.ndar
     out[i_cos[valid]] = (table * cos_m[:, None, :])[valid]  # overwrites the m = 0 sin rows
 
 
+def _flat_points(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """theta and phi raveled to float; StructuralError unless they have one shape,
+    and check_sphere_points' DataError or DomainError."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if theta.shape != phi.shape:
+        raise StructuralError(f"theta and phi must have one shape, not {theta.shape}, {phi.shape}")
+    check_sphere_points(theta, phi)
+    return theta.ravel(), phi.ravel()
+
+
 def basis_matrix(bandwidth: int, theta, phi) -> np.ndarray:
     """Dense (npoints, (L+1)^2) matrix of basis values; desk-scale only.
 
     It is built harmonic-major, one C-contiguous row of point values per
     harmonic, and returned as that array's transpose, a view: its .T is the
-    ((L+1)^2, npoints) row array itself, with no copy.
+    ((L+1)^2, npoints) row array itself, with no copy. The points are
+    checked as _flat_points checks them.
     """
-    theta = np.asarray(theta, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
+    theta, phi = _flat_points(theta, phi)
     rows = np.empty(((bandwidth + 1) ** 2, theta.size))
     for part in _point_chunks(theta.size, bandwidth):
         _fill_basis_rows(rows[:, part], bandwidth, theta[part], phi[part])
@@ -308,10 +319,9 @@ def analyze(values, rule: QuadratureRule, bandwidth: int) -> SphericalSignal:
 
 
 def synthesize(signal: SphericalSignal, theta, phi) -> np.ndarray:
-    """Pointwise expansion sum_{l,m} c_{l,m} Y_l^m(theta, phi)."""
+    """Pointwise expansion sum_{l,m} c_{l,m} Y_l^m(theta, phi) at points _flat_points checks."""
     shape = np.shape(theta)
-    theta = np.asarray(theta, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
+    theta, phi = _flat_points(theta, phi)
     lmax = signal.bandwidth
     values = np.empty(theta.size)
     for part in _point_chunks(theta.size, lmax):

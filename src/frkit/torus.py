@@ -11,16 +11,17 @@ which dominates the measured Fourier ratio whenever the hypothesis
 N ||f||_L2^2 >= 8 ||f||_C2^2 is certified. The C2 norm is the unweighted
 max of sup|d^a f| over all |a| <= 2 (no factorial or multinomial weights).
 
-Every bound and check reads the norms the spec carries and refuses a spec
-without them; none estimates. estimate_norms is the finite-difference
-reference: a spec built with its result reports provenance "estimated".
+A spec cannot be built without its norms, and every bound and check reads
+the ones it carries; none estimates. estimate_norms is the finite-difference
+reference: SmoothFunctionSpec(name, fn, estimate_norms(fn)) builds a spec
+whose norms report provenance "estimated".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -68,14 +69,14 @@ class SmoothFunctionSpec:
     """A 1-periodic function on [0,1]^2 given by a vectorized evaluator.
 
     The evaluator takes two equal-shaped arrays (u1, u2) and returns real
-    values. The norms (named analytic, whatever their provenance) are the
-    ones every bound and check reads; a spec without them is refused there.
+    values. The norms are required (named analytic, whatever their
+    provenance): they are the ones every bound and check reads.
     Construction spot-checks periodicity on boundary points.
     """
 
     name: str
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    analytic: Optional[NormData] = None
+    analytic: NormData
 
     def __post_init__(self):
         t = np.linspace(0.0, 1.0, _PERIODICITY_POINTS)
@@ -114,8 +115,8 @@ def discretize(f: SmoothFunctionSpec, side: int) -> np.ndarray:
     return vals
 
 
-def estimate_norms(f: SmoothFunctionSpec, refinement: int = 256) -> NormData:
-    """Numerical L2/mean (midpoint rule) and C2 (central differences, step 1/M).
+def estimate_norms(evaluator: Callable, refinement: int = 256) -> NormData:
+    """Numerical L2/mean (midpoint rule) and C2 (central differences, step 1/M) of an evaluator.
 
     The derivative grid is the corner grid i/M with periodic wraparound, so
     every central difference is an array roll of one evaluation pass.
@@ -125,12 +126,12 @@ def estimate_norms(f: SmoothFunctionSpec, refinement: int = 256) -> NormData:
         raise DomainError(f"refinement must be >= 8, got {m}")
     mid = (np.arange(m) + 0.5) / m
     m1, m2 = np.meshgrid(mid, mid, indexing="ij")
-    w = f(m1, m2)
+    w = np.asarray(evaluator(m1, m2), dtype=float)
     corner = np.arange(m) / m
     c1, c2_ = np.meshgrid(corner, corner, indexing="ij")
-    v = f(c1, c2_)
+    v = np.asarray(evaluator(c1, c2_), dtype=float)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
-        raise DataError(f"{f.name}: non-finite evaluation during norm estimation")
+        raise DataError("non-finite evaluation during norm estimation")
 
     up1, dn1 = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
     up2, dn2 = np.roll(v, -1, axis=1), np.roll(v, 1, axis=1)
@@ -156,13 +157,6 @@ def estimate_norms(f: SmoothFunctionSpec, refinement: int = 256) -> NormData:
         grad_sups=(g1, g2),
         provenance=ESTIMATED,
     )
-
-
-def carried_norms(f: SmoothFunctionSpec) -> NormData:
-    """The norms f carries; DomainError, before any grid is built, if it has none."""
-    if f.analytic is None:
-        raise DomainError(f"{f.name}: no norms; build the spec with NormData or estimate_norms")
-    return f.analytic
 
 
 def certification_threshold(norms: NormData) -> int:
@@ -194,7 +188,7 @@ def verify_fr_bound(f: SmoothFunctionSpec, side: int) -> FrCheck:
     A non-certified hypothesis is reported via the report's flag, never
     raised; certified inputs must come out with slack >= 0.
     """
-    norms = carried_norms(f)
+    norms = f.analytic
     report = compute_rn(norms, side)
     fr = fourier_ratio(forward_dft(discretize(f, side)))
     return FrCheck(report=report, fr_measured=fr, norms=norms)
@@ -214,7 +208,7 @@ class DecayCheck:
 
 
 def verify_decay(f: SmoothFunctionSpec, side: int) -> DecayCheck:
-    norms = carried_norms(f)
+    norms = f.analytic
     spec = forward_dft(discretize(f, side))
     mag_sq = wrapped_mag_sq_grid(side, 2).astype(float)
     ratios = np.abs(spec) * mag_sq / (side * norms.c2)
@@ -237,7 +231,7 @@ class RiemannCheck:
 
 
 def verify_riemann_lemma(h: SmoothFunctionSpec, side: int) -> RiemannCheck:
-    norms = carried_norms(h)
+    norms = h.analytic
     grid_mean = float(np.mean(discretize(h, side)))
     lhs = abs(grid_mean - norms.mean)
     rhs = (norms.grad_sups[0] + norms.grad_sups[1]) / side
@@ -256,7 +250,7 @@ class L2LowerBoundCheck:
 
 
 def verify_l2_lower_bound(f: SmoothFunctionSpec, side: int) -> L2LowerBoundCheck:
-    norms = carried_norms(f)
+    norms = f.analytic
     g_l2 = float(np.linalg.norm(discretize(f, side)))
     energy = g_l2**2
     lower = side**2 * norms.l2**2 - 4.0 * side * norms.c2**2

@@ -73,7 +73,7 @@ def dense_operator(mat, norm_bound=None):
     from frkit.solver import MeasurementOperator
 
     return MeasurementOperator(
-        forward=lambda a, nz=None: mat @ a,
+        forward=lambda a, nz: mat @ a,
         adjoint=lambda y: mat.conj().T @ y,
         shape=mat.shape,
         norm_bound=float(np.linalg.norm(mat, 2)) if norm_bound is None else norm_bound,
@@ -97,7 +97,7 @@ def counting_operator(op):
         counted.calls["adjoint"] += 1
         return op.adjoint(y)
 
-    def normal(a, nz=None):
+    def normal(a, nz):
         counted.calls["normal"] += 1
         return op.normal(a, nz)
 

@@ -13,13 +13,18 @@ moved, so it can gate a shell step. A change that moves
 numbers on purpose regenerates the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites a golden and its .err only where that rule finds a move or a
+file is missing, so a float that wanders inside 1e-9 leaves git clean.
 """
 
 import contextlib
 import csv
 import io
 import math
+import os
 import pathlib
+import shutil
 import sys
 
 import pytest
@@ -108,14 +113,32 @@ def _moved(got: list[list[str]], want: list[list[str]]) -> list[str]:
     return [want[0][col] for col in sorted(moved)]
 
 
-def _differences(name: str) -> list[str]:
+def _compare(name: str, stdout: str, status: str) -> list[str]:
     """_moved's names for stdout, then "exit" and "stderr" if either differs at all."""
-    stdout, status = _run(name)
     diffs = _moved(_rows(stdout), _rows((GOLDEN / name).read_text()))
     got_exit, _, got_err = status.partition("\n")
     want_exit, _, want_err = _status_path(name).read_text().partition("\n")
     return diffs + [label for label, got, want in
                     (("exit", got_exit, want_exit), ("stderr", got_err, want_err)) if got != want]
+
+
+def _differences(name: str) -> list[str]:
+    """_compare of the golden's command run now."""
+    return _compare(name, *_run(name))
+
+
+def regenerate(names) -> list[str]:
+    """Rewrite each named golden and its .err that moved or is missing; the names rewritten."""
+    written = []
+    for name in names:
+        stdout, status = _run(name)
+        kept = (GOLDEN / name).exists() and _status_path(name).exists()
+        if kept and not _compare(name, stdout, status):
+            continue
+        (GOLDEN / name).write_text(stdout, newline="")
+        _status_path(name).write_text(status, newline="")
+        written.append(name)
+    return written
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -130,6 +153,23 @@ def test_comparison_can_fail():
     assert not _cells_match("16", "17")
     assert not _cells_match("10000000000", "10000000001")  # integers match exactly
     assert not _cells_match("true", "false")
+
+
+def test_regenerate_rewrites_only_what_moved(tmp_path, monkeypatch):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    rows = _rows((golden / "decay.csv").read_text())
+    rows[1][2] = repr(float(rows[1][2]) * (1 + 1e-6))  # cc_half's max_ratio
+    with open(golden / "decay.csv", "w", newline="") as out:
+        csv.writer(out, lineterminator="\n").writerows(rows)
+    before = {path.name: os.stat(path).st_mtime_ns for path in golden.iterdir()}
+    assert _differences("decay.csv") == ["max_ratio"]
+    assert regenerate(sorted(COMMANDS)) == ["decay.csv"]
+    assert _differences("decay.csv") == []
+    changed = [path.name for path in sorted(golden.iterdir())
+               if os.stat(path).st_mtime_ns != before[path.name]]
+    assert changed == ["decay.csv", "decay.err"]
 
 
 def test_moved_names_the_columns_beyond_the_rule():
@@ -152,7 +192,4 @@ if __name__ == "__main__":
     elif sys.argv[1:]:
         sys.exit("usage: test_golden.py [--diff]")
     else:
-        for name in COMMANDS:
-            stdout, status = _run(name)
-            (GOLDEN / name).write_text(stdout, newline="")
-            _status_path(name).write_text(status, newline="")
+        regenerate(COMMANDS)

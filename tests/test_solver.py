@@ -119,7 +119,7 @@ class TestOperators:
         pts = draw_sphere_points(120, seed=13)
         op, mat = make_sphere_operator(pts, 6), basis_matrix(6, pts.theta, pts.phi)
         zero = np.zeros(49)
-        assert np.array_equal(op.normal(zero), zero)
+        assert np.array_equal(op.normal(zero, np.flatnonzero(zero)), zero)
         assert op.normal.built == 0  # a zero iterate builds no Gram row
         one = zero.copy()
         one[17] = -0.75
@@ -130,7 +130,7 @@ class TestOperators:
         dense = rng.standard_normal(49)
         for a, built in ((one, 1), (few, 5), (mixed, 6), (dense, 49)):
             want = mat.T @ (mat @ a)
-            got = op.normal(a)
+            got = op.normal(a, np.flatnonzero(a))
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             assert op.normal.built == built
@@ -146,7 +146,8 @@ class TestOperators:
             a = np.zeros(36)
             a[support] = rng.standard_normal(len(support))
             want = mat.T @ (mat @ a)
-            assert np.max(np.abs(op.normal(a) - want)) <= 1e-13 * np.max(np.abs(want))
+            got = op.normal(a, np.flatnonzero(a))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             built.update(support)
             assert op.normal.built == len(built)
             assert sorted(np.flatnonzero(op.normal.slot >= 0)) == sorted(built)
@@ -210,9 +211,10 @@ class TestHalfSpectrumTorus:
         sample, _, _ = _real_bpdn_instance(side, seed=3)
         op, dense = make_torus_operator(sample), dense_torus_matrix(sample)
         a = (np.fft.rfftn(rng.standard_normal((side, side))) / side).ravel()  # Hermitian half
-        assert np.max(np.abs(op.forward(a) - dense @ op.expand(a))) <= 1e-12
+        assert np.max(np.abs(op.forward(a) - dense @ solver._hermitian_full(a, side))) <= 1e-12
         y = rng.standard_normal(len(sample))
-        assert np.max(np.abs(op.expand(op.adjoint(y)) - dense.conj().T @ y)) <= 1e-12
+        adj = solver._hermitian_full(op.adjoint(y), side)
+        assert np.max(np.abs(adj - dense.conj().T @ y)) <= 1e-12
 
     @pytest.mark.parametrize("side", [8, 9, 64])
     def test_sparse_forward_matches_dense_reference(self, side, monkeypatch):
@@ -253,7 +255,7 @@ class TestHalfSpectrumTorus:
             irfftn_calls.clear()
             got = op.forward(a)
             assert got.dtype == np.float64
-            assert np.max(np.abs(got - dense @ op.expand(a))) <= 1e-12
+            assert np.max(np.abs(got - dense @ solver._hermitian_full(a, side))) <= 1e-12
             assert bool(irfftn_calls) == (np.count_nonzero(a) > crossover)
         assert irfftn_calls  # the last support lies above the crossover
 
@@ -285,7 +287,7 @@ class TestHalfSpectrumTorus:
         half_op = make_torus_operator(sample)
         half = solve_bpdn(half_op, y, cfg)
         assert (half.iterations, half.converged) == (full.iterations, full.converged)
-        expanded = half_op.expand(half.coefficients)
+        expanded = solver._hermitian_full(half.coefficients, side)
         assert np.max(np.abs(expanded - full.coefficients)) <= 1e-10
         assert half.objective == pytest.approx(full.objective, rel=1e-12)
         field = np.fft.ifftn(expanded.reshape(side, side))
@@ -302,7 +304,7 @@ class TestHalfSpectrumTorus:
             rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
             assert rep.converged
             half = certify(half_op, y, delta, rep.coefficients)
-            full = certify(full_op, y, delta, half_op.expand(rep.coefficients))
+            full = certify(full_op, y, delta, solver._hermitian_full(rep.coefficients, side))
             assert full.kkt <= 1e-6
             assert half.kkt == pytest.approx(full.kkt, abs=1e-12)
             assert half.gap == pytest.approx(full.gap, abs=1e-12 * rep.objective)
@@ -343,7 +345,7 @@ class TestRestarts:
         half_op, full_op = make_torus_operator(sample), full_torus_operator(sample)
         rep = solve_bpdn(half_op, y, SolverConfig(delta=delta, tol=1e-10))
         assert rep.converged and rep.restarts > 0
-        expanded = half_op.expand(rep.coefficients)
+        expanded = solver._hermitian_full(rep.coefficients, 8)
         assert certify(full_op, y, delta, expanded).kkt <= 1e-6
         a_oracle = oracle_solve(dense_torus_matrix(sample), y, delta)
         assert np.max(np.abs(expanded - a_oracle)) <= 1e-6
@@ -355,13 +357,12 @@ class TestRestarts:
             op = make_torus_operator(sample)
             side, flat = sample.side, sample.flat
 
-            def forward(a, nz=None):
+            def forward(a, nz):
                 fld = np.fft.irfftn(a.reshape(side, side // 2 + 1), s=(side, side), axes=(0, 1))
                 return fld.ravel()[flat] * side
 
             return MeasurementOperator(
-                forward, op.adjoint, shape=op.shape, norm_bound=op.norm_bound,
-                weights=op.weights, expand=op.expand,
+                forward, op.adjoint, shape=op.shape, norm_bound=op.norm_bound, weights=op.weights,
             )
 
         def solve():
@@ -478,6 +479,24 @@ def _thresholded(rng, dim, nnz, complex_=True):
 
 
 class TestSupportHandOff:
+    def test_forward_hands_its_closure_the_support(self, rng):
+        # the closure always gets the support: forward(a) finds it, and
+        # forward(a, nz) hands nz through untouched
+        seen = []
+
+        def closure(a, nz):
+            seen.append(nz)
+            return a[nz]
+
+        op = MeasurementOperator(closure, np.conj, shape=(6, 6), norm_bound=1.0)
+        for nnz in (0, 1, 4):
+            a, nz = _thresholded(rng, 6, nnz)
+            seen.clear()
+            op.forward(a)
+            op.forward(a, nz)
+            assert seen[0] is not None and np.array_equal(seen[0], np.flatnonzero(a))
+            assert seen[1] is nz
+
     def test_soft_threshold_support_is_flatnonzero(self, rng):
         for dim, nnz in ((1, 0), (50, 0), (50, 1), (50, 17), (4000, 3), (4000, 3999)):
             for complex_ in (True, False):
@@ -506,7 +525,7 @@ class TestSupportHandOff:
             a, nz = _thresholded(rng, op.shape[1], nnz, complex_=False)
             assert np.array_equal(op.forward(a, nz), op.forward(a))
             # Gram rows are built by the first call and read by the second
-            assert np.array_equal(op.normal(a), op.normal(a, nz))
+            assert np.array_equal(op.normal(a, np.flatnonzero(a)), op.normal(a, nz))
 
 
 def _sphere_bpdn_instance():
@@ -808,7 +827,7 @@ class TestCheckKkt:
         y = np.ones(16)  # const1 at the sample
         rep = solve_bpdn(half_op, y, SolverConfig(delta=0.0))
         assert rep.converged
-        expanded = half_op.expand(rep.coefficients)
+        expanded = solver._hermitian_full(rep.coefficients, 8)
         assert certify(full_op, y, 0.0, expanded).kkt <= 1e-7
         bumped = expanded + 0.1 * _null_vector(dense_torus_matrix(sample))
         assert certify(full_op, y, 0.0, bumped).kkt > 0.1
@@ -911,6 +930,10 @@ class TestSharedScoring:
         rep = recover_torus(f, side, 0.1, seed=7, c_univ=2**-6, allow_uncertified=True)
         [(y, delta)] = calls
         assert not rep.clamped and rep.coefficients.shape == (side * side,)
+        # the full spectrum of a real field: a[-k] = conj(a[k]) on the (N, N) grid
+        a = rep.coefficients.reshape(side, side)
+        mirror = np.conj(np.roll(np.flip(a), 1, axis=(0, 1)))
+        assert np.max(np.abs(a - mirror)) <= 1e-12 * np.max(np.abs(a))
         # scored as the benchmark rechecks it: the inverse DFT of the full
         # spectrum against the evaluator
         u = np.arange(side) / side

@@ -180,6 +180,16 @@ class TestAnalyzeSynthesize:
         rule = build_quadrature(2)
         with pytest.raises(StructuralError):
             analyze(np.ones(len(rule) - 1), rule, 2)
+        # scattered points: theta and phi of one shape, finite, theta in [0, pi]
+        sig = SphericalSignal(2, np.ones(9))
+        for at in (lambda th, ph: synthesize(sig, th, ph), lambda th, ph: basis_matrix(2, th, ph)):
+            for phi in ([0.5], [0.5, 1.0], [0.5, 1.0, 1.5, 2.0]):
+                with pytest.raises(StructuralError, match="one shape"):
+                    at([0.3, 0.9, 1.4], phi)
+            with pytest.raises(DataError, match="finite"):
+                at([0.3, np.nan, 1.4], [0.5, 1.0, 1.5])
+            with pytest.raises(DomainError, match="colatitudes"):
+                at([0.3, 4.0, 1.4], [0.5, 1.0, 1.5])
 
     def test_insufficient_exactness(self):
         rule = build_quadrature(2)

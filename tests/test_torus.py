@@ -6,7 +6,6 @@ import pytest
 from frkit.battery import TORUS_BATTERY
 from frkit.errors import DomainError, PeriodicityError
 from frkit.sampling import sample_size
-from frkit.solver import recover_torus
 from frkit.torus import (
     NormData,
     SmoothFunctionSpec,
@@ -27,6 +26,10 @@ from conftest import midpoint_integral_2d
 PI = math.pi
 
 
+def _sine(u1, u2):
+    return np.sin(2 * PI * u1) + 0 * u2
+
+
 class TestDiscretize:
     def test_constant(self):
         fld = discretize(TORUS_BATTERY["const1"], 4)
@@ -34,7 +37,7 @@ class TestDiscretize:
         assert np.array_equal(fld, np.ones((4, 4)))
 
     def test_sine_table(self):
-        spec = SmoothFunctionSpec("s", lambda u1, u2: np.sin(2 * PI * u1) + 0 * u2)
+        spec = SmoothFunctionSpec("s", _sine, TORUS_BATTERY["sin1"].analytic)
         fld = discretize(spec, 8)
         grid = fld
         assert grid[0, 0] == pytest.approx(0.0, abs=1e-15)
@@ -55,7 +58,7 @@ class TestDiscretize:
 
     def test_periodicity_spot_check(self):
         with pytest.raises(PeriodicityError):
-            SmoothFunctionSpec("bad", lambda u1, u2: u1 + 0 * u2)
+            SmoothFunctionSpec("bad", lambda u1, u2: u1 + 0 * u2, TORUS_BATTERY["const1"].analytic)
 
 
 class TestEstimateNorms:
@@ -67,8 +70,7 @@ class TestEstimateNorms:
         assert est.grad_sups == (0.0, 0.0)
 
     def test_sine_closed_forms(self):
-        spec = SmoothFunctionSpec("s", lambda u1, u2: np.sin(2 * PI * u1) + 0 * u2)
-        est = estimate_norms(spec, 256)
+        est = estimate_norms(_sine, 256)
         assert est.l2 == pytest.approx(math.sqrt(0.5), rel=0.02)
         assert abs(est.mean) < 1e-12
         assert est.c2 == pytest.approx(4 * PI * PI, rel=0.02)
@@ -84,8 +86,7 @@ class TestEstimateNorms:
         spec = TORUS_BATTERY["cc_half"]
         chk = verify_fr_bound(spec, 64)
         assert chk.norms is spec.analytic and chk.report.provenance == "analytic"
-        bare = SmoothFunctionSpec("s", lambda u1, u2: np.sin(2 * PI * u1) + 0 * u2)
-        estimated = SmoothFunctionSpec(bare.name, bare.evaluator, estimate_norms(bare, 512))
+        estimated = SmoothFunctionSpec("s", _sine, estimate_norms(_sine, 512))
         assert verify_fr_bound(estimated, 64).report.provenance == "estimated"
 
     def test_spec_without_norms_is_refused_without_estimating(self, monkeypatch):
@@ -93,12 +94,8 @@ class TestEstimateNorms:
             raise AssertionError("norms estimated or grid built")
         monkeypatch.setattr("frkit.torus.estimate_norms", refuse)
         monkeypatch.setattr("frkit.torus.discretize", refuse)
-        bare = SmoothFunctionSpec("bare_sine", lambda u1, u2: np.sin(2 * PI * u1) + 0 * u2)
-        checks = (verify_fr_bound, verify_decay, verify_riemann_lemma, verify_l2_lower_bound,
-                  lambda f, side: recover_torus(f, side, 0.1, seed=1))
-        for check in checks:
-            with pytest.raises(DomainError, match="bare_sine: no norms"):
-                check(bare, 64)
+        with pytest.raises(TypeError, match="analytic"):
+            SmoothFunctionSpec("bare_sine", _sine)
 
 
 class TestComputeRn:
@@ -183,8 +180,7 @@ class TestVerifyDecay:
                     out += coeff[j, k] * np.cos(2 * PI * (j * u1 + k * u2))
             return out
 
-        bare = SmoothFunctionSpec("trig", fn)
-        spec = SmoothFunctionSpec("trig", fn, estimate_norms(bare, 512))
+        spec = SmoothFunctionSpec("trig", fn, estimate_norms(fn, 512))
         chk = verify_decay(spec, 64)
         assert chk.max_ratio <= FOUR_PI_SQ
 
@@ -203,12 +199,14 @@ class TestRiemannLemma:
         assert chk.passed
 
     def test_sin_squared_with_quadrature_oracle(self):
-        bare = SmoothFunctionSpec("sinsq", lambda u1, u2: np.sin(PI * u1) ** 2 + 0 * u2)
-        oracle_mean = midpoint_integral_2d(lambda u1, u2: np.sin(PI * u1) ** 2 + 0 * u2, 512)
+        def sinsq(u1, u2):
+            return np.sin(PI * u1) ** 2 + 0 * u2
+
+        oracle_mean = midpoint_integral_2d(sinsq, 512)
         assert oracle_mean == pytest.approx(0.5, abs=1e-12)
-        norms = estimate_norms(bare, 256)
+        norms = estimate_norms(sinsq, 256)
         assert norms.mean == pytest.approx(oracle_mean, abs=1e-12)
-        spec = SmoothFunctionSpec(bare.name, bare.evaluator, norms)
+        spec = SmoothFunctionSpec("sinsq", sinsq, norms)
         for n in (10, 32):
             chk = verify_riemann_lemma(spec, n)
             assert chk.passed

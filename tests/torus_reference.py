@@ -33,7 +33,7 @@ def full_torus_operator(sample: SampleSet) -> MeasurementOperator:
     shape = (side, side)
     scale = float(side)
 
-    def forward(a: np.ndarray, nz=None) -> np.ndarray:
+    def forward(a: np.ndarray, nz: np.ndarray) -> np.ndarray:
         fld = np.fft.ifftn(a.reshape(shape)) * scale
         return fld.ravel()[flat]
 
