@@ -337,7 +337,7 @@ def cmd_quadrature_check(args, config_hash: str) -> int:
         "config_hash",
     ]
     rows = []
-    for bandwidth in sorted(args.l):
+    for bandwidth in sorted(set(args.l)):
         rule = sph.build_quadrature(bandwidth)
         w_err = abs(float(np.sum(rule.weights)) - 4.0 * math.pi) / (4.0 * math.pi)
         mat = sph.basis_matrix(bandwidth, rule.theta, rule.phi)

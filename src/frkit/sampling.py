@@ -110,8 +110,8 @@ class SampleMultiset:
 def draw_subset(side: int, k: int, seed: int) -> SampleSet:
     """Uniform size-k subset of Z_N^2 via partial Fisher-Yates over the index space."""
     total = side**2
-    if not 0 <= k <= total:
-        raise DomainError(f"subset size must lie in [0, {total}], got {k}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= total:
+        raise DomainError(f"subset size must be an integer in [0, {total}], got {k}")
     if k == total:
         return SampleSet(side=side, flat=np.arange(total))
     rng = rng_from_seed(seed)
@@ -126,8 +126,8 @@ def draw_subset(side: int, k: int, seed: int) -> SampleSet:
 
 def draw_sphere_points(q: int, seed: int) -> SampleMultiset:
     """q i.i.d. area-uniform sphere points: cos(theta) ~ U[-1, 1], phi ~ U[0, 2 pi)."""
-    if q < 1:
-        raise DomainError(f"point count must be >= 1, got {q}")
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
+        raise DomainError(f"point count must be an integer >= 1, got {q}")
     rng = rng_from_seed(seed)
     z = rng.uniform(-1.0, 1.0, size=q)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=q)

@@ -12,8 +12,8 @@ Parseval is the relative L2 error of the field too.
 
 The loop is restarted Halpern PDHG with reflection (Lu & Yang, "Restarted
 Halpern PDHG for linear programming", 2024): with T one PDHG step, it steps
-x <- (k+1)/(k+2) (2T(x) - x) + 1/(k+2) x0, anchored at the last restart
-point x0. It keeps PDLP's restart rules (Applegate et al., "Practical
+x <- k/(k+1) (2T(x) - x) + 1/(k+1) x0 at the k-th step after the last
+restart point x0. It keeps PDLP's restart rules (Applegate et al., "Practical
 large-scale linear programming using primal-dual hybrid gradient", NeurIPS
 2021) with the fixed-point residual ||x - T(x)|| as the progress measure. With
 r0 the residual at the last restart, the loop restarts from T(x) when the
@@ -177,6 +177,8 @@ class MeasurementOperator:
     calls normal with the support that soft-thresholding has just decided.
     adjoint must return a fresh array, since solve_bpdn writes into it.
     There is no matrix form: certify needs products only.
+    norm_bound must be finite and >= 0 (DomainError). measurements and
+    coefficients check a problem's data for solve_bpdn and certify alike.
     """
 
     def __init__(
@@ -193,7 +195,7 @@ class MeasurementOperator:
         self._adjoint = adjoint
         self.normal = normal
         self.shape = shape  # (n_measurements, n_coefficients)
-        self.norm_bound = float(norm_bound)
+        self.norm_bound = _finite_nonnegative(float(norm_bound), "norm bound")
         self.weights = weights
         self.dtype = np.dtype(dtype)
 
@@ -209,11 +211,11 @@ class MeasurementOperator:
         A half-spectrum or real operator takes real measurements.
         """
         real = self.weights is not None or self.dtype == np.float64
-        return _as_flat(y, np.float64 if real else np.complex128, "measurements")
+        return _as_flat(y, np.float64 if real else np.complex128, self.shape[0], "measurements")
 
     def coefficients(self, a) -> np.ndarray:
         """a as a flat vector of this operator's coefficient dtype."""
-        return _as_flat(a, self.dtype, "coefficients")
+        return _as_flat(a, self.dtype, self.shape[1], "coefficients")
 
     def coef_norm(self, a: np.ndarray) -> float:
         """l2 norm of the full spectrum that the coefficients a stand for."""
@@ -228,14 +230,28 @@ class MeasurementOperator:
         return float(np.dot(self.weights, np.abs(a)))
 
 
-def _as_flat(x, dtype: np.dtype, what: str) -> np.ndarray:
-    """x raveled and cast to dtype; a real dtype refuses a nonzero imaginary part."""
+def _as_flat(x, dtype: np.dtype, size: int, what: str) -> np.ndarray:
+    """x raveled and cast to dtype: size entries, real for float64, of finite norm (DataError)."""
     x = np.asarray(x).ravel()
+    if x.size != size:
+        raise DataError(f"expected {size} {what}, got {x.size}")
     if dtype == np.float64 and np.iscomplexobj(x):
         if np.any(x.imag != 0.0):
             raise DataError(f"a real operator takes real {what}")
         x = x.real
-    return x.astype(dtype, copy=False)
+    x = x.astype(dtype, copy=False)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if not math.isfinite(norm):
+        raise DataError(f"{what} must be finite, got norm {norm}")
+    return x
+
+
+def _finite_nonnegative(value: float, what: str) -> float:
+    """value, or DomainError unless 0 <= value < inf."""
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{what} must be finite and >= 0, got {value}")
+    return value
 
 
 def _hermitian_full(half: np.ndarray, side: int) -> np.ndarray:
@@ -423,8 +439,7 @@ class SolverConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 <= self.delta < math.inf:
-            raise DomainError(f"feasibility radius must be finite and >= 0, got {self.delta}")
+        _finite_nonnegative(self.delta, "feasibility radius")
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
         if type(self.max_iter) is not int or self.max_iter < 1:  # bool is a subclass of int
@@ -472,30 +487,18 @@ def _soft_threshold(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     return x * scale, np.flatnonzero(scale != 0.0)
 
 
-def _carried(a, z, f, g, h, sigma: float, tau: float) -> tuple[np.ndarray, ...]:
-    """The prox inputs z - sigma A a and a - tau A^H z of (a, z), and A^H of the first.
-
-    f = A a, g = A^H z and h = A^H A a; this form serves the normal product.
-    """
-    return z - sigma * f, a - tau * g, g - sigma * h
-
-
 def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _Solution:
     """Restarted reflected Halpern PDHG for min ||a||_1 s.t. ||A a - y|| <= delta.
 
     One PDHG step T maps x = (a, z) to a+ = soft(a - tau A^H z) and
     z+ = ball-prox(z + sigma (A (2 a+ - a) - y)), the shrink form of the
     l2-ball projection (Moreau identity). The loop takes Halpern steps on the
-    reflection 2T - I, x <- (k+1)/(k+2) (2T(x) - x) + 1/(k+2) x0, anchored at
-    the last restart point x0 with k the steps since it, and after a restart
-    goes on from T(x). Step sizes are sigma = 0.99 w/L (dual) and
-    tau = 0.99/(w L) (primal), with L the declared operator-norm bound and w
-    the primal weight, 1 until the first restart that moves both a and z and
-    updated at each restart by the rule of the module docstring; its final
-    value is returned as primal_weight. The iterates have op.dtype, so a real
-    operator runs in real arithmetic. Coefficient norms and the objective are
-    op.coef_norm / op.coef_l1, and the returned coefficients are in the
-    operator's own layout.
+    reflection 2T - I, x <- k/(k+1) (2T(x) - x) + 1/(k+1) x0 at the k-th step
+    after the last restart point x0, and after a restart goes on from T(x).
+    Step sizes are sigma = 0.99 w/L (dual) and tau = 0.99/(w L) (primal),
+    with L = op.norm_bound and w the primal weight of the module docstring,
+    returned as primal_weight. The iterates have op.dtype and the operator's
+    layout, and their norms and objective are op.coef_norm / op.coef_l1.
 
     The loop carries the prox inputs s = z - sigma A a and u = a - tau A^H z
     instead of a and z (module docstring), so each step makes one forward
@@ -509,16 +512,12 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     delta >= ||y||, a = 0 is feasible and hence the minimizer: it is returned
     at once, with iterations 0 and no product. Non-convergence is reported,
     not raised; the coefficients returned are then T(x) of the last step.
-    Measurements with a NaN or infinite entry raise DataError.
+    op.measurements checks y: a wrong length or a non-finite norm is a DataError.
     """
     y = op.measurements(y)
     n_meas, n_coef = op.shape
-    if y.size != n_meas:
-        raise DataError(f"expected {n_meas} measurements, got {y.size}")
     delta = cfg.delta
     y_norm = float(np.linalg.norm(y))
-    if not math.isfinite(y_norm):
-        raise DataError(f"measurements must be finite, got norm {y_norm}")
     a_t = np.zeros(n_coef, dtype=op.dtype)
     feas = y_norm - delta  # ||A 0 - y|| - delta
     if feas <= 0.0:
@@ -535,7 +534,6 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
         b = op.adjoint(y)
         x += (np.zeros_like(b),)
     anchor = (a_t, x[0], x)  # the last restart point a, z and its carried arrays
-    k = 0  # Halpern steps since the last restart
     res_restart = res_prev = math.inf  # residual at the last restart / last check
     last_restart = restarts = 0
     feas_tol = cfg.tol * max(1.0, y_norm)
@@ -557,8 +555,8 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
             x_t = (z_t - sigma * f_t, u_t)
         else:
             h_t = normal(a_t, nz)
-            g_t = shrink * (x[2] + sigma * (2.0 * h_t - b))
-            x_t = _carried(a_t, z_t, f_t, g_t, h_t, sigma, tau)
+            g_t = shrink * (x[2] + sigma * (2.0 * h_t - b))  # A^H z_t
+            x_t = (z_t - sigma * f_t, a_t - tau * g_t, g_t - sigma * h_t)
         if it % CHECK_EVERY == 0 or it == cfg.max_iter:
             d_res = float(np.linalg.norm(s - x_t[0])) / sigma
             p_res = op.coef_norm(u - x_t[1]) / tau
@@ -585,19 +583,18 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
                     if normal is None:  # u_t - a_t is -tau_prev A^H z_t
                         x_t = (z_t - sigma * f_t, a_t + (tau / tau_prev) * (x_t[1] - a_t))
                     else:
-                        x_t = _carried(a_t, z_t, f_t, g_t, h_t, sigma, tau)
+                        x_t = (z_t - sigma * f_t, a_t - tau * g_t, g_t - sigma * h_t)
                 x = x_t
                 anchor = (a_t, z_t, x)
-                k = 0
                 res_restart, last_restart = res, it
                 restarts += 1
                 continue
-        # Halpern step on the reflection 2T - I, taken on the carried arrays
-        lam = (k + 1) / (k + 2)
+        # Halpern step k after the last restart, on 2T - I over the carried arrays
+        k = it - last_restart
+        lam = k / (k + 1)
         x = tuple(
             lam * (2.0 * t - c) + (1.0 - lam) * c0 for t, c, c0 in zip(x_t, x, anchor[2])
         )
-        k += 1
 
     return _Solution(
         coefficients=a_t,
@@ -655,7 +652,9 @@ def certify(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray)
     direction; for the least-squares nu, that of g_S, or the worst excess of
     |g_i| over 1 off S if larger. A feasible zero vector is the minimizer: (0, 0).
     Raises InfeasibleCandidateError if ||rho|| > delta + KKT_FEAS_TOL max(1, ||y||).
+    y, a and delta are checked as solve_bpdn's are (DataError, DomainError).
     """
+    _finite_nonnegative(delta, "feasibility radius")
     y = op.measurements(y)
     a = op.coefficients(a)
     rho = op.forward(a) - y

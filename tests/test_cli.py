@@ -472,6 +472,12 @@ class TestQuadratureCheck:
             assert float(row[header.index("gram_max_dev")]) < 1e-10
             assert float(row[header.index("roundtrip_rel_err")]) < 1e-10
 
+    def test_repeated_size_gives_one_row(self, capsys):
+        code, out, _ = run_cli(capsys, "quadrature-check", "--l", "2", "2")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["2"]
+
 
 class TestConfigFile:
     def test_config_provides_defaults_and_flags_override(self, tmp_path, capsys):

@@ -32,7 +32,7 @@ class TestDrawSubset:
 
     def test_determinism_and_regeneration(self):
         a = draw_subset(16, 50, seed=1234)
-        b = draw_subset(16, 50, seed=1234)
+        b = draw_subset(16, np.int64(50), seed=1234)  # a numpy integer size is a size
         c = draw_subset(16, 50, seed=1235)
         assert np.array_equal(a.flat, b.flat)
         assert not np.array_equal(a.flat, c.flat)
@@ -56,6 +56,12 @@ class TestDrawSubset:
     def test_oversized_rejected(self):
         with pytest.raises(DomainError):
             draw_subset(4, 17, seed=0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_non_integer_size_rejected(self, k):
+        # unchecked, 2.5 failed inside numpy with an IndexError
+        with pytest.raises(DomainError, match="integer"):
+            draw_subset(8, k, seed=1)
 
     def test_inclusion_frequency_and_chi_square(self):
         trials = 100_000
@@ -85,12 +91,18 @@ class TestDrawSpherePoints:
 
     def test_determinism(self):
         a = draw_sphere_points(100, seed=9)
-        b = draw_sphere_points(100, seed=9)
+        b = draw_sphere_points(np.int64(100), seed=9)  # a numpy integer count is a count
         assert np.array_equal(a.theta, b.theta) and np.array_equal(a.phi, b.phi)
 
     def test_q_domain(self):
         with pytest.raises(DomainError):
             draw_sphere_points(0, seed=1)
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, True])
+    def test_non_integer_count_rejected(self, q):
+        # unchecked, 2.5 failed inside numpy with a TypeError
+        with pytest.raises(DomainError, match="integer"):
+            draw_sphere_points(q, seed=1)
 
 
 class TestSampleSize:

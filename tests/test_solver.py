@@ -159,6 +159,14 @@ def _exact_norm(mat):
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
+@pytest.mark.parametrize("bound", [-1.0, math.nan, math.inf])
+def test_operator_refuses_a_bad_norm_bound(bound):
+    # unchecked, -1 and NaN ran max_iter iterations to NaN coefficients and inf
+    # raised a ZeroDivisionError; 0 stays legal, the zero matrix's exact bound
+    with pytest.raises(DomainError, match="norm bound"):
+        dense_operator(np.eye(4), norm_bound=bound)
+
+
 class TestLanczosNormBound:
     def test_at_most_lanczos_steps_products(self):
         op = counting_operator(dense_operator(rng_from_seed(21).standard_normal((70, 50))))
@@ -648,13 +656,6 @@ class TestSolveBpdn:
         with pytest.raises(DomainError, match="max_iter"):
             SolverConfig(delta=delta, max_iter=max_iter)
 
-    def test_non_finite_measurements_rejected(self):
-        mat, y, delta, _ = random_bpdn_instance(3)
-        y = y.copy()
-        y[1] = math.nan
-        with pytest.raises(DataError, match="finite"):
-            solve_bpdn(dense_operator(mat), y, SolverConfig(delta=delta))
-
     def test_config_and_report_are_frozen(self):
         cfg = SolverConfig(delta=0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -686,6 +687,43 @@ class TestSolveBpdn:
         rep = solve_bpdn(dense_operator(mat), y, cfg)
         assert rep.converged
         assert rep.feasibility_residual <= cfg.tol * max(1.0, float(np.linalg.norm(y)))
+
+
+def _set(x, value):
+    """A copy of x with entry 1 set to value."""
+    x = x.copy()
+    x[1] = value
+    return x
+
+
+# case: (the problem (y, delta, a) with that one defect, the error, its message)
+_BAD_PROBLEMS = {
+    "y_short": (lambda y, d, a: (y[:-1], d, a), DataError, "expected"),
+    "y_nan": (lambda y, d, a: (_set(y, math.nan), d, a), DataError, "finite"),
+    "y_inf": (lambda y, d, a: (_set(y, math.inf), d, a), DataError, "finite"),
+    "y_overflow": (lambda y, d, a: (_set(y, 1e300), d, a), DataError, "finite"),
+    "delta_nan": (lambda y, d, a: (y, math.nan, a), DomainError, "feasibility radius"),
+    "a_nan": (lambda y, d, a: (y, d, _set(a, math.nan)), DataError, "finite"),
+    "a_long": (lambda y, d, a: (y, d, np.append(a, 0.0)), DataError, "expected"),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in ("solve_bpdn", "certify") for case in _BAD_PROBLEMS
+    if entry == "certify" or not case.startswith("a_")
+])
+def test_solve_and_certify_refuse_a_bad_problem_alike(entry, case):
+    # both check the problem through op.measurements, op.coefficients and the
+    # radius check; unchecked, certify read a NaN delta as a NaN gap and failed
+    # inside numpy on a short y or a long candidate
+    mat, y, delta, truth = random_bpdn_instance(3)
+    make, error, match = _BAD_PROBLEMS[case]
+    y, delta, a = make(y, delta, truth)
+    with pytest.raises(error, match=match):
+        if entry == "solve_bpdn":
+            solve_bpdn(dense_operator(mat), y, SolverConfig(delta=delta))
+        else:
+            certify(dense_operator(mat), y, delta, a)
 
 
 class TestOracle:
