@@ -14,7 +14,9 @@ file's values get the same types and choices as flags and explicit flags
 override the file. Output is CSV on stdout and optionally to --out; every
 row carries the config hash so runs are diffable. sweep --workers W forks up
 to W processes, one task per (cell, trial); --workers 1 runs in-process, and
-the rows are byte-identical at every worker count. Exit codes: 0 ok, 1 config
+the rows are byte-identical at every worker count. Workers inherit the parent's
+modules, so any numpy submodule a trial needs is imported when frkit is
+imported, never lazily inside a worker's first trial. Exit codes: 0 ok, 1 config
 error (a bad flag, or a value outside a bound's domain), 2 internal error.
 """
 
@@ -341,7 +343,8 @@ def cmd_quadrature_check(args, config_hash: str) -> int:
         rule = sph.build_quadrature(bandwidth)
         w_err = abs(float(np.sum(rule.weights)) - 4.0 * math.pi) / (4.0 * math.pi)
         mat = sph.basis_matrix(bandwidth, rule.theta, rule.phi)
-        gram = mat.T @ (rule.weights[:, None] * mat)
+        # einsum's own loops, not threaded BLAS, so the digits do not move with the thread count
+        gram = np.einsum("ji,jk->ik", mat, rule.weights[:, None] * mat)
         gram_dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
         rng = np.random.default_rng(args.seed)
         coeffs = rng.standard_normal((bandwidth + 1) ** 2)

@@ -17,8 +17,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; imported here so forked sweep workers inherit it
 
 from .errors import DataError, DomainError, StructuralError
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer, False for bool, float and anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
@@ -70,8 +76,8 @@ class SampleSet:
         flat = raw.astype(np.int64)
         flat.setflags(write=False)
         object.__setattr__(self, "flat", flat)
-        if flat.size != np.unique(flat).size:
-            raise StructuralError("sample indices must be distinct")
+        if not np.all(np.diff(flat) > 0):  # strictly ascending, hence distinct
+            raise StructuralError("sample indices must be distinct and ascending")
 
     def __len__(self) -> int:
         return int(self.flat.size)
@@ -109,8 +115,10 @@ class SampleMultiset:
 
 def draw_subset(side: int, k: int, seed: int) -> SampleSet:
     """Uniform size-k subset of Z_N^2 via partial Fisher-Yates over the index space."""
+    if not is_integer(side) or side < 1:
+        raise DomainError(f"grid side must be an integer >= 1, got {side!r}")
     total = side**2
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= total:
+    if not is_integer(k) or not 0 <= k <= total:
         raise DomainError(f"subset size must be an integer in [0, {total}], got {k}")
     if k == total:
         return SampleSet(side=side, flat=np.arange(total))
@@ -126,7 +134,7 @@ def draw_subset(side: int, k: int, seed: int) -> SampleSet:
 
 def draw_sphere_points(q: int, seed: int) -> SampleMultiset:
     """q i.i.d. area-uniform sphere points: cos(theta) ~ U[-1, 1], phi ~ U[0, 2 pi)."""
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
+    if not is_integer(q) or q < 1:
         raise DomainError(f"point count must be an integer >= 1, got {q}")
     rng = rng_from_seed(seed)
     z = rng.uniform(-1.0, 1.0, size=q)

@@ -43,6 +43,15 @@ scales with tau, at no product. A check then costs no product, which is why
 it runs every CHECK_EVERY = 5 iterations: a stop or a restart comes at most 4
 iterations late.
 
+Only T allocates in the loop: a+, z+, the products' outputs, the carried
+arrays of T(x) and the temporaries of the expressions that form them. The
+Halpern step allocates nothing. It writes its output into T(x)'s carried
+arrays, which T has just made and nothing else holds, and takes
+(1 - lam) x0 in one scratch array per carried array, allocated once per
+solve; it only reads x and the anchor. Its operations and their order are
+those of lam (2 t - c) + (1 - lam) c0, so every float is the same as with
+fresh arrays.
+
 An operator with a normal product a -> A^H A a replaces the adjoint with it.
 The loop forms b = A^H y once and carries r = A^H s beside s and u: with c
 the ball-prox's shrink factor, A^H z+ = c (r + sigma (2 A^H A a+ - b)) and
@@ -115,7 +124,8 @@ from .errors import (
     CertificationError, DataError, DomainError, InfeasibleCandidateError,
 )
 from .sampling import (
-    SampleMultiset, SampleSet, draw_sphere_points, draw_subset, rng_from_seed, sample_size,
+    SampleMultiset, SampleSet, draw_sphere_points, draw_subset, is_integer, rng_from_seed,
+    sample_size,
 )
 from .spectral import forward_dft, fourier_ratio
 from .spectral import inverse_dft  # noqa: F401 - perfbench traces frkit.solver.inverse_dft
@@ -442,8 +452,8 @@ class SolverConfig:
         _finite_nonnegative(self.delta, "feasibility radius")
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
-        if type(self.max_iter) is not int or self.max_iter < 1:  # bool is a subclass of int
-            raise DomainError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
+        if not is_integer(self.max_iter) or self.max_iter < 1:
+            raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -534,6 +544,7 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
         b = op.adjoint(y)
         x += (np.zeros_like(b),)
     anchor = (a_t, x[0], x)  # the last restart point a, z and its carried arrays
+    scratch = tuple(np.empty_like(c) for c in x)  # (1 - lam) c0 of each Halpern step
     res_restart = res_prev = math.inf  # residual at the last restart / last check
     last_restart = restarts = 0
     feas_tol = cfg.tol * max(1.0, y_norm)
@@ -589,12 +600,17 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
                 res_restart, last_restart = res, it
                 restarts += 1
                 continue
-        # Halpern step k after the last restart, on 2T - I over the carried arrays
+        # Halpern step k after the last restart, on 2T - I over the carried arrays:
+        # lam (2 t - c) + (1 - lam) c0, written into T(x)'s fresh arrays t
         k = it - last_restart
         lam = k / (k + 1)
-        x = tuple(
-            lam * (2.0 * t - c) + (1.0 - lam) * c0 for t, c, c0 in zip(x_t, x, anchor[2])
-        )
+        for t, c, c0, w in zip(x_t, x, anchor[2], scratch):
+            np.multiply(2.0, t, out=t)
+            np.subtract(t, c, out=t)
+            np.multiply(lam, t, out=t)
+            np.multiply(1.0 - lam, c0, out=w)
+            np.add(t, w, out=t)
+        x = x_t
 
     return _Solution(
         coefficients=a_t,

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; imported here so forked sweep workers inherit it
 
 from .errors import DegenerateInputError, DomainError, StructuralError
 

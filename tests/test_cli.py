@@ -1,5 +1,9 @@
 import concurrent.futures
 import csv
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +27,15 @@ def parse_csv(text):
 
 def _g(x):
     return f"{x:.17g}"
+
+
+def run_python(code, **env):
+    """Run code in a fresh interpreter with frkit on its path and return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]), **env)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 class TestFr:
@@ -357,6 +370,24 @@ class TestSweepWorkers:
             assert row[header.index("status")] == "ok"
             assert int(row[header.index("iterations")]) > 0
 
+    def test_trials_import_no_numpy_module(self):
+        # numpy loads numpy.fft, numpy.ma and numpy.random on first use; a sweep's
+        # forked workers inherit only what the parent loaded, so a trial must find
+        # every numpy module it needs already imported by frkit.cli
+        code = """if True:
+            import sys
+            import frkit.cli
+            from frkit import battery, solver
+            before = set(sys.modules)
+            for exact_fit in (False, True):
+                solver.recover_torus(battery.TORUS_BATTERY["cc_half"], 32, 0.1, 1,
+                                     c_univ=0.0625, allow_uncertified=True, exact_fit=exact_fit)
+                solver.recover_sphere(battery.build_sphere_battery(8)["mix5"], 0.1, 1,
+                                      c_univ=0.015625, exact_fit=exact_fit)
+            print(" ".join(sorted(m for m in set(sys.modules) - before if m.startswith("numpy"))))
+        """
+        assert run_python(code).split() == []
+
     def test_one_worker_runs_in_process(self, monkeypatch, capsys):
         def no_pool(*args, **kwargs):
             raise AssertionError("--workers 1 started a process pool")
@@ -471,6 +502,13 @@ class TestQuadratureCheck:
         for row in rows:
             assert float(row[header.index("gram_max_dev")]) < 1e-10
             assert float(row[header.index("roundtrip_rel_err")]) < 1e-10
+
+    def test_output_does_not_depend_on_blas_threads(self):
+        # at L = 16 a threaded BLAS product moved gram_max_dev between 1 and 2 threads
+        code = "from frkit.cli import main; main(['quadrature-check', '--l', '8', '16'])"
+        outs = [run_python(code, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
+                for n in ("1", "2")]
+        assert outs[0] == outs[1] and outs[0].count("\n") == 3
 
     def test_repeated_size_gives_one_row(self, capsys):
         code, out, _ = run_cli(capsys, "quadrature-check", "--l", "2", "2")

@@ -63,6 +63,12 @@ class TestDrawSubset:
         with pytest.raises(DomainError, match="integer"):
             draw_subset(8, k, seed=1)
 
+    @pytest.mark.parametrize("side", [2.5, 4.0, True, 0])
+    def test_non_integer_side_rejected(self, side):
+        # unchecked, 2.5, 4.0 and True returned a sample of that side
+        with pytest.raises(DomainError, match="grid side"):
+            draw_subset(side, 1, seed=1)
+
     def test_inclusion_frequency_and_chi_square(self):
         trials = 100_000
         counts = np.zeros(16)
@@ -138,6 +144,10 @@ class TestInvariantValidation:
     def test_sample_set_rejects_duplicates(self):
         with pytest.raises(StructuralError):
             SampleSet(side=4, flat=np.array([1, 1, 2]))
+
+    def test_sample_set_rejects_unsorted_indices(self):
+        with pytest.raises(StructuralError, match="ascending"):
+            SampleSet(side=4, flat=[2, 1])
 
     def test_sample_set_rejects_out_of_range(self):
         with pytest.raises(StructuralError):

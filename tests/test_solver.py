@@ -656,6 +656,35 @@ class TestSolveBpdn:
         with pytest.raises(DomainError, match="max_iter"):
             SolverConfig(delta=delta, max_iter=max_iter)
 
+    def test_numpy_integer_max_iter_accepted(self):
+        # the one integer rule of the samplers: a numpy integer is an integer, a bool is not
+        sample, y, delta = _real_bpdn_instance(8, seed=2)
+        op = make_torus_operator(sample)
+        got = solve_bpdn(op, y, SolverConfig(delta=delta, max_iter=np.int64(10)))
+        want = solve_bpdn(op, y, SolverConfig(delta=delta, max_iter=10))
+        assert got.iterations == 10
+        assert np.array_equal(got.coefficients, want.coefficients)
+
+    @pytest.mark.parametrize("setting", ["torus", "sphere"])
+    def test_repeated_solves_are_bitwise_and_independent(self, setting):
+        # the Halpern step writes into arrays the step has just made; it must
+        # touch neither y nor an earlier result
+        if setting == "torus":
+            sample, y, delta = _real_bpdn_instance(16, seed=7)
+            op = make_torus_operator(sample)
+        else:
+            op, y, delta = _sphere_bpdn_instance()
+        y_before = y.copy()
+        cfg = SolverConfig(delta=delta)
+        first, second = solve_bpdn(op, y, cfg), solve_bpdn(op, y, cfg)
+        assert first.iterations > solver.CHECK_EVERY
+        assert np.array_equal(y, y_before)
+        assert dataclasses.astuple(first)[1:] == dataclasses.astuple(second)[1:]
+        assert first.coefficients.tobytes() == second.coefficients.tobytes()
+        kept = second.coefficients.copy()
+        first.coefficients[:] = 7.0
+        assert np.array_equal(second.coefficients, kept)
+
     def test_config_and_report_are_frozen(self):
         cfg = SolverConfig(delta=0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
