@@ -27,6 +27,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_side(side) -> None:
+    """DomainError unless the torus grid side is an integer >= 1 (is_integer)."""
+    if not is_integer(side) or side < 1:
+        raise DomainError(f"grid side must be an integer >= 1, got {side!r}")
+
+
 def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
     """ceil(C (r/eps)^2 ln(r/eps)^2 ln D): the sample size for D coefficients.
 
@@ -60,12 +66,16 @@ def spawn_seeds(master_seed: int, count: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Distinct grid points of Z_N^2, sorted by row-major flat index."""
+    """Distinct grid points of Z_N^2, sorted by row-major flat index.
+
+    side must be an integer >= 1 (DomainError), as draw_subset requires.
+    """
 
     side: int
     flat: np.ndarray
 
     def __post_init__(self):
+        _check_side(self.side)
         raw = np.asarray(self.flat)
         if raw.ndim != 1:
             raise StructuralError(f"sample indices must be a 1-d array, got shape {raw.shape}")
@@ -115,8 +125,7 @@ class SampleMultiset:
 
 def draw_subset(side: int, k: int, seed: int) -> SampleSet:
     """Uniform size-k subset of Z_N^2 via partial Fisher-Yates over the index space."""
-    if not is_integer(side) or side < 1:
-        raise DomainError(f"grid side must be an integer >= 1, got {side!r}")
+    _check_side(side)
     total = side**2
     if not is_integer(k) or not 0 <= k <= total:
         raise DomainError(f"subset size must be an integer in [0, {total}], got {k}")

@@ -43,6 +43,27 @@ scales with tau, at no product. A check then costs no product, which is why
 it runs every CHECK_EVERY = 5 iterations: a stop or a restart comes at most 4
 iterations late.
 
+A check has a second exit, the support polish (after FPC_AS: Wen, Yin,
+Goldfarb & Zhang, "A fast algorithm for sparse reconstruction based on
+shrinkage, subspace optimization and continuation", SIAM J. Sci. Comput.
+2010). Soft-thresholding reaches its final support long before the
+residual reaches tol: in the benchmark's cc_half, mix5 and gauss_heat
+solves (seeds 1-3), by iteration 3-67 of 65-335. So at a check whose
+support S is non-empty, equals the previous check's and has not been tried,
+_polish solves the problem restricted to S and to the iterate's phases in
+closed form, from the forward products of the unit directions on S, and the
+loop returns that point, converged, only if certify's gap is
+<= tol max(1, ||a||_1), its KKT residual <= tol and ||A a - y|| - delta
+<= tol max(1, ||y||). An attempt costs |S| forward products (2|S| for
+complex coefficients), an eigendecomposition of their p x p Gram matrix and
+certify's products: a forward and an adjoint (or normal) product, and at
+delta = 0 the unit forwards again for its least-squares dual. It writes
+nothing the loop holds, so a solve none of whose attempts is accepted is
+bit-identical to one without them. After a failed attempt the next waits until the
+iteration count has doubled, so failures number at most
+ceil(log2(iterations)) + 1. The first check always restarts, so an accepted
+attempt comes after it and reports restarts >= 1.
+
 Only T allocates in the loop: a+, z+, the products' outputs, the carried
 arrays of T(x) and the temporaries of the expressions that form them. The
 Halpern step allocates nothing. It writes its output into T(x)'s carried
@@ -512,15 +533,25 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
 
     The loop carries the prox inputs s = z - sigma A a and u = a - tau A^H z
     instead of a and z (module docstring), so each step makes one forward
-    and one adjoint product, and the checks make none. When op.normal is
-    set, the step takes it in place of the adjoint, and the solve makes one
-    adjoint product in all, b = A^H y, with r = A^H s carried beside s and u.
+    and one adjoint product. When op.normal is set, the step takes it in
+    place of the adjoint, and the solve makes one adjoint product in all,
+    b = A^H y, with r = A^H s carried beside s and u.
     Every CHECK_EVERY iterations the loop stops once the fixed-point residual
     of x is <= tol and T(x) is feasible, with ||A a+ - y|| - delta <=
-    tol * max(1, ||y||), both from that step's fresh A a+. Otherwise it
-    restarts from T(x) by the adaptive rule of the module docstring. When
-    delta >= ||y||, a = 0 is feasible and hence the minimizer: it is returned
-    at once, with iterations 0 and no product. Non-convergence is reported,
+    tol * max(1, ||y||), both from that step's fresh A a+. A check makes no
+    product but for the support polish of the module docstring: when the
+    support of a+ is that of the previous check, non-empty and not yet
+    tried, and the iterations have doubled since the last failed attempt,
+    _polish solves the problem on that support and a+'s phases in closed
+    form, at |S| or 2|S| forward products of unit directions plus those of
+    the certificate. Its point is returned, converged,
+    at that check's iterations, restarts and primal weight, only if certify
+    bounds its gap by tol max(1, ||a||_1) and its KKT residual by tol, and
+    it is feasible to the loop's own slack. Otherwise the loop goes on
+    unchanged, and it restarts from T(x) by the adaptive rule of the module
+    docstring. When delta >= ||y||, a = 0 is feasible and hence the
+    minimizer: it is returned at once, with iterations 0 and no product.
+    Non-convergence is reported,
     not raised; the coefficients returned are then T(x) of the last step.
     op.measurements checks y: a wrong length or a non-finite norm is a DataError.
     """
@@ -538,10 +569,10 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     sigma = tau = eta
 
     normal = op.normal
+    b = None if normal is None else op.adjoint(y)
     # the carried arrays at a = 0, z = 0
     x = (np.zeros(n_meas, dtype=y.dtype), np.zeros(n_coef, dtype=op.dtype))
     if normal is not None:
-        b = op.adjoint(y)
         x += (np.zeros_like(b),)
     anchor = (a_t, x[0], x)  # the last restart point a, z and its carried arrays
     scratch = tuple(np.empty_like(c) for c in x)  # (1 - lam) c0 of each Halpern step
@@ -549,6 +580,9 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     last_restart = restarts = 0
     feas_tol = cfg.tol * max(1.0, y_norm)
     converged, it = False, 0
+    # support polish: the previous check's support, the supports tried, and the
+    # iteration before which no attempt is made (twice that of the last failure)
+    key_prev, tried, polish_from = None, set(), 0
 
     for it in range(1, cfg.max_iter + 1):
         # T(x) from the prox inputs s and u: one forward product, and one adjoint
@@ -576,6 +610,18 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
             converged = res <= cfg.tol and feas <= feas_tol
             if converged or it == cfg.max_iter:
                 break
+            key = nz.tobytes()
+            if it >= polish_from and nz.size and key == key_prev and key not in tried:
+                tried.add(key)
+                polished = _polish(op, y, delta, a_t, nz, b, cfg.tol, feas_tol)
+                if polished is not None:
+                    a_p, feas_p = polished
+                    return _Solution(
+                        coefficients=a_p, objective=op.coef_l1(a_p), feasibility_residual=feas_p,
+                        iterations=it, converged=True, restarts=restarts, primal_weight=weight,
+                    )
+                polish_from = 2 * it
+            key_prev = key
             restart = (
                 res <= RESTART_SUFFICIENT * res_restart
                 or (res <= RESTART_NECESSARY * res_restart and res > res_prev)
@@ -631,28 +677,75 @@ class Certificate:
     kkt: float
 
 
-def _support_dual(op: MeasurementOperator, support: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def _unit_columns(op: MeasurementOperator, support: np.ndarray):
+    """A u for the unit directions u on the support that A does not map to zero.
+
+    The directions are e_k, then i e_k when the coefficients are complex, for
+    each k in support: one forward product each. A column whose norm is at
+    most eps max(m, p) times the largest (numpy's matrix_rank tolerance, with
+    p columns of length m) is dropped; on the torus these are the imaginary
+    directions of self-conjugate coefficients, which the forward maps to 0 or
+    to rounding noise. Returns the live columns as the rows of a p x m array,
+    and for each the position of its k in support and whether it is i e_k.
+    """
+    units = (1.0, 1j) if op.dtype == np.complex128 else (1.0,)
+    unit_vec = np.zeros(op.shape[1], dtype=op.dtype)
+    cols = []
+    for k in support:
+        for unit in units:
+            unit_vec[k] = unit
+            cols.append(op.forward(unit_vec, np.array([k])))
+        unit_vec[k] = 0.0
+    cols = np.array(cols)
+    norms = np.linalg.norm(cols, axis=1)
+    live = norms > norms.max() * max(cols.shape) * np.finfo(float).eps
+    pos = np.repeat(np.arange(len(support)), len(units))
+    imag = np.tile(np.array(units) == 1j, len(support))
+    return cols[live], pos[live], imag[live]
+
+
+def _parts(values: np.ndarray, pos: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """The part of values[pos] that each unit column stands for: imaginary where imag, else real."""
+    picked = values[pos]
+    return np.where(imag, picked.imag, picked.real)
+
+
+def _combine(op: MeasurementOperator, x: np.ndarray, pos: np.ndarray, imag: np.ndarray,
+             size: int) -> np.ndarray:
+    """sum_j x_j u_j over the unit columns, as values on the size support entries."""
+    out = np.zeros(size, dtype=op.dtype)
+    out[pos[~imag]] = x[~imag]
+    if imag.any():
+        out.imag[pos[imag]] = x[imag]
+    return out
+
+
+def _real_view(v: np.ndarray) -> np.ndarray:
+    """v's (re, im) pairs as float64 entries, so Re<u, v> is a real dot product."""
+    return v.view(np.float64) if np.iscomplexobj(v) else v
+
+
+def _support_dual(op: MeasurementOperator, support: np.ndarray, phases: np.ndarray):
     """Minimum-norm nu for (A^H nu)_S = phases, least squares in the weighted norm.
 
     The weighted adjoint gives w_k Re (A^H nu)_k = Re<A e_k, nu> and
-    w_k Im (A^H nu)_k = Re<A (i e_k), nu>: one forward product per unit
-    direction e_k on S, and one per i e_k when the coefficients are complex.
-    Equation k is scaled by sqrt(w_k), so the fit is the full spectrum's.
+    w_k Im (A^H nu)_k = Re<A (i e_k), nu>: one equation per unit column of
+    _unit_columns, scaled by 1/sqrt(w_k), so the fit is the full spectrum's.
+    The fit is an SVD cut at numpy's lstsq tolerance, so nu lies in the span
+    of the columns, nu = A v; v, supported on S, is returned beside it.
     """
-    units = (1.0, 1j) if op.dtype == np.complex128 else (1.0,)
-    root_w = np.ones(op.shape[1]) if op.weights is None else np.sqrt(op.weights)
-    unit_vec = np.zeros(op.shape[1], dtype=op.dtype)
-    rows, rhs = [], []
-    for k, phase in zip(support, phases):
-        for unit, part in zip(units, (phase.real, phase.imag)):
-            unit_vec[k] = unit
-            rows.append(op.forward(unit_vec, np.array([k])) / root_w[k])
-            rhs.append(part * root_w[k])
-        unit_vec[k] = 0.0
-    rows = np.array(rows)
+    cols, pos, imag = _unit_columns(op, support)
+    root_w = np.ones(pos.size) if op.weights is None else np.sqrt(op.weights[support[pos]])
+    rows = cols / root_w[:, None]
+    rhs = _parts(phases, pos, imag) * root_w
     # Re<c, nu> pairs the (re, im) entries of c with those of nu, as the float views do
-    nu = np.linalg.lstsq(rows.view(np.float64), rhs, rcond=None)[0]
-    return nu.view(rows.dtype)
+    u, s, vt = np.linalg.svd(_real_view(rows), full_matrices=False)
+    keep = s > s[0] * max(len(rows), vt.shape[1]) * np.finfo(float).eps
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    fit = (u.T @ rhs) / s
+    v = np.zeros(op.shape[1], dtype=op.dtype)
+    v[support] = _combine(op, u @ (fit / s) / root_w, pos, imag, support.size)
+    return (vt.T @ fit).view(rows.dtype), v
 
 
 def certify(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray) -> Certificate:
@@ -671,8 +764,19 @@ def certify(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray)
     y, a and delta are checked as solve_bpdn's are (DataError, DomainError).
     """
     _finite_nonnegative(delta, "feasibility radius")
-    y = op.measurements(y)
-    a = op.coefficients(a)
+    return _certify(op, op.measurements(y), delta, op.coefficients(a), None)[0]
+
+
+def _certify(
+    op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray, b: np.ndarray | None,
+) -> tuple[Certificate, float]:
+    """certify on checked data, and ||A a - y||.
+
+    Given b = A^H y, an operator with a normal product gives g from it and
+    makes no adjoint: g = (b - A^H A a) / ||rho|| for the residual direction,
+    A^H A v for the least-squares nu = A v. solve_bpdn passes its b, and its
+    Gram rows on the candidate's support are built by then.
+    """
     rho = op.forward(a) - y
     r = float(np.linalg.norm(rho))
     y_scale = max(1.0, float(np.linalg.norm(y)))
@@ -683,16 +787,24 @@ def certify(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray)
     mags = np.abs(a)
     amax = float(np.max(mags, initial=0.0))
     if amax == 0.0:
-        return Certificate(gap=0.0, kkt=0.0)
+        return Certificate(gap=0.0, kkt=0.0), r
     obj = op.coef_l1(a)
     support = mags > KKT_SUPPORT_RTOL * amax
     phases = a[support] / mags[support]
     least_squares = delta == 0.0 or r == 0.0
-    nu = _support_dual(op, np.flatnonzero(support), phases) if least_squares else -rho / r
-    g = op.adjoint(nu)
+    if least_squares:
+        nu, v = _support_dual(op, np.flatnonzero(support), phases)
+    else:
+        nu = -rho / r
+    if b is None or op.normal is None:
+        g = op.adjoint(nu)
+    elif least_squares:
+        g = op.normal(v, np.flatnonzero(v))
+    else:
+        g = (b - op.normal(a, np.flatnonzero(a))) / r
     ginf = float(np.max(np.abs(g)))
     if ginf == 0.0:
-        return Certificate(gap=obj, kkt=1.0)
+        return Certificate(gap=obj, kkt=1.0), r
     dual = (float(np.vdot(nu, y).real) - delta * float(np.linalg.norm(nu))) / ginf
     if delta - r > KKT_FEAS_TOL * y_scale:  # inactive constraint
         kkt = 1.0
@@ -706,7 +818,73 @@ def certify(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray)
             float(np.max(np.abs(g[support] / ginf - phases))),
             abs(r - delta) / max(1.0, delta),
         )
-    return Certificate(gap=obj - max(dual, 0.0), kkt=kkt)
+    return Certificate(gap=obj - max(dual, 0.0), kkt=kkt), r
+
+
+def _polish(
+    op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray, support: np.ndarray,
+    b: np.ndarray | None, tol: float, feas_tol: float,
+) -> tuple[np.ndarray, float] | None:
+    """The minimizer on a's support and phases, and its ||A x - y|| - delta, if certified; else None.
+
+    The columns are B = _unit_columns(op, support), p of them with m real
+    rows (2 per measurement when the measurements are complex), and
+    G = B^T B. It gives up when p > m, or when G's smallest eigenvalue is at
+    most m eps times its largest, below the rounding of its m-term sums: a
+    torus mirror pair, k and -k both in a self-conjugate column, gives two
+    equal columns. With x_LS = G^-1 B^T y and r_LS = ||B x_LS - y||, the
+    point at delta = 0 is x_LS. For delta > 0 it gives up when r_LS >= delta;
+    else, with c_j = w_k times the part of phase(a_k) that column j stands
+    for, it minimizes c^T x on ||B x - y|| <= delta, whose minimizer is
+    x_LS - t G^-1 c with t = sqrt((delta^2 - r_LS^2) / c^T G^-1 c). It then
+    re-reads the phases from x and solves again, on the same eigenvectors of
+    G, while their largest change shrinks. The point is returned only if
+    _certify does not raise, its gap is <= tol max(1, ||x||_1), its KKT
+    residual is <= tol and ||A x - y|| - delta <= feas_tol.
+    Nothing the caller holds is written.
+    """
+    cols, pos, imag = _unit_columns(op, support)
+    mat = _real_view(cols.astype(y.dtype, copy=False)).T
+    m, p = mat.shape
+    if p > m:
+        return None
+    lam, vec = np.linalg.eigh(mat.T @ mat)
+    if lam[0] <= lam[-1] * m * np.finfo(float).eps:
+        return None
+    y_real = _real_view(y)
+    x = vec @ ((vec.T @ (mat.T @ y_real)) / lam)
+    if delta > 0.0:
+        r_ls = float(np.linalg.norm(mat @ x - y_real))
+        if r_ls >= delta:
+            return None
+        weights = np.ones(p) if op.weights is None else op.weights[support[pos]]
+        x_ls, values, change = x, a[support], math.inf
+        phase = _parts(values / np.abs(values), pos, imag)
+        while True:
+            c = weights * phase
+            g_c = vec @ ((vec.T @ c) / lam)  # G^-1 c
+            c_g_c = float(c @ g_c)
+            if c_g_c <= 0.0:
+                return None
+            x = x_ls - math.sqrt((delta**2 - r_ls**2) / c_g_c) * g_c
+            values = _combine(op, x, pos, imag, support.size)
+            mags = np.abs(values)
+            if not np.all(mags > 0.0):
+                break
+            new = _parts(values / mags, pos, imag)
+            step = float(np.max(np.abs(new - phase)))
+            if step == 0.0 or step >= change:
+                break
+            phase, change = new, step
+    point = np.zeros_like(a)
+    point[support] = _combine(op, x, pos, imag, support.size)
+    try:
+        cert, r = _certify(op, y, delta, point, b)
+    except InfeasibleCandidateError:
+        return None
+    if cert.gap <= tol * max(1.0, op.coef_l1(point)) and cert.kkt <= tol and r - delta <= feas_tol:
+        return point, r - delta
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,24 @@ class TestSweepWorkers:
             assert text.startswith("error: sample size ")
             assert text.endswith(f" basis entries, over the limit of {BASIS_ENTRIES_MAX}")
 
+    def test_torus_rows_do_not_depend_on_blas_threads(self):
+        # solve_bpdn's support polish forms and factors a Gram matrix through
+        # BLAS and LAPACK; torus rows, noisy and exact fit, must not move with
+        # their thread count
+        torus = "['sweep', '--setting', 'torus', '--fn', 'cc_half', '--eps', '0.1', " \
+                "'--trials', '2', '--allow-uncertified', '--seed', '3', '--workers', '1'"
+        code = (
+            "from frkit.cli import main\n"
+            f"main({torus}, '--n', '64', '--c-univ', '0.00390625'])\n"
+            f"main({torus}, '--n', '256', '--c-univ', '0.0625'])\n"
+            f"main({torus}, '--n', '32', '64', '--c-univ', '0.015625', '--exact-fit'])\n"
+        )
+        outs = [run_python(code, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
+                for n in ("1", "2")]
+        assert outs[0] == outs[1]
+        rows = [line for line in outs[0].splitlines() if line.startswith("torus,")]
+        assert len(rows) == 8 and all(line.endswith(",ok") for line in rows)
+
     def test_iterating_sphere_rows_byte_identical(self, tmp_path, capsys):
         # solves that iterate build the operator's Gram rows in the order their
         # coefficients turn nonzero; the rows must not depend on that order

@@ -149,6 +149,12 @@ class TestInvariantValidation:
         with pytest.raises(StructuralError, match="ascending"):
             SampleSet(side=4, flat=[2, 1])
 
+    @pytest.mark.parametrize("side", [2.5, 4.0, True, 0])
+    def test_sample_set_rejects_non_integer_side(self, side):
+        with pytest.raises(DomainError, match="grid side"):
+            SampleSet(side=side, flat=[0])
+        assert SampleSet(side=np.int64(4), flat=[0, 5]).side == 4
+
     def test_sample_set_rejects_out_of_range(self):
         with pytest.raises(StructuralError):
             SampleSet(side=4, flat=np.array([16]))

@@ -545,6 +545,98 @@ def _sphere_bpdn_instance():
     return op, op.forward(truth) + noise, 1.2 * float(np.linalg.norm(noise))
 
 
+def _spy_polish(monkeypatch, counted=None):
+    """(support size, products made, accepted) of every support polish from here on."""
+    attempts = []
+    polish = solver._polish
+
+    def spy(op, y, delta, a, support, *rest):
+        before = sum(counted.calls.values()) if counted else 0
+        out = polish(op, y, delta, a, support, *rest)
+        made = sum(counted.calls.values()) - before if counted else 0
+        attempts.append((support.size, made, out is not None))
+        return out
+
+    monkeypatch.setattr(solver, "_polish", spy)
+    return attempts
+
+
+class TestSupportPolish:
+    """solve_bpdn's second exit: the support-restricted problem solved in closed form."""
+
+    TORUS_CELLS = [(64, 2**-8, 1), (64, 2**-8, 2), (256, 2**-4, 1), (256, 2**-4, 2)]
+    SPHERE_CELLS = [(fn, seed) for fn in ("mix5", "gauss_heat") for seed in (1, 2)]
+
+    @staticmethod
+    def _spy_solves(monkeypatch):
+        solves = []
+
+        def spy(op, y, cfg):
+            solves.append((op, y, cfg, solve_bpdn(op, y, cfg)))
+            return solves[-1][-1]
+
+        monkeypatch.setattr(solver, "solve_bpdn", spy)
+        return solves
+
+    def _check_certified(self, monkeypatch, run):
+        solves = self._spy_solves(monkeypatch)
+        run()
+        [(op, y, cfg, sol)] = solves
+        assert sol.converged and sol.objective > 0.0
+        cert = certify(op, y, cfg.delta, sol.coefficients)
+        assert cert.gap <= 1e-12 * sol.objective
+        return sol
+
+    @pytest.mark.parametrize("side, c_univ, seed", TORUS_CELLS)
+    def test_torus_solve_is_certified_within_60_iterations(self, side, c_univ, seed, monkeypatch):
+        # without the polish these cells take 190-240 iterations, and their
+        # gaps are 1e-9 to 1e-6 of the objective
+        sol = self._check_certified(monkeypatch, lambda: recover_torus(
+            TORUS_BATTERY["cc_half"], side, 0.1, seed, c_univ=c_univ, allow_uncertified=True))
+        assert sol.iterations <= 60 and sol.restarts >= 1
+
+    @pytest.mark.parametrize("fn, seed", SPHERE_CELLS)
+    def test_sphere_solve_is_certified(self, fn, seed, monkeypatch):
+        signal = build_sphere_battery(16)[fn]
+        sol = self._check_certified(monkeypatch, lambda: recover_sphere(signal, 0.1, seed,
+                                                                        c_univ=2**-6))
+        assert sol.restarts >= 1
+
+    @staticmethod
+    def _torus_problem(field, size, seed, delta):
+        side = field.shape[0]
+        op = make_torus_operator(draw_subset(side, size, seed))
+        y = op.forward(forward_dft(field)[:, :side // 2 + 1].ravel())
+        return op, y, SolverConfig(delta=delta * float(np.linalg.norm(y)))
+
+    def _check_unpolished_is_bitwise(self, op, y, cfg, monkeypatch):
+        attempts = _spy_polish(monkeypatch)
+        got = solve_bpdn(op, y, cfg)
+        assert attempts and not any(ok for _, _, ok in attempts)
+        assert len(attempts) <= math.ceil(math.log2(got.iterations)) + 1
+        monkeypatch.setattr(solver, "_polish", lambda *args: None)
+        want = solve_bpdn(op, y, cfg)
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert (got.iterations, got.restarts, got.primal_weight) == (
+            want.iterations, want.restarts, want.primal_weight)
+
+    def test_non_sparse_field_runs_as_without_polish(self, monkeypatch):
+        # the Poisson kernel P_r(u1) P_r(u2), r = 1/2, has no sparse spectrum:
+        # every attempt fails, at most one per doubling of the iterations
+        u = np.arange(256) / 256
+        kernel = 0.75 / (1.25 - np.cos(2 * np.pi * u))
+        op, y, cfg = self._torus_problem(np.outer(kernel, kernel), 503, 1, 0.1)
+        self._check_unpolished_is_bitwise(op, y, cfg, monkeypatch)
+
+    def test_mirror_pair_support_is_not_polished(self, monkeypatch):
+        # cos(2 pi 3 u1) lives on (3, 0) and (-3, 0), both stored in the
+        # self-conjugate column 0: their columns are equal, and G is singular
+        u = np.arange(32) / 32
+        field = np.repeat(np.cos(6 * np.pi * u)[:, None], 32, axis=1)
+        op, y, cfg = self._torus_problem(field, 100, 3, 0.1)
+        self._check_unpolished_is_bitwise(op, y, cfg, monkeypatch)
+
+
 class TestSolveBpdn:
     def test_full_observation_delta_zero(self):
         side = 8
@@ -604,16 +696,22 @@ class TestSolveBpdn:
         assert not np.any(rep.coefficients) and rep.rel_error == 1.0
 
     @pytest.mark.parametrize("setting", ["torus", "sphere"])
-    def test_two_products_per_iteration(self, setting):
+    def test_two_products_per_iteration(self, setting, monkeypatch):
         if setting == "torus":
             sample, y, delta = _real_bpdn_instance(16, seed=7)
             op = make_torus_operator(sample)
         else:
             op, y, delta = _sphere_bpdn_instance()
         counted = counting_operator(op)
+        attempts = _spy_polish(monkeypatch, counted)
         rep = solve_bpdn(counted, y, SolverConfig(delta=delta))
         assert rep.converged and rep.iterations > solver.CHECK_EVERY
-        assert sum(counted.calls.values()) <= 2 * rep.iterations + 2
+        # a support polish makes one forward per unit direction on the support,
+        # then certify's forward and its adjoint or normal product
+        units = 2 if op.dtype == np.complex128 else 1
+        own = [units * size + 2 for size, _, _ in attempts]
+        assert all(made <= bound for (_, made, _), bound in zip(attempts, own))
+        assert sum(counted.calls.values()) <= 2 * rep.iterations + 2 + sum(own)
 
     def test_sphere_solve_takes_one_adjoint(self):
         # A^H y once; every iteration's A^H z comes from the normal product
