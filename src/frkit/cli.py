@@ -12,12 +12,14 @@ key=value config file. Each file line `key = value...` becomes the flag tokens `
 parsed after the command and before the rest of the command line, so the
 file's values get the same types and choices as flags and explicit flags
 override the file. Output is CSV on stdout and optionally to --out; every
-row carries the config hash so runs are diffable. sweep --workers W forks up
-to W processes, one task per (cell, trial); --workers 1 runs in-process, and
-the rows are byte-identical at every worker count. Workers inherit the parent's
-modules, so any numpy submodule a trial needs is imported when frkit is
-imported, never lazily inside a worker's first trial. Exit codes: 0 ok, 1 config
-error (a bad flag, or a value outside a bound's domain), 2 internal error.
+row carries the config hash so runs are diffable. sweep makes one task per
+(cell, trial); with --workers W (W capped at the task count) the calling
+process runs tasks[0::W] and W - 1 forked children run tasks[j::W], j = 1..W-1,
+with no pool; --workers 1 runs every task in-process, and the rows are
+byte-identical at every worker count. Children inherit the parent's modules, so
+any numpy submodule a trial needs is imported when frkit is imported, never
+lazily inside a child's first trial. Exit codes: 0 ok, 1 config error (a bad
+flag, or a value outside a bound's domain), 2 internal error.
 """
 
 from __future__ import annotations
@@ -251,22 +253,58 @@ def cmd_recover(args, config_hash: str) -> int:
     return 0
 
 
-# The running sweep's (args, config_hash, targets, cells). Forked workers inherit it: torus
-# targets hold lambdas, which do not pickle, and a fork spares each worker a fresh import.
-_SWEEP = None
-
-
-def _sweep_row(task: tuple[int, int]) -> list[str]:
-    """The row of one (cell index, trial seed) task of the running sweep."""
-    idx, seed = task
-    args, config_hash, targets, cells = _SWEEP
-    cell = cells[idx]
+def _send_share(fn, share, conn) -> None:
+    """A forked child's body: send (True, rows) of fn over share, or (False, exception)."""
     try:
-        return _trial_row(args, config_hash, targets[cell[:2]], cell, seed) + ["ok"]
-    except FrkitError as exc:
-        inputs = _trial_inputs(args.setting, cell, seed)
-        blank = [""] * (RECOVERY_HEADER.index("config_hash") - len(inputs))
-        return inputs + blank + [config_hash, cell[0], f"error: {exc}"]
+        result = (True, list(map(fn, share)))
+    except Exception as exc:  # noqa: BLE001 - the parent re-raises it
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
+
+
+def _fork_map(fn, tasks: list, workers: int) -> list:
+    """list(map(fn, tasks)), with the caller running tasks[0::W] and W - 1 children the rest.
+
+    Forked child j runs tasks[j::W] and sends its rows back over a one-way pipe, so rows
+    keep task order. A fork-started child inherits fn and its closure without pickling.
+    An error in any share is raised here, after every child is stopped and joined.
+    """
+    import multiprocessing as mp  # imported here, so the other commands never load it
+
+    if workers == 1 or "fork" not in mp.get_all_start_methods():
+        return list(map(fn, tasks))
+    ctx = mp.get_context("fork")
+    children = []
+    done = False
+    try:
+        for j in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_share, args=(fn, tasks[j::workers], send),
+                                daemon=True)
+            child.start()
+            send.close()
+            children.append((child, recv))
+        rows = [None] * len(tasks)
+        rows[0::workers] = map(fn, tasks[0::workers])
+        for j, (child, recv) in enumerate(children, 1):
+            try:
+                ok, result = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"sweep worker {j} exited with code {child.exitcode} "
+                                   "before sending its rows") from None
+            if not ok:
+                raise result
+            rows[j::workers] = result
+        done = True
+        return rows
+    finally:
+        for child, recv in children:
+            if not done:
+                child.kill()
+            child.join()
+            recv.close()
 
 
 def _ascending(values: list[float]) -> list[float]:
@@ -275,28 +313,29 @@ def _ascending(values: list[float]) -> list[float]:
 
 
 def cmd_sweep(args, config_hash: str) -> int:
-    global _SWEEP
     _require(args.workers >= 1, "workers must be >= 1")
     if args.mode == "rn_vs_logn":
         return _sweep_rn_vs_logn(args, config_hash)
-    import multiprocessing as mp  # imported here, so the other commands never load a pool
-    from concurrent.futures import ProcessPoolExecutor
-
     targets = _recovery_targets(args)
     cells = [(name, size, eps, c_univ) for name, size in sorted(targets)
              for eps in _ascending(args.eps) for c_univ in _ascending(args.c_univ)]
     tasks = [(idx, seed) for idx, cell_seed in enumerate(spawn_seeds(args.seed, len(cells)))
              for seed in spawn_seeds(cell_seed, args.trials)]
-    workers = min(args.workers, len(tasks))
-    _SWEEP = (args, config_hash, targets, cells)
-    try:
-        if workers == 1 or "fork" not in mp.get_all_start_methods():
-            rows = list(map(_sweep_row, tasks))
-        else:
-            with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork")) as pool:
-                rows = list(pool.map(_sweep_row, tasks))
-    finally:
-        _SWEEP = None
+
+    # A closure: forked children inherit it whole, so the lambdas of torus targets are
+    # never pickled, and no child imports anything afresh.
+    def sweep_row(task: tuple[int, int]) -> list[str]:
+        """The row of one (cell index, trial seed) task."""
+        idx, seed = task
+        cell = cells[idx]
+        try:
+            return _trial_row(args, config_hash, targets[cell[:2]], cell, seed) + ["ok"]
+        except FrkitError as exc:
+            inputs = _trial_inputs(args.setting, cell, seed)
+            blank = [""] * (RECOVERY_HEADER.index("config_hash") - len(inputs))
+            return inputs + blank + [config_hash, cell[0], f"error: {exc}"]
+
+    rows = _fork_map(sweep_row, tasks, min(args.workers, len(tasks)))
     _emit(RECOVERY_HEADER + ["status"], rows, args.out)
     return 0
 

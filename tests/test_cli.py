@@ -1,5 +1,5 @@
-import concurrent.futures
 import csv
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -407,23 +407,90 @@ class TestSweepWorkers:
         assert run_python(code).split() == []
 
     def test_one_worker_runs_in_process(self, monkeypatch, capsys):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("--workers 1 started a process pool")
+        def no_fork():
+            raise AssertionError("sweep forked")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         code, _, err = run_cli(capsys, *self.GRID, "--workers", "1")
         assert code == 0, err
+        # the patch does reach the fork path: two workers fork one child
+        code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
+        assert code == 2 and "internal error: sweep forked" in err and out == ""
+
+    def test_caller_runs_the_first_share(self, monkeypatch, tmp_path, capsys):
+        # every task appends "pid seed" to one file; with 8 tasks and 3 workers the
+        # caller runs tasks 0, 3, 6 and two children run 1, 4, 7 and 2, 5
+        log = tmp_path / "pids"
+        recover_one = cli._recover_one
+
+        def logged(args, target, size, eps, c_univ, seed):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {seed}\n")
+            return recover_one(args, target, size, eps, c_univ, seed)
+
+        monkeypatch.setattr(cli, "_recover_one", logged)
+        code, out, err = run_cli(capsys, *self.GRID, "--trials", "2", "--workers", "3")
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        pid_of = {int(seed): int(pid) for pid, seed in
+                  (line.split() for line in log.read_text().splitlines())}
+        pids = [pid_of[int(row[header.index("seed")])] for row in rows]
+        assert len(pids) == 8
+        assert pids[0::3] == [os.getpid()] * 3
+        children = [pids[1::3], pids[2::3]]
+        assert [len(set(share)) for share in children] == [1, 1]
+        assert len({os.getpid(), children[0][0], children[1][0]}) == 3
+        assert multiprocessing.active_children() == []
 
     def test_worker_exception_is_internal_error(self, monkeypatch, capsys):
         def broken(*args):
             raise RuntimeError("broken trial")
 
-        # set before the pool forks, so every worker inherits it
+        # set before the children fork, so the caller and every child raise
         monkeypatch.setattr(cli, "_recover_one", broken)
         code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
         assert code == 2
         assert "internal error: broken trial" in err
         assert out == ""
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_is_internal_error(self, monkeypatch, capsys):
+        parent, recover_one = os.getpid(), cli._recover_one
+
+        def broken_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("broken child trial")
+            return recover_one(*args)
+
+        monkeypatch.setattr(cli, "_recover_one", broken_in_child)
+        code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
+        assert code == 2
+        assert "internal error: broken child trial" in err
+        assert out == ""
+        assert multiprocessing.active_children() == []
+
+    def test_child_death_is_internal_error(self):
+        # in a fresh interpreter, whose 120 s timeout turns a hang into a failure
+        code = f"""if True:
+            import contextlib, io, multiprocessing, os
+            from frkit import cli
+            parent, recover_one = os.getpid(), cli._recover_one
+
+            def dies_in_child(*args):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return recover_one(*args)
+
+            cli._recover_one = dies_in_child
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main({self.GRID + ["--workers", "2"]!r})
+            print(repr((code, out.getvalue(), err.getvalue(),
+                        multiprocessing.active_children())))
+        """
+        code, out, err, alive = eval(run_python(code))
+        assert code == 2 and out == "" and alive == []
+        assert "internal error: sweep worker 1 exited with code 3" in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_config_error(self, capsys, workers):
