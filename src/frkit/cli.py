@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -396,7 +397,12 @@ def cmd_quadrature_check(args, config_hash: str) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
+
+    Every parse shares its list defaults, so no handler may change an args list in place.
+    """
     parser = argparse.ArgumentParser(
         prog="frkit",
         description="Fourier-ratio bounds and l1 recovery experiments",

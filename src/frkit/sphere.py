@@ -13,13 +13,14 @@ tensored with 2L+1 equispaced ph values, exact through degree 2L, so the
 discrete coefficients of a bandlimited signal equal the continuous ones.
 A QuadratureRule holds one colatitude and one weight per ring, no per-node copies.
 
-Every transform reads one Legendre table, Pbar_l^m at a set of
-colatitudes for 0 <= m <= l <= lmax, stored m-major as table[m, l - m]:
-the degrees l = m..lmax of one order m are one contiguous block, padded
-with zero rows to lmax + 1, so a sum over l for every m is one batched
-matrix product. The table builder carries the sectoral seed Pbar_m^m to
-Pbar_{m+1}^{m+1} and runs the recurrence in l for all m at once; it is
-the only loop over orders.
+Every Legendre value comes from one recurrence, which yields the degrees
+l = 0..lmax in turn, Pbar_l^m at a set of colatitudes for 0 <= m <= l. It
+carries the sectoral seed Pbar_m^m in m, then steps each degree from the two
+below it for all orders at once; it is the only loop over orders or degrees.
+The ring transforms read its values as a table stored m-major,
+table[m, l - m]: the degrees l = m..lmax of one order m are one contiguous
+block, padded with zero rows to lmax + 1, so a sum over l for every m is one
+batched matrix product.
 
 On an iso-latitude grid (rings of n_phi equispaced ph from 0: every
 QuadratureRule, and the 4L x 8L norm grid) the table, or its th-derivative,
@@ -35,10 +36,12 @@ Healy 1994; Reinecke & Seljebotn, "libsharp", A&A 2013):
 Both need n_phi >= 2 lmax + 1, so that no order m <= lmax aliases in ph.
 synthesize and basis_matrix take scattered points, theta and phi of one
 shape, checked as a SampleMultiset checks its points. Both build the basis
-rows from the table, harmonic-major (one row of point values per harmonic):
-basis_matrix returns them transposed, and synthesize multiplies each block
-of rows by the coefficients. Both work in chunks of points sized so that one
-table or basis block holds a fixed number of entries, which bounds their memory.
+rows harmonic-major (one row of point values per harmonic), straight from
+the recurrence: degree l writes its cos rows l^2 + l .. l^2 + 2l and its sin
+rows l^2 .. l^2 + l - 1, two contiguous runs, with no table in between.
+basis_matrix returns the rows transposed, and synthesize multiplies each
+block of rows by the coefficients. Both work in chunks of points sized so
+that one basis block holds a fixed number of entries, which bounds their memory.
 
 What depends on L only is built once per L and cached, read-only, for the
 last four bandwidths: the table positions' coefficient indices, and the
@@ -72,7 +75,7 @@ SPHERE_AREA = 4.0 * math.pi
 
 SPECTRAL_GRID = "spectral-grid"
 
-_BLOCK_ENTRIES = 1 << 20  # (lmax+1)^2 x points per table or basis block: 8 MB
+_BLOCK_ENTRIES = 1 << 20  # (lmax+1)^2 x points per basis block: 8 MB
 _CACHED_BANDWIDTHS = 4  # bandwidths whose index and norm tables stay built
 
 
@@ -190,33 +193,47 @@ def _table_index(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i_cos, i_sin, valid
 
 
-def _legendre_table(lmax: int, theta: np.ndarray) -> np.ndarray:
-    """table[m, l - m, j] = Pbar_l^m(cos theta_j) for 0 <= m <= l <= lmax, no CS phase.
+def _legendre_degrees(lmax: int, theta: np.ndarray):
+    """Yield (l, p) for l = 0..lmax, p[m, j] = Pbar_l^m(cos theta_j) for 0 <= m <= l, no CS phase.
 
-    Normalized so that int_{-1}^{1} Pbar^2 dt = 1/(2 pi). Order m owns the
-    contiguous block table[m]: degrees m..lmax, then zeros up to lmax + 1 rows.
+    Normalized so that int_{-1}^{1} Pbar^2 dt = 1/(2 pi). This is the one
+    Legendre recurrence: the sectoral seeds Pbar_m^m are carried in m first,
+    then each degree l takes Pbar_l^{l-1} from its seed and every lower order
+    from degrees l - 1 and l - 2 in one three-term step. No p is written
+    after it is yielded, and the caller must not write to one.
     """
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    table = np.zeros((lmax + 1, lmax + 1, theta.size))
-    p = np.full(theta.shape, math.sqrt(1.0 / SPHERE_AREA))
-    table[0, 0] = p
+    seeds = np.empty((lmax + 1, theta.size))
+    seeds[0] = math.sqrt(1.0 / SPHERE_AREA)
     for m in range(1, lmax + 1):
-        p = p * sin_t * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
-        table[m, 0] = p
-    if lmax == 0:
-        return table
-    # the recurrence in l, one step of d = l - m for every order m at once
-    m = np.arange(lmax)
-    a_prev = np.sqrt(2.0 * m + 3.0)[:, None]
-    table[:lmax, 1] = a_prev * cos_t * table[:lmax, 0]
-    for d in range(2, lmax + 1):
-        m = np.arange(lmax + 1 - d)
-        l = m + d
-        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
-        table[: m.size, d] = a * (
-            cos_t * table[: m.size, d - 1] - table[: m.size, d - 2] / a_prev[: m.size]
-        )
-        a_prev = a
+        seeds[m] = seeds[m - 1] * sin_t * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
+    older, prev = seeds[:0], seeds[:1]
+    yield 0, prev
+    a_prev = np.empty(0)  # a at degree l - 1 for each order m <= l - 2
+    for l in range(1, lmax + 1):
+        p = np.empty((l + 1, theta.size))
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        step = np.multiply(cos_t, prev[: l - 1], out=p[: l - 1])
+        step -= older[: l - 1] / a_prev[:, None]
+        step *= a[:, None]
+        a_seed = math.sqrt(2.0 * (l - 1) + 3.0)
+        p[l - 1] = a_seed * cos_t * seeds[l - 1]
+        p[l] = seeds[l]
+        yield l, p
+        older, prev, a_prev = prev, p, np.append(a, a_seed)
+
+
+def _legendre_table(lmax: int, theta: np.ndarray) -> np.ndarray:
+    """table[m, l - m, j] = Pbar_l^m(cos theta_j) for 0 <= m <= l <= lmax, from _legendre_degrees.
+
+    Order m owns the contiguous block table[m]: degrees m..lmax, then zeros
+    up to lmax + 1 rows.
+    """
+    table = np.zeros((lmax + 1, lmax + 1, theta.size))
+    for l, p in _legendre_degrees(lmax, theta):
+        m = np.arange(l + 1)
+        table[m, l - m] = p
     return table
 
 
@@ -258,21 +275,24 @@ def _ring_analysis(weighted: np.ndarray, table: np.ndarray, lmax: int) -> np.nda
 
 
 def _point_chunks(size: int, lmax: int) -> list[slice]:
-    """Runs of scattered points whose table and basis block fit _BLOCK_ENTRIES."""
+    """Runs of scattered points whose basis block fits _BLOCK_ENTRIES."""
     step = max(1, _BLOCK_ENTRIES // (lmax + 1) ** 2)
     return [slice(start, start + step) for start in range(0, size, step)]
 
 
 def _fill_basis_rows(out: np.ndarray, lmax: int, theta: np.ndarray, phi: np.ndarray) -> None:
-    """Write the basis values into out, ((lmax+1)^2, npoints): one row per harmonic."""
-    table = _legendre_table(lmax, theta)
-    i_cos, i_sin, valid = _table_index(lmax)
+    """Write the basis values into out, ((lmax+1)^2, npoints): one row per harmonic.
+
+    Degree l fills two contiguous runs of rows: cos rows l^2 + l + m for
+    m = 0..l, and sin rows l^2 + l - m, that is m = l..1 from row l^2.
+    """
     m_phi = np.arange(lmax + 1)[:, None] * phi
     cos_m = math.sqrt(2.0) * np.cos(m_phi)
     cos_m[0] = 1.0
     sin_m = math.sqrt(2.0) * np.sin(m_phi)
-    out[i_sin[valid]] = (table * sin_m[:, None, :])[valid]
-    out[i_cos[valid]] = (table * cos_m[:, None, :])[valid]  # overwrites the m = 0 sin rows
+    for l, p in _legendre_degrees(lmax, theta):
+        np.multiply(p, cos_m[: l + 1], out=out[l * l + l : l * l + 2 * l + 1])
+        np.multiply(p[:0:-1], sin_m[l:0:-1], out=out[l * l : l * l + l])
 
 
 def _flat_points(theta, phi) -> tuple[np.ndarray, np.ndarray]:

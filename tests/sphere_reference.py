@@ -6,6 +6,12 @@ node, with no ring structure and no FFT. They are slow, and the test suite
 keeps them as the reference that the ring transforms and the Legendre table
 are checked against.
 
+legendre_table_m_major is the zero-padded table[m, l - m] of those blocks.
+basis_matrix_m_major is the m-major product frkit.sphere built its basis
+rows with before it ran one degree-major recurrence: that table times the
+cos and sin factors, masked and scattered into the harmonic rows.
+frkit.sphere must match both bit for bit.
+
 estimate_sphere_norms here is an independent method, not a per-point copy:
 it takes |grad f|^2 from the identity Lap(f^2)/2 - f Lap f, with f^2
 analyzed on a degree-4L quadrature, where frkit.sphere differentiates the
@@ -22,6 +28,7 @@ from frkit.sphere import (
     QuadratureRule,
     SphereNormData,
     SphericalSignal,
+    _point_chunks,
     build_quadrature,
     laplacian,
 )
@@ -66,6 +73,38 @@ def basis_matrix(bandwidth: int, theta, phi) -> np.ndarray:
             out[:, ells * ells + ells + m] = block.T * cos_m[:, None]
             out[:, ells * ells + ells - m] = block.T * sin_m[:, None]
     return out
+
+
+def legendre_table_m_major(lmax: int, theta: np.ndarray) -> np.ndarray:
+    """table[m, l - m, j] = Pbar_l^m(cos theta_j): order m's legendre_block,
+    padded with zero rows to lmax + 1."""
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    table = np.zeros((lmax + 1, lmax + 1, theta.size))
+    for m in range(lmax + 1):
+        table[m, : lmax - m + 1] = legendre_block(m, lmax, cos_t, sin_t)
+    return table
+
+
+def basis_matrix_m_major(bandwidth: int, theta, phi) -> np.ndarray:
+    """Dense (npoints, (L+1)^2) matrix of basis values: per point chunk, the
+    m-major table times the cos and sin factors, masked to l <= L and
+    scattered into the harmonic rows."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    m, d = np.ogrid[: bandwidth + 1, : bandwidth + 1]
+    l = m + d
+    valid = l <= bandwidth
+    i_cos, i_sin = (l * l + l + m)[valid], (l * l + l - m)[valid]
+    rows = np.empty(((bandwidth + 1) ** 2, theta.size))
+    for part in _point_chunks(theta.size, bandwidth):
+        table = legendre_table_m_major(bandwidth, theta[part])
+        m_phi = np.arange(bandwidth + 1)[:, None] * phi[part]
+        cos_m = math.sqrt(2.0) * np.cos(m_phi)
+        cos_m[0] = 1.0
+        sin_m = math.sqrt(2.0) * np.sin(m_phi)
+        rows[i_sin, part] = (table * sin_m[:, None, :])[valid]
+        rows[i_cos, part] = (table * cos_m[:, None, :])[valid]  # overwrites the m = 0 sin rows
+    return rows.T
 
 
 def analyze(values, rule: QuadratureRule, bandwidth: int) -> SphericalSignal:

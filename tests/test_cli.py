@@ -657,3 +657,24 @@ class TestConfigFile:
         _, out_a, _ = run_cli(capsys, *args)
         _, out_b, _ = run_cli(capsys, *args)
         assert out_a == out_b
+
+
+class TestParserCache:
+    """main() builds its parser once per process and parses each call afresh."""
+
+    def test_second_run_prints_what_it_prints_alone(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("setting = torus\nfn = cc_half\nn = 16\neps = 0.1\nc_univ = 0.05\n"
+                       "trials = 2\nseed = 3\nallow_uncertified = true\n")
+        runs = (["sweep", "--config", str(cfg)], ["fr", "--setting", "torus", "--n", "8"])
+        parser = cli._build_parser()
+        commands = ("fr", "decay", "lemmas", "recover", "sweep", "quadrature-check")
+        defaults = {cmd: repr(vars(parser.parse_args([cmd]))) for cmd in commands}
+
+        together = [run_cli(capsys, *argv)[1] for argv in runs]
+        for argv, out in zip(runs, together):
+            alone = run_python(f"import sys\nfrom frkit.cli import main\nsys.exit(main({argv!r}))")
+            assert out == alone, argv
+        assert "cc_half" in together[0] and "const1" in together[1]  # --fn default all
+        assert cli._build_parser() is parser
+        assert {cmd: repr(vars(parser.parse_args([cmd]))) for cmd in commands} == defaults

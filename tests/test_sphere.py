@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,13 +343,11 @@ class TestRingTransforms:
     """Ring FFT transforms against the point-wise reference in sphere_reference."""
 
     def test_table_equals_reference_blocks(self):
-        theta = np.linspace(0.0, math.pi, 37)
-        for lmax in (0, 1, 2, 9, 40):
-            table = sph._legendre_table(lmax, theta)
-            for m in range(lmax + 1):
-                block = ref.legendre_block(m, lmax, np.cos(theta), np.sin(theta))
-                assert np.array_equal(table[m, : lmax - m + 1], block)
-                assert not np.any(table[m, lmax - m + 1:])
+        for lmax in (0, 1, 2, 9, 40, 64):
+            rings = (build_quadrature(lmax).ring_theta, _norm_grid(lmax)[0]) if lmax else ()
+            for theta in (np.linspace(0.0, math.pi, 37), *rings):
+                table = sph._legendre_table(lmax, theta)
+                assert np.array_equal(table, ref.legendre_table_m_major(lmax, theta)), lmax
 
     @pytest.mark.parametrize("lmax", (1, 2, 9, 40))
     def test_derivative_table_matches_central_differences(self, lmax):
@@ -458,9 +457,11 @@ class TestRingTransforms:
 
 class TestTransformCore:
     def test_one_order_loop(self):
-        """Only the Legendre table builder loops over orders or degrees.
+        """Only the Legendre recurrence loops over orders or degrees.
 
-        Every other loop in sphere.py runs over point chunks or a literal tuple.
+        Its seed loop runs in m and its three-term step in l. Every other loop
+        in sphere.py runs over that recurrence's output, point chunks or a
+        literal tuple.
         """
         tree = ast.parse(inspect.getsource(sph))
         loops = {}
@@ -470,14 +471,16 @@ class TestTransformCore:
                     assert not isinstance(node, ast.While), fn.name
                     if isinstance(node, (ast.For, ast.comprehension)):
                         loops.setdefault(fn.name, []).append(node)
-        builder = loops.pop("_legendre_table")
-        assert sorted(n.target.id for n in builder) == ["d", "m"]  # seed in m, steps in l - m
+        recurrence = loops.pop("_legendre_degrees")
+        assert sorted(n.target.id for n in recurrence) == ["l", "m"]  # seed in m, steps in l
         (chunking,) = loops.pop("_point_chunks")
         assert ast.unparse(chunking.iter) == "range(0, size, step)"
         for nodes in loops.values():
             for node in nodes:
                 text = ast.unparse(node.iter)
-                assert isinstance(node.iter, ast.Tuple) or text.startswith("_point_chunks("), text
+                assert isinstance(node.iter, ast.Tuple) or text.startswith(
+                    ("_point_chunks(", "_legendre_degrees(")
+                ), text
 
     def test_norms_l64_cpu_time(self):
         signal = build_sphere_battery(64)["gauss_heat"]
@@ -485,6 +488,26 @@ class TestTransformCore:
         start = time.process_time()
         estimate_sphere_norms(signal)
         assert time.process_time() - start <= 1.0
+
+
+class TestDegreeMajorBuild:
+    """basis_matrix against the m-major product it replaced, and its memory."""
+
+    @pytest.mark.parametrize("bandwidth", (0, 1, 2, 32, 64))
+    def test_basis_matrix_equals_m_major_product(self, bandwidth):
+        pts = draw_sphere_points(1200, seed=21)  # several point chunks at L = 64
+        got = basis_matrix(bandwidth, pts.theta, pts.phi)
+        assert np.array_equal(got, ref.basis_matrix_m_major(bandwidth, pts.theta, pts.phi))
+
+    def test_basis_build_peak_memory(self):
+        pts = draw_sphere_points(852, seed=1)
+        tracemalloc.start()
+        try:
+            rows = basis_matrix(32, pts.theta, pts.phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * rows.nbytes
 
 
 class TestNormTableCache:
