@@ -372,6 +372,25 @@ def _sweep_rn_vs_logn(args, config_hash: str) -> int:
     return 0
 
 
+def _quadrature_gram(mat: np.ndarray, weights: np.ndarray, block: int = 64) -> np.ndarray:
+    """The weighted Gram matrix mat^T diag(weights) mat, exactly symmetric.
+
+    It is formed by einsum's own loops, not threaded BLAS, so its digits do
+    not move with the thread count, block rows at a time, each row from the
+    diagonal on: only the upper triangle is summed, at about half the cost of
+    the full product, and the strict lower triangle is copied from it.
+    """
+    wmat = weights[:, None] * mat
+    size = mat.shape[1]
+    gram = np.empty((size, size))
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        gram[start:stop, start:] = np.einsum("ji,jk->ik", mat[:, start:stop], wmat[:, start:])
+    lower = np.tril_indices(size, -1)
+    gram[lower] = gram.T[lower]
+    return gram
+
+
 def cmd_quadrature_check(args, config_hash: str) -> int:
     _require(bool(args.l), "quadrature-check needs --l")
     header = [
@@ -383,8 +402,7 @@ def cmd_quadrature_check(args, config_hash: str) -> int:
         rule = sph.build_quadrature(bandwidth)
         w_err = abs(float(np.sum(rule.weights)) - 4.0 * math.pi) / (4.0 * math.pi)
         mat = sph.basis_matrix(bandwidth, rule.theta, rule.phi)
-        # einsum's own loops, not threaded BLAS, so the digits do not move with the thread count
-        gram = np.einsum("ji,jk->ik", mat, rule.weights[:, None] * mat)
+        gram = _quadrature_gram(mat, rule.weights)
         gram_dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
         rng = np.random.default_rng(args.seed)
         coeffs = rng.standard_normal((bandwidth + 1) ** 2)

@@ -54,14 +54,35 @@ _polish solves the problem restricted to S and to the iterate's phases in
 closed form, from the forward products of the unit directions on S, and the
 loop returns that point, converged, only if certify's gap is
 <= tol max(1, ||a||_1), its KKT residual <= tol and ||A a - y|| - delta
-<= tol max(1, ||y||). An attempt costs |S| forward products (2|S| for
-complex coefficients), an eigendecomposition of their p x p Gram matrix and
-certify's products: a forward and an adjoint (or normal) product, and at
-delta = 0 the unit forwards again for its least-squares dual. It writes
-nothing the loop holds, so a solve none of whose attempts is accepted is
-bit-identical to one without them. After a failed attempt the next waits until the
-iteration count has doubled, so failures number at most
-ceil(log2(iterations)) + 1. The first check always restarts, so an accepted
+<= tol max(1, ||y||). A refused solve does not end the attempt: it adds
+to S the coefficient whose dual correlation |(A^H rho)_k| at the refused
+point is largest off S (rho is the point's residual, and A^H the weighted
+adjoint, so this is the plain correlation over the weight w_k), and solves
+again, from the iterate's phases on S and the correlation's phase on the
+new coefficient. When no point on S is feasible it always adds it, which
+is OMP's step; when the certificate fails it adds it only if it exceeds
+every correlation on S, which is FPC_AS's active-set correction. The
+attempt stops at the first accepted point, when no coefficient qualifies,
+when S would have more live columns than real measurement rows, or after
+ceil(log2(|S0| + 1)) additions to its first support S0. Without that cap
+the L = 64 decay_alt trial of seed 1 (C = 2^-6), whose attempts start on
+78-99 coefficients, grows 118 times and its recover_sphere takes 1.56 s;
+with it, 16 times and 0.50 s, against 0.74 s and 720 iterations without
+growth (best of 3, one core of a 2-core VM). In the benchmark's
+gauss_heat solves the check's support lacks 1-3 coefficients of the
+minimizer's, and growth ends 15 of the 16 of seeds 1-2 in 15-20
+iterations, against 40-190. An attempt costs |S0|
+forward products (2|S0| for complex coefficients), an eigendecomposition
+of their p x p Gram matrix and certify's products: a forward and an
+adjoint (or normal) product, and at delta = 0 the unit forwards again for
+its least-squares dual. Each addition costs one adjoint (or normal)
+product for the correlations, the new coefficient's unit forwards (the
+others are kept), a new eigendecomposition and certify's products again.
+It writes nothing the loop holds but the set of tried supports, to which
+each grown support is added, so a solve none of whose attempts is accepted
+is bit-identical to one without them. After a failed attempt the next
+waits until the iteration count has doubled, so failed attempts number at
+most ceil(log2(iterations)) + 1. The first check always restarts, so an accepted
 attempt comes after it and reports restarts >= 1.
 
 Only T allocates in the loop: a+, z+, the products' outputs, the carried
@@ -544,7 +565,9 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     tried, and the iterations have doubled since the last failed attempt,
     _polish solves the problem on that support and a+'s phases in closed
     form, at |S| or 2|S| forward products of unit directions plus those of
-    the certificate. Its point is returned, converged,
+    the certificate, and on a refusal grows the support by its largest dual
+    violator and solves again, adding each grown support to the tried
+    ones. Its point is returned, converged,
     at that check's iterations, restarts and primal weight, only if certify
     bounds its gap by tol max(1, ||a||_1) and its KKT residual by tol, and
     it is feasible to the loop's own slack. Otherwise the loop goes on
@@ -613,7 +636,7 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
             key = nz.tobytes()
             if it >= polish_from and nz.size and key == key_prev and key not in tried:
                 tried.add(key)
-                polished = _polish(op, y, delta, a_t, nz, b, cfg.tol, feas_tol)
+                polished = _polish(op, y, delta, a_t, nz, b, cfg.tol, feas_tol, tried)
                 if polished is not None:
                     a_p, feas_p = polished
                     return _Solution(
@@ -677,16 +700,26 @@ class Certificate:
     kkt: float
 
 
-def _unit_columns(op: MeasurementOperator, support: np.ndarray):
-    """A u for the unit directions u on the support that A does not map to zero.
+def _column_count(op: MeasurementOperator, support: np.ndarray) -> int:
+    """How many unit columns _live_columns keeps on the support, read off dtype and weights.
+
+    A real operator has one per coefficient, a complex one two. On a half
+    spectrum the imaginary direction of a weight-1 (self-conjugate)
+    coefficient maps to zero and is dropped, so the count is exact there; on
+    an unweighted complex operator 2|S| is an upper bound.
+    """
+    if op.dtype == np.float64:
+        return support.size
+    if op.weights is None:
+        return 2 * support.size
+    return 2 * support.size - int(np.count_nonzero(op.weights[support] == 1.0))
+
+
+def _unit_forwards(op: MeasurementOperator, support: np.ndarray) -> np.ndarray:
+    """A u for every unit direction u on the support: one forward product each.
 
     The directions are e_k, then i e_k when the coefficients are complex, for
-    each k in support: one forward product each. A column whose norm is at
-    most eps max(m, p) times the largest (numpy's matrix_rank tolerance, with
-    p columns of length m) is dropped; on the torus these are the imaginary
-    directions of self-conjugate coefficients, which the forward maps to 0 or
-    to rounding noise. Returns the live columns as the rows of a p x m array,
-    and for each the position of its k in support and whether it is i e_k.
+    each k in support; entry [j, i] is the product of k = support[j]'s i-th.
     """
     units = (1.0, 1j) if op.dtype == np.complex128 else (1.0,)
     unit_vec = np.zeros(op.shape[1], dtype=op.dtype)
@@ -696,11 +729,25 @@ def _unit_columns(op: MeasurementOperator, support: np.ndarray):
             unit_vec[k] = unit
             cols.append(op.forward(unit_vec, np.array([k])))
         unit_vec[k] = 0.0
-    cols = np.array(cols)
+    return np.array(cols).reshape(support.size, len(units), -1)
+
+
+def _live_columns(forwards: np.ndarray):
+    """The columns of _unit_forwards that A does not map to zero, with their positions.
+
+    A column whose norm is at most eps max(m, p) times the largest (numpy's
+    matrix_rank tolerance, with p columns of length m) is dropped; on the
+    torus these are the imaginary directions of self-conjugate coefficients,
+    which the forward maps to 0 or to rounding noise. Returns the live
+    columns as the rows of a p x m array, and for each the position of its k
+    in the support and whether it is i e_k.
+    """
+    size, n_units, _ = forwards.shape
+    cols = forwards.reshape(size * n_units, -1)
     norms = np.linalg.norm(cols, axis=1)
     live = norms > norms.max() * max(cols.shape) * np.finfo(float).eps
-    pos = np.repeat(np.arange(len(support)), len(units))
-    imag = np.tile(np.array(units) == 1j, len(support))
+    pos = np.repeat(np.arange(size), n_units)
+    imag = np.tile(np.arange(n_units) == 1, size)
     return cols[live], pos[live], imag[live]
 
 
@@ -730,11 +777,11 @@ def _support_dual(op: MeasurementOperator, support: np.ndarray, phases: np.ndarr
 
     The weighted adjoint gives w_k Re (A^H nu)_k = Re<A e_k, nu> and
     w_k Im (A^H nu)_k = Re<A (i e_k), nu>: one equation per unit column of
-    _unit_columns, scaled by 1/sqrt(w_k), so the fit is the full spectrum's.
+    _live_columns, scaled by 1/sqrt(w_k), so the fit is the full spectrum's.
     The fit is an SVD cut at numpy's lstsq tolerance, so nu lies in the span
     of the columns, nu = A v; v, supported on S, is returned beside it.
     """
-    cols, pos, imag = _unit_columns(op, support)
+    cols, pos, imag = _live_columns(_unit_forwards(op, support))
     root_w = np.ones(pos.size) if op.weights is None else np.sqrt(op.weights[support[pos]])
     rows = cols / root_w[:, None]
     rhs = _parts(phases, pos, imag) * root_w
@@ -823,42 +870,96 @@ def _certify(
 
 def _polish(
     op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray, support: np.ndarray,
-    b: np.ndarray | None, tol: float, feas_tol: float,
+    b: np.ndarray | None, tol: float, feas_tol: float, tried: set,
 ) -> tuple[np.ndarray, float] | None:
-    """The minimizer on a's support and phases, and its ||A x - y|| - delta, if certified; else None.
+    """A certified minimizer on a's support, or on one grown from it, and its ||A x - y|| - delta.
 
-    The columns are B = _unit_columns(op, support), p of them with m real
-    rows (2 per measurement when the measurements are complex), and
-    G = B^T B. It gives up when p > m, or when G's smallest eigenvalue is at
-    most m eps times its largest, below the rounding of its m-term sums: a
-    torus mirror pair, k and -k both in a self-conjugate column, gives two
-    equal columns. With x_LS = G^-1 B^T y and r_LS = ||B x_LS - y||, the
-    point at delta = 0 is x_LS. For delta > 0 it gives up when r_LS >= delta;
-    else, with c_j = w_k times the part of phase(a_k) that column j stands
-    for, it minimizes c^T x on ||B x - y|| <= delta, whose minimizer is
-    x_LS - t G^-1 c with t = sqrt((delta^2 - r_LS^2) / c^T G^-1 c). It then
-    re-reads the phases from x and solves again, on the same eigenvectors of
-    G, while their largest change shrinks. The point is returned only if
-    _certify does not raise, its gap is <= tol max(1, ||x||_1), its KKT
-    residual is <= tol and ||A x - y|| - delta <= feas_tol.
-    Nothing the caller holds is written.
+    Each solve is _support_point's closed form on the support S, with S's
+    phases started from a's. Its point is returned only if r_LS < delta (or
+    delta = 0), _certify does not raise, its gap is <= tol max(1, ||x||_1),
+    its KKT residual is <= tol and ||A x - y|| - delta <= feas_tol. A
+    refused point grows S by _largest_violator's coefficient k and is solved
+    again: k's unit forwards are inserted among S's, which are kept, and its
+    phase starts at that of its dual correlation. When r_LS >= delta this is
+    OMP's step; when the certificate fails, FPC_AS's active-set correction.
+    Growth stops, and None is returned, when no coefficient qualifies, when
+    the grown S would have more live columns (_column_count) than the m real
+    measurement rows, or after ceil(log2(|S0| + 1)) additions to the first
+    support S0. Each grown support's key (its indices' bytes, as solve_bpdn
+    keys them) is added to tried, and nothing else the caller holds is
+    written. None also comes before any product when S0's live columns
+    outnumber the m rows, and at a singular Gram matrix or a failed phase
+    fit (_support_point).
     """
-    cols, pos, imag = _unit_columns(op, support)
-    mat = _real_view(cols.astype(y.dtype, copy=False)).T
-    m, p = mat.shape
-    if p > m:
+    y_real = _real_view(y)
+    if _column_count(op, support) > y_real.size:
         return None
+    forwards, start = _unit_forwards(op, support), a[support]
+    for grown in range(math.ceil(math.log2(support.size + 1)) + 1):
+        if grown:
+            violator = _largest_violator(op, b, point, rho, support, feasible)
+            if violator is None:
+                return None
+            k, g_k = violator
+            at = int(np.searchsorted(support, k))
+            support = np.insert(support, at, k)
+            if _column_count(op, support) > y_real.size:
+                return None
+            tried.add(support.tobytes())
+            forwards = np.concatenate(
+                (forwards[:at], _unit_forwards(op, support[at:at + 1]), forwards[at:]))
+            start = np.insert(start, at, g_k)
+        solved = _support_point(op, y, delta, forwards, support, start)
+        if solved is None:
+            return None
+        point, rho, feasible = solved
+        if not feasible:
+            continue
+        try:
+            cert, r = _certify(op, y, delta, point, b)
+        except InfeasibleCandidateError:
+            continue
+        gap_ok = cert.gap <= tol * max(1.0, op.coef_l1(point))
+        if gap_ok and cert.kkt <= tol and r - delta <= feas_tol:
+            return point, r - delta
+    return None
+
+
+def _support_point(
+    op: MeasurementOperator, y: np.ndarray, delta: float, forwards: np.ndarray,
+    support: np.ndarray, start: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """_polish's closed-form point on the support, its residual A x - y, and whether r_LS < delta.
+
+    The columns are B = _live_columns(forwards), p of them with m real rows
+    (2 per measurement when the measurements are complex), and G = B^T B.
+    It gives up (None) when G's smallest eigenvalue is at most m eps times
+    its largest, below the rounding of its m-term sums: a torus mirror pair,
+    k and -k both in a self-conjugate column, gives two equal columns. With
+    x_LS = G^-1 B^T y and r_LS = ||B x_LS - y||, the point is x_LS at
+    delta = 0 and when r_LS >= delta, where no point on the support is
+    feasible (the flag is then False). Else, with c_j = w_k times the part
+    of the phase of start_k that column j stands for, it minimizes c^T x on
+    ||B x - y|| <= delta, whose minimizer is x_LS - t G^-1 c with
+    t = sqrt((delta^2 - r_LS^2) / c^T G^-1 c), and gives up if c^T G^-1 c
+    <= 0. It then re-reads the phases from x and solves again, on the same
+    eigenvectors of G, while their largest change shrinks.
+    """
+    cols, pos, imag = _live_columns(forwards)
+    mat = _real_view(cols.astype(y.dtype, copy=False)).T
+    y_real = _real_view(y)
+    m, p = mat.shape
     lam, vec = np.linalg.eigh(mat.T @ mat)
     if lam[0] <= lam[-1] * m * np.finfo(float).eps:
         return None
-    y_real = _real_view(y)
     x = vec @ ((vec.T @ (mat.T @ y_real)) / lam)
+    feasible = True
     if delta > 0.0:
         r_ls = float(np.linalg.norm(mat @ x - y_real))
-        if r_ls >= delta:
-            return None
+        feasible = r_ls < delta
+    if delta > 0.0 and feasible:
         weights = np.ones(p) if op.weights is None else op.weights[support[pos]]
-        x_ls, values, change = x, a[support], math.inf
+        x_ls, values, change = x, start, math.inf
         phase = _parts(values / np.abs(values), pos, imag)
         while True:
             c = weights * phase
@@ -876,15 +977,39 @@ def _polish(
             if step == 0.0 or step >= change:
                 break
             phase, change = new, step
-    point = np.zeros_like(a)
+    point = np.zeros(op.shape[1], dtype=op.dtype)
     point[support] = _combine(op, x, pos, imag, support.size)
-    try:
-        cert, r = _certify(op, y, delta, point, b)
-    except InfeasibleCandidateError:
+    return point, (mat @ x - y_real).view(y.dtype), feasible
+
+
+def _largest_violator(
+    op: MeasurementOperator, b: np.ndarray | None, a: np.ndarray, rho: np.ndarray,
+    support: np.ndarray, feasible: bool,
+) -> tuple[int, complex] | None:
+    """The coefficient off the support whose dual correlation at a is largest, and that correlation.
+
+    With rho = A a - y, the correlation is g = A^H (-rho) (the dual vector
+    of certify times ||rho||): (b - A^H A a) from the normal product when b
+    = A^H y is given, else one adjoint. op.adjoint is the weighted adjoint,
+    so |g_k| is the unweighted correlation over w_k, and the KKT conditions
+    of the weighted l1 problem ask |g_k| <= |g_j| for every k off and j on
+    the support. The largest |g_k| off the support is returned if a is
+    infeasible on the support (OMP's step), else only if it exceeds the
+    largest |g_j| on it; None if it does not or if rho = 0.
+    """
+    if not np.any(rho):
         return None
-    if cert.gap <= tol * max(1.0, op.coef_l1(point)) and cert.kkt <= tol and r - delta <= feas_tol:
-        return point, r - delta
-    return None
+    if b is None or op.normal is None:
+        g = op.adjoint(-rho)
+    else:
+        g = b - op.normal(a, np.flatnonzero(a))
+    score = np.abs(g)
+    level = float(np.max(score[support])) if feasible else 0.0
+    score[support] = 0.0
+    k = int(np.argmax(score))
+    if score[k] <= level:
+        return None
+    return k, g[k]
 
 
 # ---------------------------------------------------------------------------

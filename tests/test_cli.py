@@ -5,9 +5,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from frkit import cli
+from frkit import sphere as sph
 from frkit import torus as tor
 from frkit.battery import TORUS_BATTERY
 from frkit.cli import RECOVERY_HEADER, main
@@ -594,6 +596,16 @@ class TestQuadratureCheck:
         outs = [run_python(code, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
                 for n in ("1", "2")]
         assert outs[0] == outs[1] and outs[0].count("\n") == 3
+
+    @pytest.mark.parametrize("bandwidth", [2, 9, 16])
+    def test_gram_is_symmetric_upper_triangle_of_full_product(self, bandwidth):
+        # L = 9 and 16 give 100 and 289 columns: one partial block, then several
+        rule = sph.build_quadrature(bandwidth)
+        mat = sph.basis_matrix(bandwidth, rule.theta, rule.phi)
+        gram = cli._quadrature_gram(mat, rule.weights)
+        assert np.array_equal(gram, gram.T)
+        full = np.einsum("ji,jk->ik", mat, rule.weights[:, None] * mat)
+        assert np.max(np.abs(gram - full)) <= 1e-15
 
     def test_repeated_size_gives_one_row(self, capsys):
         code, out, _ = run_cli(capsys, "quadrature-check", "--l", "2", "2")

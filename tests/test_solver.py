@@ -435,8 +435,10 @@ class TestRestarts:
 
 class TestPrimalWeight:
     @pytest.mark.parametrize("seed", range(6))
-    def test_sphere_solve_balances_steps(self, seed):
-        # with sigma = tau these trials take 805-925 iterations
+    def test_sphere_solve_balances_steps(self, seed, monkeypatch):
+        # with sigma = tau these trials take 805-925 iterations; the support
+        # polish ends most of them before the weight has climbed, so it is off
+        monkeypatch.setattr(solver, "_polish", lambda *args: None)
         signal = build_sphere_battery(16)["gauss_heat"]
         rep = recover_sphere(signal, 0.1, seed, c_univ=2**-6)
         assert rep.converged
@@ -546,19 +548,48 @@ def _sphere_bpdn_instance():
 
 
 def _spy_polish(monkeypatch, counted=None):
-    """(support size, products made, accepted) of every support polish from here on."""
-    attempts = []
-    polish = solver._polish
+    """(support size, products made, accepted, violator calls) of every support polish from here on.
+
+    The violator calls are those of _largest_violator within the attempt:
+    at most one per grown support, plus one that found none.
+    """
+    attempts, calls = [], []
+    polish, violator = solver._polish, solver._largest_violator
+
+    def spy_violator(*args):
+        calls.append(1)
+        return violator(*args)
 
     def spy(op, y, delta, a, support, *rest):
+        calls.clear()
         before = sum(counted.calls.values()) if counted else 0
         out = polish(op, y, delta, a, support, *rest)
         made = sum(counted.calls.values()) - before if counted else 0
-        attempts.append((support.size, made, out is not None))
+        attempts.append((support.size, made, out is not None, len(calls)))
         return out
 
     monkeypatch.setattr(solver, "_polish", spy)
+    monkeypatch.setattr(solver, "_largest_violator", spy_violator)
     return attempts
+
+
+class _Captured(Exception):
+    pass
+
+
+def _sphere_trial_problem(fn, bandwidth, seed):
+    """The operator, measurements and config of recover_sphere's solve at eps 0.1, C = 2^-6."""
+    captured = []
+
+    def capture(op, y, cfg):
+        captured.append((op, y, cfg))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "solve_bpdn", capture)
+        with pytest.raises(_Captured):
+            recover_sphere(build_sphere_battery(bandwidth)[fn], 0.1, seed, c_univ=2**-6)
+    return captured[0]
 
 
 class TestSupportPolish:
@@ -612,7 +643,7 @@ class TestSupportPolish:
     def _check_unpolished_is_bitwise(self, op, y, cfg, monkeypatch):
         attempts = _spy_polish(monkeypatch)
         got = solve_bpdn(op, y, cfg)
-        assert attempts and not any(ok for _, _, ok in attempts)
+        assert attempts and not any(ok for _, _, ok, _ in attempts)
         assert len(attempts) <= math.ceil(math.log2(got.iterations)) + 1
         monkeypatch.setattr(solver, "_polish", lambda *args: None)
         want = solve_bpdn(op, y, cfg)
@@ -635,6 +666,101 @@ class TestSupportPolish:
         field = np.repeat(np.cos(6 * np.pi * u)[:, None], 32, axis=1)
         op, y, cfg = self._torus_problem(field, 100, 3, 0.1)
         self._check_unpolished_is_bitwise(op, y, cfg, monkeypatch)
+
+
+class TestPolishGrowth:
+    """A refused polish grows its support by the largest dual violator and solves again."""
+
+    @pytest.mark.parametrize("bandwidth, seed", [(16, 1), (16, 2), (32, 1), (32, 2)])
+    def test_gauss_heat_certifies_within_20_iterations(self, bandwidth, seed, monkeypatch):
+        # without growth these solves take 70, 45, 120 and 60 iterations and
+        # end at the same support, signs and closed form, so at the same point
+        got = solve_bpdn(*_sphere_trial_problem("gauss_heat", bandwidth, seed))
+        assert got.converged and got.iterations <= 20
+        monkeypatch.setattr(solver, "_largest_violator", lambda *args: None)
+        want = solve_bpdn(*_sphere_trial_problem("gauss_heat", bandwidth, seed))
+        assert want.iterations > 40
+        assert np.array_equal(got.coefficients, want.coefficients)
+
+    def test_first_attempt_grows_through_both_refusals(self, monkeypatch):
+        # L = 32 gauss_heat, seed 1: no point on the first 10 coefficients is
+        # feasible; the certificate refuses 11 and 12, and accepts 13
+        solves, certified = [], []
+        support_point, certify_ = solver._support_point, solver._certify
+
+        def spy_point(op, y, delta, forwards, support, start):
+            out = support_point(op, y, delta, forwards, support, start)
+            solves.append((support.size, out[2]))
+            return out
+
+        def spy_certify(op, y, delta, a, b):
+            certified.append(np.count_nonzero(a))
+            return certify_(op, y, delta, a, b)
+
+        monkeypatch.setattr(solver, "_support_point", spy_point)
+        monkeypatch.setattr(solver, "_certify", spy_certify)
+        attempts = _spy_polish(monkeypatch)
+        op, y, cfg = _sphere_trial_problem("gauss_heat", 32, 1)
+        sol = solve_bpdn(op, y, cfg)
+        assert attempts == [(10, 0, True, 3)]
+        assert solves == [(10, False), (11, True), (12, True), (13, True)]
+        assert certified == [11, 12, 13]
+        assert np.count_nonzero(sol.coefficients) == 13
+        cert = certify(op, y, cfg.delta, sol.coefficients)
+        assert cert.gap <= cfg.tol * sol.objective and cert.kkt <= cfg.tol
+
+    def test_decay_alt_l64_makes_no_more_products(self, monkeypatch):
+        # without growth this solve takes 720 iterations and 1,917 products;
+        # inserting the grown columns, not redoing the others, keeps each
+        # attempt's unit forwards to its support's final size
+        def run():
+            op, y, cfg = _sphere_trial_problem("decay_alt", 64, 1)
+            counted = counting_operator(op)
+            attempts = _spy_polish(monkeypatch, counted)
+            return solve_bpdn(counted, y, cfg), sum(counted.calls.values()), attempts
+
+        got, made, attempts = run()
+        assert got.converged and any(calls for *_, calls in attempts)
+        for size, _, _, calls in attempts:
+            assert calls <= math.ceil(math.log2(size + 1))
+        monkeypatch.setattr(solver, "_largest_violator", lambda *args: None)
+        want, made_without, _ = run()
+        assert got.iterations < want.iterations and made <= made_without
+        assert np.array_equal(got.coefficients, want.coefficients)
+
+    @pytest.mark.parametrize("fn", ["gauss_heat", "mix5"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_additions_stay_under_the_log_cap(self, fn, seed, monkeypatch):
+        attempts = _spy_polish(monkeypatch)
+        sol = solve_bpdn(*_sphere_trial_problem(fn, 32, seed))
+        assert sol.converged and attempts
+        for size, _, _, calls in attempts:
+            assert calls <= math.ceil(math.log2(size + 1))
+
+    @pytest.mark.parametrize("setting", ["sphere", "torus", "complex"])
+    def test_support_that_cannot_fit_makes_no_product(self, setting):
+        # more live columns than real measurement rows: the Gram is singular,
+        # so the attempt gives up before its unit forwards
+        if setting == "sphere":
+            op = make_sphere_operator(draw_sphere_points(10, seed=4), 6)
+            support = np.arange(11)  # 11 real columns on 10 rows
+        elif setting == "torus":
+            op = make_torus_operator(draw_subset(8, 10, seed=4))
+            support = np.array([1, 2, 3, 6, 7, 8])  # weight 2 each: 12 columns on 10 rows
+        else:
+            mat, _, _, _ = random_bpdn_instance(7)
+            op = dense_operator(mat)
+            support = np.arange(13)  # 26 columns on 2 x 12 rows
+        rng = rng_from_seed(6)
+        a = np.zeros(op.shape[1], dtype=op.dtype)
+        a[support] = 1.0 + rng.random(support.size)
+        y = op.forward(a)
+        counted = counting_operator(op)
+        tried = set()
+        b = op.adjoint(y) if op.normal is not None else None
+        assert solver._column_count(op, support) > solver._real_view(y).size
+        assert solver._polish(counted, y, 0.1, a, support, b, 1e-8, 1e-8, tried) is None
+        assert sum(counted.calls.values()) == 0 and not tried
 
 
 class TestSolveBpdn:
@@ -695,22 +821,28 @@ class TestSolveBpdn:
         assert (rep.iterations, rep.converged) == (0, True)
         assert not np.any(rep.coefficients) and rep.rel_error == 1.0
 
-    @pytest.mark.parametrize("setting", ["torus", "sphere"])
+    @pytest.mark.parametrize("setting", ["torus", "sphere", "grown"])
     def test_two_products_per_iteration(self, setting, monkeypatch):
         if setting == "torus":
             sample, y, delta = _real_bpdn_instance(16, seed=7)
             op = make_torus_operator(sample)
-        else:
+        elif setting == "sphere":
             op, y, delta = _sphere_bpdn_instance()
+        else:  # its first attempt grows its support three times (TestPolishGrowth)
+            op, y, cfg = _sphere_trial_problem("gauss_heat", 32, 1)
+            delta = cfg.delta
         counted = counting_operator(op)
         attempts = _spy_polish(monkeypatch, counted)
         rep = solve_bpdn(counted, y, SolverConfig(delta=delta))
         assert rep.converged and rep.iterations > solver.CHECK_EVERY
         # a support polish makes one forward per unit direction on the support,
-        # then certify's forward and its adjoint or normal product
+        # then certify's forward and its adjoint or normal product; each search
+        # for a violator makes one adjoint or normal product, and each grown
+        # coefficient its unit forwards and certify's two products again
         units = 2 if op.dtype == np.complex128 else 1
-        own = [units * size + 2 for size, _, _ in attempts]
-        assert all(made <= bound for (_, made, _), bound in zip(attempts, own))
+        own = [units * size + 2 + calls * (1 + units + 2) for size, _, _, calls in attempts]
+        assert setting != "grown" or attempts[0][3] == 3
+        assert all(made <= bound for (_, made, _, _), bound in zip(attempts, own))
         assert sum(counted.calls.values()) <= 2 * rep.iterations + 2 + sum(own)
 
     def test_sphere_solve_takes_one_adjoint(self):
