@@ -372,14 +372,15 @@ def _sweep_rn_vs_logn(args, config_hash: str) -> int:
     return 0
 
 
-def _quadrature_gram(mat: np.ndarray, weights: np.ndarray, block: int = 64) -> np.ndarray:
+def _quadrature_gram(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The weighted Gram matrix mat^T diag(weights) mat, exactly symmetric.
 
     It is formed by einsum's own loops, not threaded BLAS, so its digits do
-    not move with the thread count, block rows at a time, each row from the
+    not move with the thread count, 64 rows at a time, each row from the
     diagonal on: only the upper triangle is summed, at about half the cost of
     the full product, and the strict lower triangle is copied from it.
     """
+    block = 64
     wmat = weights[:, None] * mat
     size = mat.shape[1]
     gram = np.empty((size, size))

@@ -63,7 +63,8 @@ new coefficient. When no point on S is feasible it always adds it, which
 is OMP's step; when the certificate fails it adds it only if it exceeds
 every correlation on S, which is FPC_AS's active-set correction. The
 attempt stops at the first accepted point, when no coefficient qualifies,
-when S would have more live columns than real measurement rows, or after
+when S would have more live columns than real measurement rows (counted
+without a product, from the directions A cannot map to zero), or after
 ceil(log2(|S0| + 1)) additions to its first support S0. Without that cap
 the L = 64 decay_alt trial of seed 1 (C = 2^-6), whose attempts start on
 78-99 coefficients, grows 118 times and its recover_sphere takes 1.56 s;
@@ -76,7 +77,8 @@ forward products (2|S0| for complex coefficients), an eigendecomposition
 of their p x p Gram matrix and certify's products: a forward and an
 adjoint (or normal) product, and at delta = 0 the unit forwards again for
 its least-squares dual. Each addition costs one adjoint (or normal)
-product for the correlations, the new coefficient's unit forwards (the
+product for the correlations unless certify has just formed them (it
+does for the residual direction), the new coefficient's unit forwards (the
 others are kept), a new eigendecomposition and certify's products again.
 It writes nothing the loop holds but the set of tried supports, to which
 each grown support is added, so a solve none of whose attempts is accepted
@@ -700,19 +702,28 @@ class Certificate:
     kkt: float
 
 
-def _column_count(op: MeasurementOperator, support: np.ndarray) -> int:
-    """How many unit columns _live_columns keeps on the support, read off dtype and weights.
+def _droppable(op: MeasurementOperator, support: np.ndarray) -> np.ndarray:
+    """The unit directions of _unit_forwards that A may map to zero, as a |S| x units mask.
 
-    A real operator has one per coefficient, a complex one two. On a half
-    spectrum the imaginary direction of a weight-1 (self-conjugate)
-    coefficient maps to zero and is dropped, so the count is exact there; on
-    an unweighted complex operator 2|S| is an upper bound.
+    Only the imaginary direction of a weight-1 coefficient of a half
+    spectrum can: A keeps the real part of w_k a_k times a phase, and for a
+    self-conjugate k (on the torus, k1 and k2 each 0 or N/2) that of i e_k
+    is 0 or rounding noise. A weight-1 coefficient whose mirror -k is stored
+    too has a live imaginary direction.
     """
-    if op.dtype == np.float64:
-        return support.size
-    if op.weights is None:
-        return 2 * support.size
-    return 2 * support.size - int(np.count_nonzero(op.weights[support] == 1.0))
+    mask = np.zeros((support.size, 1 if op.dtype == np.float64 else 2), dtype=bool)
+    if op.weights is not None and op.dtype == np.complex128:
+        mask[:, 1] = op.weights[support] == 1.0
+    return mask
+
+
+def _min_live_columns(op: MeasurementOperator, support: np.ndarray) -> int:
+    """The fewest columns _live_columns can keep on the support: those not _droppable.
+
+    It needs no product. More than the m real measurement rows make the
+    support's Gram matrix singular.
+    """
+    return int(np.count_nonzero(~_droppable(op, support)))
 
 
 def _unit_forwards(op: MeasurementOperator, support: np.ndarray) -> np.ndarray:
@@ -732,20 +743,20 @@ def _unit_forwards(op: MeasurementOperator, support: np.ndarray) -> np.ndarray:
     return np.array(cols).reshape(support.size, len(units), -1)
 
 
-def _live_columns(forwards: np.ndarray):
+def _live_columns(op: MeasurementOperator, support: np.ndarray, forwards: np.ndarray):
     """The columns of _unit_forwards that A does not map to zero, with their positions.
 
-    A column whose norm is at most eps max(m, p) times the largest (numpy's
-    matrix_rank tolerance, with p columns of length m) is dropped; on the
-    torus these are the imaginary directions of self-conjugate coefficients,
-    which the forward maps to 0 or to rounding noise. Returns the live
-    columns as the rows of a p x m array, and for each the position of its k
-    in the support and whether it is i e_k.
+    A _droppable column is dropped when its norm is at most eps max(m, p)
+    times the largest (numpy's matrix_rank tolerance, with p columns of
+    length m); every other column is kept. Returns the live columns as the
+    rows of a p x m array, and for each the position of its k in the
+    support and whether it is i e_k.
     """
     size, n_units, _ = forwards.shape
     cols = forwards.reshape(size * n_units, -1)
     norms = np.linalg.norm(cols, axis=1)
-    live = norms > norms.max() * max(cols.shape) * np.finfo(float).eps
+    live = ~_droppable(op, support).ravel() | (
+        norms > norms.max() * max(cols.shape) * np.finfo(float).eps)
     pos = np.repeat(np.arange(size), n_units)
     imag = np.tile(np.arange(n_units) == 1, size)
     return cols[live], pos[live], imag[live]
@@ -781,7 +792,7 @@ def _support_dual(op: MeasurementOperator, support: np.ndarray, phases: np.ndarr
     The fit is an SVD cut at numpy's lstsq tolerance, so nu lies in the span
     of the columns, nu = A v; v, supported on S, is returned beside it.
     """
-    cols, pos, imag = _live_columns(_unit_forwards(op, support))
+    cols, pos, imag = _live_columns(op, support, _unit_forwards(op, support))
     root_w = np.ones(pos.size) if op.weights is None else np.sqrt(op.weights[support[pos]])
     rows = cols / root_w[:, None]
     rhs = _parts(phases, pos, imag) * root_w
@@ -816,8 +827,8 @@ def certify(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray)
 
 def _certify(
     op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray, b: np.ndarray | None,
-) -> tuple[Certificate, float]:
-    """certify on checked data, and ||A a - y||.
+) -> tuple[Certificate, float, np.ndarray | None]:
+    """certify on checked data, ||A a - y||, and g if nu is the residual direction.
 
     Given b = A^H y, an operator with a normal product gives g from it and
     makes no adjoint: g = (b - A^H A a) / ||rho|| for the residual direction,
@@ -834,7 +845,7 @@ def _certify(
     mags = np.abs(a)
     amax = float(np.max(mags, initial=0.0))
     if amax == 0.0:
-        return Certificate(gap=0.0, kkt=0.0), r
+        return Certificate(gap=0.0, kkt=0.0), r, None
     obj = op.coef_l1(a)
     support = mags > KKT_SUPPORT_RTOL * amax
     phases = a[support] / mags[support]
@@ -849,9 +860,10 @@ def _certify(
         g = op.normal(v, np.flatnonzero(v))
     else:
         g = (b - op.normal(a, np.flatnonzero(a))) / r
+    residual_g = None if least_squares else g
     ginf = float(np.max(np.abs(g)))
     if ginf == 0.0:
-        return Certificate(gap=obj, kkt=1.0), r
+        return Certificate(gap=obj, kkt=1.0), r, residual_g
     dual = (float(np.vdot(nu, y).real) - delta * float(np.linalg.norm(nu))) / ginf
     if delta - r > KKT_FEAS_TOL * y_scale:  # inactive constraint
         kkt = 1.0
@@ -865,7 +877,7 @@ def _certify(
             float(np.max(np.abs(g[support] / ginf - phases))),
             abs(r - delta) / max(1.0, delta),
         )
-    return Certificate(gap=obj - max(dual, 0.0), kkt=kkt), r
+    return Certificate(gap=obj - max(dual, 0.0), kkt=kkt), r, residual_g
 
 
 def _polish(
@@ -880,30 +892,31 @@ def _polish(
     its KKT residual is <= tol and ||A x - y|| - delta <= feas_tol. A
     refused point grows S by _largest_violator's coefficient k and is solved
     again: k's unit forwards are inserted among S's, which are kept, and its
-    phase starts at that of its dual correlation. When r_LS >= delta this is
-    OMP's step; when the certificate fails, FPC_AS's active-set correction.
-    Growth stops, and None is returned, when no coefficient qualifies, when
-    the grown S would have more live columns (_column_count) than the m real
-    measurement rows, or after ceil(log2(|S0| + 1)) additions to the first
-    support S0. Each grown support's key (its indices' bytes, as solve_bpdn
-    keys them) is added to tried, and nothing else the caller holds is
-    written. None also comes before any product when S0's live columns
-    outnumber the m rows, and at a singular Gram matrix or a failed phase
-    fit (_support_point).
+    phase starts at that of its dual correlation, read off _certify's g when
+    it made one. When no point on S is feasible (r_LS >= delta, or _certify
+    raises) this is OMP's step; when the certificate fails, FPC_AS's
+    active-set correction. Growth stops, and None is returned, when no
+    coefficient qualifies, when the grown S has more columns that cannot be
+    dropped (_min_live_columns) than the m real measurement rows, or after
+    ceil(log2(|S0| + 1)) additions to the first support S0. Each grown
+    support's key (its indices' bytes, as solve_bpdn keys them) is added to
+    tried, and nothing else the caller holds is written. None also comes
+    before any product when S0 has more such columns than the m rows, and at
+    a singular Gram matrix or a failed phase fit (_support_point).
     """
     y_real = _real_view(y)
-    if _column_count(op, support) > y_real.size:
+    if _min_live_columns(op, support) > y_real.size:
         return None
     forwards, start = _unit_forwards(op, support), a[support]
     for grown in range(math.ceil(math.log2(support.size + 1)) + 1):
         if grown:
-            violator = _largest_violator(op, b, point, rho, support, feasible)
+            violator = _largest_violator(op, b, point, rho, g, support, feasible)
             if violator is None:
                 return None
             k, g_k = violator
             at = int(np.searchsorted(support, k))
             support = np.insert(support, at, k)
-            if _column_count(op, support) > y_real.size:
+            if _min_live_columns(op, support) > y_real.size:
                 return None
             tried.add(support.tobytes())
             forwards = np.concatenate(
@@ -913,11 +926,13 @@ def _polish(
         if solved is None:
             return None
         point, rho, feasible = solved
+        g = None
         if not feasible:
             continue
         try:
-            cert, r = _certify(op, y, delta, point, b)
+            cert, r, g = _certify(op, y, delta, point, b)
         except InfeasibleCandidateError:
+            feasible = False
             continue
         gap_ok = cert.gap <= tol * max(1.0, op.coef_l1(point))
         if gap_ok and cert.kkt <= tol and r - delta <= feas_tol:
@@ -931,21 +946,21 @@ def _support_point(
 ) -> tuple[np.ndarray, np.ndarray, bool] | None:
     """_polish's closed-form point on the support, its residual A x - y, and whether r_LS < delta.
 
-    The columns are B = _live_columns(forwards), p of them with m real rows
-    (2 per measurement when the measurements are complex), and G = B^T B.
-    It gives up (None) when G's smallest eigenvalue is at most m eps times
-    its largest, below the rounding of its m-term sums: a torus mirror pair,
-    k and -k both in a self-conjugate column, gives two equal columns. With
-    x_LS = G^-1 B^T y and r_LS = ||B x_LS - y||, the point is x_LS at
-    delta = 0 and when r_LS >= delta, where no point on the support is
-    feasible (the flag is then False). Else, with c_j = w_k times the part
+    The columns are B = _live_columns(op, support, forwards), p of them
+    with m real rows (2 per measurement when the measurements are complex),
+    and G = B^T B. It gives up (None) when G's smallest eigenvalue is at
+    most m eps times its largest, below the rounding of its m-term sums: a
+    torus mirror pair, k and -k both in a self-conjugate column, gives two
+    equal columns. With x_LS = G^-1 B^T y and r_LS = ||B x_LS - y||, the
+    point is x_LS at delta = 0 and when r_LS >= delta, where no point on the
+    support is feasible (the flag is then False). Else, with c_j = w_k times the part
     of the phase of start_k that column j stands for, it minimizes c^T x on
     ||B x - y|| <= delta, whose minimizer is x_LS - t G^-1 c with
     t = sqrt((delta^2 - r_LS^2) / c^T G^-1 c), and gives up if c^T G^-1 c
     <= 0. It then re-reads the phases from x and solves again, on the same
     eigenvectors of G, while their largest change shrinks.
     """
-    cols, pos, imag = _live_columns(forwards)
+    cols, pos, imag = _live_columns(op, support, forwards)
     mat = _real_view(cols.astype(y.dtype, copy=False)).T
     y_real = _real_view(y)
     m, p = mat.shape
@@ -984,24 +999,25 @@ def _support_point(
 
 def _largest_violator(
     op: MeasurementOperator, b: np.ndarray | None, a: np.ndarray, rho: np.ndarray,
-    support: np.ndarray, feasible: bool,
+    g: np.ndarray | None, support: np.ndarray, feasible: bool,
 ) -> tuple[int, complex] | None:
     """The coefficient off the support whose dual correlation at a is largest, and that correlation.
 
-    With rho = A a - y, the correlation is g = A^H (-rho) (the dual vector
-    of certify times ||rho||): (b - A^H A a) from the normal product when b
-    = A^H y is given, else one adjoint. op.adjoint is the weighted adjoint,
-    so |g_k| is the unweighted correlation over w_k, and the KKT conditions
-    of the weighted l1 problem ask |g_k| <= |g_j| for every k off and j on
-    the support. The largest |g_k| off the support is returned if a is
-    infeasible on the support (OMP's step), else only if it exceeds the
-    largest |g_j| on it; None if it does not or if rho = 0.
+    With rho = A a - y, the correlation g is A^H (-rho) or a positive
+    multiple of it: the g given, certify's dual vector A^H (-rho) / ||rho||,
+    when _certify made it for a; else b - A^H A a from the normal product
+    when b = A^H y is given, else one adjoint. op.adjoint is the weighted
+    adjoint, so |g_k| is the unweighted correlation over w_k, and the KKT
+    conditions of the weighted l1 problem ask |g_k| <= |g_j| for every k
+    off and j on the support. The largest |g_k| off the support is returned
+    if a is infeasible on the support (OMP's step), else only if it exceeds
+    the largest |g_j| on it; None if it does not or if rho = 0.
     """
     if not np.any(rho):
         return None
-    if b is None or op.normal is None:
+    if g is None and (b is None or op.normal is None):
         g = op.adjoint(-rho)
-    else:
+    elif g is None:
         g = b - op.normal(a, np.flatnonzero(a))
     score = np.abs(g)
     level = float(np.max(score[support])) if feasible else 0.0

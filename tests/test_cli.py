@@ -599,7 +599,7 @@ class TestQuadratureCheck:
 
     @pytest.mark.parametrize("bandwidth", [2, 9, 16])
     def test_gram_is_symmetric_upper_triangle_of_full_product(self, bandwidth):
-        # L = 9 and 16 give 100 and 289 columns: one partial block, then several
+        # 9, 100 and 289 columns: in 64-row blocks, one partial block, then several
         rule = sph.build_quadrature(bandwidth)
         mat = sph.basis_matrix(bandwidth, rule.theta, rule.phi)
         gram = cli._quadrature_gram(mat, rule.weights)

@@ -699,15 +699,36 @@ class TestPolishGrowth:
 
         monkeypatch.setattr(solver, "_support_point", spy_point)
         monkeypatch.setattr(solver, "_certify", spy_certify)
-        attempts = _spy_polish(monkeypatch)
         op, y, cfg = _sphere_trial_problem("gauss_heat", 32, 1)
-        sol = solve_bpdn(op, y, cfg)
-        assert attempts == [(10, 0, True, 3)]
+        counted = counting_operator(op)
+        attempts = _spy_polish(monkeypatch, counted)
+        sol = solve_bpdn(counted, y, cfg)
+        # 13 unit forwards, a normal product for the correlations at the
+        # infeasible point, and certify's two on 11, 12 and 13; the growth
+        # after each refused certificate takes certify's correlations
+        assert attempts == [(10, 20, True, 3)]
         assert solves == [(10, False), (11, True), (12, True), (13, True)]
         assert certified == [11, 12, 13]
         assert np.count_nonzero(sol.coefficients) == 13
         cert = certify(op, y, cfg.delta, sol.coefficients)
         assert cert.gap <= cfg.tol * sol.objective and cert.kkt <= cfg.tol
+
+    def test_exact_fit_grows_by_omp_steps(self, monkeypatch):
+        # delta = 0, a recover_sphere_exact.csv trial: the least-squares point
+        # on the check's 5 coefficients does not fit y, so certify raises and
+        # each addition is OMP's step, whatever the correlations on the support
+        steps = []
+        violator = solver._largest_violator
+
+        def spy(op, b, a, rho, g, support, feasible):
+            steps.append((support.size, feasible))
+            return violator(op, b, a, rho, g, support, feasible)
+
+        monkeypatch.setattr(solver, "_largest_violator", spy)
+        rep = recover_sphere(build_sphere_battery(8)["gauss_heat"], 0.1, 9867935573728242652,
+                             c_univ=2**-6, exact_fit=True)
+        assert rep.converged and rep.rel_error < 1e-12
+        assert steps == [(5, False), (6, False), (7, False)]
 
     def test_decay_alt_l64_makes_no_more_products(self, monkeypatch):
         # without growth this solve takes 720 iterations and 1,917 products;
@@ -738,6 +759,31 @@ class TestPolishGrowth:
             assert calls <= math.ceil(math.log2(size + 1))
 
     @pytest.mark.parametrize("setting", ["sphere", "torus", "complex"])
+    def test_only_droppable_directions_are_dropped(self, setting):
+        # _min_live_columns counts the directions that are not droppable, so
+        # it is the live count but for the droppable ones that stay live
+        if setting == "sphere":
+            op = make_sphere_operator(draw_sphere_points(40, seed=4), 6)
+            support, dropped = np.array([0, 3, 8, 20]), []
+        elif setting == "torus":
+            # half spectrum 8 x 5: (0, 0) and (0, 4) are self-conjugate; (1, 0)
+            # and (1, 4) have weight 1 too, but their mirrors are stored as well
+            op = make_torus_operator(draw_subset(8, 30, seed=4))
+            support, dropped = np.array([0, 1, 4, 5, 8, 9]), [(0, 1), (2, 1)]
+        else:
+            mat, _, _, _ = random_bpdn_instance(7)
+            op = dense_operator(mat)
+            support, dropped = np.arange(5), []
+        forwards = solver._unit_forwards(op, support)
+        cols, pos, imag = solver._live_columns(op, support, forwards)
+        live = np.zeros(forwards.shape[:2], dtype=bool)
+        live[pos, imag.astype(int)] = True
+        assert sorted(zip(*np.nonzero(~live))) == dropped
+        assert not np.any(~live & ~solver._droppable(op, support))
+        kept = 2 if setting == "torus" else 0  # (1, 0) and (1, 4)
+        assert solver._min_live_columns(op, support) == len(cols) - kept
+
+    @pytest.mark.parametrize("setting", ["sphere", "torus", "complex"])
     def test_support_that_cannot_fit_makes_no_product(self, setting):
         # more live columns than real measurement rows: the Gram is singular,
         # so the attempt gives up before its unit forwards
@@ -758,7 +804,7 @@ class TestPolishGrowth:
         counted = counting_operator(op)
         tried = set()
         b = op.adjoint(y) if op.normal is not None else None
-        assert solver._column_count(op, support) > solver._real_view(y).size
+        assert solver._min_live_columns(op, support) > solver._real_view(y).size
         assert solver._polish(counted, y, 0.1, a, support, b, 1e-8, 1e-8, tried) is None
         assert sum(counted.calls.values()) == 0 and not tried
 
@@ -837,7 +883,8 @@ class TestSolveBpdn:
         assert rep.converged and rep.iterations > solver.CHECK_EVERY
         # a support polish makes one forward per unit direction on the support,
         # then certify's forward and its adjoint or normal product; each search
-        # for a violator makes one adjoint or normal product, and each grown
+        # for a violator makes at most one adjoint or normal product (none
+        # when certify has formed the correlations), and each grown
         # coefficient its unit forwards and certify's two products again
         units = 2 if op.dtype == np.complex128 else 1
         own = [units * size + 2 + calls * (1 + units + 2) for size, _, _, calls in attempts]
