@@ -705,7 +705,7 @@ class TestPolishGrowth:
         sol = solve_bpdn(counted, y, cfg)
         # 13 unit forwards, a normal product for the correlations at the
         # infeasible point, and certify's two on 11, 12 and 13; the growth
-        # after each refused certificate takes certify's correlations
+        # after each refused certificate takes certify's dual vector
         assert attempts == [(10, 20, True, 3)]
         assert solves == [(10, False), (11, True), (12, True), (13, True)]
         assert certified == [11, 12, 13]
