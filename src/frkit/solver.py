@@ -43,49 +43,12 @@ scales with tau, at no product. A check then costs no product, which is why
 it runs every CHECK_EVERY = 5 iterations: a stop or a restart comes at most 4
 iterations late.
 
-A check has a second exit, the support polish (after FPC_AS: Wen, Yin,
-Goldfarb & Zhang, "A fast algorithm for sparse reconstruction based on
-shrinkage, subspace optimization and continuation", SIAM J. Sci. Comput.
-2010). Soft-thresholding reaches its final support long before the
-residual reaches tol: in the benchmark's cc_half, mix5 and gauss_heat
-solves (seeds 1-3), by iteration 3-67 of 65-335. So at a check whose
-support S is non-empty, equals the previous check's and has not been tried,
-_polish solves the problem restricted to S and to the iterate's phases in
-closed form, from the forward products of the unit directions on S, and the
-loop returns that point, converged, only if certify's gap is
-<= tol max(1, ||a||_1), its KKT residual <= tol and ||A a - y|| - delta
-<= tol max(1, ||y||). A refused solve does not end the attempt: it adds
-to S the coefficient whose dual correlation |(A^H rho)_k| at the refused
-point is largest off S (rho is the point's residual, and A^H the weighted
-adjoint, so this is the plain correlation over the weight w_k), and solves
-again, from the iterate's phases on S and the correlation's phase on the
-new coefficient. When no point on S is feasible it always adds it, which
-is OMP's step; when the certificate fails it adds it only if it exceeds
-every correlation on S, which is FPC_AS's active-set correction. The
-attempt stops at the first accepted point, when no coefficient qualifies,
-when S would have more live columns than real measurement rows (counted
-without a product, from the directions A cannot map to zero), or after
-ceil(log2(|S0| + 1)) additions to its first support S0. Without that cap
-the L = 64 decay_alt trial of seed 1 (C = 2^-6), whose attempts start on
-78-99 coefficients, grows 118 times and its recover_sphere takes 1.56 s;
-with it, 16 times and 0.50 s, against 0.74 s and 720 iterations without
-growth (best of 3, one core of a 2-core VM). In the benchmark's
-gauss_heat solves the check's support lacks 1-3 coefficients of the
-minimizer's, and growth ends 15 of the 16 of seeds 1-2 in 15-20
-iterations, against 40-190. An attempt costs |S0|
-forward products (2|S0| for complex coefficients), an eigendecomposition
-of their p x p Gram matrix and certify's products: a forward and an
-adjoint (or normal) product, and at delta = 0 the unit forwards again for
-its least-squares dual. Each addition costs one adjoint (or normal)
-product for the correlations unless certify has just formed them (it
-does for the residual direction), the new coefficient's unit forwards (the
-others are kept), a new eigendecomposition and certify's products again.
-It writes nothing the loop holds but the set of tried supports, to which
-each grown support is added, so a solve none of whose attempts is accepted
-is bit-identical to one without them. After a failed attempt the next
-waits until the iteration count has doubled, so failed attempts number at
-most ceil(log2(iterations)) + 1. The first check always restarts, so an accepted
-attempt comes after it and reports restarts >= 1.
+A check has a second exit, the support polish (after FPC_AS), which solves
+the problem restricted to a settled support in closed form, grows that
+support by its largest dual violator when certify refuses the point, and
+ends the solve only at a point certify accepts. _polish's docstring
+describes it in full: when it runs, what it accepts, how far it grows, what
+it costs and why a solve whose attempts all fail is unchanged by them.
 
 Only T allocates in the loop: a+, z+, the products' outputs, the carried
 arrays of T(x) and the temporaries of the expressions that form them. The
@@ -562,19 +525,12 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     Every CHECK_EVERY iterations the loop stops once the fixed-point residual
     of x is <= tol and T(x) is feasible, with ||A a+ - y|| - delta <=
     tol * max(1, ||y||), both from that step's fresh A a+. A check makes no
-    product but for the support polish of the module docstring: when the
-    support of a+ is that of the previous check, non-empty and not yet
-    tried, and the iterations have doubled since the last failed attempt,
-    _polish solves the problem on that support and a+'s phases in closed
-    form, at |S| or 2|S| forward products of unit directions plus those of
-    the certificate, and on a refusal grows the support by its largest dual
-    violator and solves again, adding each grown support to the tried
-    ones. Its point is returned, converged,
-    at that check's iterations, restarts and primal weight, only if certify
-    bounds its gap by tol max(1, ||a||_1) and its KKT residual by tol, and
-    it is feasible to the loop's own slack. Otherwise the loop goes on
-    unchanged, and it restarts from T(x) by the adaptive rule of the module
-    docstring. When delta >= ||y||, a = 0 is feasible and hence the
+    product but for the support polish (_polish): when the support of a+ is
+    that of the previous check, non-empty and not yet tried, and the
+    iterations have doubled since the last failed attempt, a point _polish
+    returns is returned, converged, at that check's iterations, restarts
+    and primal weight. Otherwise the loop goes on unchanged, and it
+    restarts from T(x) by the adaptive rule of the module docstring. When delta >= ||y||, a = 0 is feasible and hence the
     minimizer: it is returned at once, with iterations 0 and no product.
     Non-convergence is reported,
     not raised; the coefficients returned are then T(x) of the last step.
@@ -703,79 +659,53 @@ class Certificate:
 
 
 def _droppable(op: MeasurementOperator, support: np.ndarray) -> np.ndarray:
-    """The unit directions of _unit_forwards that A may map to zero, as a |S| x units mask.
+    """The unit directions of _unit_forwards that A may map to zero, as a flat mask in their order.
 
     Only the imaginary direction of a weight-1 coefficient of a half
     spectrum can: A keeps the real part of w_k a_k times a phase, and for a
     self-conjugate k (on the torus, k1 and k2 each 0 or N/2) that of i e_k
     is 0 or rounding noise. A weight-1 coefficient whose mirror -k is stored
-    too has a live imaginary direction.
+    too has a live imaginary direction. The directions that are not
+    droppable are the fewest _live_columns can keep, counted without a
+    product; more than the m real measurement rows make the Gram singular.
     """
-    mask = np.zeros((support.size, 1 if op.dtype == np.float64 else 2), dtype=bool)
-    if op.weights is not None and op.dtype == np.complex128:
-        mask[:, 1] = op.weights[support] == 1.0
+    complex_ = op.dtype == np.complex128
+    mask = np.zeros(support.size * (2 if complex_ else 1), dtype=bool)
+    if op.weights is not None and complex_:
+        mask[1::2] = op.weights[support] == 1.0
     return mask
 
 
-def _min_live_columns(op: MeasurementOperator, support: np.ndarray) -> int:
-    """The fewest columns _live_columns can keep on the support: those not _droppable.
-
-    It needs no product. More than the m real measurement rows make the
-    support's Gram matrix singular.
-    """
-    return int(np.count_nonzero(~_droppable(op, support)))
-
-
 def _unit_forwards(op: MeasurementOperator, support: np.ndarray) -> np.ndarray:
-    """A u for every unit direction u on the support: one forward product each.
+    """A u for every unit direction u on the support, one forward product each, as rows.
 
-    The directions are e_k, then i e_k when the coefficients are complex, for
-    each k in support; entry [j, i] is the product of k = support[j]'s i-th.
+    The directions are the entries of the float64 view of a[support], in
+    its order: e_k, then i e_k when the coefficients are complex, for each k
+    in support. Each is made by writing 1.0 into that view of one unit vector.
     """
-    units = (1.0, 1j) if op.dtype == np.complex128 else (1.0,)
     unit_vec = np.zeros(op.shape[1], dtype=op.dtype)
-    cols = []
+    flat = _real_view(unit_vec)
+    units = flat.size // unit_vec.size
+    rows = []
     for k in support:
-        for unit in units:
-            unit_vec[k] = unit
-            cols.append(op.forward(unit_vec, np.array([k])))
-        unit_vec[k] = 0.0
-    return np.array(cols).reshape(support.size, len(units), -1)
+        for j in range(units * k, units * (k + 1)):
+            flat[j] = 1.0
+            rows.append(op.forward(unit_vec, np.array([k])))
+            flat[j] = 0.0
+    return np.array(rows)
 
 
-def _live_columns(op: MeasurementOperator, support: np.ndarray, forwards: np.ndarray):
-    """The columns of _unit_forwards that A does not map to zero, with their positions.
+def _live_columns(op: MeasurementOperator, support: np.ndarray, forwards: np.ndarray) -> np.ndarray:
+    """The mask of the rows of _unit_forwards that A does not map to zero.
 
-    A _droppable column is dropped when its norm is at most eps max(m, p)
-    times the largest (numpy's matrix_rank tolerance, with p columns of
-    length m); every other column is kept. Returns the live columns as the
-    rows of a p x m array, and for each the position of its k in the
-    support and whether it is i e_k.
+    A _droppable row is dropped when its norm is at most eps max(m, p) times
+    the largest (numpy's matrix_rank tolerance, with p columns of length m);
+    every other row is kept. The live rows are the support's columns, and
+    the masked float64 view of a[support] their unknowns.
     """
-    size, n_units, _ = forwards.shape
-    cols = forwards.reshape(size * n_units, -1)
-    norms = np.linalg.norm(cols, axis=1)
-    live = ~_droppable(op, support).ravel() | (
-        norms > norms.max() * max(cols.shape) * np.finfo(float).eps)
-    pos = np.repeat(np.arange(size), n_units)
-    imag = np.tile(np.arange(n_units) == 1, size)
-    return cols[live], pos[live], imag[live]
-
-
-def _parts(values: np.ndarray, pos: np.ndarray, imag: np.ndarray) -> np.ndarray:
-    """The part of values[pos] that each unit column stands for: imaginary where imag, else real."""
-    picked = values[pos]
-    return np.where(imag, picked.imag, picked.real)
-
-
-def _combine(op: MeasurementOperator, x: np.ndarray, pos: np.ndarray, imag: np.ndarray,
-             size: int) -> np.ndarray:
-    """sum_j x_j u_j over the unit columns, as values on the size support entries."""
-    out = np.zeros(size, dtype=op.dtype)
-    out[pos[~imag]] = x[~imag]
-    if imag.any():
-        out.imag[pos[imag]] = x[imag]
-    return out
+    norms = np.linalg.norm(forwards, axis=1)
+    return ~_droppable(op, support) | (
+        norms > norms.max() * max(forwards.shape) * np.finfo(float).eps)
 
 
 def _real_view(v: np.ndarray) -> np.ndarray:
@@ -792,17 +722,20 @@ def _support_dual(op: MeasurementOperator, support: np.ndarray, phases: np.ndarr
     The fit is an SVD cut at numpy's lstsq tolerance, so nu lies in the span
     of the columns, nu = A v; v, supported on S, is returned beside it.
     """
-    cols, pos, imag = _live_columns(op, support, _unit_forwards(op, support))
-    root_w = np.ones(pos.size) if op.weights is None else np.sqrt(op.weights[support[pos]])
-    rows = cols / root_w[:, None]
-    rhs = _parts(phases, pos, imag) * root_w
+    forwards = _unit_forwards(op, support)
+    live = _live_columns(op, support, forwards)
+    root_w = np.ones(np.count_nonzero(live)) if op.weights is None else np.sqrt(
+        np.repeat(op.weights[support], live.size // support.size)[live])
+    rows = forwards[live] / root_w[:, None]
     # Re<c, nu> pairs the (re, im) entries of c with those of nu, as the float views do
     u, s, vt = np.linalg.svd(_real_view(rows), full_matrices=False)
     keep = s > s[0] * max(len(rows), vt.shape[1]) * np.finfo(float).eps
     u, s, vt = u[:, keep], s[keep], vt[keep]
-    fit = (u.T @ rhs) / s
+    fit = (u.T @ (_real_view(phases)[live] * root_w)) / s
     v = np.zeros(op.shape[1], dtype=op.dtype)
-    v[support] = _combine(op, u @ (fit / s) / root_w, pos, imag, support.size)
+    v_s = np.zeros(support.size, dtype=op.dtype)
+    _real_view(v_s)[live] = u @ (fit / s) / root_w
+    v[support] = v_s
     return (vt.T @ fit).view(rows.dtype), v
 
 
@@ -825,15 +758,30 @@ def certify(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray)
     return _certify(op, op.measurements(y), delta, op.coefficients(a), None)[0]
 
 
+def _correlation(
+    op: MeasurementOperator, b: np.ndarray | None, a: np.ndarray, rho: np.ndarray, r: float = 1.0,
+) -> np.ndarray:
+    """The dual correlation A^H (-rho) / r at a, with rho = A a - y.
+
+    Given b = A^H y, an operator with a normal product forms it as
+    (b - A^H A a) / r and makes no adjoint; otherwise it is the adjoint of
+    -rho / r. op.adjoint is the weighted adjoint, so |g_k| is the
+    unweighted correlation over w_k.
+    """
+    if b is None or op.normal is None:
+        return op.adjoint(-rho / r)
+    return (b - op.normal(a, np.flatnonzero(a))) / r
+
+
 def _certify(
     op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray, b: np.ndarray | None,
 ) -> tuple[Certificate, float, np.ndarray | None]:
     """certify on checked data, ||A a - y||, and g if nu is the residual direction.
 
-    Given b = A^H y, an operator with a normal product gives g from it and
-    makes no adjoint: g = (b - A^H A a) / ||rho|| for the residual direction,
-    A^H A v for the least-squares nu = A v. solve_bpdn passes its b, and its
-    Gram rows on the candidate's support are built by then.
+    g is _correlation's for the residual direction. For the least-squares
+    nu = A v it is A^H A v when b = A^H y is given and op has a normal
+    product, else A^H nu. solve_bpdn passes its b, and its Gram rows on the
+    candidate's support are built by then.
     """
     rho = op.forward(a) - y
     r = float(np.linalg.norm(rho))
@@ -852,14 +800,10 @@ def _certify(
     least_squares = delta == 0.0 or r == 0.0
     if least_squares:
         nu, v = _support_dual(op, np.flatnonzero(support), phases)
+        g = op.adjoint(nu) if b is None or op.normal is None else op.normal(v, np.flatnonzero(v))
     else:
         nu = -rho / r
-    if b is None or op.normal is None:
-        g = op.adjoint(nu)
-    elif least_squares:
-        g = op.normal(v, np.flatnonzero(v))
-    else:
-        g = (b - op.normal(a, np.flatnonzero(a))) / r
+        g = _correlation(op, b, a, rho, r)
     residual_g = None if least_squares else g
     ginf = float(np.max(np.abs(g)))
     if ginf == 0.0:
@@ -886,57 +830,94 @@ def _polish(
 ) -> tuple[np.ndarray, float] | None:
     """A certified minimizer on a's support, or on one grown from it, and its ||A x - y|| - delta.
 
-    Each solve is _support_point's closed form on the support S, with S's
-    phases started from a's. Its point is returned only if r_LS < delta (or
-    delta = 0), _certify does not raise, its gap is <= tol max(1, ||x||_1),
-    its KKT residual is <= tol and ||A x - y|| - delta <= feas_tol. A
-    refused point grows S by _largest_violator's coefficient k and is solved
-    again: k's unit forwards are inserted among S's, which are kept, and its
-    phase starts at that of its dual correlation, read off _certify's g when
-    it made one. When no point on S is feasible (r_LS >= delta, or _certify
-    raises) this is OMP's step; when the certificate fails, FPC_AS's
-    active-set correction. Growth stops, and None is returned, when no
-    coefficient qualifies, when the grown S has more columns that cannot be
-    dropped (_min_live_columns) than the m real measurement rows, or after
-    ceil(log2(|S0| + 1)) additions to the first support S0. Each grown
-    support's key (its indices' bytes, as solve_bpdn keys them) is added to
-    tried, and nothing else the caller holds is written. None also comes
-    before any product when S0 has more such columns than the m rows, and at
-    a singular Gram matrix or a failed phase fit (_support_point).
+    This is solve_bpdn's support polish (after FPC_AS: Wen, Yin, Goldfarb &
+    Zhang, "A fast algorithm for sparse reconstruction based on shrinkage,
+    subspace optimization and continuation", SIAM J. Sci. Comput. 2010).
+    Soft-thresholding reaches its final support long before the residual
+    reaches tol: in the benchmark's cc_half, mix5 and gauss_heat solves
+    (seeds 1-3), by iteration 3-67 of 65-335. So solve_bpdn calls it at a
+    check whose support S is non-empty, equals the previous check's and
+    has not been tried, with a its iterate and b = A^H y when it has one.
+
+    Each solve is _support_point's closed form on S and its phases, started
+    from a's. Its point is returned only if r_LS < delta (or delta = 0),
+    _certify does not raise, its gap is <= tol max(1, ||x||_1), its KKT
+    residual is <= tol and ||A x - y|| - delta <= feas_tol. A refused point
+    grows S by _largest_violator's coefficient k and is solved again: k's
+    unit forwards are inserted among S's, which are kept, and its phase
+    starts at that of its dual correlation g_k, g = A^H (-rho) at the
+    refused point, taken from _certify when it made it (its positive
+    multiple) and from _correlation otherwise. When no point on S is
+    feasible (r_LS >= delta, or _certify raises) this is OMP's step; when
+    the certificate fails, FPC_AS's active-set correction. A settled support
+    can still lack a few of the minimizer's coefficients: in the benchmark's
+    gauss_heat solves it lacks 1-3, and without growth their attempts are
+    refused until the iterate finds them.
+
+    Growth stops, and None is returned, when no coefficient qualifies, when
+    the refused point's residual is 0, when the grown S has more columns
+    that cannot be dropped (_droppable) than the m real measurement rows,
+    or after ceil(log2(|S0| + 1)) additions to the first support S0. The
+    cap keeps a refused attempt from growing one coefficient at a time to
+    the rows' limit: the L = 64 decay_alt trials start attempts on 78-99
+    coefficients, and uncapped growth added 118 of them in one solve and
+    made it slower than no growth at all; the cap leaves 16. None also
+    comes before any product when S0 has more such columns than the m
+    rows, and at a singular Gram matrix or a failed phase fit
+    (_support_point).
+
+    An attempt costs |S0| forward products (2|S0| for complex coefficients),
+    an eigendecomposition of their p x p Gram matrix and certify's
+    products: a forward and an adjoint (or normal) product, and at delta = 0
+    the unit forwards again for its least-squares dual. Each addition costs
+    one adjoint (or normal) product for the correlations unless certify has
+    just formed them (it does for the residual direction), the new
+    coefficient's unit forwards, a new eigendecomposition and certify's
+    products again. Each grown support's key (its indices' bytes, as
+    solve_bpdn keys them) is added to tried, and nothing else the caller
+    holds is written, so a solve none of whose attempts is accepted is
+    bit-identical to one without them. After a failed attempt solve_bpdn
+    makes the next only once the iteration count has doubled, so a solve
+    that no attempt can end, as on a field without a sparse spectrum, makes
+    at most ceil(log2(iterations)) + 1 of them. The first check always
+    restarts, so an accepted attempt comes after it and reports restarts >= 1.
     """
-    y_real = _real_view(y)
-    if _min_live_columns(op, support) > y_real.size:
+    m = _real_view(y).size
+    if np.count_nonzero(~_droppable(op, support)) > m:
         return None
     forwards, start = _unit_forwards(op, support), a[support]
+    units = len(forwards) // support.size
     for grown in range(math.ceil(math.log2(support.size + 1)) + 1):
         if grown:
-            violator = _largest_violator(op, b, point, rho, g, support, feasible)
-            if violator is None:
+            if g is None:
+                g = _correlation(op, b, point, rho)
+            k = _largest_violator(g, support, feasible)
+            if k is None:
                 return None
-            k, g_k = violator
             at = int(np.searchsorted(support, k))
             support = np.insert(support, at, k)
-            if _min_live_columns(op, support) > y_real.size:
+            if np.count_nonzero(~_droppable(op, support)) > m:
                 return None
             tried.add(support.tobytes())
-            forwards = np.concatenate(
-                (forwards[:at], _unit_forwards(op, support[at:at + 1]), forwards[at:]))
-            start = np.insert(start, at, g_k)
+            new = _unit_forwards(op, support[at:at + 1])
+            forwards = np.insert(forwards, units * at, new, axis=0)
+            start = np.insert(start, at, g[k])
         solved = _support_point(op, y, delta, forwards, support, start)
         if solved is None:
             return None
         point, rho, feasible = solved
         g = None
-        if not feasible:
-            continue
-        try:
-            cert, r, g = _certify(op, y, delta, point, b)
-        except InfeasibleCandidateError:
-            feasible = False
-            continue
-        gap_ok = cert.gap <= tol * max(1.0, op.coef_l1(point))
-        if gap_ok and cert.kkt <= tol and r - delta <= feas_tol:
-            return point, r - delta
+        if feasible:
+            try:
+                cert, r, g = _certify(op, y, delta, point, b)
+            except InfeasibleCandidateError:
+                feasible = False
+            else:
+                gap_ok = cert.gap <= tol * max(1.0, op.coef_l1(point))
+                if gap_ok and cert.kkt <= tol and r - delta <= feas_tol:
+                    return point, r - delta
+        if not np.any(rho):
+            return None
     return None
 
 
@@ -946,36 +927,40 @@ def _support_point(
 ) -> tuple[np.ndarray, np.ndarray, bool] | None:
     """_polish's closed-form point on the support, its residual A x - y, and whether r_LS < delta.
 
-    The columns are B = _live_columns(op, support, forwards), p of them
-    with m real rows (2 per measurement when the measurements are complex),
-    and G = B^T B. It gives up (None) when G's smallest eigenvalue is at
-    most m eps times its largest, below the rounding of its m-term sums: a
-    torus mirror pair, k and -k both in a self-conjugate column, gives two
-    equal columns. With x_LS = G^-1 B^T y and r_LS = ||B x_LS - y||, the
-    point is x_LS at delta = 0 and when r_LS >= delta, where no point on the
-    support is feasible (the flag is then False). Else, with c_j = w_k times the part
-    of the phase of start_k that column j stands for, it minimizes c^T x on
-    ||B x - y|| <= delta, whose minimizer is x_LS - t G^-1 c with
+    The columns are B, the rows of forwards that _live_columns keeps, p of
+    them with m real rows (2 per measurement when the measurements are
+    complex), and G = B^T B; x is the masked float64 view of the point on
+    the support, and the weight of each entry its coefficient's. It gives
+    up (None) when G's smallest eigenvalue is at most m eps times its
+    largest, below the rounding of its m-term sums: a torus mirror pair, k
+    and -k both in a self-conjugate column, gives two equal columns. With
+    x_LS = G^-1 B^T y and r_LS = ||B x_LS - y||, the point is x_LS at
+    delta = 0 and when r_LS >= delta, where no point on the support is
+    feasible (the flag is then False). Else, with c_j = w_k times the
+    matching entry of the float64 view of start's phases, it minimizes
+    c^T x on ||B x - y|| <= delta, whose minimizer is x_LS - t G^-1 c with
     t = sqrt((delta^2 - r_LS^2) / c^T G^-1 c), and gives up if c^T G^-1 c
     <= 0. It then re-reads the phases from x and solves again, on the same
     eigenvectors of G, while their largest change shrinks.
     """
-    cols, pos, imag = _live_columns(op, support, forwards)
-    mat = _real_view(cols.astype(y.dtype, copy=False)).T
+    live = _live_columns(op, support, forwards)
+    mat = _real_view(forwards[live].astype(y.dtype, copy=False)).T
     y_real = _real_view(y)
     m, p = mat.shape
     lam, vec = np.linalg.eigh(mat.T @ mat)
     if lam[0] <= lam[-1] * m * np.finfo(float).eps:
         return None
     x = vec @ ((vec.T @ (mat.T @ y_real)) / lam)
+    values = np.zeros(support.size, dtype=op.dtype)
     feasible = True
     if delta > 0.0:
         r_ls = float(np.linalg.norm(mat @ x - y_real))
         feasible = r_ls < delta
     if delta > 0.0 and feasible:
-        weights = np.ones(p) if op.weights is None else op.weights[support[pos]]
-        x_ls, values, change = x, start, math.inf
-        phase = _parts(values / np.abs(values), pos, imag)
+        weights = np.ones(p) if op.weights is None else np.repeat(
+            op.weights[support], live.size // support.size)[live]
+        x_ls, change = x, math.inf
+        phase = _real_view(start / np.abs(start))[live]
         while True:
             c = weights * phase
             g_c = vec @ ((vec.T @ c) / lam)  # G^-1 c
@@ -983,49 +968,36 @@ def _support_point(
             if c_g_c <= 0.0:
                 return None
             x = x_ls - math.sqrt((delta**2 - r_ls**2) / c_g_c) * g_c
-            values = _combine(op, x, pos, imag, support.size)
+            _real_view(values)[live] = x
             mags = np.abs(values)
             if not np.all(mags > 0.0):
                 break
-            new = _parts(values / mags, pos, imag)
+            new = _real_view(values / mags)[live]
             step = float(np.max(np.abs(new - phase)))
             if step == 0.0 or step >= change:
                 break
             phase, change = new, step
+    _real_view(values)[live] = x
     point = np.zeros(op.shape[1], dtype=op.dtype)
-    point[support] = _combine(op, x, pos, imag, support.size)
+    point[support] = values
     return point, (mat @ x - y_real).view(y.dtype), feasible
 
 
-def _largest_violator(
-    op: MeasurementOperator, b: np.ndarray | None, a: np.ndarray, rho: np.ndarray,
-    g: np.ndarray | None, support: np.ndarray, feasible: bool,
-) -> tuple[int, complex] | None:
-    """The coefficient off the support whose dual correlation at a is largest, and that correlation.
+def _largest_violator(g: np.ndarray, support: np.ndarray, feasible: bool) -> int | None:
+    """The coefficient off the support whose dual correlation |g_k| is largest, if it qualifies.
 
-    With rho = A a - y, the correlation g is A^H (-rho) or a positive
-    multiple of it: the g given, certify's dual vector A^H (-rho) / ||rho||,
-    when _certify made it for a; else b - A^H A a from the normal product
-    when b = A^H y is given, else one adjoint. op.adjoint is the weighted
-    adjoint, so |g_k| is the unweighted correlation over w_k, and the KKT
-    conditions of the weighted l1 problem ask |g_k| <= |g_j| for every k
-    off and j on the support. The largest |g_k| off the support is returned
-    if a is infeasible on the support (OMP's step), else only if it exceeds
-    the largest |g_j| on it; None if it does not or if rho = 0.
+    g is the dual correlation A^H (-rho) at a point on the support, or a
+    positive multiple of it. The KKT conditions of the weighted l1 problem
+    ask |g_k| <= |g_j| for every k off and j on the support. The largest
+    |g_k| off the support qualifies always if the point is infeasible on
+    the support (OMP's step), else only if it exceeds the largest |g_j| on
+    it (FPC_AS's active-set correction); None if it does not.
     """
-    if not np.any(rho):
-        return None
-    if g is None and (b is None or op.normal is None):
-        g = op.adjoint(-rho)
-    elif g is None:
-        g = b - op.normal(a, np.flatnonzero(a))
     score = np.abs(g)
     level = float(np.max(score[support])) if feasible else 0.0
     score[support] = 0.0
     k = int(np.argmax(score))
-    if score[k] <= level:
-        return None
-    return k, g[k]
+    return k if score[k] > level else None
 
 
 # ---------------------------------------------------------------------------

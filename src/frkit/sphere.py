@@ -39,9 +39,10 @@ shape, checked as a SampleMultiset checks its points. Both build the basis
 rows harmonic-major (one row of point values per harmonic), straight from
 the recurrence: degree l writes its cos rows l^2 + l .. l^2 + 2l and its sin
 rows l^2 .. l^2 + l - 1, two contiguous runs, with no table in between.
-basis_matrix returns the rows transposed, and synthesize multiplies each
-block of rows by the coefficients. Both work in chunks of points sized so
-that one basis block holds a fixed number of entries, which bounds their memory.
+Both take all the points in one pass. basis_matrix writes every degree into
+its own rows and returns the rows transposed. synthesize sums each degree's
+rows against its coefficients as the recurrence yields them, in one block of
+2L + 1 rows, so its memory is a few arrays of (L + 1) x npoints, not the basis.
 
 What depends on L only is built once per L and cached, read-only, for the
 last four bandwidths: the table positions' coefficient indices, and the
@@ -75,7 +76,6 @@ SPHERE_AREA = 4.0 * math.pi
 
 SPECTRAL_GRID = "spectral-grid"
 
-_BLOCK_ENTRIES = 1 << 20  # (lmax+1)^2 x points per basis block: 8 MB
 _CACHED_BANDWIDTHS = 4  # bandwidths whose index and norm tables stay built
 
 
@@ -274,25 +274,23 @@ def _ring_analysis(weighted: np.ndarray, table: np.ndarray, lmax: int) -> np.nda
     return coeffs
 
 
-def _point_chunks(size: int, lmax: int) -> list[slice]:
-    """Runs of scattered points whose basis block fits _BLOCK_ENTRIES."""
-    step = max(1, _BLOCK_ENTRIES // (lmax + 1) ** 2)
-    return [slice(start, start + step) for start in range(0, size, step)]
-
-
-def _fill_basis_rows(out: np.ndarray, lmax: int, theta: np.ndarray, phi: np.ndarray) -> None:
-    """Write the basis values into out, ((lmax+1)^2, npoints): one row per harmonic.
-
-    Degree l fills two contiguous runs of rows: cos rows l^2 + l + m for
-    m = 0..l, and sin rows l^2 + l - m, that is m = l..1 from row l^2.
-    """
+def _phase_factors(lmax: int, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(2) cos(m phi), 1 at m = 0, and sqrt(2) sin(m phi) for m = 0..lmax, one row per m."""
     m_phi = np.arange(lmax + 1)[:, None] * phi
     cos_m = math.sqrt(2.0) * np.cos(m_phi)
     cos_m[0] = 1.0
-    sin_m = math.sqrt(2.0) * np.sin(m_phi)
-    for l, p in _legendre_degrees(lmax, theta):
-        np.multiply(p, cos_m[: l + 1], out=out[l * l + l : l * l + 2 * l + 1])
-        np.multiply(p[:0:-1], sin_m[l:0:-1], out=out[l * l : l * l + l])
+    return cos_m, math.sqrt(2.0) * np.sin(m_phi)
+
+
+def _fill_degree_rows(out: np.ndarray, p: np.ndarray, cos_m: np.ndarray, sin_m: np.ndarray) -> None:
+    """Write degree l's 2l + 1 basis rows, harmonics l^2 .. l^2 + 2l, into out from its Legendre p.
+
+    p is _legendre_degrees' block of degree l = len(p) - 1. The sin rows
+    l^2 + l - m come first, m = l..1, then the cos rows l^2 + l + m, m = 0..l.
+    """
+    l = len(p) - 1
+    np.multiply(p, cos_m[: l + 1], out=out[l:])
+    np.multiply(p[:0:-1], sin_m[l:0:-1], out=out[:l])
 
 
 def _flat_points(theta, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -315,8 +313,9 @@ def basis_matrix(bandwidth: int, theta, phi) -> np.ndarray:
     """
     theta, phi = _flat_points(theta, phi)
     rows = np.empty(((bandwidth + 1) ** 2, theta.size))
-    for part in _point_chunks(theta.size, bandwidth):
-        _fill_basis_rows(rows[:, part], bandwidth, theta[part], phi[part])
+    cos_m, sin_m = _phase_factors(bandwidth, phi)
+    for l, p in _legendre_degrees(bandwidth, theta):
+        _fill_degree_rows(rows[l * l : (l + 1) ** 2], p, cos_m, sin_m)
     return rows.T
 
 
@@ -339,15 +338,21 @@ def analyze(values, rule: QuadratureRule, bandwidth: int) -> SphericalSignal:
 
 
 def synthesize(signal: SphericalSignal, theta, phi) -> np.ndarray:
-    """Pointwise expansion sum_{l,m} c_{l,m} Y_l^m(theta, phi) at points _flat_points checks."""
+    """Pointwise expansion sum_{l,m} c_{l,m} Y_l^m(theta, phi) at points _flat_points checks.
+
+    Each degree's rows are summed as the recurrence yields them, into one
+    block of 2L + 1 rows, so no more than that block is held.
+    """
     shape = np.shape(theta)
     theta, phi = _flat_points(theta, phi)
     lmax = signal.bandwidth
-    values = np.empty(theta.size)
-    for part in _point_chunks(theta.size, lmax):
-        rows = np.empty(((lmax + 1) ** 2, theta[part].size))
-        _fill_basis_rows(rows, lmax, theta[part], phi[part])
-        values[part] = signal.coeffs @ rows
+    values = np.zeros(theta.size)
+    block = np.empty((2 * lmax + 1, theta.size))
+    cos_m, sin_m = _phase_factors(lmax, phi)
+    for l, p in _legendre_degrees(lmax, theta):
+        rows = block[: 2 * l + 1]
+        _fill_degree_rows(rows, p, cos_m, sin_m)
+        values += signal.coeffs[l * l : (l + 1) ** 2] @ rows
     return values.reshape(shape)
 
 

@@ -28,7 +28,6 @@ from frkit.sphere import (
     QuadratureRule,
     SphereNormData,
     SphericalSignal,
-    _point_chunks,
     build_quadrature,
     laplacian,
 )
@@ -85,10 +84,13 @@ def legendre_table_m_major(lmax: int, theta: np.ndarray) -> np.ndarray:
     return table
 
 
+CHUNK_POINTS = 256  # points per table in basis_matrix_m_major, which bounds its memory
+
+
 def basis_matrix_m_major(bandwidth: int, theta, phi) -> np.ndarray:
-    """Dense (npoints, (L+1)^2) matrix of basis values: per point chunk, the
-    m-major table times the cos and sin factors, masked to l <= L and
-    scattered into the harmonic rows."""
+    """Dense (npoints, (L+1)^2) matrix of basis values: per chunk of CHUNK_POINTS
+    points, the m-major table times the cos and sin factors, masked to l <= L
+    and scattered into the harmonic rows."""
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
     m, d = np.ogrid[: bandwidth + 1, : bandwidth + 1]
@@ -96,7 +98,8 @@ def basis_matrix_m_major(bandwidth: int, theta, phi) -> np.ndarray:
     valid = l <= bandwidth
     i_cos, i_sin = (l * l + l + m)[valid], (l * l + l - m)[valid]
     rows = np.empty(((bandwidth + 1) ** 2, theta.size))
-    for part in _point_chunks(theta.size, bandwidth):
+    for start in range(0, theta.size, CHUNK_POINTS):
+        part = slice(start, start + CHUNK_POINTS)
         table = legendre_table_m_major(bandwidth, theta[part])
         m_phi = np.arange(bandwidth + 1)[:, None] * phi[part]
         cos_m = math.sqrt(2.0) * np.cos(m_phi)

@@ -720,9 +720,9 @@ class TestPolishGrowth:
         steps = []
         violator = solver._largest_violator
 
-        def spy(op, b, a, rho, g, support, feasible):
+        def spy(g, support, feasible):
             steps.append((support.size, feasible))
-            return violator(op, b, a, rho, g, support, feasible)
+            return violator(g, support, feasible)
 
         monkeypatch.setattr(solver, "_largest_violator", spy)
         rep = recover_sphere(build_sphere_battery(8)["gauss_heat"], 0.1, 9867935573728242652,
@@ -758,10 +758,49 @@ class TestPolishGrowth:
         for size, _, _, calls in attempts:
             assert calls <= math.ceil(math.log2(size + 1))
 
+    @pytest.mark.parametrize("setting, additions", [("sphere", 3), ("torus", 1), ("complex", 7)])
+    def test_grown_support_inserts_its_columns_in_order(self, setting, additions, monkeypatch):
+        # after each addition the kept unit forwards, with the new
+        # coefficient's inserted, are those rebuilt on the grown support, and
+        # the kept start phases do not move. Every grown attempt on the dense
+        # complex instance is refused, so a wrong insertion there would show
+        # only as a refusal
+        attempts = []
+        polish, support_point = solver._polish, solver._support_point
+
+        def spy_polish(*args):
+            attempts.append([])
+            return polish(*args)
+
+        def spy_point(op, y, delta, forwards, support, start):
+            attempts[-1].append((op, forwards, support, start))
+            return support_point(op, y, delta, forwards, support, start)
+
+        monkeypatch.setattr(solver, "_polish", spy_polish)
+        monkeypatch.setattr(solver, "_support_point", spy_point)
+        if setting == "sphere":
+            solve_bpdn(*_sphere_trial_problem("gauss_heat", 32, 1))
+        elif setting == "torus":
+            recover_torus(TORUS_BATTERY["cc_half"], 32, 0.1, 2846562751307321766,
+                          c_univ=2**-6, allow_uncertified=True)
+        else:
+            mat, y, delta, _ = random_bpdn_instance(7)
+            solve_bpdn(dense_operator(mat), y, SolverConfig(delta=delta))
+        grown = 0
+        for solves in attempts:
+            for (_, _, kept, kept_start), (op, forwards, support, start) in zip(solves, solves[1:]):
+                (at,) = np.flatnonzero(~np.isin(support, kept))
+                assert np.array_equal(np.delete(support, at), kept)
+                assert np.array_equal(np.delete(start, at), kept_start)
+                assert np.array_equal(forwards, solver._unit_forwards(op, support))
+                grown += 1
+        assert grown == additions
+
     @pytest.mark.parametrize("setting", ["sphere", "torus", "complex"])
     def test_only_droppable_directions_are_dropped(self, setting):
-        # _min_live_columns counts the directions that are not droppable, so
-        # it is the live count but for the droppable ones that stay live
+        # the polish's product-free column count is that of the directions
+        # that are not droppable: the live count but for the droppable ones
+        # that stay live
         if setting == "sphere":
             op = make_sphere_operator(draw_sphere_points(40, seed=4), 6)
             support, dropped = np.array([0, 3, 8, 20]), []
@@ -775,13 +814,14 @@ class TestPolishGrowth:
             op = dense_operator(mat)
             support, dropped = np.arange(5), []
         forwards = solver._unit_forwards(op, support)
-        cols, pos, imag = solver._live_columns(op, support, forwards)
-        live = np.zeros(forwards.shape[:2], dtype=bool)
-        live[pos, imag.astype(int)] = True
-        assert sorted(zip(*np.nonzero(~live))) == dropped
-        assert not np.any(~live & ~solver._droppable(op, support))
+        live = solver._live_columns(op, support, forwards)
+        assert live.shape == (len(forwards),)
+        # (position in the support, unit direction) of each dropped direction
+        assert sorted(zip(*np.nonzero(~live.reshape(support.size, -1)))) == dropped
+        droppable = solver._droppable(op, support)
+        assert not np.any(~live & ~droppable)
         kept = 2 if setting == "torus" else 0  # (1, 0) and (1, 4)
-        assert solver._min_live_columns(op, support) == len(cols) - kept
+        assert np.count_nonzero(~droppable) == np.count_nonzero(live) - kept
 
     @pytest.mark.parametrize("setting", ["sphere", "torus", "complex"])
     def test_support_that_cannot_fit_makes_no_product(self, setting):
@@ -804,7 +844,7 @@ class TestPolishGrowth:
         counted = counting_operator(op)
         tried = set()
         b = op.adjoint(y) if op.normal is not None else None
-        assert solver._min_live_columns(op, support) > solver._real_view(y).size
+        assert np.count_nonzero(~solver._droppable(op, support)) > solver._real_view(y).size
         assert solver._polish(counted, y, 0.1, a, support, b, 1e-8, 1e-8, tried) is None
         assert sum(counted.calls.values()) == 0 and not tried
 

@@ -460,8 +460,7 @@ class TestTransformCore:
         """Only the Legendre recurrence loops over orders or degrees.
 
         Its seed loop runs in m and its three-term step in l. Every other loop
-        in sphere.py runs over that recurrence's output, point chunks or a
-        literal tuple.
+        in sphere.py runs over that recurrence's output or a literal tuple.
         """
         tree = ast.parse(inspect.getsource(sph))
         loops = {}
@@ -473,14 +472,11 @@ class TestTransformCore:
                         loops.setdefault(fn.name, []).append(node)
         recurrence = loops.pop("_legendre_degrees")
         assert sorted(n.target.id for n in recurrence) == ["l", "m"]  # seed in m, steps in l
-        (chunking,) = loops.pop("_point_chunks")
-        assert ast.unparse(chunking.iter) == "range(0, size, step)"
         for nodes in loops.values():
             for node in nodes:
                 text = ast.unparse(node.iter)
                 assert isinstance(node.iter, ast.Tuple) or text.startswith(
-                    ("_point_chunks(", "_legendre_degrees(")
-                ), text
+                    "_legendre_degrees("), text
 
     def test_norms_l64_cpu_time(self):
         signal = build_sphere_battery(64)["gauss_heat"]
@@ -495,7 +491,7 @@ class TestDegreeMajorBuild:
 
     @pytest.mark.parametrize("bandwidth", (0, 1, 2, 32, 64))
     def test_basis_matrix_equals_m_major_product(self, bandwidth):
-        pts = draw_sphere_points(1200, seed=21)  # several point chunks at L = 64
+        pts = draw_sphere_points(1200, seed=21)  # several of the reference's point chunks
         got = basis_matrix(bandwidth, pts.theta, pts.phi)
         assert np.array_equal(got, ref.basis_matrix_m_major(bandwidth, pts.theta, pts.phi))
 
@@ -508,6 +504,18 @@ class TestDegreeMajorBuild:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * rows.nbytes
+
+    def test_synthesis_peak_memory(self):
+        # one degree's rows at a time: the whole basis would take 7.1 MiB
+        signal = build_sphere_battery(32)["gauss_heat"]
+        pts = draw_sphere_points(852, seed=1)
+        tracemalloc.start()
+        try:
+            synthesize(signal, pts.theta, pts.phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
 
 
 class TestNormTableCache:
