@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .sphere import SphericalSignal, lm_to_index
+from .sphere import SphericalSignal, check_bandwidth, lm_to_index
 from .torus import ANALYTIC, NormData, SmoothFunctionSpec, estimate_norms
 
 TWO_PI = 2.0 * math.pi
@@ -103,8 +102,7 @@ MIX5_TERMS = ((0, 0, 1.0), (1, 1, 0.6), (2, -1, 0.5), (3, 2, 0.4), (4, -3, 0.3))
 
 def build_sphere_battery(bandwidth: int) -> dict[str, SphericalSignal]:
     """Named bandlimited signals at the given bandwidth (>= 4 for the full set)."""
-    if bandwidth < 0:
-        raise DomainError(f"bandwidth must be >= 0, got {bandwidth}")
+    check_bandwidth(bandwidth)
     entries = {}
     dim = (bandwidth + 1) ** 2
 

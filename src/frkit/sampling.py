@@ -38,7 +38,9 @@ def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
 
     D is N^2 on the torus, whose caller clamps the size to the grid, and
     (L+1)^2 on the sphere, whose points are drawn with repetition. r, eps
-    and C must be finite, and so must the size they give.
+    and C must be finite, and so must the size they give. D must be an
+    integer >= 2 (is_integer), since ln 1 = 0 makes the size 0; a size
+    infinite at every D is refused as such first.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must be finite and lie in (0, 1/2), got {eps}")
@@ -47,7 +49,14 @@ def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
     if not 0.0 < c_univ < math.inf:
         raise DomainError(f"C must be finite and positive, got {c_univ}")
     try:
-        return math.ceil(c_univ * (r / eps) ** 2 * math.log(r / eps) ** 2 * math.log(dim))
+        factor = c_univ * (r / eps) ** 2 * math.log(r / eps) ** 2
+    except OverflowError:
+        factor = math.inf
+    if factor < math.inf and not (is_integer(dim) and dim >= 2):
+        raise DomainError(
+            f"the coefficient count D must be an integer >= 2 (ln D > 0), got D={dim!r}")
+    try:
+        return math.ceil(factor * math.log(dim))
     except (OverflowError, ValueError):  # the formula is infinite or NaN
         raise DomainError(f"sample size is not finite at C={c_univ}, r={r}, eps={eps}") from None
 

@@ -43,12 +43,14 @@ scales with tau, at no product. A check then costs no product, which is why
 it runs every CHECK_EVERY = 5 iterations: a stop or a restart comes at most 4
 iterations late.
 
-A check has a second exit, the support polish (after FPC_AS), which solves
-the problem restricted to a settled support in closed form, grows that
-support by its largest dual violator when certify refuses the point, and
-ends the solve only at a point certify accepts. _polish's docstring
-describes it in full: when it runs, what it accepts, how far it grows, what
-it costs and why a solve whose attempts all fail is unchanged by them.
+The loop is _pdhg, a generator that yields at each check and knows nothing
+else. solve_bpdn, a short driver over it, checks the data, takes the a = 0
+exit, forms b = A^H y and owns the second exit, the support polish (after
+FPC_AS): it solves the problem restricted to a settled support in closed
+form, grows that support by its largest dual violator when certify refuses
+the point, and ends the solve only at a point certify accepts. _polish's
+docstring describes it in full: when it runs, what it accepts, how far it
+grows, what it costs and why failed attempts leave a solve unchanged.
 
 Only T allocates in the loop: a+, z+, the products' outputs, the carried
 arrays of T(x) and the temporaries of the expressions that form them. The
@@ -76,10 +78,12 @@ so sigma * tau * ||A||^2 < 1 for every w > 0. w starts at 1 and changes only
 at a restart: with da and dz the primal and dual distances from the last
 restart point (zero at the start) to the new one, both > 0, it takes
 ln w <- theta ln(dz / da) + (1 - theta) ln w, theta = PRIMAL_WEIGHT_SMOOTHING.
-In recover_sphere's solves w climbs to 1-450 and they take about 4x fewer
-iterations than at w = 1; in recover_torus's, whose operator is a row
-restriction of a unitary map, it stays near 1 and the iterations move by 2%.
-PDLP's theta = 0.5 moves either count by under 3%.
+In the loop alone, recover_sphere's L = 16 gauss_heat solves (C = 2^-6,
+seeds 0-5) see w climb to 42-59 over 175-210 iterations, against 805-925 at
+w = 1; recover_torus's cc_half solves at N = 64 (C = 2^-8, seeds 1-4), whose
+operator is a row restriction of a unitary map, end at w = 1.1-3.2 over
+190-240, against 195-235. PDLP's theta = 0.5 takes 140-185 and 170-260
+iterations respectively.
 
 The sphere matrix, its measurements and its truth are real, so
 make_sphere_operator declares float64 coefficients and the whole sphere solve
@@ -186,13 +190,13 @@ class MeasurementOperator:
     real measurements; its adjoint is taken in the weighted inner product,
     Re<y, A a> = Re sum_i w_i conj((A^H y)_i) a_i, and norm_bound bounds
     ||A a|| by the weighted norm of a. normal, when given, maps a to
-    A^H A a; solve_bpdn then forms A^H z from it instead of calling adjoint.
+    A^H A a; the solver's loop then forms A^H z from it, not from adjoint.
 
     The forward and normal closures are called as f(a, nz) with nz always
     np.flatnonzero(a), so neither scans a for its nonzeros: forward(a) finds
-    the support once and forward(a, nz) hands nz through, and solve_bpdn
+    the support once and forward(a, nz) hands nz through, and the loop
     calls normal with the support that soft-thresholding has just decided.
-    adjoint must return a fresh array, since solve_bpdn writes into it.
+    adjoint must return a fresh array, since the loop writes into it.
     There is no matrix form: certify needs products only.
     norm_bound must be finite and >= 0 (DomainError). measurements and
     coefficients check a problem's data for solve_bpdn and certify alike.
@@ -505,7 +509,46 @@ def _soft_threshold(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _Solution:
-    """Restarted reflected Halpern PDHG for min ||a||_1 s.t. ||A a - y|| <= delta.
+    """min ||a||_1 s.t. ||A a - y|| <= delta: a driver over the loop _pdhg and the support polish.
+
+    op.measurements checks y: a wrong length or a non-finite norm is a
+    DataError. When delta >= ||y||, a = 0 is feasible and hence the
+    minimizer: it is returned at once, with iterations 0 and no product.
+    Else the driver forms b = A^H y when op has a normal product and reads
+    _pdhg's checks. At each but the last it calls _polish when the support
+    of a+ is that of the previous check, non-empty and not yet tried, and
+    the iterations have doubled since the last failed attempt; a point it
+    returns is returned, converged, with that check's iterations, restarts
+    and primal weight. Otherwise the loop's last check is returned,
+    converged or at max_iter: non-convergence is reported, not raised.
+    """
+    y = op.measurements(y)
+    y_norm = float(np.linalg.norm(y))
+    a, feas = np.zeros(op.shape[1], dtype=op.dtype), y_norm - cfg.delta  # ||A 0 - y|| - delta
+    if feas <= 0.0:
+        return _Solution(a, 0.0, feas, iterations=0, converged=True, restarts=0, primal_weight=1.0)
+    b = None if op.normal is None else op.adjoint(y)
+    feas_tol = cfg.tol * max(1.0, y_norm)
+    # the last check's support, the supports tried, the next attempt's least iteration
+    key_prev, tried, polish_from = None, set(), 0
+    for a, nz, feas, it, converged, restarts, weight in _pdhg(op, y, cfg, b):
+        if converged or it == cfg.max_iter:
+            break
+        key = nz.tobytes()
+        if it >= polish_from and nz.size and key == key_prev and key not in tried:
+            tried.add(key)
+            polished = _polish(op, y, cfg.delta, a, nz, b, cfg.tol, feas_tol, tried)
+            if polished is not None:
+                (a, feas), converged = polished, True
+                break
+            polish_from = 2 * it
+        key_prev = key
+    return _Solution(coefficients=a, objective=op.coef_l1(a), feasibility_residual=feas,
+                     iterations=it, converged=converged, restarts=restarts, primal_weight=weight)
+
+
+def _pdhg(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig, b: np.ndarray | None):
+    """Restarted reflected Halpern PDHG from a = 0, z = 0, yielding at each check.
 
     One PDHG step T maps x = (a, z) to a+ = soft(a - tau A^H z) and
     z+ = ball-prox(z + sigma (A (2 a+ - a) - y)), the shrink form of the
@@ -513,57 +556,34 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
     reflection 2T - I, x <- k/(k+1) (2T(x) - x) + 1/(k+1) x0 at the k-th step
     after the last restart point x0, and after a restart goes on from T(x).
     Step sizes are sigma = 0.99 w/L (dual) and tau = 0.99/(w L) (primal),
-    with L = op.norm_bound and w the primal weight of the module docstring,
-    returned as primal_weight. The iterates have op.dtype and the operator's
-    layout, and their norms and objective are op.coef_norm / op.coef_l1.
+    with L = op.norm_bound, read nowhere else in a solve, and w the primal
+    weight of the module docstring. It carries the prox inputs (module
+    docstring), so a step makes one forward and one adjoint product, or a
+    normal product in place of the adjoint when op.normal is set and
+    b = A^H y is given. The iterates have op.dtype and the operator's layout.
 
-    The loop carries the prox inputs s = z - sigma A a and u = a - tau A^H z
-    instead of a and z (module docstring), so each step makes one forward
-    and one adjoint product. When op.normal is set, the step takes it in
-    place of the adjoint, and the solve makes one adjoint product in all,
-    b = A^H y, with r = A^H s carried beside s and u.
-    Every CHECK_EVERY iterations the loop stops once the fixed-point residual
-    of x is <= tol and T(x) is feasible, with ||A a+ - y|| - delta <=
-    tol * max(1, ||y||), both from that step's fresh A a+. A check makes no
-    product but for the support polish (_polish): when the support of a+ is
-    that of the previous check, non-empty and not yet tried, and the
-    iterations have doubled since the last failed attempt, a point _polish
-    returns is returned, converged, at that check's iterations, restarts
-    and primal weight. Otherwise the loop goes on unchanged, and it
-    restarts from T(x) by the adaptive rule of the module docstring. When delta >= ||y||, a = 0 is feasible and hence the
-    minimizer: it is returned at once, with iterations 0 and no product.
-    Non-convergence is reported,
-    not raised; the coefficients returned are then T(x) of the last step.
-    op.measurements checks y: a wrong length or a non-finite norm is a DataError.
+    Every CHECK_EVERY iterations and at cfg.max_iter it yields (a+, its
+    support, ||A a+ - y|| - delta, iterations, converged, restarts, primal
+    weight), converged once the fixed-point residual of x is <= tol and
+    ||A a+ - y|| - delta <= tol max(1, ||y||), both from that step's A a+.
+    A check makes no product, and no yielded a+ is written. The loop returns
+    after a converged check or the one at max_iter, and otherwise restarts
+    from T(x) by the adaptive rule of the module docstring.
     """
-    y = op.measurements(y)
-    n_meas, n_coef = op.shape
     delta = cfg.delta
-    y_norm = float(np.linalg.norm(y))
-    a_t = np.zeros(n_coef, dtype=op.dtype)
-    feas = y_norm - delta  # ||A 0 - y|| - delta
-    if feas <= 0.0:
-        return _Solution(coefficients=a_t, objective=0.0, feasibility_residual=feas,
-                         iterations=0, converged=True, restarts=0, primal_weight=1.0)
     eta = 0.99 / max(op.norm_bound, 1e-12)
     weight = 1.0  # primal weight: sigma = eta * weight, tau = eta / weight
     sigma = tau = eta
-
     normal = op.normal
-    b = None if normal is None else op.adjoint(y)
     # the carried arrays at a = 0, z = 0
-    x = (np.zeros(n_meas, dtype=y.dtype), np.zeros(n_coef, dtype=op.dtype))
+    x = (np.zeros(op.shape[0], dtype=y.dtype), np.zeros(op.shape[1], dtype=op.dtype))
     if normal is not None:
         x += (np.zeros_like(b),)
-    anchor = (a_t, x[0], x)  # the last restart point a, z and its carried arrays
+    anchor = (x[1], x[0], x)  # the last restart point a = u = 0, z = s = 0 and its carried arrays
     scratch = tuple(np.empty_like(c) for c in x)  # (1 - lam) c0 of each Halpern step
     res_restart = res_prev = math.inf  # residual at the last restart / last check
     last_restart = restarts = 0
-    feas_tol = cfg.tol * max(1.0, y_norm)
-    converged, it = False, 0
-    # support polish: the previous check's support, the supports tried, and the
-    # iteration before which no attempt is made (twice that of the last failure)
-    key_prev, tried, polish_from = None, set(), 0
+    feas_tol = cfg.tol * max(1.0, float(np.linalg.norm(y)))
 
     for it in range(1, cfg.max_iter + 1):
         # T(x) from the prox inputs s and u: one forward product, and one adjoint
@@ -589,20 +609,9 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
             res = (p_res + d_res) / max(1.0, op.coef_norm(a_t), float(np.linalg.norm(z_t)))
             feas = float(np.linalg.norm(f_t - y)) - delta  # f_t is A a_t, made this step
             converged = res <= cfg.tol and feas <= feas_tol
+            yield a_t, nz, feas, it, converged, restarts, weight
             if converged or it == cfg.max_iter:
-                break
-            key = nz.tobytes()
-            if it >= polish_from and nz.size and key == key_prev and key not in tried:
-                tried.add(key)
-                polished = _polish(op, y, delta, a_t, nz, b, cfg.tol, feas_tol, tried)
-                if polished is not None:
-                    a_p, feas_p = polished
-                    return _Solution(
-                        coefficients=a_p, objective=op.coef_l1(a_p), feasibility_residual=feas_p,
-                        iterations=it, converged=True, restarts=restarts, primal_weight=weight,
-                    )
-                polish_from = 2 * it
-            key_prev = key
+                return
             restart = (
                 res <= RESTART_SUFFICIENT * res_restart
                 or (res <= RESTART_NECESSARY * res_restart and res > res_prev)
@@ -638,16 +647,6 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
             np.multiply(1.0 - lam, c0, out=w)
             np.add(t, w, out=t)
         x = x_t
-
-    return _Solution(
-        coefficients=a_t,
-        objective=op.coef_l1(a_t),
-        feasibility_residual=feas,
-        iterations=it,
-        converged=converged,
-        restarts=restarts,
-        primal_weight=weight,
-    )
 
 
 @dataclass(frozen=True)
@@ -835,9 +834,10 @@ def _polish(
     subspace optimization and continuation", SIAM J. Sci. Comput. 2010).
     Soft-thresholding reaches its final support long before the residual
     reaches tol: in the benchmark's cc_half, mix5 and gauss_heat solves
-    (seeds 1-3), by iteration 3-67 of 65-335. So solve_bpdn calls it at a
-    check whose support S is non-empty, equals the previous check's and
-    has not been tried, with a its iterate and b = A^H y when it has one.
+    (seeds 1-3), by iteration 3-67 of 65-335. So the driver, not the loop
+    _pdhg, calls it at a check whose support S is non-empty, equals the
+    previous check's and has not been tried, with a that check's a+ and
+    b = A^H y when it has one.
 
     Each solve is _support_point's closed form on S and its phases, started
     from a's. Its point is returned only if r_LS < delta (or delta = 0),

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DomainError, StructuralError
-from .sampling import check_sphere_points
+from .sampling import check_sphere_points, is_integer
 from .spectral import FrBoundReport, FrCheck, fourier_ratio
 
 C0_SPHERE = 48.0 * math.sqrt(math.pi)
@@ -88,6 +88,12 @@ def degrees_for_indices(count: int) -> np.ndarray:
     return np.floor(np.sqrt(np.arange(count) + 0.5)).astype(np.int64)
 
 
+def check_bandwidth(bandwidth, least: int = 0) -> None:
+    """DomainError unless the bandwidth L is an integer >= least (sampling.is_integer)."""
+    if not is_integer(bandwidth) or bandwidth < least:
+        raise DomainError(f"bandwidth must be >= {least} and an integer, got {bandwidth!r}")
+
+
 @dataclass(frozen=True)
 class SphericalSignal:
     """Bandlimited function on S^2 via real orthonormal harmonic coefficients."""
@@ -96,8 +102,7 @@ class SphericalSignal:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.bandwidth < 0:
-            raise DomainError(f"bandwidth must be >= 0, got {self.bandwidth}")
+        check_bandwidth(self.bandwidth)
         coeffs = np.asarray(self.coeffs)
         if np.iscomplexobj(coeffs):
             if np.any(coeffs.imag != 0.0):
@@ -169,8 +174,7 @@ class QuadratureRule:
 
 def build_quadrature(bandwidth: int) -> QuadratureRule:
     """Gauss-Legendre x equiangular product rule, exact for degree <= 2L."""
-    if bandwidth < 1:
-        raise DomainError(f"bandwidth must be >= 1, got {bandwidth}")
+    check_bandwidth(bandwidth, 1)
     nodes, gl_weights = np.polynomial.legendre.leggauss(bandwidth + 1)
     n_phi = 2 * bandwidth + 1
     return QuadratureRule(np.arccos(nodes), gl_weights * (2.0 * np.pi / n_phi), n_phi,
@@ -309,8 +313,9 @@ def basis_matrix(bandwidth: int, theta, phi) -> np.ndarray:
     It is built harmonic-major, one C-contiguous row of point values per
     harmonic, and returned as that array's transpose, a view: its .T is the
     ((L+1)^2, npoints) row array itself, with no copy. The points are
-    checked as _flat_points checks them.
+    checked as _flat_points checks them, and L by check_bandwidth.
     """
+    check_bandwidth(bandwidth)
     theta, phi = _flat_points(theta, phi)
     rows = np.empty(((bandwidth + 1) ** 2, theta.size))
     cos_m, sin_m = _phase_factors(bandwidth, phi)
@@ -325,7 +330,8 @@ def analyze(values, rule: QuadratureRule, bandwidth: int) -> SphericalSignal:
     values holds g at the rule's nodes, ring-major. For input bandlimited to
     the rule's exactness these coincide with the continuous coefficients.
     """
-    if bandwidth < 0 or 2 * bandwidth > rule.exactness_degree:
+    check_bandwidth(bandwidth)
+    if 2 * bandwidth > rule.exactness_degree:
         raise DomainError(
             f"rule exact to degree {rule.exactness_degree} cannot analyze bandwidth {bandwidth}"
         )
@@ -441,6 +447,7 @@ def estimate_sphere_norms(signal: SphericalSignal) -> SphereNormData:
 
 def compute_rl(norms: SphereNormData, bandwidth: int) -> FrBoundReport:
     """A_L, B_L and C_L with C0 = C0_SPHERE; certified is None, as r_L needs no hypothesis."""
+    check_bandwidth(bandwidth)
     if bandwidth < 2:
         raise DomainError(
             f"bandwidth must be >= 2 (log L degenerates at L < 2), got {bandwidth}"

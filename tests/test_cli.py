@@ -552,6 +552,23 @@ def test_overflowing_sample_size_is_config_error_and_sweep_error_row(capsys):
     assert rows[1][header.index("sample_size")] == ""
 
 
+
+def test_one_coefficient_is_config_error_and_sweep_error_row(capsys):
+    # L = 0 holds one harmonic, and ln 1 = 0 made the sample size 0, which
+    # the point sampler refused with a message about the point count
+    base = ["--setting", "sphere", "--fn", "y00", "--eps", "0.1"]
+    message = "the coefficient count D must be an integer >= 2 (ln D > 0), got D=1"
+    code, out, err = run_cli(capsys, "recover", *base, "--l", "0")
+    assert code == 1
+    assert f"config error: {message}" in err
+    assert out == ""
+    code, out, err = run_cli(capsys, "sweep", *base, "--l", "0", "1", "--c-univ", "0.005")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    status = [r[header.index("status")] for r in rows]
+    assert status == [f"error: {message}", "ok"]
+    assert rows[0][header.index("sample_size")] == ""
+
 def test_sweep_runs_a_repeated_grid_value_once(capsys):
     base = ["sweep", "--fn", "const1", "--n", "8", "--allow-uncertified", "--trials", "2"]
     code, out, err = run_cli(capsys, *base, "--eps", "0.1", "--c-univ", "1")

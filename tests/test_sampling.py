@@ -130,6 +130,17 @@ class TestSampleSize:
             sample_size(**args)
 
 
+    @pytest.mark.parametrize("dim", [1, 0, -4, 2.5, True])
+    def test_fewer_than_two_coefficients_rejected(self, dim):
+        # ln 1 = 0: unchecked, D = 1 and True gave a size of 0, D <= 0 failed
+        # as a size that is not finite, and D = 2.5 was taken
+        with pytest.raises(DomainError, match=rf"D must be an integer >= 2.*got D={dim!r}$"):
+            sample_size(2.0, 0.1, dim, 1.0)
+
+    def test_two_coefficients_give_the_formula(self):
+        assert sample_size(2.0, 0.1, 2, 1.0) == math.ceil(400 * math.log(20) ** 2 * math.log(2))
+
+
 class TestSeeds:
     def test_spawn_deterministic(self):
         assert spawn_seeds(5, 10) == spawn_seeds(5, 10)

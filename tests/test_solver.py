@@ -1,5 +1,7 @@
+import ast
 import copy
 import dataclasses
+import inspect
 import math
 from itertools import combinations
 
@@ -336,17 +338,57 @@ class TestHalfSpectrumTorus:
             solve_bpdn(op, np.full(9, 1j), SolverConfig(delta=0.0))
 
 
+class _Captured(Exception):
+    pass
+
+
+def _trial_problem(recover, *args, **kwargs):
+    """The operator, measurements and config of the one solve that recover makes."""
+    captured = []
+
+    def capture(op, y, cfg):
+        captured.append((op, y, cfg))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "solve_bpdn", capture)
+        with pytest.raises(_Captured):
+            recover(*args, **kwargs)
+    return captured[0]
+
+
+def _sphere_trial_problem(fn, bandwidth, seed):
+    """recover_sphere's problem at eps 0.1, C = 2^-6."""
+    return _trial_problem(recover_sphere, build_sphere_battery(bandwidth)[fn], 0.1, seed,
+                          c_univ=2**-6)
+
+
+def _torus_trial_problem(seed):
+    """recover_torus's problem on cc_half at N = 64, eps 0.1, C = 2^-8."""
+    return _trial_problem(recover_torus, TORUS_BATTERY["cc_half"], 64, 0.1, seed, c_univ=2**-8,
+                          allow_uncertified=True)
+
+
+def _loop_checks(op, y, cfg):
+    """Every check _pdhg yields on solve_bpdn's problem: the loop alone, without the polish.
+
+    Each is (a+, its support, ||A a+ - y|| - delta, iterations, converged,
+    restarts, primal weight).
+    """
+    y = op.measurements(y)
+    return list(solver._pdhg(op, y, cfg, None if op.normal is None else op.adjoint(y)))
+
+
 class TestRestarts:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_restarts_cut_iterations_on_torus(self, seed):
         # without restarts these trials do not reach tol in 50,000 iterations;
-        # with them they take 190-240
-        rep = recover_torus(
-            TORUS_BATTERY["cc_half"], 64, 0.1, seed, c_univ=2**-8, allow_uncertified=True
-        )
-        assert rep.converged
-        assert rep.restarts >= 1
-        assert rep.iterations <= 400
+        # with them the loop takes 190-240
+        problem = _torus_trial_problem(seed)
+        *_, (_, _, _, iterations, converged, restarts, _) = _loop_checks(*problem)
+        assert converged
+        assert restarts >= 1
+        assert iterations <= 400
 
     def test_restarted_half_spectrum_solve_reaches_minimizer(self):
         sample, y, delta = _real_bpdn_instance(8, seed=5)
@@ -435,15 +477,15 @@ class TestRestarts:
 
 class TestPrimalWeight:
     @pytest.mark.parametrize("seed", range(6))
-    def test_sphere_solve_balances_steps(self, seed, monkeypatch):
-        # with sigma = tau these trials take 805-925 iterations; the support
-        # polish ends most of them before the weight has climbed, so it is off
-        monkeypatch.setattr(solver, "_polish", lambda *args: None)
-        signal = build_sphere_battery(16)["gauss_heat"]
-        rep = recover_sphere(signal, 0.1, seed, c_univ=2**-6)
-        assert rep.converged
-        assert rep.iterations <= 300
-        assert rep.primal_weight > 1.0
+    def test_sphere_solve_balances_steps(self, seed):
+        # with sigma = tau the loop takes 805-925 iterations on these trials;
+        # the support polish ends their solves before the weight has climbed,
+        # so this runs the loop alone
+        *_, (_, _, _, iterations, converged, _, weight) = _loop_checks(
+            *_sphere_trial_problem("gauss_heat", 16, seed))
+        assert converged
+        assert iterations <= 300
+        assert weight > 1.0
 
     def test_dense_instances_converge_fast(self):
         # with sigma = tau seed 1 takes 48,305 iterations
@@ -468,6 +510,68 @@ class TestPrimalWeight:
         rep = solve_bpdn(dense_operator(mat), y, cfg)
         assert rep.restarts >= 1 and not np.any(rep.coefficients)
         assert rep.primal_weight == 1.0
+
+
+class TestPdhgLoop:
+    """_pdhg alone: when it yields, what it multiplies, and what it does not know."""
+
+    @staticmethod
+    def _problems():
+        mat, y, delta, _ = random_bpdn_instance(7)
+        return {"torus": _torus_trial_problem(1),
+                "sphere": _sphere_trial_problem("gauss_heat", 16, 1),
+                "complex": (dense_operator(mat), y, SolverConfig(delta=delta))}
+
+    @pytest.mark.parametrize("max_iter", [50_000, 12, 5, 1])
+    def test_yields_at_checks_and_ends_at_the_last(self, max_iter):
+        for setting, (op, y, cfg) in self._problems().items():
+            checks = _loop_checks(op, y, dataclasses.replace(cfg, max_iter=max_iter))
+            its = [it for _, _, _, it, _, _, _ in checks]
+            done = [converged for _, _, _, _, converged, _, _ in checks]
+            last = its[-1]
+            assert its[:-1] == list(range(solver.CHECK_EVERY, last, solver.CHECK_EVERY)), setting
+            assert last % solver.CHECK_EVERY == 0 or last == max_iter, setting
+            assert done[-1] or last == max_iter, setting
+            assert not any(done[:-1]), setting
+            if max_iter == 50_000:
+                assert done[-1] and last > solver.CHECK_EVERY, setting
+
+    @pytest.mark.parametrize("setting, seed", [("torus", 1), ("torus", 2), ("torus", 3),
+                                               ("torus", 4), ("sphere", 1)])
+    def test_one_product_pair_per_iteration(self, setting, seed):
+        # each step makes one forward and one adjoint (torus) or normal (sphere)
+        # product; a check makes none, so at every check the counts equal the
+        # iterations, and the sphere loop takes no adjoint once b is given
+        if setting == "torus":
+            op, y, cfg = _torus_trial_problem(seed)
+        else:
+            op, y, cfg = _sphere_trial_problem("gauss_heat", 16, seed)
+        y = op.measurements(y)
+        b = None if op.normal is None else op.adjoint(y)
+        counted = counting_operator(op)
+
+        def made(it):
+            if setting == "torus":
+                return {"forward": it, "adjoint": it}
+            return {"forward": it, "adjoint": 0, "normal": it}
+
+        for _, _, _, it, converged, _, _ in solver._pdhg(counted, y, cfg, b):
+            assert counted.calls == made(it)
+        assert converged and it > 100
+        assert counted.calls == made(it)
+
+    def test_loop_names_no_polish_state(self):
+        # the loop only iterates: the polish, its certificate and its tried
+        # supports belong to the driver, and the norm bound to the loop alone
+        def names(fn):
+            tree = ast.parse(inspect.getsource(fn))
+            return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                    | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+        loop, driver = names(solver._pdhg), names(solver.solve_bpdn)
+        assert not loop & {"_polish", "_certify", "tried", "_support_point", "_largest_violator"}
+        assert "norm_bound" in loop and "norm_bound" not in driver
+        assert {"_pdhg", "_polish", "tried"} <= driver
 
 
 def test_soft_threshold_matches_where_form_bitwise(rng):
@@ -573,25 +677,6 @@ def _spy_polish(monkeypatch, counted=None):
     return attempts
 
 
-class _Captured(Exception):
-    pass
-
-
-def _sphere_trial_problem(fn, bandwidth, seed):
-    """The operator, measurements and config of recover_sphere's solve at eps 0.1, C = 2^-6."""
-    captured = []
-
-    def capture(op, y, cfg):
-        captured.append((op, y, cfg))
-        raise _Captured
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "solve_bpdn", capture)
-        with pytest.raises(_Captured):
-            recover_sphere(build_sphere_battery(bandwidth)[fn], 0.1, seed, c_univ=2**-6)
-    return captured[0]
-
-
 class TestSupportPolish:
     """solve_bpdn's second exit: the support-restricted problem solved in closed form."""
 
@@ -641,15 +726,30 @@ class TestSupportPolish:
         return op, y, SolverConfig(delta=delta * float(np.linalg.norm(y)))
 
     def _check_unpolished_is_bitwise(self, op, y, cfg, monkeypatch):
+        # a solve none of whose attempts is accepted returns the loop's last check
         attempts = _spy_polish(monkeypatch)
         got = solve_bpdn(op, y, cfg)
         assert attempts and not any(ok for _, _, ok, _ in attempts)
         assert len(attempts) <= math.ceil(math.log2(got.iterations)) + 1
-        monkeypatch.setattr(solver, "_polish", lambda *args: None)
-        want = solve_bpdn(op, y, cfg)
-        assert np.array_equal(got.coefficients, want.coefficients)
-        assert (got.iterations, got.restarts, got.primal_weight) == (
-            want.iterations, want.restarts, want.primal_weight)
+        *_, (a, _, feas, iterations, converged, restarts, weight) = _loop_checks(op, y, cfg)
+        assert np.array_equal(got.coefficients, a)
+        assert (got.iterations, got.converged, got.restarts, got.primal_weight) == (
+            iterations, converged, restarts, weight)
+        assert got.feasibility_residual == feas
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_attempt_at_the_last_check(self, seed):
+        # cut at the check where its polish is accepted, the solve returns the
+        # loop's point there, unconverged: the loop's last check is its exit
+        op, y, cfg = _torus_trial_problem(seed)
+        polished = solve_bpdn(op, y, cfg)
+        assert polished.converged and polished.iterations < 100
+        cut = dataclasses.replace(cfg, max_iter=polished.iterations)
+        got = solve_bpdn(op, y, cut)
+        *_, (a, _, _, iterations, converged, restarts, weight) = _loop_checks(op, y, cut)
+        assert not converged and not got.converged
+        assert (got.iterations, got.restarts, got.primal_weight) == (iterations, restarts, weight)
+        assert np.array_equal(got.coefficients, a)
 
     def test_non_sparse_field_runs_as_without_polish(self, monkeypatch):
         # the Poisson kernel P_r(u1) P_r(u2), r = 1/2, has no sparse spectrum:

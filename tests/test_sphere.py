@@ -211,6 +211,23 @@ class TestAnalyzeSynthesize:
         with pytest.raises(DomainError, match="bandwidth must be >= 0"):
             SphericalSignal(bandwidth, coeffs)
 
+    @pytest.mark.parametrize("make", [
+        lambda: SphericalSignal(True, np.ones(4)),
+        lambda: SphericalSignal(1.0, np.ones(4)),
+        lambda: build_quadrature(2.5),
+        lambda: build_quadrature(True),
+        lambda: build_sphere_battery(2.0),
+        lambda: basis_matrix(1.5, [0.5], [0.5]),
+        lambda: analyze(np.ones(len(build_quadrature(4))), build_quadrature(4), 2.0),
+        lambda: compute_rl(estimate_sphere_norms(SphericalSignal(2, np.ones(9))), 2.5),
+    ])
+    def test_bandwidth_must_be_an_integer(self, make):
+        # sampling.is_integer's rule: unchecked, True made a signal and a rule,
+        # 1.0 a signal and compute_rl took L = 2.5, while the others failed
+        # inside numpy with a TypeError
+        with pytest.raises(DomainError, match="bandwidth must be >= [01] and an integer"):
+            make()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_signal_refuses_non_finite_coefficients(self, bad):
         with pytest.raises(DataError, match="finite"):
