@@ -45,12 +45,15 @@ iterations late.
 
 The loop is _pdhg, a generator that yields at each check and knows nothing
 else. solve_bpdn, a short driver over it, checks the data, takes the a = 0
-exit, forms b = A^H y and owns the second exit, the support polish (after
-FPC_AS): it solves the problem restricted to a settled support in closed
-form, grows that support by its largest dual violator when certify refuses
-the point, and ends the solve only at a point certify accepts. _polish's
-docstring describes it in full: when it runs, what it accepts, how far it
-grows, what it costs and why failed attempts leave a solve unchanged.
+exit, forms b = A^H y and owns the support polish (after FPC_AS): it solves
+the problem restricted to a support in closed form, grows that support by
+its largest dual violator when certify refuses the point, and ends the
+solve only at a point certify accepts. The driver runs it first from OMP's
+first support, the coefficient of largest correlation |(A^H y)_k|, before
+any iteration (the start), and then at the loop's settled supports.
+_polish's docstring describes it in full: when it runs, what it accepts,
+how far it grows, what it costs and why failed attempts leave a solve
+unchanged. Every benchmark trial that is not a = 0 ends at the start.
 
 Only T allocates in the loop: a+, z+, the products' outputs, the carried
 arrays of T(x) and the temporaries of the expressions that form them. The
@@ -101,7 +104,8 @@ L = 64 (the sphere battery, C = 2^-6, seed 5). The one adjoint, A^T y, and
 the products of the norm estimate act on dense vectors and take the full
 product. That estimate, which sets eta, is 12 Lanczos steps on A^T A times
 a margin of 1.02 (lanczos_norm_bound): 24 products with the matrix per
-operator, and not a certified bound on ||A||.
+operator, and not a certified bound on ||A||. It runs the first time the
+loop reads op.norm_bound, so a solve that ends at the start makes none.
 
 A real field on Z_N^2 has a Hermitian spectrum, a[-k] = conj(a[k]), so the
 torus operator acts on its rfft2 half only: the N x (N//2+1) coefficients
@@ -198,8 +202,14 @@ class MeasurementOperator:
     calls normal with the support that soft-thresholding has just decided.
     adjoint must return a fresh array, since the loop writes into it.
     There is no matrix form: certify needs products only.
-    norm_bound must be finite and >= 0 (DomainError). measurements and
-    coefficients check a problem's data for solve_bpdn and certify alike.
+
+    norm_bound is a float, or a callable that returns one. A callable runs
+    on the first read of op.norm_bound, and its value is kept for every
+    later read; only solve_bpdn's loop reads it, so a solve that ends before
+    the loop never runs it. The value must be finite and >= 0 (DomainError):
+    a float is checked here, a callable's value at that first read.
+    measurements and coefficients check a problem's data for solve_bpdn and
+    certify alike.
     """
 
     def __init__(
@@ -207,7 +217,7 @@ class MeasurementOperator:
         forward: Callable[[np.ndarray, np.ndarray], np.ndarray],
         adjoint: Callable[[np.ndarray], np.ndarray],
         shape: tuple[int, int],
-        norm_bound: float,
+        norm_bound: float | Callable[[], float],
         weights: np.ndarray | None = None,
         dtype: type = np.complex128,
         normal: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
@@ -216,9 +226,17 @@ class MeasurementOperator:
         self._adjoint = adjoint
         self.normal = normal
         self.shape = shape  # (n_measurements, n_coefficients)
-        self.norm_bound = _finite_nonnegative(float(norm_bound), "norm bound")
+        self._norm_bound = norm_bound if callable(norm_bound) else _finite_nonnegative(
+            float(norm_bound), "norm bound")
         self.weights = weights
         self.dtype = np.dtype(dtype)
+
+    @property
+    def norm_bound(self) -> float:
+        """The bound on ||A||; a callable bound is evaluated and checked on the first read."""
+        if callable(self._norm_bound):
+            self._norm_bound = _finite_nonnegative(float(self._norm_bound()), "norm bound")
+        return self._norm_bound
 
     def forward(self, a: np.ndarray, nz: np.ndarray | None = None) -> np.ndarray:
         return self._forward(a, np.flatnonzero(a) if nz is None else nz)
@@ -432,6 +450,9 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
     norm_bound is lanczos_norm_bound's 12-step Lanczos estimate of ||A||
     times 1.02: an estimate with a margin, not a certified bound. The
     Lanczos vectors are dense, so its forward is the plain product x @ rows.
+    The operator gets the estimate as a callable, so its 24 dense products
+    run on the first read of op.norm_bound: the first PDHG step, never in a
+    solve that the start certifies.
     """
     rows = sph.basis_matrix(bandwidth, points.theta, points.phi).T
 
@@ -445,7 +466,7 @@ def make_sphere_operator(points: SampleMultiset, bandwidth: int) -> MeasurementO
         forward=forward,
         adjoint=adjoint,
         shape=rows.shape[::-1],
-        norm_bound=lanczos_norm_bound(lambda x: x @ rows, adjoint, dim=rows.shape[0]),
+        norm_bound=lambda: lanczos_norm_bound(lambda x: x @ rows, adjoint, dim=rows.shape[0]),
         dtype=np.float64,
         normal=_GramRows(rows),
     )
@@ -513,8 +534,15 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
 
     op.measurements checks y: a wrong length or a non-finite norm is a
     DataError. When delta >= ||y||, a = 0 is feasible and hence the
-    minimizer: it is returned at once, with iterations 0 and no product.
-    Else the driver forms b = A^H y when op has a normal product and reads
+    minimizer: it is returned at once, with iterations 0, objective 0 and no
+    product. Else the driver forms b = A^H y when op has a normal product and
+    starts: it calls _polish on OMP's first support S0 = {k}, k the
+    coefficient of largest correlation |(A^H y)_k| (b, or one adjoint
+    product when op has no normal product), with a = (A^H y)_k on S0 and
+    cut = START_CUT. A point the start returns is returned with iterations
+    0, converged, restarts 0 and primal weight 1, and no PDHG step is
+    taken; its objective is > 0, which tells it from the a = 0 exit. S0 and
+    the supports the start grew count as tried, and the driver reads
     _pdhg's checks. At each but the last it calls _polish when the support
     of a+ is that of the previous check, non-empty and not yet tried, and
     the iterations have doubled since the last failed attempt; a point it
@@ -529,8 +557,19 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
         return _Solution(a, 0.0, feas, iterations=0, converged=True, restarts=0, primal_weight=1.0)
     b = None if op.normal is None else op.adjoint(y)
     feas_tol = cfg.tol * max(1.0, y_norm)
-    # the last check's support, the supports tried, the next attempt's least iteration
-    key_prev, tried, polish_from = None, set(), 0
+    # the start: the polish from OMP's first support, the largest |(A^H y)_k|
+    g = op.adjoint(y) if b is None else b
+    k = int(np.argmax(np.abs(g)))
+    support = np.array([k], dtype=np.intp)
+    tried = {support.tobytes()}  # the supports polished, by their indices' bytes
+    a[k] = g[k]
+    started = _polish(op, y, cfg.delta, a, support, b, cfg.tol, feas_tol, tried, START_CUT)
+    if started is not None:
+        a, feas = started
+        return _Solution(a, op.coef_l1(a), feas, iterations=0, converged=True, restarts=0,
+                         primal_weight=1.0)
+    # the last check's support and the next attempt's least iteration
+    key_prev, polish_from = None, 0
     for a, nz, feas, it, converged, restarts, weight in _pdhg(op, y, cfg, b):
         if converged or it == cfg.max_iter:
             break
@@ -545,6 +584,27 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
         key_prev = key
     return _Solution(coefficients=a, objective=op.coef_l1(a), feasibility_residual=feas,
                      iterations=it, converged=converged, restarts=restarts, primal_weight=weight)
+
+
+# The start's growth rule (_polish with cut = START_CUT): while no point on
+# the support is feasible, each addition must cut ||A x - y|| to at most
+# START_CUT times the last refused point's, and once one is, at most |S| more
+# coefficients may join. OMP cuts the residual geometrically on a sparse or
+# fast-decaying spectrum and slowly on a flat one. Measured from a = 0 with
+# neither limit, on the benchmark cells (cc_half at N = 64, C = 2^-8 and
+# 2^-6, 40 trials each, and at N = 256, C = 2^-4, 8 trials; mix5 and
+# gauss_heat at L = 16 and 32, 10 trials each; trial seeds spawn_seeds(1, 40)):
+# the worst cut is 0.83, and every trial is certified at most 2 additions
+# after its first feasible support of 1-11 coefficients. The Poisson kernel of
+# TestSupportPolish (N = 256, |X| = 503 and 2,011, seeds 1-2) cuts by
+# 0.78-0.84 twice and then by 0.89-0.91, and the L = 64 decay_alt trials
+# (seeds 1-3) by 0.76-0.86 twice and then by 0.87-0.89: both stop after three
+# additions, and the loop solves them. Uncapped, the Poisson start grows past
+# 100 coefficients and takes 2.4-2.6 s of a 3.0 s solve (0.55 s without a
+# start). One sphere_recover trial (seed 2 pass, L = 32 gauss_heat) needs 6
+# additions after its first feasible support of 11; ceil(log2(12)) = 4, the
+# in-loop rule, would refuse it.
+START_CUT = 0.86
 
 
 def _pdhg(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig, b: np.ndarray | None):
@@ -825,7 +885,7 @@ def _certify(
 
 def _polish(
     op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray, support: np.ndarray,
-    b: np.ndarray | None, tol: float, feas_tol: float, tried: set,
+    b: np.ndarray | None, tol: float, feas_tol: float, tried: set, cut: float | None = None,
 ) -> tuple[np.ndarray, float] | None:
     """A certified minimizer on a's support, or on one grown from it, and its ||A x - y|| - delta.
 
@@ -837,7 +897,9 @@ def _polish(
     (seeds 1-3), by iteration 3-67 of 65-335. So the driver, not the loop
     _pdhg, calls it at a check whose support S is non-empty, equals the
     previous check's and has not been tried, with a that check's a+ and
-    b = A^H y when it has one.
+    b = A^H y when it has one. From a = 0 the growth below is OMP's, so the
+    driver first calls it before the loop, on OMP's first support, with
+    cut = START_CUT (the start).
 
     Each solve is _support_point's closed form on S and its phases, started
     from a's. Its point is returned only if r_LS < delta (or delta = 0),
@@ -857,11 +919,16 @@ def _polish(
     Growth stops, and None is returned, when no coefficient qualifies, when
     the refused point's residual is 0, when the grown S has more columns
     that cannot be dropped (_droppable) than the m real measurement rows,
-    or after ceil(log2(|S0| + 1)) additions to the first support S0. The
-    cap keeps a refused attempt from growing one coefficient at a time to
-    the rows' limit: the L = 64 decay_alt trials start attempts on 78-99
+    or at the attempt's limit. In the loop (cut None) that is
+    ceil(log2(|S0| + 1)) additions to the first support S0. The cap keeps
+    a refused attempt from growing one coefficient at a time to the rows'
+    limit: the L = 64 decay_alt trials start attempts on 78-99
     coefficients, and uncapped growth added 118 of them in one solve and
-    made it slower than no growth at all; the cap leaves 16. None also
+    made it slower than no growth at all; the cap leaves 16. The start's
+    S0 holds one coefficient, so its limit does not scale with |S0|: an
+    addition to a support with no feasible point must cut ||rho|| to at
+    most cut times the last refused point's, and once a point on S is
+    feasible at most |S| more additions follow (START_CUT). None also
     comes before any product when S0 has more such columns than the m
     rows, and at a singular Gram matrix or a failed phase fit
     (_support_point).
@@ -875,19 +942,29 @@ def _polish(
     coefficient's unit forwards, a new eigendecomposition and certify's
     products again. Each grown support's key (its indices' bytes, as
     solve_bpdn keys them) is added to tried, and nothing else the caller
-    holds is written, so a solve none of whose attempts is accepted is
-    bit-identical to one without them. After a failed attempt solve_bpdn
+    holds is written, so a solve none of whose attempts is accepted returns
+    the loop's last check. On the torus it is bit-identical to the loop
+    alone. On the sphere an attempt's normal products build Gram rows that
+    the loop would build later, in other batches, and a row's rounding
+    depends on its batch: the L = 64 decay_alt solves (seeds 1-3), whose
+    starts are refused, end at the same point, iterations and restarts,
+    with primal weights 1e-13 apart relative to their size. After a failed attempt solve_bpdn
     makes the next only once the iteration count has doubled, so a solve
     that no attempt can end, as on a field without a sparse spectrum, makes
-    at most ceil(log2(iterations)) + 1 of them. The first check always
-    restarts, so an accepted attempt comes after it and reports restarts >= 1.
+    at most ceil(log2(iterations)) + 1 of them after the start. An attempt
+    in the loop comes after the first check, which always restarts, and
+    reports restarts >= 1; the start reports 0.
     """
     m = _real_view(y).size
     if np.count_nonzero(~_droppable(op, support)) > m:
         return None
     forwards, start = _unit_forwards(op, support), a[support]
     units = len(forwards) // support.size
-    for grown in range(math.ceil(math.log2(support.size + 1)) + 1):
+    # the additions after which growth stops (the start's is set at its first
+    # feasible support), and the start's last infeasible ||rho||
+    limit = math.ceil(math.log2(support.size + 1)) if cut is None else math.inf
+    r_last, grown = math.inf, 0
+    while True:
         if grown:
             if g is None:
                 g = _correlation(op, b, point, rho)
@@ -918,7 +995,15 @@ def _polish(
                     return point, r - delta
         if not np.any(rho):
             return None
-    return None
+        if cut is not None and feasible:
+            limit = min(limit, grown + support.size)
+        elif cut is not None:
+            r, r_last = r_last, float(np.linalg.norm(rho))
+            if r_last > cut * r:
+                return None
+        if grown == limit:
+            return None
+        grown += 1
 
 
 def _support_point(

@@ -374,8 +374,9 @@ class TestSweepWorkers:
 
     def test_iterating_sphere_rows_byte_identical(self, tmp_path, capsys):
         # solves that iterate build the operator's Gram rows in the order their
-        # coefficients turn nonzero; the rows must not depend on that order
-        grid = ["sweep", "--setting", "sphere", "--fn", "mix5", "--l", "8",
+        # coefficients turn nonzero; the rows must not depend on that order.
+        # decay_alt at L = 16, whose starts are refused: 15 iterations each
+        grid = ["sweep", "--setting", "sphere", "--fn", "decay_alt", "--l", "16",
                 "--c-univ", "0.015625", "--trials", "2", "--seed", "4"]
         bodies = []
         for run, workers in enumerate(("1", "2", "1")):

@@ -169,6 +169,56 @@ def test_operator_refuses_a_bad_norm_bound(bound):
         dense_operator(np.eye(4), norm_bound=bound)
 
 
+@pytest.mark.parametrize("bound", [-1.0, math.nan, math.inf])
+def test_callable_norm_bound_is_checked_at_its_first_read(bound):
+    # a callable bound is kept unevaluated until norm_bound is read, and
+    # then checked as a float bound is at construction
+    calls = []
+
+    def estimate():
+        calls.append(1)
+        return bound
+
+    op = MeasurementOperator(lambda a, nz: a, np.conj, shape=(4, 4), norm_bound=estimate)
+    assert not calls
+    with pytest.raises(DomainError, match="norm bound"):
+        op.norm_bound
+    assert calls == [1]
+
+
+def test_callable_norm_bound_runs_once():
+    calls = []
+
+    def estimate():
+        calls.append(1)
+        return 2.5
+
+    op = MeasurementOperator(lambda a, nz: a, np.conj, shape=(4, 4), norm_bound=estimate)
+    assert (op.norm_bound, op.norm_bound, calls) == (2.5, 2.5, [1])
+
+
+@pytest.mark.parametrize("problem", ["start", "loop"])
+def test_sphere_solves_do_not_depend_on_a_norm_read(problem):
+    # two solves on one operator, with and without norm_bound read first,
+    # are bitwise equal: the kept estimate and the Gram rows built by the
+    # first solve leave the second unchanged
+    def solves(read_first):
+        if problem == "start":  # ends at the start, never reading the bound
+            op, y, delta = _sphere_bpdn_instance()
+            cfg = SolverConfig(delta=delta)
+        else:  # a fit to noise, which iterates
+            op, y, cfg = _noise_sphere_problem(1)
+        if read_first:
+            assert op.norm_bound > 0.0
+        return [solve_bpdn(op, y, cfg) for _ in range(2)]
+
+    runs = solves(False) + solves(True)
+    assert (runs[0].iterations == 0) == (problem == "start")
+    for run in runs[1:]:
+        assert dataclasses.astuple(run)[1:] == dataclasses.astuple(runs[0])[1:]
+        assert run.coefficients.tobytes() == runs[0].coefficients.tobytes()
+
+
 class TestLanczosNormBound:
     def test_at_most_lanczos_steps_products(self):
         op = counting_operator(dense_operator(rng_from_seed(21).standard_normal((70, 50))))
@@ -379,6 +429,35 @@ def _loop_checks(op, y, cfg):
     return list(solver._pdhg(op, y, cfg, None if op.normal is None else op.adjoint(y)))
 
 
+def _flat_torus_problem(side, size, seed):
+    """Eight equal cosines on Z_side^2, sampled at size points, with a 10% radius.
+
+    OMP cuts the residual of a flat spectrum slowly (sqrt(6/7) at its second
+    step), so solve_bpdn's start is refused, and the loop's first polish
+    attempt is accepted: at 20 iterations for (32, 200) and 35-40 for
+    (64, 200), seeds 1-4.
+    """
+    u = np.arange(side) / side
+    u1, u2 = np.meshgrid(u, u, indexing="ij")
+    freqs = [(1, 2), (3, 5), (7, 1), (4, 9), (10, 3), (2, 12), (6, 6), (13, 4)]
+    field = sum(np.cos(2 * np.pi * (k1 * u1 + k2 * u2)) for k1, k2 in freqs)
+    op = make_torus_operator(draw_subset(side, size, seed))
+    y = op.forward(forward_dft(field)[:, :side // 2 + 1].ravel())
+    return op, y, SolverConfig(delta=0.1 * float(np.linalg.norm(y)))
+
+
+def _noise_sphere_problem(seed, points=40):
+    """Gaussian noise at points sphere points, L = 6 (49 coefficients), with a 10% radius.
+
+    No sparse point fits noise, so solve_bpdn's start is refused and the loop
+    iterates: 200, 2,160 and 820 iterations at seeds 1-3 for 40 points, and
+    45, 815 and 100 for 30.
+    """
+    op = make_sphere_operator(draw_sphere_points(points, seed), 6)
+    y = rng_from_seed(seed).standard_normal(points)
+    return op, y, SolverConfig(delta=0.1 * float(np.linalg.norm(y)))
+
+
 class TestRestarts:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_restarts_cut_iterations_on_torus(self, seed):
@@ -402,7 +481,8 @@ class TestRestarts:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_torus_solve_matches_plain_fft_forward(self, seed, monkeypatch):
-        # the sparse forward changes how A a is summed, not the iteration
+        # the sparse forward changes how A a is summed, not the iteration:
+        # the solves, which end at the start, and the loops alone end alike
         def plain_fft_operator(sample):
             op = make_torus_operator(sample)
             side, flat = sample.side, sample.flat
@@ -420,17 +500,23 @@ class TestRestarts:
                 TORUS_BATTERY["cc_half"], 64, 0.1, seed, c_univ=2**-8, allow_uncertified=True
             )
 
-        sparse = solve()
+        sparse, sparse_loop = solve(), _loop_checks(*_torus_trial_problem(seed))[-1]
         monkeypatch.setattr(solver, "make_torus_operator", plain_fft_operator)
-        plain = solve()
-        assert sparse.converged and sparse.iterations > solver.CHECK_EVERY
+        plain, plain_loop = solve(), _loop_checks(*_torus_trial_problem(seed))[-1]
+        assert sparse.converged
         assert (sparse.iterations, sparse.restarts) == (plain.iterations, plain.restarts)
         assert np.max(np.abs(sparse.coefficients - plain.coefficients)) <= 1e-12
+        (a, _, _, iterations, converged, restarts, _) = sparse_loop
+        assert converged and iterations > solver.CHECK_EVERY
+        assert (iterations, restarts) == (plain_loop[3], plain_loop[5])
+        assert np.max(np.abs(a - plain_loop[0])) <= 1e-12
 
     @pytest.mark.parametrize("exact_fit", [False, True])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_sphere_solve_matches_adjoint_path(self, seed, exact_fit, monkeypatch):
-        # the normal product changes how A^H z is summed, not the iteration
+        # the normal product changes how A^H z is summed, not the iteration:
+        # the solves (the noisy ones end at the start) and the loops alone
+        # end alike
         make = solver.make_sphere_operator
 
         def adjoint_operator(points, bandwidth):
@@ -438,16 +524,23 @@ class TestRestarts:
             op.normal = None
             return op
 
-        def solve():
-            signal = build_sphere_battery(16)["gauss_heat"]
-            return recover_sphere(signal, 0.1, seed, c_univ=2**-6, exact_fit=exact_fit)
+        signal = build_sphere_battery(16)["gauss_heat"]
 
-        gram = solve()
+        def solve():
+            problem = _trial_problem(recover_sphere, signal, 0.1, seed, c_univ=2**-6,
+                                     exact_fit=exact_fit)
+            return (recover_sphere(signal, 0.1, seed, c_univ=2**-6, exact_fit=exact_fit),
+                    _loop_checks(*problem)[-1])
+
+        gram, gram_loop = solve()
         monkeypatch.setattr(solver, "make_sphere_operator", adjoint_operator)
-        plain = solve()
-        assert gram.iterations > solver.CHECK_EVERY and gram.restarts > 0
+        plain, plain_loop = solve()
         assert (gram.iterations, gram.restarts) == (plain.iterations, plain.restarts)
         assert np.max(np.abs(gram.coefficients - plain.coefficients)) <= 1e-12
+        (a, _, _, iterations, _, restarts, _) = gram_loop
+        assert iterations > solver.CHECK_EVERY and restarts > 0
+        assert (iterations, restarts) == (plain_loop[3], plain_loop[5])
+        assert np.max(np.abs(a - plain_loop[0])) <= 1e-12
 
     def test_real_sphere_path_matches_complex_reference(self, rng):
         pts = draw_sphere_points(120, seed=31)
@@ -458,14 +551,20 @@ class TestRestarts:
         noise = 0.01 * rng.standard_normal(mat.shape[0])
         y = mat @ truth + noise
         cfg = SolverConfig(delta=1.2 * float(np.linalg.norm(noise)))
-        real = solve_bpdn(op, y, cfg)
-        ref = solve_bpdn(dense_operator(mat, norm_bound=op.norm_bound), y, cfg)
+        ref_op = dense_operator(mat, norm_bound=op.norm_bound)
+        real, ref = solve_bpdn(op, y, cfg), solve_bpdn(ref_op, y, cfg)
         assert real.coefficients.dtype == np.float64
-        assert real.converged and real.restarts > 0
+        assert real.converged
         assert (real.iterations, real.converged, real.restarts) == (
             ref.iterations, ref.converged, ref.restarts
         )
         assert np.max(np.abs(real.coefficients - ref.coefficients)) <= 1e-12
+        # the solves end at the start; the loops alone restart and end alike
+        (a, _, _, iterations, converged, restarts, _) = _loop_checks(op, y, cfg)[-1]
+        (a_ref, _, _, *ref_rest) = _loop_checks(ref_op, y, cfg)[-1]
+        assert a.dtype == np.float64 and converged and restarts > 0
+        assert [iterations, converged, restarts] == [ref_rest[0], ref_rest[1], ref_rest[2]]
+        assert np.max(np.abs(a - a_ref)) <= 1e-12
 
     def test_real_operator_takes_real_data_only(self):
         op = make_sphere_operator(draw_sphere_points(20, seed=3), 2)
@@ -503,13 +602,14 @@ class TestPrimalWeight:
 
     def test_restart_from_zero_primal_keeps_weight(self):
         # delta just below ||y|| on tiny data: the dual moves while the primal
-        # stays 0 through the first restarts, so the weight has no estimate
+        # stays 0 through the first restarts, so the weight has no estimate.
+        # The loop alone: solve_bpdn's start ends this solve at 0 iterations
         mat, y, _, _ = random_bpdn_instance(3)
         y = 1e-3 * y
         cfg = SolverConfig(delta=0.999 * float(np.linalg.norm(y)), max_iter=100)
-        rep = solve_bpdn(dense_operator(mat), y, cfg)
-        assert rep.restarts >= 1 and not np.any(rep.coefficients)
-        assert rep.primal_weight == 1.0
+        (a, _, _, _, _, restarts, weight) = _loop_checks(dense_operator(mat), y, cfg)[-1]
+        assert restarts >= 1 and not np.any(a)
+        assert weight == 1.0
 
 
 class TestPdhgLoop:
@@ -706,17 +806,36 @@ class TestSupportPolish:
     @pytest.mark.parametrize("side, c_univ, seed", TORUS_CELLS)
     def test_torus_solve_is_certified_within_60_iterations(self, side, c_univ, seed, monkeypatch):
         # without the polish these cells take 190-240 iterations, and their
-        # gaps are 1e-9 to 1e-6 of the objective
+        # gaps are 1e-9 to 1e-6 of the objective; the polish in the loop
+        # ended them at 20-40, and the start ends them before any
         sol = self._check_certified(monkeypatch, lambda: recover_torus(
             TORUS_BATTERY["cc_half"], side, 0.1, seed, c_univ=c_univ, allow_uncertified=True))
-        assert sol.iterations <= 60 and sol.restarts >= 1
+        assert sol.iterations <= 60
+        assert (sol.iterations, sol.restarts, sol.primal_weight) == (0, 0, 1.0)
 
     @pytest.mark.parametrize("fn, seed", SPHERE_CELLS)
     def test_sphere_solve_is_certified(self, fn, seed, monkeypatch):
+        # at the start, so with no restart
         signal = build_sphere_battery(16)[fn]
         sol = self._check_certified(monkeypatch, lambda: recover_sphere(signal, 0.1, seed,
                                                                         c_univ=2**-6))
-        assert sol.restarts >= 1
+        assert (sol.iterations, sol.restarts, sol.primal_weight) == (0, 0, 1.0)
+
+    @pytest.mark.parametrize("setting, seed", [("torus", 1), ("torus", 2), ("sphere", 1)])
+    def test_loop_polish_certifies_when_the_start_is_refused(self, setting, seed, monkeypatch):
+        # a flat spectrum and a fit to noise: the start is refused, and the
+        # polish ends the loop at its first attempt, after restarts
+        attempts = _spy_polish(monkeypatch)
+        if setting == "torus":
+            op, y, cfg = _flat_torus_problem(64, 200, seed)
+        else:
+            op, y, cfg = _noise_sphere_problem(seed, points=30)
+        sol = solve_bpdn(op, y, cfg)
+        assert [ok for _, _, ok, _ in attempts] == [False, True]
+        assert attempts[0][0] == 1  # the start
+        assert sol.converged and 0 < sol.iterations <= 60 and sol.restarts >= 1
+        cert = certify(op, y, cfg.delta, sol.coefficients)
+        assert cert.gap <= 1e-12 * sol.objective
 
     @staticmethod
     def _torus_problem(field, size, seed, delta):
@@ -726,11 +845,13 @@ class TestSupportPolish:
         return op, y, SolverConfig(delta=delta * float(np.linalg.norm(y)))
 
     def _check_unpolished_is_bitwise(self, op, y, cfg, monkeypatch):
-        # a solve none of whose attempts is accepted returns the loop's last check
+        # a solve none of whose attempts is accepted, the start's included,
+        # returns the loop's last check
         attempts = _spy_polish(monkeypatch)
         got = solve_bpdn(op, y, cfg)
         assert attempts and not any(ok for _, _, ok, _ in attempts)
-        assert len(attempts) <= math.ceil(math.log2(got.iterations)) + 1
+        assert attempts[0][0] == 1  # the start
+        assert len(attempts) - 1 <= math.ceil(math.log2(got.iterations)) + 1
         *_, (a, _, feas, iterations, converged, restarts, weight) = _loop_checks(op, y, cfg)
         assert np.array_equal(got.coefficients, a)
         assert (got.iterations, got.converged, got.restarts, got.primal_weight) == (
@@ -740,10 +861,11 @@ class TestSupportPolish:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_no_attempt_at_the_last_check(self, seed):
         # cut at the check where its polish is accepted, the solve returns the
-        # loop's point there, unconverged: the loop's last check is its exit
-        op, y, cfg = _torus_trial_problem(seed)
+        # loop's point there, unconverged: the loop's last check is its exit.
+        # A flat spectrum, so that the start is refused
+        op, y, cfg = _flat_torus_problem(32, 200, seed)
         polished = solve_bpdn(op, y, cfg)
-        assert polished.converged and polished.iterations < 100
+        assert polished.converged and 0 < polished.iterations < 100
         cut = dataclasses.replace(cfg, max_iter=polished.iterations)
         got = solve_bpdn(op, y, cut)
         *_, (a, _, _, iterations, converged, restarts, weight) = _loop_checks(op, y, cut)
@@ -759,13 +881,24 @@ class TestSupportPolish:
         op, y, cfg = self._torus_problem(np.outer(kernel, kernel), 503, 1, 0.1)
         self._check_unpolished_is_bitwise(op, y, cfg, monkeypatch)
 
-    def test_mirror_pair_support_is_not_polished(self, monkeypatch):
+    def test_mirror_pair_support_is_not_polished(self):
         # cos(2 pi 3 u1) lives on (3, 0) and (-3, 0), both stored in the
-        # self-conjugate column 0: their columns are equal, and G is singular
+        # self-conjugate column 0: their columns are equal, and G is singular.
+        # The start certifies a point on one of them; the loop settles on
+        # both, and an attempt there gives up before it grows
         u = np.arange(32) / 32
         field = np.repeat(np.cos(6 * np.pi * u)[:, None], 32, axis=1)
         op, y, cfg = self._torus_problem(field, 100, 3, 0.1)
-        self._check_unpolished_is_bitwise(op, y, cfg, monkeypatch)
+        pair = np.array([3 * 17, 29 * 17])  # (3, 0) and (29, 0) in the 32 x 17 half
+        got = solve_bpdn(op, y, cfg)
+        assert (got.iterations, got.converged) == (0, True)
+        assert np.flatnonzero(got.coefficients) in pair
+        a, nz, *_ = _loop_checks(op, y, cfg)[-1]
+        assert np.array_equal(nz, pair)
+        tried = set()
+        y = op.measurements(y)
+        assert solver._polish(op, y, cfg.delta, a, nz, None, cfg.tol, cfg.tol, tried) is None
+        assert not tried
 
 
 class TestPolishGrowth:
@@ -783,8 +916,9 @@ class TestPolishGrowth:
         assert np.array_equal(got.coefficients, want.coefficients)
 
     def test_first_attempt_grows_through_both_refusals(self, monkeypatch):
-        # L = 32 gauss_heat, seed 1: no point on the first 10 coefficients is
-        # feasible; the certificate refuses 11 and 12, and accepts 13
+        # L = 32 gauss_heat, seed 1: the start's OMP steps find no feasible
+        # point on its first 10 coefficients; the certificate refuses 11 and
+        # 12, and accepts 13
         solves, certified = [], []
         support_point, certify_ = solver._support_point, solver._certify
 
@@ -803,20 +937,22 @@ class TestPolishGrowth:
         counted = counting_operator(op)
         attempts = _spy_polish(monkeypatch, counted)
         sol = solve_bpdn(counted, y, cfg)
-        # 13 unit forwards, a normal product for the correlations at the
-        # infeasible point, and certify's two on 11, 12 and 13; the growth
-        # after each refused certificate takes certify's dual vector
-        assert attempts == [(10, 20, True, 3)]
-        assert solves == [(10, False), (11, True), (12, True), (13, True)]
+        # 13 unit forwards, a normal product for the correlations at each of
+        # the 10 infeasible points, and certify's two on 11, 12 and 13; the
+        # growth after each refused certificate takes certify's dual vector
+        assert attempts == [(1, 29, True, 12)]
+        assert solves == [(size, size > 10) for size in range(1, 14)]
         assert certified == [11, 12, 13]
+        assert sol.iterations == 0
         assert np.count_nonzero(sol.coefficients) == 13
         cert = certify(op, y, cfg.delta, sol.coefficients)
         assert cert.gap <= cfg.tol * sol.objective and cert.kkt <= cfg.tol
 
     def test_exact_fit_grows_by_omp_steps(self, monkeypatch):
         # delta = 0, a recover_sphere_exact.csv trial: the least-squares point
-        # on the check's 5 coefficients does not fit y, so certify raises and
-        # each addition is OMP's step, whatever the correlations on the support
+        # on each of the start's first 8 supports does not fit y, so certify
+        # raises and each addition is OMP's step, whatever the correlations on
+        # the support; the 9th fits and is certified
         steps = []
         violator = solver._largest_violator
 
@@ -827,8 +963,8 @@ class TestPolishGrowth:
         monkeypatch.setattr(solver, "_largest_violator", spy)
         rep = recover_sphere(build_sphere_battery(8)["gauss_heat"], 0.1, 9867935573728242652,
                              c_univ=2**-6, exact_fit=True)
-        assert rep.converged and rep.rel_error < 1e-12
-        assert steps == [(5, False), (6, False), (7, False)]
+        assert rep.converged and rep.rel_error < 1e-12 and rep.iterations == 0
+        assert steps == [(size, False) for size in range(1, 9)]
 
     def test_decay_alt_l64_makes_no_more_products(self, monkeypatch):
         # without growth this solve takes 720 iterations and 1,917 products;
@@ -841,8 +977,9 @@ class TestPolishGrowth:
             return solve_bpdn(counted, y, cfg), sum(counted.calls.values()), attempts
 
         got, made, attempts = run()
-        assert got.converged and any(calls for *_, calls in attempts)
-        for size, _, _, calls in attempts:
+        assert got.converged and any(calls for *_, calls in attempts[1:])
+        assert attempts[0][0] == 1 and not attempts[0][2]  # the refused start
+        for size, _, _, calls in attempts[1:]:
             assert calls <= math.ceil(math.log2(size + 1))
         monkeypatch.setattr(solver, "_largest_violator", lambda *args: None)
         want, made_without, _ = run()
@@ -852,19 +989,42 @@ class TestPolishGrowth:
     @pytest.mark.parametrize("fn", ["gauss_heat", "mix5"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_additions_stay_under_the_log_cap(self, fn, seed, monkeypatch):
+        # the start has its own limit (START_CUT): while no point is feasible
+        # each addition cuts ||rho|| by START_CUT, and after the first
+        # feasible support at most its size follow. On a noise fit the start
+        # is refused and the loop's attempts stay under the log cap
+        solves = []
+        support_point = solver._support_point
+
+        def spy_point(op, y, delta, forwards, support, start):
+            out = support_point(op, y, delta, forwards, support, start)
+            solves.append((support.size, float(np.linalg.norm(out[1])), out[2]))
+            return out
+
+        monkeypatch.setattr(solver, "_support_point", spy_point)
         attempts = _spy_polish(monkeypatch)
         sol = solve_bpdn(*_sphere_trial_problem(fn, 32, seed))
-        assert sol.converged and attempts
-        for size, _, _, calls in attempts:
+        assert sol.converged and sol.iterations == 0
+        [(size, _, accepted, calls)] = attempts
+        assert size == 1 and accepted and calls == len(solves) - 1
+        infeasible = [r for _, r, feasible in solves if not feasible]
+        assert all(r <= solver.START_CUT * r0 for r0, r in zip(infeasible, infeasible[1:]))
+        first_feasible = next(i for i, (_, _, feasible) in enumerate(solves) if feasible)
+        assert len(solves) - 1 - first_feasible <= solves[first_feasible][0]
+        attempts.clear()
+        assert solve_bpdn(*_noise_sphere_problem(seed)).converged
+        assert attempts[0][0] == 1 and len(attempts) > 1
+        for size, _, _, calls in attempts[1:]:
             assert calls <= math.ceil(math.log2(size + 1))
 
-    @pytest.mark.parametrize("setting, additions", [("sphere", 3), ("torus", 1), ("complex", 7)])
+    @pytest.mark.parametrize("setting, additions", [("sphere", 12), ("torus", 1), ("complex", 14)])
     def test_grown_support_inserts_its_columns_in_order(self, setting, additions, monkeypatch):
         # after each addition the kept unit forwards, with the new
         # coefficient's inserted, are those rebuilt on the grown support, and
-        # the kept start phases do not move. Every grown attempt on the dense
-        # complex instance is refused, so a wrong insertion there would show
-        # only as a refusal
+        # the kept start phases do not move. Additions in the start count
+        # too: 12 on the sphere, 7 of the complex instance's 14. Every grown
+        # attempt on the dense complex instance is refused, so a wrong
+        # insertion there would show only as a refusal
         attempts = []
         polish, support_point = solver._polish, solver._support_point
 
@@ -949,6 +1109,80 @@ class TestPolishGrowth:
         assert sum(counted.calls.values()) == 0 and not tried
 
 
+class TestStart:
+    """solve_bpdn's start: the support polish from OMP's first support, before the loop."""
+
+    @pytest.mark.parametrize("setting", ["torus", "sphere"])
+    def test_benchmark_trials_end_at_the_start(self, setting):
+        # a cc_half N = 256 trial and a mix5 L = 16 trial take no PDHG step;
+        # the objective (> 0) tells the start's exit from the a = 0 exit
+        if setting == "torus":
+            rep = recover_torus(TORUS_BATTERY["cc_half"], 256, 0.1, 1, c_univ=2**-4,
+                                allow_uncertified=True)
+        else:
+            rep = recover_sphere(build_sphere_battery(16)["mix5"], 0.1, 1, c_univ=2**-6)
+        assert (rep.iterations, rep.converged, rep.restarts, rep.primal_weight) == (0, True, 0, 1.0)
+        assert rep.objective > 0.0 and rep.rel_error < 1.0
+
+    def test_sphere_start_reads_no_norm_estimate(self, monkeypatch):
+        # the Lanczos estimate's 24 dense products run on the loop's first
+        # read of norm_bound, which a solve that ends at the start never makes
+        estimates = []
+        lanczos = solver.lanczos_norm_bound
+
+        def counted(forward, adjoint, dim):
+            estimates.append(dim)
+            return lanczos(forward, adjoint, dim)
+
+        monkeypatch.setattr(solver, "lanczos_norm_bound", counted)
+        rep = recover_sphere(build_sphere_battery(16)["mix5"], 0.1, 1, c_univ=2**-6)
+        assert rep.iterations == 0 and estimates == []
+        rep = solve_bpdn(*_noise_sphere_problem(1))
+        assert rep.iterations > 0 and estimates == [49]
+
+    @staticmethod
+    def _problems():
+        battery = build_sphere_battery(16)
+        yield _torus_trial_problem(1)
+        yield _torus_trial_problem(2)
+        yield _trial_problem(recover_torus, TORUS_BATTERY["cc_half"], 256, 0.1, 1,
+                             c_univ=2**-4, allow_uncertified=True)
+        for fn in ("mix5", "gauss_heat"):
+            yield _trial_problem(recover_sphere, battery[fn], 0.1, 2, c_univ=2**-6)
+        yield _sphere_trial_problem("gauss_heat", 32, 1)
+        yield _trial_problem(recover_sphere, build_sphere_battery(8)["gauss_heat"], 0.1,
+                             9867935573728242652, c_univ=2**-6, exact_fit=True)
+
+    def test_accepted_start_points_pass_certify(self):
+        # gap, KKT residual and feasibility at the solve's tol, as the polish
+        # accepts them, checked again through the public certify
+        for op, y, cfg in self._problems():
+            rep = solve_bpdn(op, y, cfg)
+            assert rep.iterations == 0 and rep.objective > 0.0
+            feas_tol = cfg.tol * max(1.0, float(np.linalg.norm(y)))
+            cert = certify(op, y, cfg.delta, rep.coefficients)
+            assert cert.gap <= cfg.tol * max(1.0, rep.objective)
+            assert cert.kkt <= cfg.tol
+            residual = float(np.linalg.norm(op.forward(rep.coefficients) - y)) - cfg.delta
+            assert rep.feasibility_residual <= feas_tol and residual <= feas_tol
+
+    def test_refused_start_adds_its_supports_to_tried(self, monkeypatch):
+        # the loop does not try again a support that the start refused
+        seen = []
+        polish = solver._polish
+
+        def spy(op, y, delta, a, support, b, tol, feas_tol, tried, *rest):
+            seen.append((support.tobytes(), set(tried)))
+            return polish(op, y, delta, a, support, b, tol, feas_tol, tried, *rest)
+
+        monkeypatch.setattr(solver, "_polish", spy)
+        solve_bpdn(*_noise_sphere_problem(2))
+        (start, _), *loop = seen
+        assert len(np.frombuffer(start, dtype=np.intp)) == 1 and loop
+        for key, tried in loop:
+            assert start in tried and key in tried
+
+
 class TestSolveBpdn:
     def test_full_observation_delta_zero(self):
         side = 8
@@ -1012,33 +1246,40 @@ class TestSolveBpdn:
         if setting == "torus":
             sample, y, delta = _real_bpdn_instance(16, seed=7)
             op = make_torus_operator(sample)
-        elif setting == "sphere":
-            op, y, delta = _sphere_bpdn_instance()
-        else:  # its first attempt grows its support three times (TestPolishGrowth)
+        elif setting == "sphere":  # a fit to noise: the start is refused
+            op, y, cfg = _noise_sphere_problem(1)
+            delta = cfg.delta
+        else:  # the start grows its support 12 times and ends the solve (TestPolishGrowth)
             op, y, cfg = _sphere_trial_problem("gauss_heat", 32, 1)
             delta = cfg.delta
         counted = counting_operator(op)
         attempts = _spy_polish(monkeypatch, counted)
         rep = solve_bpdn(counted, y, SolverConfig(delta=delta))
-        assert rep.converged and rep.iterations > solver.CHECK_EVERY
+        assert rep.converged
+        assert rep.iterations == 0 if setting == "grown" else rep.iterations > solver.CHECK_EVERY
         # a support polish makes one forward per unit direction on the support,
         # then certify's forward and its adjoint or normal product; each search
         # for a violator makes at most one adjoint or normal product (none
         # when certify has formed the correlations), and each grown
-        # coefficient its unit forwards and certify's two products again
+        # coefficient its unit forwards and certify's two products again. The
+        # 2 beyond the iterations' are A^H y: b on the sphere, the start's
+        # correlations on the torus
         units = 2 if op.dtype == np.complex128 else 1
         own = [units * size + 2 + calls * (1 + units + 2) for size, _, _, calls in attempts]
-        assert setting != "grown" or attempts[0][3] == 3
+        assert setting != "grown" or attempts == [(1, 29, True, 12)]
         assert all(made <= bound for (_, made, _, _), bound in zip(attempts, own))
         assert sum(counted.calls.values()) <= 2 * rep.iterations + 2 + sum(own)
 
     def test_sphere_solve_takes_one_adjoint(self):
-        # A^H y once; every iteration's A^H z comes from the normal product
+        # A^H y once; the start's correlations and every iteration's A^H z
+        # come from the normal product. The first solve ends at the start, the
+        # second (a fit to noise) iterates
         op, y, delta = _sphere_bpdn_instance()
-        counted = counting_operator(op)
-        rep = solve_bpdn(counted, y, SolverConfig(delta=delta))
-        assert rep.converged and rep.iterations > solver.CHECK_EVERY
-        assert counted.calls["adjoint"] <= 1
+        for op, y, cfg in ((op, y, SolverConfig(delta=delta)), _noise_sphere_problem(1)):
+            counted = counting_operator(op)
+            rep = solve_bpdn(counted, y, cfg)
+            assert rep.converged and counted.calls["adjoint"] <= 1
+        assert rep.iterations > solver.CHECK_EVERY
 
     @pytest.mark.parametrize("max_iter", [50_000, 7])
     def test_feasibility_residual_is_recomputed(self, max_iter):
@@ -1089,8 +1330,9 @@ class TestSolveBpdn:
         if setting == "torus":
             sample, y, delta = _real_bpdn_instance(16, seed=7)
             op = make_torus_operator(sample)
-        else:
-            op, y, delta = _sphere_bpdn_instance()
+        else:  # a fit to noise: the start is refused
+            op, y, cfg = _noise_sphere_problem(1)
+            delta = cfg.delta
         y_before = y.copy()
         cfg = SolverConfig(delta=delta)
         first, second = solve_bpdn(op, y, cfg), solve_bpdn(op, y, cfg)
