@@ -6,7 +6,10 @@ battery function at each --n or a sphere battery signal at each --l, keyed
 by (fn, size); fr, decay, lemmas and sweep report them in (fn, size) order.
 recover takes one target, one --eps and one --c-univ; sweep runs each cell
 (fn, size, eps, C) of its grid once, and a trial's row takes these inputs
-from the cell and its results from the RecoveryReport. decay and lemmas are
+from the cell and its results from the RecoveryReport. Both prepare a torus
+target's field (solver.torus_field) on its first trial in each process and
+keep it for that command only, so its later trials only sample, solve and
+score (solver.torus_trial). decay and lemmas are
 torus checks. Experiment configuration is plain flags plus an optional flat
 key=value config file. Each file line `key = value...` becomes the flag tokens `--key value...`,
 parsed after the command and before the rest of the command line, so the
@@ -223,15 +226,35 @@ def _trial_inputs(setting: str, cell, seed: int) -> list[str]:
     return [setting, str(size), _g(eps), _g(c_univ), str(seed)]
 
 
+def _trial_targets(args, targets):
+    """A function of a (fn, size) key that gives its trial target, built on first use.
+
+    A torus target is its prepared field, a sphere target its battery
+    signal. The memo belongs to the one command that makes it: a forked
+    sweep child inherits it empty and fills its own, and none outlives the
+    command.
+    """
+    prepared = {}
+
+    def target_of(key):
+        if key not in prepared:
+            target = targets[key]
+            prepared[key] = target if args.setting == "sphere" else sol.torus_field(
+                target, key[1], allow_uncertified=args.allow_uncertified)
+        return prepared[key]
+
+    return target_of
+
+
 def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
+    """One trial on a _trial_targets target; a torus report keeps the solver's half spectrum."""
     if args.setting == "sphere":
         return sol.recover_sphere(target, eps, seed, c_univ=c_univ, exact_fit=args.exact_fit)
-    return sol.recover_torus(target, size, eps, seed, c_univ=c_univ, exact_fit=args.exact_fit,
-                             allow_uncertified=args.allow_uncertified)
+    return sol.torus_trial(target, eps, seed, c_univ=c_univ, exact_fit=args.exact_fit)
 
 
 def _trial_row(args, config_hash: str, target, cell, seed: int) -> list[str]:
-    """Recover target in one trial of cell and return its RECOVERY_HEADER row."""
+    """Recover a _trial_targets target in one trial of cell and return its RECOVERY_HEADER row."""
     name, size, eps, c_univ = cell
     rep = _recover_one(args, target, size, eps, c_univ, seed)
     numbers = (rep.objective, rep.feasibility_residual, rep.rel_error,
@@ -246,8 +269,9 @@ def cmd_recover(args, config_hash: str) -> int:
     targets = _recovery_targets(args)
     _require(len(targets) == 1, f"recover takes one --fn at one size, got {sorted(targets)}; "
              "sweep runs several")
-    (name, size), target = next(iter(targets.items()))
+    [(name, size)] = targets
     cell = (name, size, args.eps[0], args.c_univ[0])
+    target = _trial_targets(args, targets)((name, size))
     rows = [_trial_row(args, config_hash, target, cell, seed)
             for seed in spawn_seeds(args.seed, args.trials)]
     _emit(RECOVERY_HEADER, rows, args.out)
@@ -322,6 +346,7 @@ def cmd_sweep(args, config_hash: str) -> int:
              for eps in _ascending(args.eps) for c_univ in _ascending(args.c_univ)]
     tasks = [(idx, seed) for idx, cell_seed in enumerate(spawn_seeds(args.seed, len(cells)))
              for seed in spawn_seeds(cell_seed, args.trials)]
+    target_of = _trial_targets(args, targets)
 
     # A closure: forked children inherit it whole, so the lambdas of torus targets are
     # never pickled, and no child imports anything afresh.
@@ -330,7 +355,7 @@ def cmd_sweep(args, config_hash: str) -> int:
         idx, seed = task
         cell = cells[idx]
         try:
-            return _trial_row(args, config_hash, targets[cell[:2]], cell, seed) + ["ok"]
+            return _trial_row(args, config_hash, target_of(cell[:2]), cell, seed) + ["ok"]
         except FrkitError as exc:
             inputs = _trial_inputs(args.setting, cell, seed)
             blank = [""] * (RECOVERY_HEADER.index("config_hash") - len(inputs))

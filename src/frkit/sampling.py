@@ -133,7 +133,12 @@ class SampleMultiset:
 
 
 def draw_subset(side: int, k: int, seed: int) -> SampleSet:
-    """Uniform size-k subset of Z_N^2 via partial Fisher-Yates over the index space."""
+    """Uniform size-k subset of Z_N^2 via partial Fisher-Yates over the index space.
+
+    The pool of N^2 indices is implicit: swap i exchanges positions i and
+    j >= i, after which position i is final, so only the displaced entries
+    at positions beyond the swaps made so far are kept, at most k of them.
+    """
     _check_side(side)
     total = side**2
     if not is_integer(k) or not 0 <= k <= total:
@@ -141,13 +146,15 @@ def draw_subset(side: int, k: int, seed: int) -> SampleSet:
     if k == total:
         return SampleSet(side=side, flat=np.arange(total))
     rng = rng_from_seed(seed)
-    pool = np.arange(total, dtype=np.int64)
     # one call draws the k swap offsets, uniform on [0, total - i) for swap i
     steps = np.arange(k)
     targets = steps + rng.integers(0, total - steps)
+    moved = {}  # position -> index, where it differs from the position
+    chosen = []
     for i, j in enumerate(targets.tolist()):
-        pool[i], pool[j] = pool[j], pool[i]
-    return SampleSet(side=side, flat=np.sort(pool[:k]))
+        chosen.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return SampleSet(side=side, flat=np.sort(np.array(chosen, dtype=np.int64)))
 
 
 def draw_sphere_points(q: int, seed: int) -> SampleMultiset:

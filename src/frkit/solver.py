@@ -3,12 +3,15 @@
 The solver is a first-order primal-dual splitting (Chambolle-Pock) on
 min ||a||_1  s.t.  ||A a - y||_2 <= delta,  whose proximal steps are
 soft-thresholding and projection onto the l2 ball. certify checks a candidate,
-however it was found, by one dual vector. recover_torus and
-recover_sphere run measured ratio -> sample size -> sample -> solve -> report,
-and both end in one measure-and-score step: the truth's coefficients, in the
-operator's layout, give the measurements y = A truth, the fidelity radius
-delta = eps ||truth|| and rel_error = ||a - truth|| / ||truth||, which by
-Parseval is the relative L2 error of the field too.
+however it was found, by one dual vector. recover_torus and recover_sphere run
+measured ratio -> sample size -> sample -> solve -> report. On the torus the
+first step is a target's field (torus_field: the discretized field's half
+spectrum and its Fourier ratio), built once however many trials read it, and
+torus_trial is the rest. Both settings end in one measure-and-score step: the
+truth's coefficients, in the operator's layout, give the measurements
+y = A truth, the fidelity radius delta = eps ||truth|| and
+rel_error = ||a - truth|| / ||truth||, which by Parseval is the relative L2
+error of the field too.
 
 The loop is restarted Halpern PDHG with reflection (Lu & Yang, "Restarted
 Halpern PDHG for linear programming", 2024): with T one PDHG step, it steps
@@ -735,14 +738,19 @@ def _droppable(op: MeasurementOperator, support: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _unit_forwards(op: MeasurementOperator, support: np.ndarray) -> np.ndarray:
+def _unit_forwards(
+    op: MeasurementOperator, support: np.ndarray, unit_vec: np.ndarray | None = None,
+) -> np.ndarray:
     """A u for every unit direction u on the support, one forward product each, as rows.
 
     The directions are the entries of the float64 view of a[support], in
     its order: e_k, then i e_k when the coefficients are complex, for each k
-    in support. Each is made by writing 1.0 into that view of one unit vector.
+    in support. Each is made by writing 1.0 into that view of unit_vec, a
+    zero vector of op's coefficients (a fresh one when None), and 0.0 after
+    its product, so unit_vec is zero again on return.
     """
-    unit_vec = np.zeros(op.shape[1], dtype=op.dtype)
+    if unit_vec is None:
+        unit_vec = np.zeros(op.shape[1], dtype=op.dtype)
     flat = _real_view(unit_vec)
     units = flat.size // unit_vec.size
     rows = []
@@ -943,7 +951,10 @@ def _polish(
     products again. Each grown support's key (its indices' bytes, as
     solve_bpdn keys them) is added to tried, and nothing else the caller
     holds is written, so a solve none of whose attempts is accepted returns
-    the loop's last check. On the torus it is bit-identical to the loop
+    the loop's last check. Every unit forward and point of a call is formed
+    in one zero vector of op's coefficients, allocated once per call and
+    zeroed on the support after each use; only an accepted point is copied
+    out of it. On the torus it is bit-identical to the loop
     alone. On the sphere an attempt's normal products build Gram rows that
     the loop would build later, in other batches, and a row's rounding
     depends on its batch: the L = 64 decay_alt solves (seeds 1-3), whose
@@ -958,7 +969,8 @@ def _polish(
     m = _real_view(y).size
     if np.count_nonzero(~_droppable(op, support)) > m:
         return None
-    forwards, start = _unit_forwards(op, support), a[support]
+    point = np.zeros(op.shape[1], dtype=op.dtype)  # the call's unit vectors and points
+    forwards, start = _unit_forwards(op, support, point), a[support]
     units = len(forwards) // support.size
     # the additions after which growth stops (the start's is set at its first
     # feasible support), and the start's last infeasible ||rho||
@@ -968,21 +980,24 @@ def _polish(
         if grown:
             if g is None:
                 g = _correlation(op, b, point, rho)
+            point[support] = 0.0
             k = _largest_violator(g, support, feasible)
             if k is None:
                 return None
             at = int(np.searchsorted(support, k))
-            support = np.insert(support, at, k)
+            support = np.concatenate((support[:at], [k], support[at:]))
             if np.count_nonzero(~_droppable(op, support)) > m:
                 return None
             tried.add(support.tobytes())
-            new = _unit_forwards(op, support[at:at + 1])
-            forwards = np.insert(forwards, units * at, new, axis=0)
-            start = np.insert(start, at, g[k])
+            new = _unit_forwards(op, support[at:at + 1], point)
+            row = units * at
+            forwards = np.concatenate((forwards[:row], new, forwards[row:]))
+            start = np.concatenate((start[:at], g[k:k + 1], start[at:]))
         solved = _support_point(op, y, delta, forwards, support, start)
         if solved is None:
             return None
-        point, rho, feasible = solved
+        values, rho, feasible = solved
+        point[support] = values
         g = None
         if feasible:
             try:
@@ -992,7 +1007,7 @@ def _polish(
             else:
                 gap_ok = cert.gap <= tol * max(1.0, op.coef_l1(point))
                 if gap_ok and cert.kkt <= tol and r - delta <= feas_tol:
-                    return point, r - delta
+                    return point.copy(), r - delta
         if not np.any(rho):
             return None
         if cut is not None and feasible:
@@ -1010,7 +1025,7 @@ def _support_point(
     op: MeasurementOperator, y: np.ndarray, delta: float, forwards: np.ndarray,
     support: np.ndarray, start: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, bool] | None:
-    """_polish's closed-form point on the support, its residual A x - y, and whether r_LS < delta.
+    """_polish's closed-form point as its values on the support, A x - y, and whether r_LS < delta.
 
     The columns are B, the rows of forwards that _live_columns keeps, p of
     them with m real rows (2 per measurement when the measurements are
@@ -1063,9 +1078,7 @@ def _support_point(
                 break
             phase, change = new, step
     _real_view(values)[live] = x
-    point = np.zeros(op.shape[1], dtype=op.dtype)
-    point[support] = values
-    return point, (mat @ x - y_real).view(y.dtype), feasible
+    return values, (mat @ x - y_real).view(y.dtype), feasible
 
 
 def _largest_violator(g: np.ndarray, support: np.ndarray, feasible: bool) -> int | None:
@@ -1086,7 +1099,8 @@ def _largest_violator(g: np.ndarray, support: np.ndarray, feasible: bool) -> int
 
 
 # ---------------------------------------------------------------------------
-# End-to-end pipelines: measured ratio -> sample size -> sample -> solve -> report.
+# End-to-end pipelines: a target's measured ratio, then per trial
+# sample size -> sample -> solve -> report.
 # ---------------------------------------------------------------------------
 
 def _recover(
@@ -1112,6 +1126,57 @@ def _recover(
     )
 
 
+@dataclass(frozen=True)
+class TorusField:
+    """A torus target prepared once, read-only, for any number of torus_trial calls.
+
+    truth is the flat rfft2 half (N x (N//2+1)) of the unitary spectrum of
+    the field discretized at grid side N, in make_torus_operator's layout,
+    and ratio the Fourier ratio of the full N^2 spectrum.
+    """
+
+    side: int
+    truth: np.ndarray
+    ratio: float
+
+
+def torus_field(
+    f: tor.SmoothFunctionSpec, side: int, *, allow_uncertified: bool = False,
+) -> TorusField:
+    """f's field at grid side N, its half spectrum and its measured Fourier ratio.
+
+    A function that fails the hypothesis N ||f||_L2^2 >= 8 ||f||_C2^2 at N is
+    refused (CertificationError) before its grid is built, unless allow_uncertified.
+    """
+    rn = tor.compute_rn(f.analytic, side)
+    if not rn.certified and not allow_uncertified:
+        raise CertificationError(
+            f"{f.name} at N={side} fails N L2^2 >= 8 C2^2; "
+            "pass allow_uncertified=True to override"
+        )
+    spectrum = forward_dft(tor.discretize(f, side))
+    truth = spectrum[:, :side // 2 + 1].ravel()
+    truth.setflags(write=False)
+    return TorusField(side, truth, fourier_ratio(spectrum))
+
+
+def torus_trial(
+    field: TorusField, eps: float, seed: int, *, c_univ: float = 1.0, exact_fit: bool = False,
+) -> RecoveryReport:
+    """One recovery trial on a prepared field, reported on the solver's rfft2 half spectrum.
+
+    The sample size comes from the field's measured Fourier ratio, floored
+    at 1, and is clamped to the N^2 grid points; the report records the clamp.
+    exact_fit requests exact-fit basis pursuit (delta = 0) on the observations.
+    """
+    side = field.side
+    total = side * side
+    size = sample_size(max(1.0, field.ratio), eps, total, c_univ)
+    sample = draw_subset(side, min(size, total), seed)
+    return _recover(make_torus_operator(sample), field.truth, eps, exact_fit,
+                    clamped=size > total)
+
+
 def recover_torus(
     f: tor.SmoothFunctionSpec,
     side: int,
@@ -1124,25 +1189,13 @@ def recover_torus(
 ) -> RecoveryReport:
     """Recover the discretized field from a random subset of its values.
 
-    The field is solved on its rfft2 half spectrum; the report carries the
-    full N^2 unitary spectrum, which _hermitian_full rebuilds from the half.
-
-    The sample size comes from the field's measured Fourier ratio, floored
-    at 1, and is clamped to the N^2 grid points; the report records the clamp.
-    exact_fit requests exact-fit basis pursuit (delta = 0) on the observations.
+    This is torus_trial on torus_field's field; the report carries the full
+    N^2 unitary spectrum, which _hermitian_full rebuilds from the solver's
+    half. A caller that runs many trials of one (f, N) and reads no
+    coefficients prepares the field once and calls torus_trial itself.
     """
-    rn = tor.compute_rn(f.analytic, side)
-    if not rn.certified and not allow_uncertified:
-        raise CertificationError(
-            f"{f.name} at N={side} fails N L2^2 >= 8 C2^2; "
-            "pass allow_uncertified=True to override"
-        )
-    spectrum = forward_dft(tor.discretize(f, side))
-    total = side * side
-    size = sample_size(max(1.0, fourier_ratio(spectrum)), eps, total, c_univ)
-    sample = draw_subset(side, min(size, total), seed)
-    report = _recover(make_torus_operator(sample), spectrum[:, :side // 2 + 1].ravel(),
-                      eps, exact_fit, clamped=size > total)
+    field = torus_field(f, side, allow_uncertified=allow_uncertified)
+    report = torus_trial(field, eps, seed, c_univ=c_univ, exact_fit=exact_fit)
     return replace(report, coefficients=_hermitian_full(report.coefficients, side))
 
 

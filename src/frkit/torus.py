@@ -15,6 +15,11 @@ A spec cannot be built without its norms, and every bound and check reads
 the ones it carries; none estimates. estimate_norms is the finite-difference
 reference: SmoothFunctionSpec(name, fn, estimate_norms(fn)) builds a spec
 whose norms report provenance "estimated".
+
+An evaluator follows numpy broadcasting, so discretize and estimate_norms
+call it once on a grid's broadcast axes (u[:, None], u[None, :]): a term
+cos(2 pi u1) cos(2 pi u2) then costs 2N cosines and one N x N product, not
+2N^2 cosines on two meshgrids.
 """
 
 from __future__ import annotations
@@ -68,10 +73,14 @@ class NormData:
 class SmoothFunctionSpec:
     """A 1-periodic function on [0,1]^2 given by a vectorized evaluator.
 
-    The evaluator takes two equal-shaped arrays (u1, u2) and returns real
-    values. The norms are required (named analytic, whatever their
-    provenance): they are the ones every bound and check reads.
-    Construction spot-checks periodicity on boundary points.
+    The evaluator takes two arrays (u1, u2) that broadcast against each
+    other and returns real values that broadcast to their broadcast shape,
+    elementwise as numpy ufuncs do: the grids pass the column u[:, None] and
+    the row u[None, :], so an evaluator must not assume equal shapes (start
+    a sum from np.zeros(np.broadcast(u1, u2).shape), not np.zeros_like(u1)).
+    The norms are required (named analytic, whatever their provenance):
+    they are the ones every bound and check reads. Construction spot-checks
+    periodicity on boundary points.
     """
 
     name: str
@@ -97,15 +106,26 @@ class SmoothFunctionSpec:
         return np.asarray(self.evaluator(np.asarray(u1), np.asarray(u2)), dtype=float)
 
 
+def _on_grid(evaluator: Callable, u: np.ndarray, name: str) -> np.ndarray:
+    """evaluator on the grid u x u, called once on its broadcast axes: a fresh real (n, n) array.
+
+    A result that does not broadcast to (n, n) is a StructuralError.
+    """
+    shape = (u.size, u.size)
+    vals = np.asarray(evaluator(u[:, None], u[None, :]), dtype=float)
+    try:
+        return np.array(np.broadcast_to(vals, shape))
+    except ValueError:
+        raise StructuralError(
+            f"{name}: evaluator gave shape {vals.shape}, which does not broadcast to {shape}"
+        ) from None
+
+
 def discretize(f: SmoothFunctionSpec, side: int) -> np.ndarray:
     """g(x1, x2) = f(x1/N, x2/N) on the integer grid: a read-only real (N, N) array."""
     if side < 2:
         raise DomainError(f"N must be >= 2, got {side}")
-    u = np.arange(side) / side
-    u1, u2 = np.meshgrid(u, u, indexing="ij")
-    vals = np.array(f(u1, u2), dtype=float)
-    if vals.shape != u1.shape:
-        raise StructuralError(f"{f.name}: evaluator gave shape {vals.shape}, not {u1.shape}")
+    vals = _on_grid(f, np.arange(side) / side, f.name)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
         raise DataError(
@@ -124,12 +144,8 @@ def estimate_norms(evaluator: Callable, refinement: int = 256) -> NormData:
     m = int(refinement)
     if m < 8:
         raise DomainError(f"refinement must be >= 8, got {m}")
-    mid = (np.arange(m) + 0.5) / m
-    m1, m2 = np.meshgrid(mid, mid, indexing="ij")
-    w = np.asarray(evaluator(m1, m2), dtype=float)
-    corner = np.arange(m) / m
-    c1, c2_ = np.meshgrid(corner, corner, indexing="ij")
-    v = np.asarray(evaluator(c1, c2_), dtype=float)
+    w = _on_grid(evaluator, (np.arange(m) + 0.5) / m, "estimate_norms")
+    v = _on_grid(evaluator, np.arange(m) / m, "estimate_norms")
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
         raise DataError("non-finite evaluation during norm estimation")
 

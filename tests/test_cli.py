@@ -1,3 +1,4 @@
+import collections
 import csv
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from frkit import cli
+from frkit import solver
 from frkit import sphere as sph
 from frkit import torus as tor
 from frkit.battery import TORUS_BATTERY
@@ -328,6 +330,54 @@ class TestSweep:
         )
         assert code == 1
         assert "config error" in err and "mix5" in err and "L=2" in err
+
+
+class TestTorusFields:
+    # one (fn, N) in two cells of three trials: six tasks that share a field
+    SWEEP = ["sweep", "--fn", "cc_half", "--n", "16", "--eps", "0.1", "--c-univ", "0.05", "0.1",
+             "--trials", "3", "--seed", "2", "--allow-uncertified"]
+
+    @staticmethod
+    def _log_grids(monkeypatch, log):
+        """Append the calling process's pid to log at each discretize."""
+        discretize = tor.discretize
+
+        def logged(f, side):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return discretize(f, side)
+
+        monkeypatch.setattr(tor, "discretize", logged)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_builds_each_field_once_per_process(self, workers, monkeypatch, tmp_path,
+                                                       capsys):
+        log = tmp_path / "pids"
+        self._log_grids(monkeypatch, log)
+
+        def refuse(*args):
+            raise AssertionError("a row's trial rebuilt the full spectrum")
+
+        monkeypatch.setattr(solver, "_hermitian_full", refuse)
+        code, out, err = run_cli(capsys, *self.SWEEP, "--workers", str(workers))
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert len(rows) == 6 and all(row[header.index("status")] == "ok" for row in rows)
+        per_process = collections.Counter(log.read_text().split())
+        assert sorted(per_process.values()) == [1] * workers
+
+    def test_no_field_outlives_its_command(self, monkeypatch, tmp_path, capsys):
+        log = tmp_path / "pids"
+        self._log_grids(monkeypatch, log)
+        argv = ["recover", "--fn", "cc_half", "--n", "16", "--eps", "0.1", "--c-univ", "0.05",
+                "--trials", "3", "--allow-uncertified"]
+        outs = []
+        for calls in (1, 2):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            assert len(log.read_text().split()) == calls
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestSweepWorkers:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,10 +38,12 @@ class TestDrawSubset:
         assert np.array_equal(a.flat, b.flat)
         assert not np.array_equal(a.flat, c.flat)
 
-    @pytest.mark.parametrize("side, k", [(64, 50), (64, 198), (256, 1053), (8, 63), (512, 593)])
+    @pytest.mark.parametrize("side, k", [(64, 50), (64, 198), (256, 1053), (8, 63), (512, 593),
+                                         (256, 527), (8, 64), (9, 40)])
     def test_same_sample_as_one_draw_per_swap(self, side, k):
-        # the swap offsets come from one vectorized draw; every recorded seed
-        # must still regenerate the sample of one scalar draw per swap
+        # the swap offsets come from one vectorized draw, and only the swapped
+        # entries of the N^2 index pool are kept; every recorded seed must
+        # still regenerate the sample of one scalar draw per swap in the pool
         def scalar_draws(seed):
             total = side * side
             rng = rng_from_seed(seed)
@@ -50,8 +53,21 @@ class TestDrawSubset:
                 pool[i], pool[j] = pool[j], pool[i]
             return np.sort(pool[:k])
 
-        for seed in [0, 1, 2, 2**63 + 5] + spawn_seeds(3, 3):
+        for seed in [0, 1, 2, 12345, 2**63 + 5] + spawn_seeds(3, 3):
             assert np.array_equal(draw_subset(side, k, seed).flat, scalar_draws(seed))
+
+    @pytest.mark.parametrize("k", [527, 1053])
+    def test_peak_memory_scales_with_the_sample(self, k):
+        # an N^2 index pool alone is 512 KiB at N = 256; draw_subset's peak is
+        # about 140 bytes per sample point
+        draw_subset(256, k, seed=1)
+        tracemalloc.start()
+        try:
+            draw_subset(256, k, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * k
 
     def test_oversized_rejected(self):
         with pytest.raises(DomainError):

@@ -1633,7 +1633,36 @@ class TestRecoverTorus:
         with pytest.raises(TypeError):
             recover_torus(TORUS_BATTERY["cc_half"], 16, 0.1, 7, 1.0, "bound", True)
         with pytest.raises(TypeError):
+            solver.torus_trial(solver.torus_field(TORUS_BATTERY["const1"], 8), 0.1, 7, 1.0)
+        with pytest.raises(TypeError):
             recover_sphere(build_sphere_battery(1)["y00"], 0.1, 5, 1.0)
+
+
+class TestTorusField:
+    def test_recover_torus_is_a_trial_on_its_field(self):
+        # trials share one read-only field and report the solver's half
+        # spectrum; recover_torus expands it and is otherwise the same trial
+        f, side = TORUS_BATTERY["cc_half"], 32
+        field = solver.torus_field(f, side, allow_uncertified=True)
+        assert not field.truth.flags.writeable
+        truth = field.truth.copy()
+        for seed in (1, 2):
+            trial = solver.torus_trial(field, 0.1, seed, c_univ=2**-6)
+            rep = recover_torus(f, side, 0.1, seed, c_univ=2**-6, allow_uncertified=True)
+            assert trial.coefficients.shape == (side * (side // 2 + 1),)
+            assert np.array_equal(solver._hermitian_full(trial.coefficients, side),
+                                  rep.coefficients)
+            fields = [f.name for f in dataclasses.fields(rep) if f.name != "coefficients"]
+            assert [getattr(trial, n) for n in fields] == [getattr(rep, n) for n in fields]
+        assert np.array_equal(field.truth, truth)
+
+    def test_uncertified_field_is_refused_before_its_grid(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr("frkit.torus.discretize", refuse)
+        with pytest.raises(CertificationError):
+            solver.torus_field(TORUS_BATTERY["cc_half"], 64)
 
 
 class TestSharedScoring:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frkit.battery import TORUS_BATTERY
-from frkit.errors import DomainError, PeriodicityError
+from frkit.errors import DomainError, PeriodicityError, StructuralError
 from frkit.sampling import sample_size
 from frkit.torus import (
     NormData,
@@ -59,6 +59,42 @@ class TestDiscretize:
     def test_periodicity_spot_check(self):
         with pytest.raises(PeriodicityError):
             SmoothFunctionSpec("bad", lambda u1, u2: u1 + 0 * u2, TORUS_BATTERY["const1"].analytic)
+
+
+class TestBroadcastAxes:
+    @pytest.mark.parametrize("side", [2, 3, 8, 9, 64, 255, 256])
+    def test_battery_equals_its_meshgrid_evaluation(self, side):
+        # one evaluation on the axes u[:, None], u[None, :] gives the bits of
+        # one on the N x N meshgrids
+        u = np.arange(side) / side
+        mesh = np.meshgrid(u, u, indexing="ij")
+        for name, spec in TORUS_BATTERY.items():
+            want = np.asarray(spec.evaluator(*mesh), dtype=float)
+            assert discretize(spec, side).tobytes() == want.tobytes(), name
+            if side >= 8:
+                def on_meshgrid(u1, u2, f=spec.evaluator):
+                    return f(*np.meshgrid(u1.ravel(), u2.ravel(), indexing="ij"))
+
+                got = estimate_norms(spec.evaluator, side)
+                assert repr(got) == repr(estimate_norms(on_meshgrid, side)), name
+
+    def test_result_of_one_axis_is_broadcast(self):
+        spec = SmoothFunctionSpec("s", lambda u1, u2: np.sin(2 * PI * u1),
+                                  TORUS_BATTERY["sin1"].analytic)
+        fld = discretize(spec, 8)
+        assert fld.shape == (8, 8) and fld.flags.owndata and not fld.flags.writeable
+        assert np.array_equal(fld, np.broadcast_to(np.sin(2 * PI * np.arange(8) / 8)[:, None],
+                                                   (8, 8)))
+
+    def test_result_that_does_not_broadcast_is_refused(self):
+        def flat(u1, u2):
+            return np.cos(2 * PI * (u1 + u2)).ravel()
+
+        spec = SmoothFunctionSpec("flat", flat, TORUS_BATTERY["sin1"].analytic)
+        with pytest.raises(StructuralError, match="broadcast"):
+            discretize(spec, 8)
+        with pytest.raises(StructuralError, match="broadcast"):
+            estimate_norms(flat, 8)
 
 
 class TestEstimateNorms:
@@ -174,7 +210,7 @@ class TestVerifyDecay:
         coeff = rng.standard_normal((4, 4))
 
         def fn(u1, u2):
-            out = np.zeros_like(np.asarray(u1, dtype=float))
+            out = np.zeros(np.broadcast(u1, u2).shape)
             for j in range(4):
                 for k in range(4):
                     out += coeff[j, k] * np.cos(2 * PI * (j * u1 + k * u2))
