@@ -39,10 +39,20 @@ def _side(grid: np.ndarray) -> int:
 
 
 def forward_dft(values) -> np.ndarray:
-    """Unitary DFT: coefficient at m is N^{-d/2} sum_x e^{-2 pi i x.m / N} g(x)."""
+    """Unitary DFT: coefficient at m is N^{-d/2} sum_x e^{-2 pi i x.m / N} g(x).
+
+    It is fftn's axis-by-axis transform, last axis first, and bitwise fftn
+    times the scale: the last axis's transform makes the one output array,
+    and the other axes and the scale work in it in place, so a (N, N) field
+    allocates one complex N^2 array, not three.
+    """
     values = np.asarray(values)
     scale = _side(values) ** (-values.ndim / 2.0)
-    return np.fft.fftn(values) * scale
+    out = np.fft.fft(values, axis=-1)
+    for axis in range(values.ndim - 2, -1, -1):
+        np.fft.fft(out, axis=axis, out=out)
+    out *= scale
+    return out
 
 
 def inverse_dft(coeffs) -> np.ndarray:

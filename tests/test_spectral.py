@@ -47,6 +47,19 @@ class TestForwardDft:
         assert np.max(grid[~mask]) < 1e-12
         assert grid[1, 0] == pytest.approx(n / 2.0)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.complex128])
+    def test_bitwise_fftn_times_the_scale(self, rng, dtype):
+        # the transform runs in one output array, in place after the last axis
+        for side, dims in [(256, 2), (9, 2), (2, 2), (12, 1), (5, 3)]:
+            shape = (side,) * dims
+            vals = 3.0 * rng.standard_normal(shape)
+            if dtype == np.complex128:
+                vals = vals + 1j * rng.standard_normal(shape)
+            vals = vals.astype(dtype)
+            want = np.fft.fftn(vals) * side ** (-dims / 2.0)
+            got = forward_dft(vals)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_length_mismatch_is_structural(self):
         for shape in ((8, 7), (4, 4, 2), ()):
             with pytest.raises(StructuralError):
