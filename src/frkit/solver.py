@@ -47,16 +47,19 @@ it runs every CHECK_EVERY = 5 iterations: a stop or a restart comes at most 4
 iterations late.
 
 The loop is _pdhg, a generator that yields at each check and knows nothing
-else. solve_bpdn, a short driver over it, checks the data, takes the a = 0
-exit, forms b = A^H y and owns the support polish (after FPC_AS): it solves
+else. The support polish (after FPC_AS) is _polish, a generator too: it solves
 the problem restricted to a support in closed form, grows that support by
-its largest dual violator when certify refuses the point, and ends the
-solve only at a point certify accepts. The driver runs it first from OMP's
-first support, the coefficient of largest correlation |(A^H y)_k|, before
-any iteration (the start), and then at the loop's settled supports.
-_polish's docstring describes it in full: when it runs, what it accepts,
-how far it grows, what it costs and why failed attempts leave a solve
-unchanged. Every benchmark trial that is not a = 0 ends at the start.
+its largest dual violator when certify refuses the point, and yields each
+support it solves with the point certify accepts, if any. It writes
+nothing its caller holds. solve_bpdn, a short driver over both, checks the
+data, takes the a = 0 exit, forms A^H y once and ends the solve only at a
+point certify accepts. It runs the polish first from OMP's first support,
+the coefficient of largest correlation |(A^H y)_k|, before any iteration
+(the start), and then at the loop's settled supports; it keeps the
+supports tried and records every attempt on the solution (attempts).
+_polish's docstring describes the polish in full: when it runs, what it
+accepts, how far it grows, what it costs and why failed attempts leave a
+solve unchanged. Every benchmark trial that is not a = 0 ends at the start.
 
 Only T allocates in the loop: a+, z+, the products' outputs, the carried
 arrays of T(x) and the temporaries of the expressions that form them. The
@@ -493,7 +496,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class _Solution:
-    """What solve_bpdn returns: the minimizer and how well it was reached."""
+    """What solve_bpdn returns: the minimizer, how well it was reached and its polish attempts.
+
+    attempts holds one (first support size, coefficients added, accepted)
+    entry per run of the support polish, the start first.
+    """
 
     coefficients: np.ndarray
     objective: float
@@ -502,6 +509,7 @@ class _Solution:
     converged: bool
     restarts: int
     primal_weight: float
+    attempts: tuple[tuple[int, int, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -537,40 +545,53 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
 
     op.measurements checks y: a wrong length or a non-finite norm is a
     DataError. When delta >= ||y||, a = 0 is feasible and hence the
-    minimizer: it is returned at once, with iterations 0, objective 0 and no
-    product. Else the driver forms b = A^H y when op has a normal product and
-    starts: it calls _polish on OMP's first support S0 = {k}, k the
-    coefficient of largest correlation |(A^H y)_k| (b, or one adjoint
-    product when op has no normal product), with a = (A^H y)_k on S0 and
-    cut = START_CUT. A point the start returns is returned with iterations
+    minimizer: it is returned at once, with iterations 0, objective 0, no
+    attempts and no product. Else the driver forms A^H y by one adjoint
+    product, which is also b when op has a normal product, and starts: it
+    runs _polish on OMP's first support S0 = {k}, k the coefficient of
+    largest correlation |(A^H y)_k|, with a = (A^H y)_k on S0 and
+    cut = START_CUT. A point the start accepts is returned with iterations
     0, converged, restarts 0 and primal weight 1, and no PDHG step is
-    taken; its objective is > 0, which tells it from the a = 0 exit. S0 and
-    the supports the start grew count as tried, and the driver reads
-    _pdhg's checks. At each but the last it calls _polish when the support
-    of a+ is that of the previous check, non-empty and not yet tried, and
-    the iterations have doubled since the last failed attempt; a point it
-    returns is returned, converged, with that check's iterations, restarts
-    and primal weight. Otherwise the loop's last check is returned,
-    converged or at max_iter: non-convergence is reported, not raised.
+    taken; its objective is > 0, which tells it from the a = 0 exit. Then
+    the driver reads _pdhg's checks. At each but the last it runs _polish
+    when the support of a+ is that of the previous check, non-empty and not
+    yet tried, and the iterations have doubled since the last failed
+    attempt; a point it accepts is returned, converged, with that check's
+    iterations, restarts and primal weight. Otherwise the loop's last check
+    is returned, converged or at max_iter: non-convergence is reported, not
+    raised. The first support of every attempt and each support _polish
+    yields count as tried. attempts records each attempt in order, the
+    start first, as (|S0|, the coefficients it added, whether it accepted
+    a point).
     """
     y = op.measurements(y)
     y_norm = float(np.linalg.norm(y))
     a, feas = np.zeros(op.shape[1], dtype=op.dtype), y_norm - cfg.delta  # ||A 0 - y|| - delta
     if feas <= 0.0:
-        return _Solution(a, 0.0, feas, iterations=0, converged=True, restarts=0, primal_weight=1.0)
-    b = None if op.normal is None else op.adjoint(y)
+        return _Solution(a, 0.0, feas, iterations=0, converged=True, restarts=0, primal_weight=1.0,
+                         attempts=())
+    g = op.adjoint(y)  # A^H y: the start's correlations, and b when op has a normal product
+    b = None if op.normal is None else g
     feas_tol = cfg.tol * max(1.0, y_norm)
+    tried, attempts = set(), []  # the supports polished, by their indices' bytes; the record
+
+    def attempt(a, support, cut=None):
+        tried.add(support.tobytes())
+        solved = accepted = None
+        for solved, accepted in _polish(op, y, cfg.delta, a, support, b, cfg.tol, feas_tol, cut):
+            tried.add(solved.tobytes())
+        grown = 0 if solved is None else solved.size - support.size
+        attempts.append((support.size, grown, accepted is not None))
+        return accepted
+
     # the start: the polish from OMP's first support, the largest |(A^H y)_k|
-    g = op.adjoint(y) if b is None else b
     k = int(np.argmax(np.abs(g)))
-    support = np.array([k], dtype=np.intp)
-    tried = {support.tobytes()}  # the supports polished, by their indices' bytes
     a[k] = g[k]
-    started = _polish(op, y, cfg.delta, a, support, b, cfg.tol, feas_tol, tried, START_CUT)
+    started = attempt(a, np.array([k], dtype=np.intp), START_CUT)
     if started is not None:
         a, feas = started
         return _Solution(a, op.coef_l1(a), feas, iterations=0, converged=True, restarts=0,
-                         primal_weight=1.0)
+                         primal_weight=1.0, attempts=tuple(attempts))
     # the last check's support and the next attempt's least iteration
     key_prev, polish_from = None, 0
     for a, nz, feas, it, converged, restarts, weight in _pdhg(op, y, cfg, b):
@@ -578,15 +599,15 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
             break
         key = nz.tobytes()
         if it >= polish_from and nz.size and key == key_prev and key not in tried:
-            tried.add(key)
-            polished = _polish(op, y, cfg.delta, a, nz, b, cfg.tol, feas_tol, tried)
+            polished = attempt(a, nz)
             if polished is not None:
                 (a, feas), converged = polished, True
                 break
             polish_from = 2 * it
         key_prev = key
     return _Solution(coefficients=a, objective=op.coef_l1(a), feasibility_residual=feas,
-                     iterations=it, converged=converged, restarts=restarts, primal_weight=weight)
+                     iterations=it, converged=converged, restarts=restarts, primal_weight=weight,
+                     attempts=tuple(attempts))
 
 
 # The start's growth rule (_polish with cut = START_CUT): while no point on
@@ -830,12 +851,12 @@ def _correlation(
 ) -> np.ndarray:
     """The dual correlation A^H (-rho) / r at a, with rho = A a - y.
 
-    Given b = A^H y, an operator with a normal product forms it as
-    (b - A^H A a) / r and makes no adjoint; otherwise it is the adjoint of
-    -rho / r. op.adjoint is the weighted adjoint, so |g_k| is the
+    b = A^H y is given only for an operator with a normal product (None
+    otherwise), which forms it as (b - A^H A a) / r and makes no adjoint;
+    without b it is the adjoint of -rho / r. op.adjoint is the weighted adjoint, so |g_k| is the
     unweighted correlation over w_k.
     """
-    if b is None or op.normal is None:
+    if b is None:
         return op.adjoint(-rho / r)
     return (b - op.normal(a, np.flatnonzero(a))) / r
 
@@ -846,9 +867,9 @@ def _certify(
     """certify on checked data, ||A a - y||, and g if nu is the residual direction.
 
     g is _correlation's for the residual direction. For the least-squares
-    nu = A v it is A^H A v when b = A^H y is given and op has a normal
-    product, else A^H nu. solve_bpdn passes its b, and its Gram rows on the
-    candidate's support are built by then.
+    nu = A v it is A^H A v when b = A^H y is given, which only an operator
+    with a normal product gets, else A^H nu. solve_bpdn passes its b, and
+    its Gram rows on the candidate's support are built by then.
     """
     rho = op.forward(a) - y
     r = float(np.linalg.norm(rho))
@@ -867,7 +888,7 @@ def _certify(
     least_squares = delta == 0.0 or r == 0.0
     if least_squares:
         nu, v = _support_dual(op, np.flatnonzero(support), phases)
-        g = op.adjoint(nu) if b is None or op.normal is None else op.normal(v, np.flatnonzero(v))
+        g = op.adjoint(nu) if b is None else op.normal(v, np.flatnonzero(v))
     else:
         nu = -rho / r
         g = _correlation(op, b, a, rho, r)
@@ -893,9 +914,15 @@ def _certify(
 
 def _polish(
     op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray, support: np.ndarray,
-    b: np.ndarray | None, tol: float, feas_tol: float, tried: set, cut: float | None = None,
-) -> tuple[np.ndarray, float] | None:
-    """A certified minimizer on a's support, or on one grown from it, and its ||A x - y|| - delta.
+    b: np.ndarray | None, tol: float, feas_tol: float, cut: float | None = None,
+):
+    """Solve on a's support, and on supports grown from it, until certify accepts a point.
+
+    A generator: for each support S it solves it yields (S, accepted), with
+    accepted the certified point and its ||A x - y|| - delta, or None when
+    the point on S is refused, and it returns after an accepted point. S is
+    a fresh array at every yield, in increasing index order; the first is
+    a's support itself, and each later one adds one coefficient to the last.
 
     This is solve_bpdn's support polish (after FPC_AS: Wen, Yin, Goldfarb &
     Zhang, "A fast algorithm for sparse reconstruction based on shrinkage,
@@ -910,7 +937,7 @@ def _polish(
     cut = START_CUT (the start).
 
     Each solve is _support_point's closed form on S and its phases, started
-    from a's. Its point is returned only if r_LS < delta (or delta = 0),
+    from a's. Its point is accepted only if r_LS < delta (or delta = 0),
     _certify does not raise, its gap is <= tol max(1, ||x||_1), its KKT
     residual is <= tol and ||A x - y|| - delta <= feas_tol. A refused point
     grows S by _largest_violator's coefficient k and is solved again: k's
@@ -924,7 +951,7 @@ def _polish(
     gauss_heat solves it lacks 1-3, and without growth their attempts are
     refused until the iterate finds them.
 
-    Growth stops, and None is returned, when no coefficient qualifies, when
+    Growth stops, and the generator returns, when no coefficient qualifies, when
     the refused point's residual is 0, when the grown S has more columns
     that cannot be dropped (_droppable) than the m real measurement rows,
     or at the attempt's limit. In the loop (cut None) that is
@@ -936,10 +963,10 @@ def _polish(
     S0 holds one coefficient, so its limit does not scale with |S0|: an
     addition to a support with no feasible point must cut ||rho|| to at
     most cut times the last refused point's, and once a point on S is
-    feasible at most |S| more additions follow (START_CUT). None also
-    comes before any product when S0 has more such columns than the m
-    rows, and at a singular Gram matrix or a failed phase fit
-    (_support_point).
+    feasible at most |S| more additions follow (START_CUT). It also returns
+    before any product or yield when S0 has more such columns than the m
+    rows, and after yielding (S, None) at a singular Gram matrix or a
+    failed phase fit (_support_point).
 
     An attempt costs |S0| forward products (2|S0| for complex coefficients),
     an eigendecomposition of their p x p Gram matrix and certify's
@@ -948,10 +975,10 @@ def _polish(
     one adjoint (or normal) product for the correlations unless certify has
     just formed them (it does for the residual direction), the new
     coefficient's unit forwards, a new eigendecomposition and certify's
-    products again. Each grown support's key (its indices' bytes, as
-    solve_bpdn keys them) is added to tried, and nothing else the caller
-    holds is written, so a solve none of whose attempts is accepted returns
-    the loop's last check. Every unit forward and point of a call is formed
+    products again. It writes nothing its caller holds: a, the support, y
+    and b are only read, whether the caller runs it to its end or leaves it
+    at a yield, so a solve none of whose attempts is accepted returns the
+    loop's last check. Every unit forward and point of a call is formed
     in one zero vector of op's coefficients, allocated once per call and
     zeroed on the support after each use; only an accepted point is copied
     out of it. On the torus it is bit-identical to the loop
@@ -968,7 +995,7 @@ def _polish(
     """
     m = _real_view(y).size
     if np.count_nonzero(~_droppable(op, support)) > m:
-        return None
+        return
     point = np.zeros(op.shape[1], dtype=op.dtype)  # the call's unit vectors and points
     forwards, start = _unit_forwards(op, support, point), a[support]
     units = len(forwards) // support.size
@@ -983,19 +1010,19 @@ def _polish(
             point[support] = 0.0
             k = _largest_violator(g, support, feasible)
             if k is None:
-                return None
+                return
             at = int(np.searchsorted(support, k))
             support = np.concatenate((support[:at], [k], support[at:]))
             if np.count_nonzero(~_droppable(op, support)) > m:
-                return None
-            tried.add(support.tobytes())
+                return
             new = _unit_forwards(op, support[at:at + 1], point)
             row = units * at
             forwards = np.concatenate((forwards[:row], new, forwards[row:]))
             start = np.concatenate((start[:at], g[k:k + 1], start[at:]))
         solved = _support_point(op, y, delta, forwards, support, start)
         if solved is None:
-            return None
+            yield support, None
+            return
         values, rho, feasible = solved
         point[support] = values
         g = None
@@ -1007,17 +1034,19 @@ def _polish(
             else:
                 gap_ok = cert.gap <= tol * max(1.0, op.coef_l1(point))
                 if gap_ok and cert.kkt <= tol and r - delta <= feas_tol:
-                    return point.copy(), r - delta
+                    yield support, (point.copy(), r - delta)
+                    return
+        yield support, None
         if not np.any(rho):
-            return None
+            return
         if cut is not None and feasible:
             limit = min(limit, grown + support.size)
         elif cut is not None:
             r, r_last = r_last, float(np.linalg.norm(rho))
             if r_last > cut * r:
-                return None
+                return
         if grown == limit:
-            return None
+            return
         grown += 1
 
 

@@ -3,7 +3,7 @@ import copy
 import dataclasses
 import inspect
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -429,6 +429,14 @@ def _loop_checks(op, y, cfg):
     return list(solver._pdhg(op, y, cfg, None if op.normal is None else op.adjoint(y)))
 
 
+def _torus_problem(field, size, seed):
+    """A field on Z_N^2 (N x N values) sampled at size points, with a 10% radius."""
+    side = field.shape[0]
+    op = make_torus_operator(draw_subset(side, size, seed))
+    y = op.forward(forward_dft(field)[:, :side // 2 + 1].ravel())
+    return op, y, SolverConfig(delta=0.1 * float(np.linalg.norm(y)))
+
+
 def _flat_torus_problem(side, size, seed):
     """Eight equal cosines on Z_side^2, sampled at size points, with a 10% radius.
 
@@ -440,10 +448,8 @@ def _flat_torus_problem(side, size, seed):
     u = np.arange(side) / side
     u1, u2 = np.meshgrid(u, u, indexing="ij")
     freqs = [(1, 2), (3, 5), (7, 1), (4, 9), (10, 3), (2, 12), (6, 6), (13, 4)]
-    field = sum(np.cos(2 * np.pi * (k1 * u1 + k2 * u2)) for k1, k2 in freqs)
-    op = make_torus_operator(draw_subset(side, size, seed))
-    y = op.forward(forward_dft(field)[:, :side // 2 + 1].ravel())
-    return op, y, SolverConfig(delta=0.1 * float(np.linalg.norm(y)))
+    return _torus_problem(sum(np.cos(2 * np.pi * (k1 * u1 + k2 * u2)) for k1, k2 in freqs),
+                          size, seed)
 
 
 def _noise_sphere_problem(seed, points=40):
@@ -751,29 +757,71 @@ def _sphere_bpdn_instance():
     return op, op.forward(truth) + noise, 1.2 * float(np.linalg.norm(noise))
 
 
-def _spy_polish(monkeypatch, counted=None):
-    """(support size, products made, accepted, violator calls) of every support polish from here on.
+def _start(op, y):
+    """solve_bpdn's start: checked y, a = (A^H y)_k on OMP's first support {k}, and b."""
+    y = op.measurements(y)
+    g = op.adjoint(y)
+    support = np.array([np.argmax(np.abs(g))])
+    a = np.zeros(op.shape[1], dtype=op.dtype)
+    a[support] = g[support]
+    return y, a, support, None if op.normal is None else g
 
-    The violator calls are those of _largest_violator within the attempt:
-    at most one per grown support, plus one that found none.
+
+def _growing_problem(setting, additions):
+    """A problem whose polish attempts add that many coefficients in all, at the start
+    and accepted for sphere-12, torus-2 and complex-3, all refused for torus-1 and complex-14."""
+    if setting == "sphere":
+        return _sphere_trial_problem("gauss_heat", 32, 1)
+    if setting == "torus":  # cc_half at N = 32
+        seed, c_univ = {1: (2846562751307321766, 2**-6), 2: (10007452063617845036, 2**-4)}[additions]
+        return _trial_problem(recover_torus, TORUS_BATTERY["cc_half"], 32, 0.1, seed,
+                              c_univ=c_univ, allow_uncertified=True)
+    mat, y, delta, _ = random_bpdn_instance({3: 17, 14: 7}[additions])
+    return dense_operator(mat), y, SolverConfig(delta=delta)
+
+
+def _replay(op, y, cfg, tries_grown=True):
+    """solve_bpdn's polish attempts on (op, y, cfg), replayed from its rule over _pdhg and _polish.
+
+    Each attempt is (entry, steps, products made): its entry as solve_bpdn
+    records it, (first support size, additions, accepted), and a (support,
+    accepted, products) triple per support that _polish yields, with the
+    forward, adjoint and normal products made since the previous yield
+    (counting_operator's). A support counts as tried once it is a first
+    support and, with tries_grown, once it is yielded. Every attempt is
+    checked to leave a, its first support, y and b as they were.
     """
-    attempts, calls = [], []
-    polish, violator = solver._polish, solver._largest_violator
+    op = counting_operator(op)
+    y, a, first, b = _start(op, y)
+    feas_tol = cfg.tol * max(1.0, float(np.linalg.norm(y)))
+    tried, attempts = set(), []
 
-    def spy_violator(*args):
-        calls.append(1)
-        return violator(*args)
+    def attempt(a, first, cut=None):
+        begun, last, steps = sum(op.calls.values()), dict(op.calls), []
+        held = [x for x in (a, first, y, b) if x is not None]
+        kept = [x.copy() for x in held]
+        for support, accepted in solver._polish(op, y, cfg.delta, a, first, b, cfg.tol, feas_tol, cut):
+            steps.append((support, accepted, {kind: n - last[kind] for kind, n in op.calls.items()}))
+            last = dict(op.calls)
+        assert all(np.array_equal(x, k) and x.dtype == k.dtype for x, k in zip(held, kept))
+        tried.update([first.tobytes()] + [s.tobytes() for s, _, _ in steps if tries_grown])
+        ok = bool(steps) and steps[-1][1] is not None
+        entry = (first.size, steps[-1][0].size - first.size if steps else 0, ok)
+        attempts.append((entry, steps, sum(op.calls.values()) - begun))
+        return ok
 
-    def spy(op, y, delta, a, support, *rest):
-        calls.clear()
-        before = sum(counted.calls.values()) if counted else 0
-        out = polish(op, y, delta, a, support, *rest)
-        made = sum(counted.calls.values()) - before if counted else 0
-        attempts.append((support.size, made, out is not None, len(calls)))
-        return out
-
-    monkeypatch.setattr(solver, "_polish", spy)
-    monkeypatch.setattr(solver, "_largest_violator", spy_violator)
+    if attempt(a, first, solver.START_CUT):
+        return attempts
+    key_prev, polish_from = None, 0
+    for a, nz, _, it, converged, *_ in solver._pdhg(op, y, cfg, b):
+        if converged or it == cfg.max_iter:
+            break
+        key = nz.tobytes()
+        if it >= polish_from and nz.size and key == key_prev and key not in tried:
+            if attempt(a, nz):
+                break
+            polish_from = 2 * it
+        key_prev = key
     return attempts
 
 
@@ -784,79 +832,45 @@ class TestSupportPolish:
     SPHERE_CELLS = [(fn, seed) for fn in ("mix5", "gauss_heat") for seed in (1, 2)]
 
     @staticmethod
-    def _spy_solves(monkeypatch):
-        solves = []
-
-        def spy(op, y, cfg):
-            solves.append((op, y, cfg, solve_bpdn(op, y, cfg)))
-            return solves[-1][-1]
-
-        monkeypatch.setattr(solver, "solve_bpdn", spy)
-        return solves
-
-    def _check_certified(self, monkeypatch, run):
-        solves = self._spy_solves(monkeypatch)
-        run()
-        [(op, y, cfg, sol)] = solves
+    def _check_certified(op, y, cfg):
+        sol = solve_bpdn(op, y, cfg)
         assert sol.converged and sol.objective > 0.0
         cert = certify(op, y, cfg.delta, sol.coefficients)
         assert cert.gap <= 1e-12 * sol.objective
         return sol
 
     @pytest.mark.parametrize("side, c_univ, seed", TORUS_CELLS)
-    def test_torus_solve_is_certified_within_60_iterations(self, side, c_univ, seed, monkeypatch):
+    def test_torus_solve_is_certified_within_60_iterations(self, side, c_univ, seed):
         # without the polish these cells take 190-240 iterations, and their
         # gaps are 1e-9 to 1e-6 of the objective; the polish in the loop
         # ended them at 20-40, and the start ends them before any
-        sol = self._check_certified(monkeypatch, lambda: recover_torus(
-            TORUS_BATTERY["cc_half"], side, 0.1, seed, c_univ=c_univ, allow_uncertified=True))
+        sol = self._check_certified(*_trial_problem(
+            recover_torus, TORUS_BATTERY["cc_half"], side, 0.1, seed, c_univ=c_univ,
+            allow_uncertified=True))
         assert sol.iterations <= 60
         assert (sol.iterations, sol.restarts, sol.primal_weight) == (0, 0, 1.0)
 
     @pytest.mark.parametrize("fn, seed", SPHERE_CELLS)
-    def test_sphere_solve_is_certified(self, fn, seed, monkeypatch):
+    def test_sphere_solve_is_certified(self, fn, seed):
         # at the start, so with no restart
-        signal = build_sphere_battery(16)[fn]
-        sol = self._check_certified(monkeypatch, lambda: recover_sphere(signal, 0.1, seed,
-                                                                        c_univ=2**-6))
+        sol = self._check_certified(*_trial_problem(
+            recover_sphere, build_sphere_battery(16)[fn], 0.1, seed, c_univ=2**-6))
         assert (sol.iterations, sol.restarts, sol.primal_weight) == (0, 0, 1.0)
 
     @pytest.mark.parametrize("setting, seed", [("torus", 1), ("torus", 2), ("sphere", 1)])
-    def test_loop_polish_certifies_when_the_start_is_refused(self, setting, seed, monkeypatch):
+    def test_loop_polish_certifies_when_the_start_is_refused(self, setting, seed):
         # a flat spectrum and a fit to noise: the start is refused, and the
         # polish ends the loop at its first attempt, after restarts
-        attempts = _spy_polish(monkeypatch)
         if setting == "torus":
             op, y, cfg = _flat_torus_problem(64, 200, seed)
         else:
             op, y, cfg = _noise_sphere_problem(seed, points=30)
         sol = solve_bpdn(op, y, cfg)
-        assert [ok for _, _, ok, _ in attempts] == [False, True]
-        assert attempts[0][0] == 1  # the start
+        assert [ok for _, _, ok in sol.attempts] == [False, True]
+        assert sol.attempts[0][0] == 1  # the start
         assert sol.converged and 0 < sol.iterations <= 60 and sol.restarts >= 1
         cert = certify(op, y, cfg.delta, sol.coefficients)
         assert cert.gap <= 1e-12 * sol.objective
-
-    @staticmethod
-    def _torus_problem(field, size, seed, delta):
-        side = field.shape[0]
-        op = make_torus_operator(draw_subset(side, size, seed))
-        y = op.forward(forward_dft(field)[:, :side // 2 + 1].ravel())
-        return op, y, SolverConfig(delta=delta * float(np.linalg.norm(y)))
-
-    def _check_unpolished_is_bitwise(self, op, y, cfg, monkeypatch):
-        # a solve none of whose attempts is accepted, the start's included,
-        # returns the loop's last check
-        attempts = _spy_polish(monkeypatch)
-        got = solve_bpdn(op, y, cfg)
-        assert attempts and not any(ok for _, _, ok, _ in attempts)
-        assert attempts[0][0] == 1  # the start
-        assert len(attempts) - 1 <= math.ceil(math.log2(got.iterations)) + 1
-        *_, (a, _, feas, iterations, converged, restarts, weight) = _loop_checks(op, y, cfg)
-        assert np.array_equal(got.coefficients, a)
-        assert (got.iterations, got.converged, got.restarts, got.primal_weight) == (
-            iterations, converged, restarts, weight)
-        assert got.feasibility_residual == feas
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_no_attempt_at_the_last_check(self, seed):
@@ -873,13 +887,23 @@ class TestSupportPolish:
         assert (got.iterations, got.restarts, got.primal_weight) == (iterations, restarts, weight)
         assert np.array_equal(got.coefficients, a)
 
-    def test_non_sparse_field_runs_as_without_polish(self, monkeypatch):
+    def test_non_sparse_field_runs_as_without_polish(self):
         # the Poisson kernel P_r(u1) P_r(u2), r = 1/2, has no sparse spectrum:
         # every attempt fails, at most one per doubling of the iterations
         u = np.arange(256) / 256
         kernel = 0.75 / (1.25 - np.cos(2 * np.pi * u))
-        op, y, cfg = self._torus_problem(np.outer(kernel, kernel), 503, 1, 0.1)
-        self._check_unpolished_is_bitwise(op, y, cfg, monkeypatch)
+        op, y, cfg = _torus_problem(np.outer(kernel, kernel), 503, 1)
+        # a solve none of whose attempts is accepted, the start's included,
+        # returns the loop's last check
+        got = solve_bpdn(op, y, cfg)
+        assert got.attempts and not any(ok for _, _, ok in got.attempts)
+        assert got.attempts[0][0] == 1  # the start
+        assert len(got.attempts) - 1 <= math.ceil(math.log2(got.iterations)) + 1
+        *_, (a, _, feas, iterations, converged, restarts, weight) = _loop_checks(op, y, cfg)
+        assert np.array_equal(got.coefficients, a)
+        assert (got.iterations, got.converged, got.restarts, got.primal_weight) == (
+            iterations, converged, restarts, weight)
+        assert got.feasibility_residual == feas
 
     def test_mirror_pair_support_is_not_polished(self):
         # cos(2 pi 3 u1) lives on (3, 0) and (-3, 0), both stored in the
@@ -888,17 +912,30 @@ class TestSupportPolish:
         # both, and an attempt there gives up before it grows
         u = np.arange(32) / 32
         field = np.repeat(np.cos(6 * np.pi * u)[:, None], 32, axis=1)
-        op, y, cfg = self._torus_problem(field, 100, 3, 0.1)
+        op, y, cfg = _torus_problem(field, 100, 3)
         pair = np.array([3 * 17, 29 * 17])  # (3, 0) and (29, 0) in the 32 x 17 half
         got = solve_bpdn(op, y, cfg)
         assert (got.iterations, got.converged) == (0, True)
         assert np.flatnonzero(got.coefficients) in pair
         a, nz, *_ = _loop_checks(op, y, cfg)[-1]
         assert np.array_equal(nz, pair)
-        tried = set()
         y = op.measurements(y)
-        assert solver._polish(op, y, cfg.delta, a, nz, None, cfg.tol, cfg.tol, tried) is None
-        assert not tried
+        [(support, accepted)] = solver._polish(op, y, cfg.delta, a, nz, None, cfg.tol, cfg.tol)
+        assert np.array_equal(support, pair) and accepted is None
+
+    @pytest.mark.parametrize("setting, additions", [("sphere", 12), ("torus", 2), ("complex", 3)])
+    def test_polish_writes_no_caller_state(self, setting, additions):
+        # a, its support, y and b belong to the caller: _replay checks that
+        # every attempt run to its end only reads them, and so does one that
+        # its caller leaves halfway
+        op, y, cfg = _growing_problem(setting, additions)
+        y, a, support, b = _start(op, y)
+        held = [x for x in (a, support, y, b) if x is not None]
+        kept = [x.copy() for x in held]
+        left = solver._polish(op, y, cfg.delta, a, support, b, cfg.tol, cfg.tol, solver.START_CUT)
+        assert len(list(islice(left, 1 + additions // 2))) == 1 + additions // 2
+        left.close()
+        assert all(np.array_equal(x, k) for x, k in zip(held, kept))
 
 
 class TestPolishGrowth:
@@ -915,56 +952,47 @@ class TestPolishGrowth:
         assert want.iterations > 40
         assert np.array_equal(got.coefficients, want.coefficients)
 
-    def test_first_attempt_grows_through_both_refusals(self, monkeypatch):
+    def test_first_attempt_grows_through_both_refusals(self):
         # L = 32 gauss_heat, seed 1: the start's OMP steps find no feasible
         # point on its first 10 coefficients; the certificate refuses 11 and
-        # 12, and accepts 13
-        solves, certified = [], []
-        support_point, certify_ = solver._support_point, solver._certify
-
-        def spy_point(op, y, delta, forwards, support, start):
-            out = support_point(op, y, delta, forwards, support, start)
-            solves.append((support.size, out[2]))
-            return out
-
-        def spy_certify(op, y, delta, a, b):
-            certified.append(np.count_nonzero(a))
-            return certify_(op, y, delta, a, b)
-
-        monkeypatch.setattr(solver, "_support_point", spy_point)
-        monkeypatch.setattr(solver, "_certify", spy_certify)
+        # 12, and accepts 13. Each point certify is asked about costs it a
+        # forward and a normal product; each addition costs its unit forward,
+        # and a normal product for the correlations after an infeasible point
+        # only: after a refused certificate it takes certify's dual vector
         op, y, cfg = _sphere_trial_problem("gauss_heat", 32, 1)
-        counted = counting_operator(op)
-        attempts = _spy_polish(monkeypatch, counted)
-        sol = solve_bpdn(counted, y, cfg)
-        # 13 unit forwards, a normal product for the correlations at each of
-        # the 10 infeasible points, and certify's two on 11, 12 and 13; the
-        # growth after each refused certificate takes certify's dual vector
-        assert attempts == [(1, 29, True, 12)]
-        assert solves == [(size, size > 10) for size in range(1, 14)]
-        assert certified == [11, 12, 13]
-        assert sol.iterations == 0
+        [(_, steps, made)] = _replay(op, y, cfg)
+        assert [s.size for s, _, _ in steps] == list(range(1, 14)) and made == 29
+        assert [ok is not None for _, ok, _ in steps] == [False] * 12 + [True]
+        products = [(p["forward"], p["normal"]) for _, _, p in steps]
+        assert products == [(1, 0)] + [(1, 1)] * 9 + [(2, 2), (2, 1), (2, 1)]
+        sol = solve_bpdn(op, y, cfg)
+        assert sol.attempts == ((1, 12, True),) and sol.iterations == 0
         assert np.count_nonzero(sol.coefficients) == 13
         cert = certify(op, y, cfg.delta, sol.coefficients)
         assert cert.gap <= cfg.tol * sol.objective and cert.kkt <= cfg.tol
 
-    def test_exact_fit_grows_by_omp_steps(self, monkeypatch):
+    def test_exact_fit_grows_by_omp_steps(self):
         # delta = 0, a recover_sphere_exact.csv trial: the least-squares point
         # on each of the start's first 8 supports does not fit y, so certify
-        # raises and each addition is OMP's step, whatever the correlations on
-        # the support; the 9th fits and is certified
-        steps = []
-        violator = solver._largest_violator
-
-        def spy(g, support, feasible):
-            steps.append((support.size, feasible))
-            return violator(g, support, feasible)
-
-        monkeypatch.setattr(solver, "_largest_violator", spy)
-        rep = recover_sphere(build_sphere_battery(8)["gauss_heat"], 0.1, 9867935573728242652,
-                             c_univ=2**-6, exact_fit=True)
+        # raises after its forward product, and each addition is OMP's step:
+        # the largest correlation with the least-squares residual, whatever
+        # the correlations on the support. The 9th fits and is certified by
+        # its least-squares dual, whose unit forwards are 9 more products
+        problem = (build_sphere_battery(8)["gauss_heat"], 0.1, 9867935573728242652)
+        options = {"c_univ": 2**-6, "exact_fit": True}
+        rep = recover_sphere(*problem, **options)
         assert rep.converged and rep.rel_error < 1e-12 and rep.iterations == 0
-        assert steps == [(size, False) for size in range(1, 9)]
+        assert rep.attempts == ((1, 8, True),)
+        op, y, cfg = _trial_problem(recover_sphere, *problem, **options)
+        [(_, steps, _)] = _replay(op, y, cfg)
+        products = [(p["forward"], p["normal"]) for _, _, p in steps]
+        assert products == [(2, 0)] + [(2, 1)] * 7 + [(11, 2)]
+        columns = solver._unit_forwards(op, np.arange(op.shape[1])).T
+        for (support, _, _), (grown, _, _) in zip(steps, steps[1:]):
+            fit, *_ = np.linalg.lstsq(columns[:, support], y, rcond=None)
+            score = np.abs(columns.T @ (y - columns[:, support] @ fit))
+            score[support] = 0.0
+            assert np.array_equal(np.setdiff1d(grown, support), [np.argmax(score)])
 
     def test_decay_alt_l64_makes_no_more_products(self, monkeypatch):
         # without growth this solve takes 720 iterations and 1,917 products;
@@ -973,88 +1001,71 @@ class TestPolishGrowth:
         def run():
             op, y, cfg = _sphere_trial_problem("decay_alt", 64, 1)
             counted = counting_operator(op)
-            attempts = _spy_polish(monkeypatch, counted)
-            return solve_bpdn(counted, y, cfg), sum(counted.calls.values()), attempts
+            return solve_bpdn(counted, y, cfg), sum(counted.calls.values())
 
-        got, made, attempts = run()
-        assert got.converged and any(calls for *_, calls in attempts[1:])
-        assert attempts[0][0] == 1 and not attempts[0][2]  # the refused start
-        for size, _, _, calls in attempts[1:]:
-            assert calls <= math.ceil(math.log2(size + 1))
+        got, made = run()
+        assert got.converged and any(grown for _, grown, _ in got.attempts[1:])
+        assert got.attempts[0][0] == 1 and not got.attempts[0][2]  # the refused start
+        for size, grown, _ in got.attempts[1:]:
+            assert grown <= math.ceil(math.log2(size + 1))
         monkeypatch.setattr(solver, "_largest_violator", lambda *args: None)
-        want, made_without, _ = run()
+        want, made_without = run()
         assert got.iterations < want.iterations and made <= made_without
         assert np.array_equal(got.coefficients, want.coefficients)
 
     @pytest.mark.parametrize("fn", ["gauss_heat", "mix5"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_additions_stay_under_the_log_cap(self, fn, seed, monkeypatch):
+    def test_additions_stay_under_the_log_cap(self, fn, seed):
         # the start has its own limit (START_CUT): while no point is feasible
-        # each addition cuts ||rho|| by START_CUT, and after the first
-        # feasible support at most its size follow. On a noise fit the start
-        # is refused and the loop's attempts stay under the log cap
-        solves = []
-        support_point = solver._support_point
-
-        def spy_point(op, y, delta, forwards, support, start):
-            out = support_point(op, y, delta, forwards, support, start)
-            solves.append((support.size, float(np.linalg.norm(out[1])), out[2]))
-            return out
-
-        monkeypatch.setattr(solver, "_support_point", spy_point)
-        attempts = _spy_polish(monkeypatch)
-        sol = solve_bpdn(*_sphere_trial_problem(fn, 32, seed))
+        # each addition cuts ||rho||, that of the least-squares point, by
+        # START_CUT, and after the first feasible support at most its size
+        # follow. On a noise fit the start is refused and the loop's attempts
+        # stay under the log cap
+        op, y, cfg = _sphere_trial_problem(fn, 32, seed)
+        sol = solve_bpdn(op, y, cfg)
+        [(_, steps, _)] = _replay(op, y, cfg)
         assert sol.converged and sol.iterations == 0
-        [(size, _, accepted, calls)] = attempts
-        assert size == 1 and accepted and calls == len(solves) - 1
-        infeasible = [r for _, r, feasible in solves if not feasible]
+        assert sol.attempts == ((1, len(steps) - 1, True),)
+        residuals = []
+        for support, _, _ in steps:
+            columns = solver._unit_forwards(op, support).T
+            fit, *_ = np.linalg.lstsq(columns, y, rcond=None)
+            residuals.append(float(np.linalg.norm(columns @ fit - y)))
+        first_feasible = next(i for i, r in enumerate(residuals) if r < cfg.delta)
+        infeasible = residuals[:first_feasible]
         assert all(r <= solver.START_CUT * r0 for r0, r in zip(infeasible, infeasible[1:]))
-        first_feasible = next(i for i, (_, _, feasible) in enumerate(solves) if feasible)
-        assert len(solves) - 1 - first_feasible <= solves[first_feasible][0]
-        attempts.clear()
-        assert solve_bpdn(*_noise_sphere_problem(seed)).converged
-        assert attempts[0][0] == 1 and len(attempts) > 1
-        for size, _, _, calls in attempts[1:]:
-            assert calls <= math.ceil(math.log2(size + 1))
+        assert len(steps) - 1 - first_feasible <= steps[first_feasible][0].size
+        noise = solve_bpdn(*_noise_sphere_problem(seed))
+        assert noise.converged and noise.attempts[0][0] == 1 and len(noise.attempts) > 1
+        for size, grown, _ in noise.attempts[1:]:
+            assert grown <= math.ceil(math.log2(size + 1))
 
-    @pytest.mark.parametrize("setting, additions", [("sphere", 12), ("torus", 1), ("complex", 14)])
-    def test_grown_support_inserts_its_columns_in_order(self, setting, additions, monkeypatch):
-        # after each addition the kept unit forwards, with the new
-        # coefficient's inserted, are those rebuilt on the grown support, and
-        # the kept start phases do not move. Additions in the start count
-        # too: 12 on the sphere, 7 of the complex instance's 14. Every grown
-        # attempt on the dense complex instance is refused, so a wrong
-        # insertion there would show only as a refusal
-        attempts = []
-        polish, support_point = solver._polish, solver._support_point
-
-        def spy_polish(*args):
-            attempts.append([])
-            return polish(*args)
-
-        def spy_point(op, y, delta, forwards, support, start):
-            attempts[-1].append((op, forwards, support, start))
-            return support_point(op, y, delta, forwards, support, start)
-
-        monkeypatch.setattr(solver, "_polish", spy_polish)
-        monkeypatch.setattr(solver, "_support_point", spy_point)
-        if setting == "sphere":
-            solve_bpdn(*_sphere_trial_problem("gauss_heat", 32, 1))
-        elif setting == "torus":
-            recover_torus(TORUS_BATTERY["cc_half"], 32, 0.1, 2846562751307321766,
-                          c_univ=2**-6, allow_uncertified=True)
-        else:
-            mat, y, delta, _ = random_bpdn_instance(7)
-            solve_bpdn(dense_operator(mat), y, SolverConfig(delta=delta))
-        grown = 0
-        for solves in attempts:
-            for (_, _, kept, kept_start), (op, forwards, support, start) in zip(solves, solves[1:]):
+    @pytest.mark.parametrize("setting, additions", [("sphere", 12), ("torus", 1), ("torus", 2),
+                                                    ("complex", 3), ("complex", 14)])
+    def test_grown_support_inserts_its_columns_in_order(self, setting, additions):
+        # each addition keeps the support and inserts one coefficient in index
+        # order, and an accepted grown point is the closed form on its
+        # support's columns rebuilt in that order, bit for bit, from its own
+        # phases. Additions in every attempt count. The sphere start appends
+        # its coefficients; the torus-2 and complex-3 starts insert one inside
+        # the support
+        grown, accepted = 0, []
+        op, y, cfg = _growing_problem(setting, additions)
+        for _, steps, _ in _replay(op, y, cfg):
+            inside = False
+            for (kept, _, _), (support, _, _) in zip(steps, steps[1:]):
                 (at,) = np.flatnonzero(~np.isin(support, kept))
-                assert np.array_equal(np.delete(support, at), kept)
-                assert np.array_equal(np.delete(start, at), kept_start)
-                assert np.array_equal(forwards, solver._unit_forwards(op, support))
-                grown += 1
+                assert np.array_equal(np.delete(support, at), kept) and np.all(np.diff(support) > 0)
+                grown, inside = grown + 1, inside or at < kept.size
+            if len(steps) > 1 and steps[-1][1] is not None:
+                support, (point, _), _ = steps[-1]
+                values, *_ = solver._support_point(op, op.measurements(y), cfg.delta,
+                                                   solver._unit_forwards(op, support), support,
+                                                   point[support])
+                assert np.array_equal(values, point[support])
+                accepted.append(inside)
         assert grown == additions
+        assert accepted == {12: [False], 2: [True], 3: [True]}.get(additions, [])
 
     @pytest.mark.parametrize("setting", ["sphere", "torus", "complex"])
     def test_only_droppable_directions_are_dropped(self, setting):
@@ -1102,11 +1113,10 @@ class TestPolishGrowth:
         a[support] = 1.0 + rng.random(support.size)
         y = op.forward(a)
         counted = counting_operator(op)
-        tried = set()
         b = op.adjoint(y) if op.normal is not None else None
         assert np.count_nonzero(~solver._droppable(op, support)) > solver._real_view(y).size
-        assert solver._polish(counted, y, 0.1, a, support, b, 1e-8, 1e-8, tried) is None
-        assert sum(counted.calls.values()) == 0 and not tried
+        assert list(solver._polish(counted, y, 0.1, a, support, b, 1e-8, 1e-8)) == []
+        assert sum(counted.calls.values()) == 0
 
 
 class TestStart:
@@ -1166,21 +1176,21 @@ class TestStart:
             residual = float(np.linalg.norm(op.forward(rep.coefficients) - y)) - cfg.delta
             assert rep.feasibility_residual <= feas_tol and residual <= feas_tol
 
-    def test_refused_start_adds_its_supports_to_tried(self, monkeypatch):
-        # the loop does not try again a support that the start refused
-        seen = []
-        polish = solver._polish
-
-        def spy(op, y, delta, a, support, b, tol, feas_tol, tried, *rest):
-            seen.append((support.tobytes(), set(tried)))
-            return polish(op, y, delta, a, support, b, tol, feas_tol, tried, *rest)
-
-        monkeypatch.setattr(solver, "_polish", spy)
-        solve_bpdn(*_noise_sphere_problem(2))
-        (start, _), *loop = seen
-        assert len(np.frombuffer(start, dtype=np.intp)) == 1 and loop
-        for key, tried in loop:
-            assert start in tried and key in tried
+    def test_refused_start_adds_its_supports_to_tried(self):
+        # the loop does not try again a support that an attempt refused: the
+        # record is the replay in which each first support and every support
+        # _polish yields count as tried. On decay_alt (L = 16, seed 1) and the
+        # complex instance the loop settles on grown supports, so a driver
+        # that forgot them would record other attempts
+        problems = {"noise": _noise_sphere_problem(2),
+                    "decay_alt": _sphere_trial_problem("decay_alt", 16, 1),
+                    "complex": _growing_problem("complex", 14)}
+        for name, (op, y, cfg) in problems.items():
+            sol = solve_bpdn(op, y, cfg)
+            assert sol.attempts[0][1] > 0 and not sol.attempts[0][2] and len(sol.attempts) > 1
+            assert [entry for entry, _, _ in _replay(op, y, cfg)] == list(sol.attempts), name
+            forgetful = [entry for entry, _, _ in _replay(op, y, cfg, tries_grown=False)]
+            assert (forgetful == list(sol.attempts)) == (name == "noise"), name
 
 
 class TestSolveBpdn:
@@ -1242,7 +1252,7 @@ class TestSolveBpdn:
         assert not np.any(rep.coefficients) and rep.rel_error == 1.0
 
     @pytest.mark.parametrize("setting", ["torus", "sphere", "grown"])
-    def test_two_products_per_iteration(self, setting, monkeypatch):
+    def test_two_products_per_iteration(self, setting):
         if setting == "torus":
             sample, y, delta = _real_bpdn_instance(16, seed=7)
             op = make_torus_operator(sample)
@@ -1252,23 +1262,24 @@ class TestSolveBpdn:
         else:  # the start grows its support 12 times and ends the solve (TestPolishGrowth)
             op, y, cfg = _sphere_trial_problem("gauss_heat", 32, 1)
             delta = cfg.delta
-        counted = counting_operator(op)
-        attempts = _spy_polish(monkeypatch, counted)
-        rep = solve_bpdn(counted, y, SolverConfig(delta=delta))
+        counted, cfg = counting_operator(op), SolverConfig(delta=delta)
+        rep = solve_bpdn(counted, y, cfg)
         assert rep.converged
         assert rep.iterations == 0 if setting == "grown" else rep.iterations > solver.CHECK_EVERY
         # a support polish makes one forward per unit direction on the support,
         # then certify's forward and its adjoint or normal product; each search
         # for a violator makes at most one adjoint or normal product (none
         # when certify has formed the correlations), and each grown
-        # coefficient its unit forwards and certify's two products again. The
-        # 2 beyond the iterations' are A^H y: b on the sphere, the start's
-        # correlations on the torus
+        # coefficient its unit forwards and certify's two products again. A
+        # refused attempt may end in a search that finds none. The one product
+        # beyond the iterations' is A^H y, the start's correlations and b
+        attempts = _replay(op, y, cfg)
+        assert [entry for entry, _, _ in attempts] == list(rep.attempts)
         units = 2 if op.dtype == np.complex128 else 1
-        own = [units * size + 2 + calls * (1 + units + 2) for size, _, _, calls in attempts]
-        assert setting != "grown" or attempts == [(1, 29, True, 12)]
-        assert all(made <= bound for (_, made, _, _), bound in zip(attempts, own))
-        assert sum(counted.calls.values()) <= 2 * rep.iterations + 2 + sum(own)
+        own = [units * size + 2 + grown * (1 + units + 2) + (not ok)
+               for size, grown, ok in rep.attempts]
+        assert all(made <= bound for (_, _, made), bound in zip(attempts, own))
+        assert sum(counted.calls.values()) <= 2 * rep.iterations + 1 + sum(own)
 
     def test_sphere_solve_takes_one_adjoint(self):
         # A^H y once; the start's correlations and every iteration's A^H z
@@ -1625,7 +1636,7 @@ class TestRecoverTorus:
         rep = recover_torus(TORUS_BATTERY["const1"], 8, 0.1, seed=3, exact_fit=True)
         assert [f.name for f in dataclasses.fields(rep)] == [
             "coefficients", "objective", "feasibility_residual", "iterations", "converged",
-            "restarts", "primal_weight", "rel_error", "sample_size", "clamped",
+            "restarts", "primal_weight", "attempts", "rel_error", "sample_size", "clamped",
         ]
         assert not hasattr(rep, "budget")
 
@@ -1670,22 +1681,11 @@ class TestTorusField:
 class TestSharedScoring:
     """Both recover_* measure, set delta and score in one place; check it against the field."""
 
-    @staticmethod
-    def _spy_solves(monkeypatch):
-        calls = []
-
-        def spy(op, y, cfg):
-            calls.append((y, cfg.delta))
-            return solve_bpdn(op, y, cfg)
-
-        monkeypatch.setattr(solver, "solve_bpdn", spy)
-        return calls
-
-    def test_torus_cc_half(self, monkeypatch):
+    def test_torus_cc_half(self):
         side, f = 16, TORUS_BATTERY["cc_half"]
-        calls = self._spy_solves(monkeypatch)
-        rep = recover_torus(f, side, 0.1, seed=7, c_univ=2**-6, allow_uncertified=True)
-        [(y, delta)] = calls
+        options = {"c_univ": 2**-6, "allow_uncertified": True}
+        _, y, cfg = _trial_problem(recover_torus, f, side, 0.1, 7, **options)
+        rep = recover_torus(f, side, 0.1, 7, **options)
         assert not rep.clamped and rep.coefficients.shape == (side * side,)
         # the full spectrum of a real field: a[-k] = conj(a[k]) on the (N, N) grid
         a = rep.coefficients.reshape(side, side)
@@ -1702,19 +1702,18 @@ class TestSharedScoring:
         g = discretize(f, side).ravel()
         want = g[draw_subset(side, rep.sample_size, 7).flat]
         assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
-        assert delta == pytest.approx(0.1 * np.linalg.norm(g), rel=1e-13)
+        assert cfg.delta == pytest.approx(0.1 * np.linalg.norm(g), rel=1e-13)
 
-    def test_sphere_mix5(self, monkeypatch):
+    def test_sphere_mix5(self):
         signal = build_sphere_battery(8)["mix5"]
-        calls = self._spy_solves(monkeypatch)
+        _, y, cfg = _trial_problem(recover_sphere, signal, 0.1, 11, c_univ=2**-6)
         rep = recover_sphere(signal, 0.1, seed=11, c_univ=2**-6)
-        [(y, delta)] = calls
         rel = np.linalg.norm(rep.coefficients.real - signal.coeffs) / np.linalg.norm(signal.coeffs)
         assert rep.rel_error == pytest.approx(rel, rel=1e-12)
         points = draw_sphere_points(rep.sample_size, 11)
         want = synthesize(signal, points.theta, points.phi)
         assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
-        assert delta == pytest.approx(0.1 * np.linalg.norm(signal.coeffs), rel=1e-13)
+        assert cfg.delta == pytest.approx(0.1 * np.linalg.norm(signal.coeffs), rel=1e-13)
 
 
 class TestRecoverSphere:
