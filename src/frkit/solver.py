@@ -266,13 +266,13 @@ class MeasurementOperator:
         """l2 norm of the full spectrum that the coefficients a stand for."""
         if self.weights is None:
             return float(np.linalg.norm(a))
-        return math.sqrt(float(np.dot(self.weights, a.real**2 + a.imag**2)))
+        return math.sqrt(float(np.sum(self.weights * (a.real**2 + a.imag**2))))
 
     def coef_l1(self, a: np.ndarray) -> float:
         """l1 norm of the full spectrum that the coefficients a stand for."""
         if self.weights is None:
             return float(np.sum(np.abs(a)))
-        return float(np.dot(self.weights, np.abs(a)))
+        return float(np.sum(self.weights * np.abs(a)))
 
 
 def _as_flat(x, dtype: np.dtype, size: int, what: str) -> np.ndarray:

@@ -407,7 +407,8 @@ class TestSweepWorkers:
     def test_torus_rows_do_not_depend_on_blas_threads(self):
         # solve_bpdn's support polish forms and factors a Gram matrix through
         # BLAS and LAPACK; torus rows, noisy and exact fit, must not move with
-        # their thread count
+        # their thread count. The prod_cos N = 256 sweep's 410-iteration
+        # trial sums its objective over the 33,024-entry half spectrum
         torus = "['sweep', '--setting', 'torus', '--fn', 'cc_half', '--eps', '0.1', " \
                 "'--trials', '2', '--allow-uncertified', '--seed', '3', '--workers', '1'"
         code = (
@@ -415,12 +416,35 @@ class TestSweepWorkers:
             f"main({torus}, '--n', '64', '--c-univ', '0.00390625'])\n"
             f"main({torus}, '--n', '256', '--c-univ', '0.0625'])\n"
             f"main({torus}, '--n', '32', '64', '--c-univ', '0.015625', '--exact-fit'])\n"
+            "main(['sweep', '--setting', 'torus', '--fn', 'prod_cos', '--n', '256', '--eps', "
+            "'0.1', '--c-univ', '0.0625', '--trials', '8', '--seed', '1', '--allow-uncertified', "
+            "'--workers', '1'])\n"
         )
         outs = [run_python(code, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
                 for n in ("1", "2")]
         assert outs[0] == outs[1]
         rows = [line for line in outs[0].splitlines() if line.startswith("torus,")]
-        assert len(rows) == 8 and all(line.endswith(",ok") for line in rows)
+        assert len(rows) == 16 and all(line.endswith(",ok") for line in rows)
+
+    def test_coefficient_norms_do_not_depend_on_blas_threads(self):
+        # coef_norm and coef_l1 reduce the N = 256 half spectrum's 33,024
+        # weighted entries, which a threaded BLAS dot product would split
+        # across threads and sum in another order
+        code = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from frkit.sampling import draw_subset, rng_from_seed\n"
+            "from frkit.solver import make_torus_operator\n"
+            "op = make_torus_operator(draw_subset(256, 8, 1))\n"
+            "rng, digest = rng_from_seed(5), hashlib.sha256()\n"
+            "for _ in range(200):\n"
+            "    a = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])\n"
+            "    digest.update(np.array([op.coef_norm(a), op.coef_l1(a)]).tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        outs = [run_python(code, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
+                for n in ("1", "2")]
+        assert outs[0] == outs[1]
 
     def test_iterating_sphere_rows_byte_identical(self, tmp_path, capsys):
         # solves that iterate build the operator's Gram rows in the order their
