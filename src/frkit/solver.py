@@ -577,10 +577,10 @@ def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _So
 
     def attempt(a, support, cut=None):
         tried.add(support.tobytes())
-        solved = accepted = None
-        for solved, accepted in _polish(op, y, cfg.delta, a, support, b, cfg.tol, feas_tol, cut):
-            tried.add(solved.tobytes())
-        grown = 0 if solved is None else solved.size - support.size
+        last = accepted = None
+        for last, accepted in _polish(op, y, cfg.delta, a, support, b, cfg.tol, feas_tol, cut):
+            tried.add(last.tobytes())
+        grown = 0 if last is None else last.size - support.size
         attempts.append((support.size, grown, accepted is not None))
         return accepted
 
@@ -853,8 +853,8 @@ def _correlation(
 
     b = A^H y is given only for an operator with a normal product (None
     otherwise), which forms it as (b - A^H A a) / r and makes no adjoint;
-    without b it is the adjoint of -rho / r. op.adjoint is the weighted adjoint, so |g_k| is the
-    unweighted correlation over w_k.
+    without b it is the adjoint of -rho / r. op.adjoint is the weighted
+    adjoint, so |g_k| is the unweighted correlation over w_k.
     """
     if b is None:
         return op.adjoint(-rho / r)
@@ -951,8 +951,8 @@ def _polish(
     gauss_heat solves it lacks 1-3, and without growth their attempts are
     refused until the iterate finds them.
 
-    Growth stops, and the generator returns, when no coefficient qualifies, when
-    the refused point's residual is 0, when the grown S has more columns
+    Growth stops, and the generator returns, when no coefficient qualifies,
+    when the refused point's residual is 0, when the grown S has more columns
     that cannot be dropped (_droppable) than the m real measurement rows,
     or at the attempt's limit. In the loop (cut None) that is
     ceil(log2(|S0| + 1)) additions to the first support S0. The cap keeps

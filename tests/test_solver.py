@@ -768,8 +768,11 @@ def _start(op, y):
 
 
 def _growing_problem(setting, additions):
-    """A problem whose polish attempts add that many coefficients in all, at the start
-    and accepted for sphere-12, torus-2 and complex-3, all refused for torus-1 and complex-14."""
+    """A problem whose polish attempts add that many coefficients in all.
+
+    sphere-12, torus-2 and complex-3 add them at the start, which accepts
+    its last point; torus-1 and complex-14 refuse every grown support.
+    """
     if setting == "sphere":
         return _sphere_trial_problem("gauss_heat", 32, 1)
     if setting == "torus":  # cc_half at N = 32
@@ -798,12 +801,11 @@ def _replay(op, y, cfg, tries_grown=True):
 
     def attempt(a, first, cut=None):
         begun, last, steps = sum(op.calls.values()), dict(op.calls), []
-        held = [x for x in (a, first, y, b) if x is not None]
-        kept = [x.copy() for x in held]
+        held = [(x, x.copy()) for x in (a, first, y, b) if x is not None]
         for support, accepted in solver._polish(op, y, cfg.delta, a, first, b, cfg.tol, feas_tol, cut):
             steps.append((support, accepted, {kind: n - last[kind] for kind, n in op.calls.items()}))
             last = dict(op.calls)
-        assert all(np.array_equal(x, k) and x.dtype == k.dtype for x, k in zip(held, kept))
+        assert all(np.array_equal(x, k) and x.dtype == k.dtype for x, k in held)
         tried.update([first.tobytes()] + [s.tobytes() for s, _, _ in steps if tries_grown])
         ok = bool(steps) and steps[-1][1] is not None
         entry = (first.size, steps[-1][0].size - first.size if steps else 0, ok)
@@ -889,12 +891,11 @@ class TestSupportPolish:
 
     def test_non_sparse_field_runs_as_without_polish(self):
         # the Poisson kernel P_r(u1) P_r(u2), r = 1/2, has no sparse spectrum:
-        # every attempt fails, at most one per doubling of the iterations
+        # every attempt fails, the start's included, at most one per doubling
+        # of the iterations, and the solve returns the loop's last check
         u = np.arange(256) / 256
         kernel = 0.75 / (1.25 - np.cos(2 * np.pi * u))
         op, y, cfg = _torus_problem(np.outer(kernel, kernel), 503, 1)
-        # a solve none of whose attempts is accepted, the start's included,
-        # returns the loop's last check
         got = solve_bpdn(op, y, cfg)
         assert got.attempts and not any(ok for _, _, ok in got.attempts)
         assert got.attempts[0][0] == 1  # the start
@@ -930,12 +931,11 @@ class TestSupportPolish:
         # its caller leaves halfway
         op, y, cfg = _growing_problem(setting, additions)
         y, a, support, b = _start(op, y)
-        held = [x for x in (a, support, y, b) if x is not None]
-        kept = [x.copy() for x in held]
+        held = [(x, x.copy()) for x in (a, support, y, b) if x is not None]
         left = solver._polish(op, y, cfg.delta, a, support, b, cfg.tol, cfg.tol, solver.START_CUT)
         assert len(list(islice(left, 1 + additions // 2))) == 1 + additions // 2
         left.close()
-        assert all(np.array_equal(x, k) for x, k in zip(held, kept))
+        assert all(np.array_equal(x, k) and x.dtype == k.dtype for x, k in held)
 
 
 class TestPolishGrowth:
