@@ -6,10 +6,10 @@ battery function at each --n or a sphere battery signal at each --l, keyed
 by (fn, size); fr, decay, lemmas and sweep report them in (fn, size) order.
 recover takes one target, one --eps and one --c-univ; sweep runs each cell
 (fn, size, eps, C) of its grid once, and a trial's row takes these inputs
-from the cell and its results from the RecoveryReport. Both prepare a torus
-target's field (solver.torus_field) on its first trial in each process and
-keep it for that command only, so its later trials only sample, solve and
-score (solver.torus_trial). decay and lemmas are
+from the cell and its results from the RecoveryReport. Both prepare each
+target's solver.Field (torus_field or sphere_field) on its first trial in
+each process and keep it for that command only, so its later trials, in
+either setting, only sample, solve and score (solver.trial). decay and lemmas are
 torus checks. Experiment configuration is plain flags plus an optional flat
 key=value config file. Each file line `key = value...` becomes the flag tokens `--key value...`,
 parsed after the command and before the rest of the command line, so the
@@ -227,36 +227,23 @@ def _trial_inputs(setting: str, cell, seed: int) -> list[str]:
 
 
 def _trial_targets(args, targets):
-    """A function of a (fn, size) key that gives its trial target, built on first use.
+    """A function of a (fn, size) key that gives its solver.Field, built on first use.
 
-    A torus target is its prepared field, a sphere target its battery
-    signal. The memo belongs to the one command that makes it: a forked
-    sweep child inherits it empty and fills its own, and none outlives the
-    command.
+    The memo belongs to the one command that makes it: a forked sweep child
+    inherits it empty and fills its own, and none outlives the command.
     """
-    prepared = {}
+    def build(key):
+        if args.setting == "sphere":
+            return sol.sphere_field(targets[key])
+        return sol.torus_field(targets[key], key[1], allow_uncertified=args.allow_uncertified)
 
-    def target_of(key):
-        if key not in prepared:
-            target = targets[key]
-            prepared[key] = target if args.setting == "sphere" else sol.torus_field(
-                target, key[1], allow_uncertified=args.allow_uncertified)
-        return prepared[key]
-
-    return target_of
+    return functools.cache(build)
 
 
-def _recover_one(args, target, size, eps, c_univ, seed) -> sol.RecoveryReport:
-    """One trial on a _trial_targets target; a torus report keeps the solver's half spectrum."""
-    if args.setting == "sphere":
-        return sol.recover_sphere(target, eps, seed, c_univ=c_univ, exact_fit=args.exact_fit)
-    return sol.torus_trial(target, eps, seed, c_univ=c_univ, exact_fit=args.exact_fit)
-
-
-def _trial_row(args, config_hash: str, target, cell, seed: int) -> list[str]:
-    """Recover a _trial_targets target in one trial of cell and return its RECOVERY_HEADER row."""
-    name, size, eps, c_univ = cell
-    rep = _recover_one(args, target, size, eps, c_univ, seed)
+def _trial_row(args, config_hash: str, field, cell, seed: int) -> list[str]:
+    """One trial of cell on a _trial_targets field, as its RECOVERY_HEADER row."""
+    name, _, eps, c_univ = cell
+    rep = sol.trial(field, eps, seed, c_univ=c_univ, exact_fit=args.exact_fit)
     numbers = (rep.objective, rep.feasibility_residual, rep.rel_error,
                sol.ERROR_BUDGET_FACTOR * eps)
     return [*_trial_inputs(args.setting, cell, seed), str(rep.sample_size), *map(_g, numbers),
@@ -271,8 +258,8 @@ def cmd_recover(args, config_hash: str) -> int:
              "sweep runs several")
     [(name, size)] = targets
     cell = (name, size, args.eps[0], args.c_univ[0])
-    target = _trial_targets(args, targets)((name, size))
-    rows = [_trial_row(args, config_hash, target, cell, seed)
+    field = _trial_targets(args, targets)((name, size))
+    rows = [_trial_row(args, config_hash, field, cell, seed)
             for seed in spawn_seeds(args.seed, args.trials)]
     _emit(RECOVERY_HEADER, rows, args.out)
     return 0
@@ -346,16 +333,16 @@ def cmd_sweep(args, config_hash: str) -> int:
              for eps in _ascending(args.eps) for c_univ in _ascending(args.c_univ)]
     tasks = [(idx, seed) for idx, cell_seed in enumerate(spawn_seeds(args.seed, len(cells)))
              for seed in spawn_seeds(cell_seed, args.trials)]
-    target_of = _trial_targets(args, targets)
+    field_of = _trial_targets(args, targets)
 
-    # A closure: forked children inherit it whole, so the lambdas of torus targets are
-    # never pickled, and no child imports anything afresh.
+    # A closure: forked children inherit it whole, so neither the lambdas of torus targets
+    # nor the fields' operator closures are pickled, and no child imports anything afresh.
     def sweep_row(task: tuple[int, int]) -> list[str]:
         """The row of one (cell index, trial seed) task."""
         idx, seed = task
         cell = cells[idx]
         try:
-            return _trial_row(args, config_hash, target_of(cell[:2]), cell, seed) + ["ok"]
+            return _trial_row(args, config_hash, field_of(cell[:2]), cell, seed) + ["ok"]
         except FrkitError as exc:
             inputs = _trial_inputs(args.setting, cell, seed)
             blank = [""] * (RECOVERY_HEADER.index("config_hash") - len(inputs))

@@ -1,17 +1,18 @@
-"""Matrix-free basis pursuit with noise, its certificates, and the recovery pipelines.
+"""Matrix-free basis pursuit with noise, its certificates, and the recovery trial.
 
 The solver is a first-order primal-dual splitting (Chambolle-Pock) on
 min ||a||_1  s.t.  ||A a - y||_2 <= delta,  whose proximal steps are
 soft-thresholding and projection onto the l2 ball. certify checks a candidate,
-however it was found, by one dual vector. recover_torus and recover_sphere run
-measured ratio -> sample size -> sample -> solve -> report. On the torus the
-first step is a target's field (torus_field: the discretized field's half
-spectrum and its Fourier ratio), built once however many trials read it, and
-torus_trial is the rest. Both settings end in one measure-and-score step: the
-truth's coefficients, in the operator's layout, give the measurements
+however it was found, by one dual vector. A recovery target is prepared once
+as a Field (torus_field: the discretized field's half spectrum; sphere_field:
+the signal's coefficients), which holds its truth, its measured Fourier
+ratio and a sampler of its measurement operators, and trial runs one trial
+on it in either setting: sample size -> sample -> operator -> solve -> score.
+The truth's coefficients, in the operator's layout, give the measurements
 y = A truth, the fidelity radius delta = eps ||truth|| and
 rel_error = ||a - truth|| / ||truth||, which by Parseval is the relative L2
-error of the field too.
+error of the field too. recover_torus and recover_sphere are one trial on a
+fresh field.
 
 The loop is restarted Halpern PDHG with reflection (Lu & Yang, "Restarted
 Halpern PDHG for linear programming", 2024): with T one PDHG step, it steps
@@ -1128,82 +1129,89 @@ def _largest_violator(g: np.ndarray, support: np.ndarray, feasible: bool) -> int
 
 
 # ---------------------------------------------------------------------------
-# End-to-end pipelines: a target's measured ratio, then per trial
-# sample size -> sample -> solve -> report.
+# End-to-end recovery: a target prepared once as a Field, then per trial
+# sample size -> sample -> operator -> solve -> score.
 # ---------------------------------------------------------------------------
 
-def _recover(
-    op: MeasurementOperator, truth: np.ndarray, eps: float, exact_fit: bool, clamped: bool
-) -> RecoveryReport:
-    """Measure the truth, solve for its coefficients and score them.
-
-    truth is the coefficient vector in the operator's own layout. The
-    measurements are op.forward(truth), the fidelity radius is
-    eps * op.coef_norm(truth), or 0 for an exact fit, and rel_error is
-    op.coef_norm(a - truth) / op.coef_norm(truth): by Parseval the relative L2
-    error of the field as well. The report carries the solver's coefficients
-    as they are, in that layout, op's row count as the sample size, and clamped.
-    """
-    truth_norm = op.coef_norm(truth)
-    delta = 0.0 if exact_fit else eps * truth_norm
-    solution = solve_bpdn(op, op.forward(truth), SolverConfig(delta=delta))
-    return RecoveryReport(
-        **vars(solution),
-        rel_error=op.coef_norm(solution.coefficients - truth) / truth_norm,
-        sample_size=op.shape[0],
-        clamped=clamped,
-    )
-
-
 @dataclass(frozen=True)
-class TorusField:
-    """A torus target prepared once, read-only, for any number of torus_trial calls.
+class Field:
+    """A recovery target prepared once, read-only, for any number of trial calls.
 
-    truth is the flat rfft2 half (N x (N//2+1)) of the unitary spectrum of
-    the field discretized at grid side N, in make_torus_operator's layout,
-    and ratio the Fourier ratio of the full N^2 spectrum.
+    truth is the target's coefficient vector in its operators' layout, ratio
+    its measured Fourier ratio and dim the coefficient count D of its sample
+    size: N^2 on the torus, (L+1)^2 on the sphere. operator(size, seed)
+    draws a sample of size points and returns its MeasurementOperator.
     """
 
-    side: int
     truth: np.ndarray
     ratio: float
+    dim: int
+    operator: Callable[[int, int], MeasurementOperator]
 
 
-def torus_field(
-    f: tor.SmoothFunctionSpec, side: int, *, allow_uncertified: bool = False,
-) -> TorusField:
-    """f's field at grid side N, its half spectrum and its measured Fourier ratio.
+def torus_field(f: tor.SmoothFunctionSpec, side: int, *, allow_uncertified: bool = False) -> Field:
+    """f's field at grid side N: its rfft2 half spectrum and its measured Fourier ratio.
 
-    A function that fails the hypothesis N ||f||_L2^2 >= 8 ||f||_C2^2 at N is
-    refused (CertificationError) before its grid is built, unless allow_uncertified.
+    truth is the flat N x (N//2+1) half of the unitary spectrum, in
+    make_torus_operator's layout; ratio is that of the full N^2 spectrum.
+    The operator clamps its sample to the N^2 grid points. A function that
+    fails the hypothesis N ||f||_L2^2 >= 8 ||f||_C2^2 at N is refused
+    (CertificationError) before its grid is built, unless allow_uncertified.
     """
     rn = tor.compute_rn(f.analytic, side)
     if not rn.certified and not allow_uncertified:
-        raise CertificationError(
-            f"{f.name} at N={side} fails N L2^2 >= 8 C2^2; "
-            "pass allow_uncertified=True to override"
-        )
+        raise CertificationError(f"{f.name} at N={side} fails N L2^2 >= 8 C2^2; "
+                                 "pass allow_uncertified=True to override")
     spectrum = forward_dft(tor.discretize(f, side))
     truth = spectrum[:, :side // 2 + 1].ravel()
     truth.setflags(write=False)
-    return TorusField(side, truth, fourier_ratio(spectrum))
-
-
-def torus_trial(
-    field: TorusField, eps: float, seed: int, *, c_univ: float = 1.0, exact_fit: bool = False,
-) -> RecoveryReport:
-    """One recovery trial on a prepared field, reported on the solver's rfft2 half spectrum.
-
-    The sample size comes from the field's measured Fourier ratio, floored
-    at 1, and is clamped to the N^2 grid points; the report records the clamp.
-    exact_fit requests exact-fit basis pursuit (delta = 0) on the observations.
-    """
-    side = field.side
     total = side * side
-    size = sample_size(max(1.0, field.ratio), eps, total, c_univ)
-    sample = draw_subset(side, min(size, total), seed)
-    return _recover(make_torus_operator(sample), field.truth, eps, exact_fit,
-                    clamped=size > total)
+
+    def operator(size: int, seed: int) -> MeasurementOperator:
+        return make_torus_operator(draw_subset(side, min(size, total), seed))
+
+    return Field(truth, fourier_ratio(spectrum), total, operator)
+
+
+def sphere_field(signal: sph.SphericalSignal) -> Field:
+    """A sphere signal's coefficients and Fourier ratio, sampled at i.i.d. uniform points.
+
+    A sample whose q x (L+1)^2 basis matrix would exceed BASIS_ENTRIES_MAX
+    entries is refused (DomainError) before any point is drawn.
+    """
+    bandwidth = signal.bandwidth
+    harmonics = (bandwidth + 1) ** 2
+
+    def operator(size: int, seed: int) -> MeasurementOperator:
+        if size * harmonics > BASIS_ENTRIES_MAX:
+            raise DomainError(f"sample size {size} at L={bandwidth} needs {size * harmonics} "
+                              f"basis entries, over the limit of {BASIS_ENTRIES_MAX}")
+        return make_sphere_operator(draw_sphere_points(size, seed), bandwidth)
+
+    return Field(signal.coeffs, fourier_ratio(signal.coeffs), harmonics, operator)
+
+
+def trial(
+    field: Field, eps: float, seed: int, *, c_univ: float = 1.0, exact_fit: bool = False,
+) -> RecoveryReport:
+    """One recovery trial on a prepared field, reported in its operators' layout.
+
+    The sample size comes from the field's ratio, floored at 1, and its
+    dim; clamped records that the operator has fewer rows. The
+    measurements are op.forward(truth), the fidelity radius is
+    eps * op.coef_norm(truth), or 0 for exact_fit, and rel_error is
+    op.coef_norm(a - truth) / op.coef_norm(truth): by Parseval the relative
+    L2 error of the field as well.
+    """
+    size = sample_size(max(1.0, field.ratio), eps, field.dim, c_univ)
+    op = field.operator(size, seed)
+    truth = field.truth
+    truth_norm = op.coef_norm(truth)
+    delta = 0.0 if exact_fit else eps * truth_norm
+    solution = solve_bpdn(op, op.forward(truth), SolverConfig(delta=delta))
+    rel_error = op.coef_norm(solution.coefficients - truth) / truth_norm
+    return RecoveryReport(**vars(solution), rel_error=rel_error, sample_size=op.shape[0],
+                          clamped=size > op.shape[0])
 
 
 def recover_torus(
@@ -1218,13 +1226,13 @@ def recover_torus(
 ) -> RecoveryReport:
     """Recover the discretized field from a random subset of its values.
 
-    This is torus_trial on torus_field's field; the report carries the full
-    N^2 unitary spectrum, which _hermitian_full rebuilds from the solver's
-    half. A caller that runs many trials of one (f, N) and reads no
-    coefficients prepares the field once and calls torus_trial itself.
+    This is trial on torus_field's field; the report carries the full N^2
+    unitary spectrum, which _hermitian_full rebuilds from the solver's half.
+    A caller that runs many trials of one (f, N) and reads no coefficients
+    prepares the field once and calls trial itself.
     """
     field = torus_field(f, side, allow_uncertified=allow_uncertified)
-    report = torus_trial(field, eps, seed, c_univ=c_univ, exact_fit=exact_fit)
+    report = trial(field, eps, seed, c_univ=c_univ, exact_fit=exact_fit)
     return replace(report, coefficients=_hermitian_full(report.coefficients, side))
 
 
@@ -1238,14 +1246,8 @@ def recover_sphere(
 ) -> RecoveryReport:
     """Recover a bandlimited sphere signal from i.i.d. uniform point samples.
 
-    The sample is sized like the torus one. A sample whose q x (L+1)^2 basis
-    matrix would exceed BASIS_ENTRIES_MAX entries is refused before any point is drawn.
+    This is trial on sphere_field's field: the sample is sized like the
+    torus one, and one too large for BASIS_ENTRIES_MAX is refused before any
+    point is drawn.
     """
-    bandwidth = signal.bandwidth
-    harmonics = (bandwidth + 1) ** 2
-    q = sample_size(max(1.0, fourier_ratio(signal.coeffs)), eps, harmonics, c_univ)
-    if q * harmonics > BASIS_ENTRIES_MAX:
-        raise DomainError(f"sample size {q} at L={bandwidth} needs {q * harmonics} basis "
-                          f"entries, over the limit of {BASIS_ENTRIES_MAX}")
-    return _recover(make_sphere_operator(draw_sphere_points(q, seed), bandwidth),
-                    signal.coeffs, eps, exact_fit, clamped=False)
+    return trial(sphere_field(signal), eps, seed, c_univ=c_univ, exact_fit=exact_fit)

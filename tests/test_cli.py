@@ -1,5 +1,6 @@
 import collections
 import csv
+import hashlib
 import multiprocessing
 import os
 import pathlib
@@ -380,6 +381,35 @@ class TestTorusFields:
         assert outs[0] == outs[1]
 
 
+class TestSphereFields:
+    # two signals at two bandwidths, two trials each: eight tasks on four fields
+    SWEEP = ["sweep", "--setting", "sphere", "--fn", "y00_plus", "gauss_heat", "--l", "4", "8",
+             "--eps", "0.1", "--c-univ", "0.015625", "--trials", "2", "--seed", "3"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_builds_each_field_once_per_process(self, workers, monkeypatch, tmp_path,
+                                                       capsys):
+        log = tmp_path / "pids"
+        sphere_field = solver.sphere_field
+
+        def logged(signal):
+            digest = hashlib.sha256(signal.coeffs.tobytes()).hexdigest()
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {signal.bandwidth} {digest}\n")
+            return sphere_field(signal)
+
+        monkeypatch.setattr(solver, "sphere_field", logged)
+        code, out, err = run_cli(capsys, *self.SWEEP, "--workers", str(workers))
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert len(rows) == 8 and all(row[header.index("status")] == "ok" for row in rows)
+        # every process runs one trial of each of the four cells
+        builds = collections.Counter(log.read_text().splitlines())
+        assert set(builds.values()) == {1} and len(builds) == 4 * workers
+        per_process = collections.Counter(line.split()[0] for line in builds)
+        assert sorted(per_process.values()) == [4] * workers
+
+
 class TestSweepWorkers:
     # four (cell, trial) tasks; the c_univ = 1e6 cells need a basis matrix of more
     # than BASIS_ENTRIES_MAX entries and give error rows
@@ -498,14 +528,14 @@ class TestSweepWorkers:
         # every task appends "pid seed" to one file; with 8 tasks and 3 workers the
         # caller runs tasks 0, 3, 6 and two children run 1, 4, 7 and 2, 5
         log = tmp_path / "pids"
-        recover_one = cli._recover_one
+        trial = solver.trial
 
-        def logged(args, target, size, eps, c_univ, seed):
+        def logged(field, eps, seed, **options):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {seed}\n")
-            return recover_one(args, target, size, eps, c_univ, seed)
+            return trial(field, eps, seed, **options)
 
-        monkeypatch.setattr(cli, "_recover_one", logged)
+        monkeypatch.setattr(solver, "trial", logged)
         code, out, err = run_cli(capsys, *self.GRID, "--trials", "2", "--workers", "3")
         assert code == 0, err
         header, rows = parse_csv(out)
@@ -520,11 +550,11 @@ class TestSweepWorkers:
         assert multiprocessing.active_children() == []
 
     def test_worker_exception_is_internal_error(self, monkeypatch, capsys):
-        def broken(*args):
+        def broken(*args, **options):
             raise RuntimeError("broken trial")
 
         # set before the children fork, so the caller and every child raise
-        monkeypatch.setattr(cli, "_recover_one", broken)
+        monkeypatch.setattr(solver, "trial", broken)
         code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
         assert code == 2
         assert "internal error: broken trial" in err
@@ -532,14 +562,14 @@ class TestSweepWorkers:
         assert multiprocessing.active_children() == []
 
     def test_child_exception_is_internal_error(self, monkeypatch, capsys):
-        parent, recover_one = os.getpid(), cli._recover_one
+        parent, trial = os.getpid(), solver.trial
 
-        def broken_in_child(*args):
+        def broken_in_child(*args, **options):
             if os.getpid() != parent:
                 raise RuntimeError("broken child trial")
-            return recover_one(*args)
+            return trial(*args, **options)
 
-        monkeypatch.setattr(cli, "_recover_one", broken_in_child)
+        monkeypatch.setattr(solver, "trial", broken_in_child)
         code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
         assert code == 2
         assert "internal error: broken child trial" in err
@@ -550,15 +580,15 @@ class TestSweepWorkers:
         # in a fresh interpreter, whose 120 s timeout turns a hang into a failure
         code = f"""if True:
             import contextlib, io, multiprocessing, os
-            from frkit import cli
-            parent, recover_one = os.getpid(), cli._recover_one
+            from frkit import cli, solver
+            parent, trial = os.getpid(), solver.trial
 
-            def dies_in_child(*args):
+            def dies_in_child(*args, **options):
                 if os.getpid() != parent:
                     os._exit(3)
-                return recover_one(*args)
+                return trial(*args, **options)
 
-            cli._recover_one = dies_in_child
+            solver.trial = dies_in_child
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main({self.GRID + ["--workers", "2"]!r})

@@ -1656,7 +1656,7 @@ class TestTorusField:
         assert not field.truth.flags.writeable
         truth = field.truth.copy()
         for seed in (1, 2):
-            trial = solver.torus_trial(field, 0.1, seed, c_univ=2**-6)
+            trial = solver.trial(field, 0.1, seed, c_univ=2**-6)
             rep = recover_torus(f, side, 0.1, seed, c_univ=2**-6, allow_uncertified=True)
             assert trial.coefficients.shape == (side * (side // 2 + 1),)
             assert np.array_equal(solver._hermitian_full(trial.coefficients, side),
@@ -1667,7 +1667,7 @@ class TestTorusField:
 
     def test_trial_options_are_keyword_only(self):
         with pytest.raises(TypeError):
-            solver.torus_trial(solver.torus_field(TORUS_BATTERY["const1"], 8), 0.1, 7, 1.0)
+            solver.trial(solver.torus_field(TORUS_BATTERY["const1"], 8), 0.1, 7, 1.0)
 
     def test_uncertified_field_is_refused_before_its_grid(self, monkeypatch):
         def refuse(*args):
@@ -1743,6 +1743,16 @@ class TestRecoverSphere:
         signal = build_sphere_battery(64)["gauss_heat"]
         with pytest.raises(DomainError, match="needs 426471500 basis entries"):
             recover_sphere(signal, 0.1, seed=1)
+
+    def test_basis_entries_refused_before_drawing_in_trial(self, monkeypatch):
+        # the same refusal from the field's operator: its ratio is measured, no point drawn
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn or basis built")
+        monkeypatch.setattr("frkit.solver.draw_sphere_points", refuse)
+        monkeypatch.setattr("frkit.sphere.basis_matrix", refuse)
+        field = solver.sphere_field(build_sphere_battery(64)["gauss_heat"])
+        with pytest.raises(DomainError, match="needs 426471500 basis entries"):
+            solver.trial(field, 0.1, 1)
 
     def test_monotone_error_in_sample_size(self):
         bat = build_sphere_battery(8)
