@@ -37,6 +37,7 @@ from .errors import (
     PeriodicityError,
     StructuralError,
 )
+from .sampling import is_integer
 from .spectral import FrBoundReport, FrCheck, forward_dft, fourier_ratio, wrapped_mag_sq_grid
 
 SIXTEEN_PI_SQ = 16.0 * math.pi**2
@@ -121,10 +122,15 @@ def _on_grid(evaluator: Callable, u: np.ndarray, name: str) -> np.ndarray:
         ) from None
 
 
+def check_side(side) -> None:
+    """DomainError unless the grid side N is an integer >= 2 (sampling.is_integer)."""
+    if not is_integer(side) or side < 2:
+        raise DomainError(f"N must be >= 2 and an integer, got {side!r}")
+
+
 def discretize(f: SmoothFunctionSpec, side: int) -> np.ndarray:
     """g(x1, x2) = f(x1/N, x2/N) on the integer grid: a read-only real (N, N) array."""
-    if side < 2:
-        raise DomainError(f"N must be >= 2, got {side}")
+    check_side(side)
     vals = _on_grid(f, np.arange(side) / side, f.name)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
@@ -187,8 +193,7 @@ def _hypothesis_holds(norms: NormData, side: int) -> bool:
 
 def compute_rn(norms: NormData, side: int) -> FrBoundReport:
     """The three-term bound report at grid side N; certified is the hypothesis."""
-    if side < 2:
-        raise DomainError(f"N must be >= 2, got {side}")
+    check_side(side)
     if norms.l2 <= 0:
         raise DegenerateInputError("L2 norm must be positive to form the bound")
     ratio = norms.c2 / norms.l2

@@ -6,6 +6,7 @@ import pytest
 from frkit.battery import TORUS_BATTERY
 from frkit.errors import DomainError, PeriodicityError, StructuralError
 from frkit.sampling import sample_size
+from frkit.solver import recover_torus
 from frkit.torus import (
     NormData,
     SmoothFunctionSpec,
@@ -161,6 +162,28 @@ class TestComputeRn:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             compute_rn(TORUS_BATTERY["const1"].analytic, 1)
+
+
+class TestGridSide:
+    """discretize and compute_rn share one rule for N: an integer >= 2 (check_side)."""
+
+    @pytest.mark.parametrize("side", [64.5, 8.5, 64.0, 1, True, "8", None])
+    def test_refused(self, side):
+        f = TORUS_BATTERY["cc_half"]
+        with pytest.raises(DomainError, match="N must be >= 2 and an integer"):
+            discretize(f, side)
+        with pytest.raises(DomainError, match="N must be >= 2 and an integer"):
+            compute_rn(f.analytic, side)
+
+    def test_float_side_refused_by_recover_torus(self):
+        with pytest.raises(DomainError, match="N must be >= 2 and an integer"):
+            recover_torus(TORUS_BATTERY["cc_half"], 64.0, 0.1, 1, allow_uncertified=True)
+
+    @pytest.mark.parametrize("side", [np.int64(8), np.int32(8), np.uint16(8)])
+    def test_numpy_integer_accepted(self, side):
+        f = TORUS_BATTERY["cc_half"]
+        assert np.array_equal(discretize(f, side), discretize(f, 8))
+        assert compute_rn(f.analytic, side) == compute_rn(f.analytic, 8)
 
 
 class TestVerifyFrBound:
