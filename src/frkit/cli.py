@@ -22,7 +22,7 @@ with no pool; --workers 1 runs every task in-process, and the rows are
 byte-identical at every worker count. Children inherit the parent's modules, so
 any numpy submodule a trial needs is imported when frkit is imported, never
 lazily inside a child's first trial. Exit codes: 0 ok, 1 config error (a bad
-flag, or a value outside a bound's domain), 2 internal error.
+flag, a value outside a bound's domain, or an unwritable --out), 2 internal error.
 """
 
 from __future__ import annotations
@@ -91,15 +91,20 @@ def _config_hash(args: argparse.Namespace) -> str:
 
 
 def _emit(header: list[str], rows: list[list[str]], out_path) -> None:
+    """Write the CSV to out_path, if given, then to stdout; an unwritable out_path is a
+    ConfigError, raised before anything reaches stdout."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     body = buf.getvalue()
-    sys.stdout.write(body)
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(body)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out file: {exc}") from exc
+    sys.stdout.write(body)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -793,6 +793,26 @@ class TestConfigFile:
         assert out_a == out_b
 
 
+class TestOutFile:
+    @pytest.mark.parametrize("argv", [
+        ["fr", "--n", "8", "--fn", "const1"],
+        ["sweep", "--n", "8", "--fn", "const1", "--eps", "0.1"],
+    ])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert "config error: cannot write --out file" in err and str(path) in err
+        assert not path.parent.exists()
+
+    def test_out_file_holds_what_stdout_prints(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "fr", "--n", "8", "--fn", "const1", "--out", str(path))
+        assert code == 0, err
+        assert path.read_text() == out and out.startswith("N,")
+
+
 class TestParserCache:
     """main() builds its parser once per process and parses each call afresh."""
 
