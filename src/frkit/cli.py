@@ -91,8 +91,10 @@ def _config_hash(args: argparse.Namespace) -> str:
 
 
 def _emit(header: list[str], rows: list[list[str]], out_path) -> None:
-    """Write the CSV to out_path, if given, then to stdout; an unwritable out_path is a
-    ConfigError, raised before anything reaches stdout."""
+    """Write the CSV to out_path, if given, and then to stdout.
+
+    An unwritable out_path is a ConfigError, raised before anything reaches stdout.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
