@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .sphere import SphericalSignal, check_bandwidth, lm_to_index
+from .sampling import check_integer
+from .sphere import SphericalSignal, lm_to_index
 from .torus import ANALYTIC, NormData, SmoothFunctionSpec, estimate_norms
 
 TWO_PI = 2.0 * math.pi
@@ -102,7 +103,7 @@ MIX5_TERMS = ((0, 0, 1.0), (1, 1, 0.6), (2, -1, 0.5), (3, 2, 0.4), (4, -3, 0.3))
 
 def build_sphere_battery(bandwidth: int) -> dict[str, SphericalSignal]:
     """Named bandlimited signals at the given bandwidth (>= 4 for the full set)."""
-    check_bandwidth(bandwidth)
+    check_integer(bandwidth, 0, "bandwidth")
     entries = {}
     dim = (bandwidth + 1) ** 2
 

@@ -9,6 +9,11 @@ flows through numpy's Philox counter-based generator keyed by an explicit
 64-bit seed, so any sample can be regenerated exactly from the seed recorded
 in its report. Per-trial seeds are derived from a master seed with
 SeedSequence(master).generate_state(n_trials).
+
+check_integer is the one rule for every integer argument of frkit: a grid
+side, bandwidth, coefficient count, point count, iteration limit or seed is
+a Python or numpy integer (never a bool or a float, even 2.0) at or above
+its least value, or a DomainError that names it.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_side(side) -> None:
-    """DomainError unless the torus grid side is an integer >= 1 (is_integer)."""
-    if not is_integer(side) or side < 1:
-        raise DomainError(f"grid side must be an integer >= 1, got {side!r}")
+def check_integer(value, least: int, what: str) -> None:
+    """DomainError naming what unless value is an integer (is_integer) >= least."""
+    if not is_integer(value) or value < least:
+        raise DomainError(f"{what} must be >= {least} and an integer, got {value!r}")
 
 
 def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
@@ -39,7 +44,7 @@ def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
     D is N^2 on the torus, whose caller clamps the size to the grid, and
     (L+1)^2 on the sphere, whose points are drawn with repetition. r, eps
     and C must be finite, and so must the size they give. D must be an
-    integer >= 2 (is_integer), since ln 1 = 0 makes the size 0; a size
+    integer >= 2 (check_integer), since ln 1 = 0 makes the size 0; a size
     infinite at every D is refused as such first.
     """
     if not 0.0 < eps < 0.5:
@@ -52,9 +57,8 @@ def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
         factor = c_univ * (r / eps) ** 2 * math.log(r / eps) ** 2
     except OverflowError:
         factor = math.inf
-    if factor < math.inf and not (is_integer(dim) and dim >= 2):
-        raise DomainError(
-            f"the coefficient count D must be an integer >= 2 (ln D > 0), got D={dim!r}")
+    if factor < math.inf:
+        check_integer(dim, 2, "the coefficient count D")  # ln D > 0
     try:
         return math.ceil(factor * math.log(dim))
     except (OverflowError, ValueError):  # the formula is infinite or NaN
@@ -62,11 +66,15 @@ def sample_size(r: float, eps: float, dim: int, c_univ: float) -> int:
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
+    """The Philox generator of a seed, an integer >= 0."""
+    check_integer(seed, 0, "seed")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
 def spawn_seeds(master_seed: int, count: int) -> list[int]:
-    """Derive per-trial 64-bit seeds from one master seed, deterministically."""
+    """Derive count per-trial 64-bit seeds from one master seed, deterministically."""
+    check_integer(master_seed, 0, "master seed")
+    check_integer(count, 0, "seed count")
     state = np.random.SeedSequence(int(master_seed)).generate_state(
         count, dtype=np.uint64
     )
@@ -77,14 +85,14 @@ def spawn_seeds(master_seed: int, count: int) -> list[int]:
 class SampleSet:
     """Distinct grid points of Z_N^2, sorted by row-major flat index.
 
-    side must be an integer >= 1 (DomainError), as draw_subset requires.
+    side must be an integer >= 2 (check_integer), as draw_subset requires.
     """
 
     side: int
     flat: np.ndarray
 
     def __post_init__(self):
-        _check_side(self.side)
+        check_integer(self.side, 2, "grid side N")
         raw = np.asarray(self.flat)
         if raw.ndim != 1:
             raise StructuralError(f"sample indices must be a 1-d array, got shape {raw.shape}")
@@ -139,13 +147,14 @@ def draw_subset(side: int, k: int, seed: int) -> SampleSet:
     j >= i, after which position i is final, so only the displaced entries
     at positions beyond the swaps made so far are kept, at most k of them.
     """
-    _check_side(side)
+    check_integer(side, 2, "grid side N")
+    check_integer(k, 0, "subset size")
     total = side**2
-    if not is_integer(k) or not 0 <= k <= total:
+    if k > total:
         raise DomainError(f"subset size must be an integer in [0, {total}], got {k}")
+    rng = rng_from_seed(seed)  # checks the seed of a full-grid sample too
     if k == total:
         return SampleSet(side=side, flat=np.arange(total))
-    rng = rng_from_seed(seed)
     # one call draws the k swap offsets, uniform on [0, total - i) for swap i
     steps = np.arange(k)
     targets = steps + rng.integers(0, total - steps)
@@ -159,8 +168,7 @@ def draw_subset(side: int, k: int, seed: int) -> SampleSet:
 
 def draw_sphere_points(q: int, seed: int) -> SampleMultiset:
     """q i.i.d. area-uniform sphere points: cos(theta) ~ U[-1, 1], phi ~ U[0, 2 pi)."""
-    if not is_integer(q) or q < 1:
-        raise DomainError(f"point count must be an integer >= 1, got {q}")
+    check_integer(q, 1, "point count")
     rng = rng_from_seed(seed)
     z = rng.uniform(-1.0, 1.0, size=q)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=q)

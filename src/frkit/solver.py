@@ -146,7 +146,7 @@ from .errors import (
     CertificationError, DataError, DomainError, InfeasibleCandidateError,
 )
 from .sampling import (
-    SampleMultiset, SampleSet, draw_sphere_points, draw_subset, is_integer, rng_from_seed,
+    SampleMultiset, SampleSet, check_integer, draw_sphere_points, draw_subset, rng_from_seed,
     sample_size,
 )
 from .spectral import forward_dft, fourier_ratio
@@ -491,8 +491,7 @@ class SolverConfig:
         _finite_nonnegative(self.delta, "feasibility radius")
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
-        if not is_integer(self.max_iter) or self.max_iter < 1:
-            raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        check_integer(self.max_iter, 1, "max_iter")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 import numpy.fft  # numpy loads it lazily; imported here so forked sweep workers inherit it
 
 from .errors import DegenerateInputError, DomainError, StructuralError
+from .sampling import check_integer
 
 
 def wrapped_mag_sq_grid(side: int, dims: int) -> np.ndarray:
@@ -80,7 +81,8 @@ def best_s_truncation(coeffs, s: int) -> tuple[np.ndarray, float]:
     coeffs = np.asarray(coeffs)
     flat = coeffs.ravel()
     n = flat.size
-    if not 1 <= s <= n:
+    check_integer(s, 1, "S")
+    if s > n:
         raise DomainError(f"S must lie in [1, {n}], got {s}")
     n2 = float(np.linalg.norm(flat))
     if n2 == 0.0:

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DomainError, StructuralError
-from .sampling import check_sphere_points, is_integer
+from .sampling import check_integer, check_sphere_points
 from .spectral import FrBoundReport, FrCheck, fourier_ratio
 
 C0_SPHERE = 48.0 * math.sqrt(math.pi)
@@ -88,12 +88,6 @@ def degrees_for_indices(count: int) -> np.ndarray:
     return np.floor(np.sqrt(np.arange(count) + 0.5)).astype(np.int64)
 
 
-def check_bandwidth(bandwidth, least: int = 0) -> None:
-    """DomainError unless the bandwidth L is an integer >= least (sampling.is_integer)."""
-    if not is_integer(bandwidth) or bandwidth < least:
-        raise DomainError(f"bandwidth must be >= {least} and an integer, got {bandwidth!r}")
-
-
 @dataclass(frozen=True)
 class SphericalSignal:
     """Bandlimited function on S^2 via real orthonormal harmonic coefficients."""
@@ -102,7 +96,7 @@ class SphericalSignal:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        check_bandwidth(self.bandwidth)
+        check_integer(self.bandwidth, 0, "bandwidth")
         coeffs = np.asarray(self.coeffs)
         if np.iscomplexobj(coeffs):
             if np.any(coeffs.imag != 0.0):
@@ -153,8 +147,7 @@ class QuadratureRule:
         check_sphere_points(self.ring_theta, 0.0)
         if not np.all(self.ring_weights > 0):
             raise StructuralError("quadrature weights must be positive")
-        if self.n_phi < 1:
-            raise StructuralError(f"a ring needs n_phi >= 1 nodes, got {self.n_phi}")
+        check_integer(self.n_phi, 1, "n_phi")
 
     def __len__(self) -> int:
         return self.ring_theta.size * self.n_phi
@@ -174,7 +167,7 @@ class QuadratureRule:
 
 def build_quadrature(bandwidth: int) -> QuadratureRule:
     """Gauss-Legendre x equiangular product rule, exact for degree <= 2L."""
-    check_bandwidth(bandwidth, 1)
+    check_integer(bandwidth, 1, "bandwidth")
     nodes, gl_weights = np.polynomial.legendre.leggauss(bandwidth + 1)
     n_phi = 2 * bandwidth + 1
     return QuadratureRule(np.arccos(nodes), gl_weights * (2.0 * np.pi / n_phi), n_phi,
@@ -313,9 +306,9 @@ def basis_matrix(bandwidth: int, theta, phi) -> np.ndarray:
     It is built harmonic-major, one C-contiguous row of point values per
     harmonic, and returned as that array's transpose, a view: its .T is the
     ((L+1)^2, npoints) row array itself, with no copy. The points are
-    checked as _flat_points checks them, and L by check_bandwidth.
+    checked as _flat_points checks them, and L by check_integer.
     """
-    check_bandwidth(bandwidth)
+    check_integer(bandwidth, 0, "bandwidth")
     theta, phi = _flat_points(theta, phi)
     rows = np.empty(((bandwidth + 1) ** 2, theta.size))
     cos_m, sin_m = _phase_factors(bandwidth, phi)
@@ -330,7 +323,7 @@ def analyze(values, rule: QuadratureRule, bandwidth: int) -> SphericalSignal:
     values holds g at the rule's nodes, ring-major. For input bandlimited to
     the rule's exactness these coincide with the continuous coefficients.
     """
-    check_bandwidth(bandwidth)
+    check_integer(bandwidth, 0, "bandwidth")
     if 2 * bandwidth > rule.exactness_degree:
         raise DomainError(
             f"rule exact to degree {rule.exactness_degree} cannot analyze bandwidth {bandwidth}"
@@ -447,11 +440,7 @@ def estimate_sphere_norms(signal: SphericalSignal) -> SphereNormData:
 
 def compute_rl(norms: SphereNormData, bandwidth: int) -> FrBoundReport:
     """A_L, B_L and C_L with C0 = C0_SPHERE; certified is None, as r_L needs no hypothesis."""
-    check_bandwidth(bandwidth)
-    if bandwidth < 2:
-        raise DomainError(
-            f"bandwidth must be >= 2 (log L degenerates at L < 2), got {bandwidth}"
-        )
+    check_integer(bandwidth, 2, "bandwidth")  # log L degenerates at L < 2
     if norms.l2 <= 0:
         raise DegenerateInputError("L2 norm must be positive to form the bound")
     ratio = norms.c2 / norms.l2

@@ -37,7 +37,7 @@ from .errors import (
     PeriodicityError,
     StructuralError,
 )
-from .sampling import is_integer
+from .sampling import check_integer
 from .spectral import FrBoundReport, FrCheck, forward_dft, fourier_ratio, wrapped_mag_sq_grid
 
 SIXTEEN_PI_SQ = 16.0 * math.pi**2
@@ -122,15 +122,9 @@ def _on_grid(evaluator: Callable, u: np.ndarray, name: str) -> np.ndarray:
         ) from None
 
 
-def check_side(side) -> None:
-    """DomainError unless the grid side N is an integer >= 2 (sampling.is_integer)."""
-    if not is_integer(side) or side < 2:
-        raise DomainError(f"N must be >= 2 and an integer, got {side!r}")
-
-
 def discretize(f: SmoothFunctionSpec, side: int) -> np.ndarray:
     """g(x1, x2) = f(x1/N, x2/N) on the integer grid: a read-only real (N, N) array."""
-    check_side(side)
+    check_integer(side, 2, "grid side N")
     vals = _on_grid(f, np.arange(side) / side, f.name)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
@@ -147,9 +141,8 @@ def estimate_norms(evaluator: Callable, refinement: int = 256) -> NormData:
     The derivative grid is the corner grid i/M with periodic wraparound, so
     every central difference is an array roll of one evaluation pass.
     """
+    check_integer(refinement, 8, "refinement")
     m = int(refinement)
-    if m < 8:
-        raise DomainError(f"refinement must be >= 8, got {m}")
     w = _on_grid(evaluator, (np.arange(m) + 0.5) / m, "estimate_norms")
     v = _on_grid(evaluator, np.arange(m) / m, "estimate_norms")
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
@@ -193,7 +186,7 @@ def _hypothesis_holds(norms: NormData, side: int) -> bool:
 
 def compute_rn(norms: NormData, side: int) -> FrBoundReport:
     """The three-term bound report at grid side N; certified is the hypothesis."""
-    check_side(side)
+    check_integer(side, 2, "grid side N")
     if norms.l2 <= 0:
         raise DegenerateInputError("L2 norm must be positive to form the bound")
     ratio = norms.c2 / norms.l2

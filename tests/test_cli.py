@@ -662,7 +662,7 @@ def test_one_coefficient_is_config_error_and_sweep_error_row(capsys):
     # L = 0 holds one harmonic, and ln 1 = 0 made the sample size 0, which
     # the point sampler refused with a message about the point count
     base = ["--setting", "sphere", "--fn", "y00", "--eps", "0.1"]
-    message = "the coefficient count D must be an integer >= 2 (ln D > 0), got D=1"
+    message = "the coefficient count D must be >= 2 and an integer, got 1"
     code, out, err = run_cli(capsys, "recover", *base, "--l", "0")
     assert code == 1
     assert f"config error: {message}" in err

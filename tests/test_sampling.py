@@ -1,10 +1,13 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from frkit import solver, sphere, torus
+from frkit.battery import TORUS_BATTERY, build_sphere_battery
 from frkit.errors import DataError, DomainError, StructuralError
 from frkit.sampling import (
     SampleMultiset,
@@ -15,6 +18,7 @@ from frkit.sampling import (
     sample_size,
     spawn_seeds,
 )
+from frkit.spectral import best_s_truncation
 
 
 class TestDrawSubset:
@@ -97,9 +101,10 @@ class TestDrawSubset:
         with pytest.raises(DomainError, match="integer"):
             draw_subset(8, k, seed=1)
 
-    @pytest.mark.parametrize("side", [2.5, 4.0, True, 0])
+    @pytest.mark.parametrize("side", [2.5, 4.0, True, 0, 1])
     def test_non_integer_side_rejected(self, side):
-        # unchecked, 2.5, 4.0 and True returned a sample of that side
+        # unchecked, 2.5, 4.0 and True returned a sample of that side, and
+        # N = 1 was taken, though discretize and compute_rn refused it
         with pytest.raises(DomainError, match="grid side"):
             draw_subset(side, 1, seed=1)
 
@@ -168,7 +173,7 @@ class TestSampleSize:
     def test_fewer_than_two_coefficients_rejected(self, dim):
         # ln 1 = 0: unchecked, D = 1 and True gave a size of 0, D <= 0 failed
         # as a size that is not finite, and D = 2.5 was taken
-        with pytest.raises(DomainError, match=rf"D must be an integer >= 2.*got D={dim!r}$"):
+        with pytest.raises(DomainError, match=rf"D must be >= 2 and an integer, got {dim!r}$"):
             sample_size(2.0, 0.1, dim, 1.0)
 
     def test_two_coefficients_give_the_formula(self):
@@ -194,7 +199,7 @@ class TestInvariantValidation:
         with pytest.raises(StructuralError, match="ascending"):
             SampleSet(side=4, flat=[2, 1])
 
-    @pytest.mark.parametrize("side", [2.5, 4.0, True, 0])
+    @pytest.mark.parametrize("side", [2.5, 4.0, True, 0, 1])
     def test_sample_set_rejects_non_integer_side(self, side):
         with pytest.raises(DomainError, match="grid side"):
             SampleSet(side=side, flat=[0])
@@ -231,3 +236,93 @@ class TestInvariantValidation:
     def test_multiset_shape_check(self):
         with pytest.raises(StructuralError):
             SampleMultiset(theta=np.ones(3), phi=np.ones(4))
+
+
+CC_HALF = TORUS_BATTERY["cc_half"]
+Y_MIX = sphere.SphericalSignal(2, np.arange(1.0, 10.0))
+
+# id -> (call, least, what, a valid value): every public function that takes a
+# size, count or seed, called with that one argument varied
+INTEGER_ARGUMENTS = {
+    "rng_from_seed.seed": (lambda v: rng_from_seed(v), 0, "seed", 3),
+    "spawn_seeds.master_seed": (lambda v: spawn_seeds(v, 2), 0, "master seed", 5),
+    "spawn_seeds.count": (lambda v: spawn_seeds(5, v), 0, "seed count", 2),
+    "SampleSet.side": (lambda v: SampleSet(side=v, flat=[0]), 2, "grid side N", 4),
+    "draw_subset.side": (lambda v: draw_subset(v, 1, 1), 2, "grid side N", 4),
+    "draw_subset.k": (lambda v: draw_subset(8, v, 1), 0, "subset size", 3),
+    "draw_subset.seed": (lambda v: draw_subset(8, 3, v), 0, "seed", 3),
+    "draw_subset.seed_full_grid": (lambda v: draw_subset(2, 4, v), 0, "seed", 3),
+    "draw_sphere_points.q": (lambda v: draw_sphere_points(v, 1), 1, "point count", 3),
+    "draw_sphere_points.seed": (lambda v: draw_sphere_points(3, v), 0, "seed", 3),
+    "sample_size.dim": (lambda v: sample_size(2.0, 0.1, v, 1.0), 2, "the coefficient count D", 9),
+    "best_s_truncation.s": (lambda v: best_s_truncation(np.ones(4), v), 1, "S", 2),
+    "discretize.side": (lambda v: torus.discretize(CC_HALF, v), 2, "grid side N", 8),
+    "compute_rn.side": (lambda v: torus.compute_rn(CC_HALF.analytic, v), 2, "grid side N", 8),
+    "estimate_norms.refinement": (lambda v: torus.estimate_norms(CC_HALF, v), 8, "refinement", 16),
+    "verify_fr_bound.side": (lambda v: torus.verify_fr_bound(CC_HALF, v), 2, "grid side N", 8),
+    "verify_decay.side": (lambda v: torus.verify_decay(CC_HALF, v), 2, "grid side N", 8),
+    "verify_riemann_lemma.side": (
+        lambda v: torus.verify_riemann_lemma(CC_HALF, v), 2, "grid side N", 8),
+    "verify_l2_lower_bound.side": (
+        lambda v: torus.verify_l2_lower_bound(CC_HALF, v), 2, "grid side N", 8),
+    "SphericalSignal.bandwidth": (
+        lambda v: sphere.SphericalSignal(v, np.ones(4)), 0, "bandwidth", 1),
+    "QuadratureRule.n_phi": (lambda v: sphere.QuadratureRule([1.0], [1.0], v, 0), 1, "n_phi", 3),
+    "build_quadrature.bandwidth": (lambda v: sphere.build_quadrature(v), 1, "bandwidth", 2),
+    "basis_matrix.bandwidth": (
+        lambda v: sphere.basis_matrix(v, [0.5], [0.5]), 0, "bandwidth", 2),
+    "analyze.bandwidth": (
+        lambda v: sphere.analyze(np.ones(28), sphere.build_quadrature(3), v), 0, "bandwidth", 2),
+    "compute_rl.bandwidth": (
+        lambda v: sphere.compute_rl(sphere.estimate_sphere_norms(Y_MIX), v), 2, "bandwidth", 2),
+    "build_sphere_battery.bandwidth": (lambda v: build_sphere_battery(v), 0, "bandwidth", 4),
+    "make_sphere_operator.bandwidth": (
+        lambda v: solver.make_sphere_operator(draw_sphere_points(3, 1), v), 0, "bandwidth", 2),
+    "SolverConfig.max_iter": (
+        lambda v: solver.SolverConfig(delta=0.1, max_iter=v), 1, "max_iter", 10),
+    "torus_field.side": (
+        lambda v: solver.torus_field(CC_HALF, v, allow_uncertified=True), 2, "grid side N", 8),
+    "trial.seed_torus": (
+        lambda v: solver.trial(solver.torus_field(CC_HALF, 16, allow_uncertified=True), 0.1, v),
+        0, "seed", 3),
+    "trial.seed_sphere": (
+        lambda v: solver.trial(solver.sphere_field(Y_MIX), 0.1, v), 0, "seed", 3),
+    "recover_torus.side": (
+        lambda v: solver.recover_torus(CC_HALF, v, 0.1, 1, allow_uncertified=True),
+        2, "grid side N", 16),
+    "recover_torus.seed": (
+        lambda v: solver.recover_torus(CC_HALF, 16, 0.1, v, allow_uncertified=True),
+        0, "seed", 3),
+    "recover_sphere.seed": (lambda v: solver.recover_sphere(Y_MIX, 0.1, v), 0, "seed", 3),
+}
+
+
+def _not_integers(least: int) -> list:
+    """Values check_integer refuses: floats (integral ones too), bool, a string, least - 1."""
+    values = [2.5, 2.0, np.float64(2.0), True, str(least), least - 1, least + 0.5]
+    return list({repr(v): v for v in values}.values())
+
+
+class TestIntegerRule:
+    """sampling.check_integer is the one rule for every size, count and seed.
+
+    Unchecked, a float seed ran the stream of its integer part, a negative
+    one failed inside numpy, estimate_norms truncated a float refinement,
+    best_s_truncation failed on a float S with a TypeError, a QuadratureRule
+    of n_phi = 2.5 failed only at len(), and a sample of side N = 1 was drawn.
+    """
+
+    @pytest.mark.parametrize("call, least, what, bad", [
+        pytest.param(call, least, what, bad, id=f"{name}-{bad!r}")
+        for name, (call, least, what, _) in INTEGER_ARGUMENTS.items()
+        for bad in _not_integers(least)
+    ])
+    def test_refused_with_its_name(self, call, least, what, bad):
+        message = f"{what} must be >= {least} and an integer, got {bad!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+    def test_numpy_integer_accepted(self, name):
+        call, *_, valid = INTEGER_ARGUMENTS[name]
+        call(np.int64(valid))

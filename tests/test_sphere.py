@@ -222,10 +222,10 @@ class TestAnalyzeSynthesize:
         lambda: compute_rl(estimate_sphere_norms(SphericalSignal(2, np.ones(9))), 2.5),
     ])
     def test_bandwidth_must_be_an_integer(self, make):
-        # sampling.is_integer's rule: unchecked, True made a signal and a rule,
+        # sampling.check_integer's rule: unchecked, True made a signal and a rule,
         # 1.0 a signal and compute_rl took L = 2.5, while the others failed
         # inside numpy with a TypeError
-        with pytest.raises(DomainError, match="bandwidth must be >= [01] and an integer"):
+        with pytest.raises(DomainError, match="bandwidth must be >= [012] and an integer"):
             make()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -336,7 +336,7 @@ class TestComputeRl:
         c = np.zeros(4)
         c[0] = 1.0
         norms = estimate_sphere_norms(SphericalSignal(1, c))
-        with pytest.raises(DomainError, match="log L"):
+        with pytest.raises(DomainError, match="bandwidth must be >= 2"):  # log L degenerates
             compute_rl(norms, 1)
 
 
@@ -448,10 +448,11 @@ class TestRingTransforms:
             (rings, np.where(np.arange(4) == 2, 0.0, rule.ring_weights), n_phi),
             (rings, -rule.ring_weights, n_phi),
             (rings, np.where(np.arange(4) == 1, np.nan, rule.ring_weights), n_phi),
-            (rings, rule.ring_weights, 0),
         ):
             with pytest.raises(StructuralError):
                 QuadratureRule(*bad, 6)
+        with pytest.raises(DomainError, match="n_phi must be >= 1"):
+            QuadratureRule(rings, rule.ring_weights, 0, 6)
         with pytest.raises(DataError):
             QuadratureRule([np.nan], [1.0], 3, 4)
         for theta in (-0.1, 4.0):

@@ -165,7 +165,7 @@ class TestComputeRn:
 
 
 class TestGridSide:
-    """discretize and compute_rn share one rule for N: an integer >= 2 (check_side)."""
+    """discretize and compute_rn share one rule for N: an integer >= 2 (sampling.check_integer)."""
 
     @pytest.mark.parametrize("side", [64.5, 8.5, 64.0, 1, True, "8", None])
     def test_refused(self, side):
