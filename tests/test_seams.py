@@ -7,10 +7,15 @@ where it substitutes behaviour: _largest_violator -> None turns growth off,
 and a refusing _hermitian_full checks that a sweep never rebuilds a spectrum.
 The CLI's tests patch no private name: its trials run through the public
 solver.trial, which the sweep worker tests patch instead.
+
+The library has one integer rule, sampling.check_integer, so no other
+function of src/frkit calls sampling.is_integer to check an argument itself.
 """
 
 import ast
 import pathlib
+
+import frkit
 
 PATCHABLE = {"frkit.solver": {"_largest_violator", "_hermitian_full"}, "frkit.cli": set()}
 TESTS = pathlib.Path(__file__).parent
@@ -117,3 +122,49 @@ def test(monkeypatch):
         ("_recover_one", 9), ("_emit", 10), ("_fork_map", 11), ("_trial_row", 12),
         ("_targets", 14),
     ]
+
+
+def _is_integer_callers(source: str) -> list[str]:
+    """The enclosing function ("<module>" outside one) of each call to is_integer in source.
+
+    A call counts by its name alone, is_integer(...) or x.is_integer(...),
+    so float.is_integer counts too.
+    """
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "is_integer":
+                    callers.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_only_check_integer_calls_is_integer():
+    package = pathlib.Path(frkit.__file__).parent
+    callers = {f"{path.name}:{owner}" for path in sorted(package.glob("*.py"))
+               for owner in _is_integer_callers(path.read_text())}
+    assert callers == {"sampling.py:check_integer"}, callers
+
+
+def test_every_is_integer_call_is_seen():
+    source = '''
+def check_integer(value):
+    return is_integer(value)
+
+def other(value):
+    def inner():
+        return sampling.is_integer(value)
+    return inner() or (2.0).is_integer()
+
+flag = is_integer(3)
+'''
+    assert _is_integer_callers(source) == ["check_integer", "inner", "other", "<module>"]
