@@ -244,7 +244,7 @@ Y_MIX = sphere.SphericalSignal(2, np.arange(1.0, 10.0))
 # id -> (call, least, what, a valid value): every public function that takes a
 # size, count or seed, called with that one argument varied
 INTEGER_ARGUMENTS = {
-    "rng_from_seed.seed": (lambda v: rng_from_seed(v), 0, "seed", 3),
+    "rng_from_seed.seed": (rng_from_seed, 0, "seed", 3),
     "spawn_seeds.master_seed": (lambda v: spawn_seeds(v, 2), 0, "master seed", 5),
     "spawn_seeds.count": (lambda v: spawn_seeds(5, v), 0, "seed count", 2),
     "SampleSet.side": (lambda v: SampleSet(side=v, flat=[0]), 2, "grid side N", 4),
@@ -268,14 +268,14 @@ INTEGER_ARGUMENTS = {
     "SphericalSignal.bandwidth": (
         lambda v: sphere.SphericalSignal(v, np.ones(4)), 0, "bandwidth", 1),
     "QuadratureRule.n_phi": (lambda v: sphere.QuadratureRule([1.0], [1.0], v, 0), 1, "n_phi", 3),
-    "build_quadrature.bandwidth": (lambda v: sphere.build_quadrature(v), 1, "bandwidth", 2),
+    "build_quadrature.bandwidth": (sphere.build_quadrature, 1, "bandwidth", 2),
     "basis_matrix.bandwidth": (
         lambda v: sphere.basis_matrix(v, [0.5], [0.5]), 0, "bandwidth", 2),
     "analyze.bandwidth": (
         lambda v: sphere.analyze(np.ones(28), sphere.build_quadrature(3), v), 0, "bandwidth", 2),
     "compute_rl.bandwidth": (
         lambda v: sphere.compute_rl(sphere.estimate_sphere_norms(Y_MIX), v), 2, "bandwidth", 2),
-    "build_sphere_battery.bandwidth": (lambda v: build_sphere_battery(v), 0, "bandwidth", 4),
+    "build_sphere_battery.bandwidth": (build_sphere_battery, 0, "bandwidth", 4),
     "make_sphere_operator.bandwidth": (
         lambda v: solver.make_sphere_operator(draw_sphere_points(3, 1), v), 0, "bandwidth", 2),
     "SolverConfig.max_iter": (
