@@ -16,13 +16,16 @@ parsed after the command and before the rest of the command line, so the
 file's values get the same types and choices as flags and explicit flags
 override the file. Output is CSV on stdout and optionally to --out; every
 row carries the config hash so runs are diffable. sweep makes one task per
-(cell, trial); with --workers W (W capped at the task count) the calling
-process runs tasks[0::W] and W - 1 forked children run tasks[j::W], j = 1..W-1,
-with no pool; --workers 1 runs every task in-process, and the rows are
-byte-identical at every worker count. Children inherit the parent's modules, so
-any numpy submodule a trial needs is imported when frkit is imported, never
-lazily inside a child's first trial. Exit codes: 0 ok, 1 config error (a bad
-flag, a value outside a bound's domain, or an unwritable --out), 2 internal error.
+(cell, trial) and runs them on at most --workers W processes, with no pool: the
+calling process runs tasks in order, and before task i >= 1, with W' = min(W,
+tasks left), it forks W' - 1 children once, only when (elapsed / i) x tasks left
+> W' x FORK_COST_S. From then on every process takes the next task from one
+shared counter. --workers 1, or a platform without fork, runs every task
+in-process, and the rows are byte-identical at every worker count. Children
+inherit the parent's modules and the fields it has built, so any numpy submodule
+a trial needs is imported when frkit is imported, never lazily inside a child's
+first trial. Exit codes: 0 ok, 1 config error (a bad flag, a value outside a
+bound's domain, or an unwritable --out), 2 internal error.
 """
 
 from __future__ import annotations
@@ -237,7 +240,8 @@ def _trial_targets(args, targets):
     """A function of a (fn, size) key that gives its solver.Field, built on first use.
 
     The memo belongs to the one command that makes it: a forked sweep child
-    inherits it empty and fills its own, and none outlives the command.
+    inherits the fields built before the fork and builds the rest itself, and
+    none outlives the command.
     """
     def build(key):
         if args.setting == "sphere":
@@ -272,40 +276,82 @@ def cmd_recover(args, config_hash: str) -> int:
     return 0
 
 
-def _send_share(fn, share, conn) -> None:
-    """A forked child's body: send (True, rows) of fn over share, or (False, exception)."""
+# Wall cost of one forked sweep child (2-core VM, BLAS at 1 thread, warm process, 6 rounds
+# of 30 passes): a torus_small pass (4 tasks, N = 64) forced to fork at its second task
+# takes 9.3-9.6 ms against 2.8-3.3 ms in-process, which is 7.0-7.6 ms once half of the
+# 1.7-2.0 ms its tasks after the first take in-process is added back. The fork cycle alone
+# (counter, pipe, start, send, join) takes 3.4-4.3 ms on no-op tasks; copy-on-write faults
+# in caller and child are the rest. A sphere child pays more: it builds its own fields.
+FORK_COST_S = 0.0075
+
+
+def _taken(counter, count: int):
+    """The task indices this process takes from the shared counter, until it passes count."""
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= count:
+            return
+        yield index
+
+
+def _send_taken(fn, tasks: list, counter, conn) -> None:
+    """A forked child's body: send (True, [(index, row)...]) of the tasks it takes, or
+    (False, exception) after moving the counter past the end, so no process takes more."""
     try:
-        result = (True, list(map(fn, share)))
+        result = (True, [(i, fn(tasks[i])) for i in _taken(counter, len(tasks))])
     except Exception as exc:  # noqa: BLE001 - the parent re-raises it
+        with counter.get_lock():
+            counter.value = len(tasks)
         result = (False, exc)
     conn.send(result)
     conn.close()
 
 
 def _fork_map(fn, tasks: list, workers: int) -> list:
-    """list(map(fn, tasks)), with the caller running tasks[0::W] and W - 1 children the rest.
+    """list(map(fn, tasks)) on at most `workers` processes, forking only when it pays.
 
-    Forked child j runs tasks[j::W] and sends its rows back over a one-way pipe, so rows
-    keep task order. A fork-started child inherits fn and its closure without pickling.
-    An error in any share is raised here, after every child is stopped and joined.
+    The caller runs the tasks in order. Before task i >= 1, with W' = min(workers, tasks
+    left), it forks W' - 1 children once, and only when (elapsed / i) x tasks left >
+    W' x FORK_COST_S. From then on the caller and every child take the next task index
+    from one shared counter; a child sends back its (index, row) pairs over a one-way
+    pipe, and rows are placed by index, so they keep task order. A fork-started child
+    inherits fn and its closure without pickling. An error in any process is raised
+    here, after every child is stopped and joined.
     """
-    import multiprocessing as mp  # imported here, so the other commands never load it
+    from time import perf_counter
 
-    if workers == 1 or "fork" not in mp.get_all_start_methods():
-        return list(map(fn, tasks))
-    ctx = mp.get_context("fork")
+    rows = [None] * len(tasks)
+    start = perf_counter()
+    for i, task in enumerate(tasks):
+        left = len(tasks) - i
+        width = min(workers, left)
+        if i and width > 1 and (perf_counter() - start) / i * left > width * FORK_COST_S:
+            import multiprocessing as mp  # imported here, so an unforked run never loads it
+
+            if "fork" in mp.get_all_start_methods():
+                _share_rest(fn, tasks, rows, i, width, mp.get_context("fork"))
+                return rows
+            workers = 1
+        rows[i] = fn(task)
+    return rows
+
+
+def _share_rest(fn, tasks: list, rows: list, first: int, width: int, ctx) -> None:
+    """Fill rows[first:] from the caller and width - 1 forked children on one counter."""
+    counter = ctx.Value("q", first)
     children = []
     done = False
     try:
-        for j in range(1, workers):
+        for _ in range(width - 1):
             recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_share, args=(fn, tasks[j::workers], send),
-                                daemon=True)
+            child = ctx.Process(target=_send_taken, args=(fn, tasks, counter, send), daemon=True)
             child.start()
             send.close()
             children.append((child, recv))
-        rows = [None] * len(tasks)
-        rows[0::workers] = map(fn, tasks[0::workers])
+        for i in _taken(counter, len(tasks)):
+            rows[i] = fn(tasks[i])
         for j, (child, recv) in enumerate(children, 1):
             try:
                 ok, result = recv.recv()
@@ -315,9 +361,9 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
                                    "before sending its rows") from None
             if not ok:
                 raise result
-            rows[j::workers] = result
+            for i, row in result:
+                rows[i] = row
         done = True
-        return rows
     finally:
         for child, recv in children:
             if not done:
@@ -355,7 +401,7 @@ def cmd_sweep(args, config_hash: str) -> int:
             blank = [""] * (RECOVERY_HEADER.index("config_hash") - len(inputs))
             return inputs + blank + [config_hash, cell[0], f"error: {exc}"]
 
-    rows = _fork_map(sweep_row, tasks, min(args.workers, len(tasks)))
+    rows = _fork_map(sweep_row, tasks, args.workers)
     _emit(RECOVERY_HEADER + ["status"], rows, args.out)
     return 0
 
@@ -484,7 +530,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="factorial sweep to CSV")
     common(p_sweep, recovery=True)
     p_sweep.add_argument("--mode", choices=["recover", "rn_vs_logn"], default="recover")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, default=1, metavar="W",
+                         help="upper bound on processes: before task i >= 1, with W' = "
+                              "min(W, tasks left), the sweep forks W' - 1 children once, "
+                              "when (elapsed / i) x tasks left > W' x "
+                              f"{FORK_COST_S * 1e3:g} ms; from then on every process takes "
+                              "the next task from one shared counter")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_quad = sub.add_parser("quadrature-check", help="quadrature exactness report")

@@ -143,7 +143,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    CertificationError, DataError, DomainError, InfeasibleCandidateError,
+    CertificationError, DataError, DomainError, InfeasibleCandidateError, StructuralError,
 )
 from .sampling import (
     SampleMultiset, SampleSet, check_integer, draw_sphere_points, draw_subset, rng_from_seed,
@@ -277,13 +277,14 @@ class MeasurementOperator:
 
 
 def _as_flat(x, dtype: np.dtype, size: int, what: str) -> np.ndarray:
-    """x raveled and cast to dtype: size entries, real for float64, of finite norm (DataError)."""
+    """x raveled and cast to dtype: size entries and real for float64 (StructuralError),
+    of finite norm (DataError)."""
     x = np.asarray(x).ravel()
     if x.size != size:
-        raise DataError(f"expected {size} {what}, got {x.size}")
+        raise StructuralError(f"expected {size} {what}, got {x.size}")
     if dtype == np.float64 and np.iscomplexobj(x):
         if np.any(x.imag != 0.0):
-            raise DataError(f"a real operator takes real {what}")
+            raise StructuralError(f"a real operator takes real {what}")
         x = x.real
     x = x.astype(dtype, copy=False)
     with np.errstate(over="ignore"):
@@ -543,8 +544,8 @@ def _soft_threshold(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
 def solve_bpdn(op: MeasurementOperator, y: np.ndarray, cfg: SolverConfig) -> _Solution:
     """min ||a||_1 s.t. ||A a - y|| <= delta: a driver over the loop _pdhg and the support polish.
 
-    op.measurements checks y: a wrong length or a non-finite norm is a
-    DataError. When delta >= ||y||, a = 0 is feasible and hence the
+    op.measurements checks y: StructuralError on a wrong length, DataError on
+    a non-finite norm. When delta >= ||y||, a = 0 is feasible and hence the
     minimizer: it is returned at once, with iterations 0, objective 0, no
     attempts and no product. Else the driver forms A^H y by one adjoint
     product, which is also b when op has a normal product, and starts: it
@@ -840,7 +841,7 @@ def certify(op: MeasurementOperator, y: np.ndarray, delta: float, a: np.ndarray)
     direction; for the least-squares nu, that of g_S, or the worst excess of
     |g_i| over 1 off S if larger. A feasible zero vector is the minimizer: (0, 0).
     Raises InfeasibleCandidateError if ||rho|| > delta + KKT_FEAS_TOL max(1, ||y||).
-    y, a and delta are checked as solve_bpdn's are (DataError, DomainError).
+    y, a and delta are checked as solve_bpdn's are (StructuralError, DataError, DomainError).
     """
     _finite_nonnegative(delta, "feasibility radius")
     return _certify(op, op.measurements(y), delta, op.coefficients(a), None)[0]

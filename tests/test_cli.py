@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,25 @@ def parse_csv(text):
 
 def _g(x):
     return f"{x:.17g}"
+
+
+# a trial this slow makes a sweep's first task show that forking pays for its cost
+SLOW_TRIAL_S = 4 * cli.FORK_COST_S
+
+
+def patch_trial(monkeypatch, before):
+    """Make solver.trial call before(field, seed) first, to sleep, log or raise."""
+    trial = solver.trial
+
+    def patched(field, eps, seed, **options):
+        before(field, seed)
+        return trial(field, eps, seed, **options)
+
+    monkeypatch.setattr(solver, "trial", patched)
+
+
+def slow(field, seed):
+    time.sleep(SLOW_TRIAL_S)
 
 
 def run_python(code, **env):
@@ -360,12 +380,21 @@ class TestTorusFields:
             raise AssertionError("a row's trial rebuilt the full spectrum")
 
         monkeypatch.setattr(solver, "_hermitian_full", refuse)
+        trials = tmp_path / "trials"
+
+        def slow_logged(field, seed):
+            with open(trials, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            slow(field, seed)  # so that two workers fork
+
+        patch_trial(monkeypatch, slow_logged)
         code, out, err = run_cli(capsys, *self.SWEEP, "--workers", str(workers))
         assert code == 0, err
         header, rows = parse_csv(out)
         assert len(rows) == 6 and all(row[header.index("status")] == "ok" for row in rows)
-        per_process = collections.Counter(log.read_text().split())
-        assert sorted(per_process.values()) == [1] * workers
+        # the caller builds the field in its first task; a child forked after it inherits it
+        assert log.read_text().split() == [str(os.getpid())]
+        assert len(set(trials.read_text().split())) == workers
 
     def test_no_field_outlives_its_command(self, monkeypatch, tmp_path, capsys):
         log = tmp_path / "pids"
@@ -389,25 +418,37 @@ class TestSphereFields:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_builds_each_field_once_per_process(self, workers, monkeypatch, tmp_path,
                                                        capsys):
-        log = tmp_path / "pids"
+        builds, uses = tmp_path / "builds", tmp_path / "uses"
         sphere_field = solver.sphere_field
 
+        def log(path, coeffs):
+            with open(path, "a") as fh:
+                fh.write(f"{os.getpid()} {hashlib.sha256(coeffs.tobytes()).hexdigest()}\n")
+
         def logged(signal):
-            digest = hashlib.sha256(signal.coeffs.tobytes()).hexdigest()
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {signal.bandwidth} {digest}\n")
+            log(builds, signal.coeffs)
             return sphere_field(signal)
 
+        def slow_logged(field, seed):
+            log(uses, field.truth)
+            slow(field, seed)  # so that two workers fork
+
         monkeypatch.setattr(solver, "sphere_field", logged)
+        patch_trial(monkeypatch, slow_logged)
         code, out, err = run_cli(capsys, *self.SWEEP, "--workers", str(workers))
         assert code == 0, err
         header, rows = parse_csv(out)
         assert len(rows) == 8 and all(row[header.index("status")] == "ok" for row in rows)
-        # every process runs one trial of each of the four cells
-        builds = collections.Counter(log.read_text().splitlines())
-        assert set(builds.values()) == {1} and len(builds) == 4 * workers
-        per_process = collections.Counter(line.split()[0] for line in builds)
-        assert sorted(per_process.values()) == [4] * workers
+        # no process builds a field twice, and each builds a field only for a trial;
+        # a child builds the fields of its trials that the caller had not built before
+        # the fork, which it inherits
+        built, used = ([tuple(line.split()) for line in path.read_text().splitlines()]
+                       for path in (builds, uses))
+        built, used = collections.Counter(built), set(used)
+        caller = str(os.getpid())
+        assert set(built.values()) == {1} and set(built) <= used
+        assert all((pid, f) in built or (caller, f) in built for pid, f in used)
+        assert len({pid for pid, _ in used}) == workers and len({f for _, f in used}) == 4
 
 
 class TestSweepWorkers:
@@ -518,35 +559,71 @@ class TestSweepWorkers:
             raise AssertionError("sweep forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
+        patch_trial(monkeypatch, slow)
         code, _, err = run_cli(capsys, *self.GRID, "--workers", "1")
         assert code == 0, err
-        # the patch does reach the fork path: two workers fork one child
+        # the patch does reach the fork path: slow trials at two workers fork one child
         code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
         assert code == 2 and "internal error: sweep forked" in err and out == ""
 
-    def test_caller_runs_the_first_share(self, monkeypatch, tmp_path, capsys):
-        # every task appends "pid seed" to one file; with 8 tasks and 3 workers the
-        # caller runs tasks 0, 3, 6 and two children run 1, 4, 7 and 2, 5
-        log = tmp_path / "pids"
-        trial = solver.trial
+    def test_cheap_sweep_forks_nothing(self, monkeypatch, capsys):
+        # GRID's tasks take about a millisecond, far below what a fork costs
+        def no_fork():
+            raise AssertionError("sweep forked")
 
-        def logged(field, eps, seed, **options):
+        code, alone, err = run_cli(capsys, *self.GRID, "--workers", "1")
+        assert code == 0, err
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
+        assert code == 0, err
+        assert out == alone
+
+    def test_costly_tasks_go_to_free_processes(self, monkeypatch, tmp_path, capsys):
+        # tasks 0-3 sleep 10, 150, 5 and 50 ms: whichever process takes task 1 is
+        # busy while the other takes tasks 2 and 3, where a stride split gives one
+        # process both tasks 1 and 3
+        path = tmp_path / "w1.csv"
+        code, out, err = run_cli(capsys, *self.GRID, "--workers", "1", "--out", str(path))
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        seeds = [int(row[header.index("seed")]) for row in rows]
+        sleep_of = dict(zip(seeds, (0.010, 0.150, 0.005, 0.050)))
+        log = tmp_path / "pids"
+
+        def sleep_logged(field, seed):
+            with open(log, "a") as fh:
+                fh.write(f"{seed} {os.getpid()}\n")
+            time.sleep(sleep_of[seed])
+
+        patch_trial(monkeypatch, sleep_logged)
+        code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
+        assert code == 0, err
+        assert out.encode() == path.read_bytes()
+        pid_of = dict(map(int, line.split()) for line in log.read_text().splitlines())
+        assert pid_of[seeds[0]] == os.getpid()
+        assert pid_of[seeds[1]] != pid_of[seeds[3]]
+        assert multiprocessing.active_children() == []
+
+    def test_caller_runs_the_first_share(self, monkeypatch, tmp_path, capsys):
+        # every task appends "pid seed" to one file; with 8 slow tasks and 3 workers
+        # the caller runs task 0, then forks two children, and each task runs once
+        log = tmp_path / "pids"
+
+        def slow_logged(field, seed):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {seed}\n")
-            return trial(field, eps, seed, **options)
+            slow(field, seed)
 
-        monkeypatch.setattr(solver, "trial", logged)
+        patch_trial(monkeypatch, slow_logged)
         code, out, err = run_cli(capsys, *self.GRID, "--trials", "2", "--workers", "3")
         assert code == 0, err
         header, rows = parse_csv(out)
-        pid_of = {int(seed): int(pid) for pid, seed in
-                  (line.split() for line in log.read_text().splitlines())}
+        logged = [line.split() for line in log.read_text().splitlines()]
+        pid_of = {int(seed): int(pid) for pid, seed in logged}
+        assert len(logged) == len(pid_of) == 8
         pids = [pid_of[int(row[header.index("seed")])] for row in rows]
-        assert len(pids) == 8
-        assert pids[0::3] == [os.getpid()] * 3
-        children = [pids[1::3], pids[2::3]]
-        assert [len(set(share)) for share in children] == [1, 1]
-        assert len({os.getpid(), children[0][0], children[1][0]}) == 3
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) in (2, 3)
         assert multiprocessing.active_children() == []
 
     def test_worker_exception_is_internal_error(self, monkeypatch, capsys):
@@ -562,14 +639,14 @@ class TestSweepWorkers:
         assert multiprocessing.active_children() == []
 
     def test_child_exception_is_internal_error(self, monkeypatch, capsys):
-        parent, trial = os.getpid(), solver.trial
+        parent = os.getpid()
 
-        def broken_in_child(*args, **options):
+        def slow_broken_in_child(field, seed):
             if os.getpid() != parent:
                 raise RuntimeError("broken child trial")
-            return trial(*args, **options)
+            slow(field, seed)
 
-        monkeypatch.setattr(solver, "trial", broken_in_child)
+        patch_trial(monkeypatch, slow_broken_in_child)
         code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
         assert code == 2
         assert "internal error: broken child trial" in err
@@ -579,13 +656,14 @@ class TestSweepWorkers:
     def test_child_death_is_internal_error(self):
         # in a fresh interpreter, whose 120 s timeout turns a hang into a failure
         code = f"""if True:
-            import contextlib, io, multiprocessing, os
+            import contextlib, io, multiprocessing, os, time
             from frkit import cli, solver
             parent, trial = os.getpid(), solver.trial
 
             def dies_in_child(*args, **options):
                 if os.getpid() != parent:
                     os._exit(3)
+                time.sleep({SLOW_TRIAL_S!r})
                 return trial(*args, **options)
 
             solver.trial = dies_in_child
@@ -598,6 +676,53 @@ class TestSweepWorkers:
         code, out, err, alive = eval(run_python(code))
         assert code == 2 and out == "" and alive == []
         assert "internal error: sweep worker 1 exited with code 3" in err
+
+    def test_shared_counter_hands_each_task_out_once(self, tmp_path):
+        # more workers than cores, in a fresh interpreter whose 120 s timeout turns a
+        # hang into a failure. Only each sweep's first trial is slow, so it forks; every
+        # later one gives an error row at once, so the processes race for the counter,
+        # where a lost update would run a task twice or never. The forked sweep must
+        # leave no child and no resource tracker running
+        log = tmp_path / "seeds"
+        grid = ["sweep", "--fn", "cc_half", "--n", "16", "--eps", "0.1", "--c-univ", "0.05",
+                "0.1", "--trials", "500", "--seed", "5", "--allow-uncertified"]
+        workers = str((os.cpu_count() or 1) + 6)
+        code = f"""if True:
+            import contextlib, io, multiprocessing, os, time
+            from multiprocessing import resource_tracker
+            from frkit import cli, solver
+            from frkit.errors import DomainError
+            trial, slept, log = solver.trial, [], None
+
+            def first_slow(field, eps, seed, **options):
+                if log is not None:
+                    os.write(log, f"{{os.getpid()}} {{seed}}\\n".encode())
+                if slept:
+                    raise DomainError("not run")
+                time.sleep({SLOW_TRIAL_S!r})
+                slept.append(seed)
+                return trial(field, eps, seed, **options)
+
+            def run(workers):
+                slept.clear()
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli.main({grid!r} + ["--workers", workers]) == 0
+                return out.getvalue()
+
+            solver.trial = first_slow
+            alone = run("1")
+            log = os.open({str(log)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            same = [run({workers!r}) == alone for _ in range(30)]
+            print(repr((same, multiprocessing.active_children(),
+                        resource_tracker._resource_tracker._pid)))
+        """
+        same, alive, tracker = eval(run_python(code))
+        assert same == [True] * 30 and alive == [] and tracker is None
+        # thirty forked sweeps of 1,000 tasks: each task runs once in each
+        logged = [line.split() for line in log.read_text().splitlines()]
+        assert set(collections.Counter(seed for _, seed in logged).values()) == {30}
+        assert len(logged) == 30_000 and len({pid for pid, _ in logged}) > 30
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_config_error(self, capsys, workers):

@@ -15,6 +15,7 @@ from frkit.errors import (
     DataError,
     DomainError,
     InfeasibleCandidateError,
+    StructuralError,
 )
 from frkit.sampling import draw_sphere_points, draw_subset, rng_from_seed, spawn_seeds
 from frkit.solver import (
@@ -384,7 +385,7 @@ class TestHalfSpectrumTorus:
 
     def test_no_dense_form_and_real_data_only(self):
         op = make_torus_operator(draw_subset(4, 9, seed=8))
-        with pytest.raises(DataError, match="real measurements"):
+        with pytest.raises(StructuralError, match="real measurements"):
             solve_bpdn(op, np.full(9, 1j), SolverConfig(delta=0.0))
 
 
@@ -574,9 +575,9 @@ class TestRestarts:
 
     def test_real_operator_takes_real_data_only(self):
         op = make_sphere_operator(draw_sphere_points(20, seed=3), 2)
-        with pytest.raises(DataError, match="real measurements"):
+        with pytest.raises(StructuralError, match="real measurements"):
             solve_bpdn(op, np.full(20, 1j), SolverConfig(delta=0.0))
-        with pytest.raises(DataError, match="real coefficients"):
+        with pytest.raises(StructuralError, match="real coefficients"):
             certify(op, np.ones(20), 10.0, np.full(9, 1j))
 
 
@@ -1397,13 +1398,13 @@ def _set(x, value):
 
 # case: (the problem (y, delta, a) with that one defect, the error, its message)
 _BAD_PROBLEMS = {
-    "y_short": (lambda y, d, a: (y[:-1], d, a), DataError, "expected"),
+    "y_short": (lambda y, d, a: (y[:-1], d, a), StructuralError, "expected"),
     "y_nan": (lambda y, d, a: (_set(y, math.nan), d, a), DataError, "finite"),
     "y_inf": (lambda y, d, a: (_set(y, math.inf), d, a), DataError, "finite"),
     "y_overflow": (lambda y, d, a: (_set(y, 1e300), d, a), DataError, "finite"),
     "delta_nan": (lambda y, d, a: (y, math.nan, a), DomainError, "feasibility radius"),
     "a_nan": (lambda y, d, a: (y, d, _set(a, math.nan)), DataError, "finite"),
-    "a_long": (lambda y, d, a: (y, d, np.append(a, 0.0)), DataError, "expected"),
+    "a_long": (lambda y, d, a: (y, d, np.append(a, 0.0)), StructuralError, "expected"),
 }
 
 
