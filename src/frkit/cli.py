@@ -17,11 +17,11 @@ file's values get the same types and choices as flags and explicit flags
 override the file. Output is CSV on stdout and optionally to --out; every
 row carries the config hash so runs are diffable. sweep makes one task per
 (cell, trial) and runs them on at most --workers W processes, with no pool: the
-calling process runs tasks in order, and before task i >= 1, with W' = min(W,
-tasks left), it forks W' - 1 children once, only when (elapsed / i) x tasks left
-> W' x FORK_COST_S. From then on every process takes the next task from one
-shared counter. --workers 1, or a platform without fork, runs every task
-in-process, and the rows are byte-identical at every worker count. Children
+calling process runs tasks in order and forks its helpers once, when the work
+left pays for them (the rule is in _fork_map). From then on every process takes
+the next task from one shared counter. --workers 1, or a platform without fork,
+runs every task in-process, and the rows are byte-identical at every worker
+count. Children
 inherit the parent's modules and the fields it has built, so any numpy submodule
 a trial needs is imported when frkit is imported, never lazily inside a child's
 first trial. Exit codes: 0 ok, 1 config error (a bad flag, a value outside a
@@ -531,11 +531,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_sweep, recovery=True)
     p_sweep.add_argument("--mode", choices=["recover", "rn_vs_logn"], default="recover")
     p_sweep.add_argument("--workers", type=int, default=1, metavar="W",
-                         help="upper bound on processes: before task i >= 1, with W' = "
-                              "min(W, tasks left), the sweep forks W' - 1 children once, "
-                              "when (elapsed / i) x tasks left > W' x "
-                              f"{FORK_COST_S * 1e3:g} ms; from then on every process takes "
-                              "the next task from one shared counter")
+                         help="upper bound on processes: the sweep forks its helpers once, "
+                              "when the work left pays for them; from then on every "
+                              "process takes the next task from one shared counter")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_quad = sub.add_parser("quadrature-check", help="quadrature exactness report")

@@ -17,6 +17,7 @@ from frkit import sphere as sph
 from frkit import torus as tor
 from frkit.battery import TORUS_BATTERY
 from frkit.cli import RECOVERY_HEADER, main
+from frkit.errors import DomainError
 from frkit.solver import BASIS_ENTRIES_MAX
 
 
@@ -457,14 +458,27 @@ class TestSweepWorkers:
     GRID = ["sweep", "--setting", "sphere", "--fn", "y00", "--l", "2", "--eps", "0.1", "0.2",
             "--c-univ", "0.01", "1e6", "--seed", "4"]
 
-    def test_rows_byte_identical_at_every_worker_count(self, tmp_path, capsys):
+    def test_rows_byte_identical_at_every_worker_count(self, monkeypatch, tmp_path, capsys):
+        # slow trials, so that two and three workers fork after the first task
+        log = tmp_path / "pids"
+
+        def slow_logged(field, seed):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            slow(field, seed)
+
+        patch_trial(monkeypatch, slow_logged)
         bodies = []
         for workers in ("1", "2", "3"):
             path = tmp_path / f"w{workers}.csv"
             code, _, err = run_cli(capsys, *self.GRID, "--workers", workers, "--out", str(path))
             assert code == 0, err
             bodies.append(path.read_bytes())
+            pids = set(log.read_text().split())
+            log.unlink()
+            assert (len(pids) > 1) == (workers != "1")
         assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+        assert multiprocessing.active_children() == []
         header, rows = parse_csv(bodies[0].decode())
         cells = [(r[header.index("eps")], r[header.index("C_univ")]) for r in rows]
         assert cells == [(_g(0.1), "0.01"), (_g(0.1), "1000000"),
@@ -517,21 +531,33 @@ class TestSweepWorkers:
                 for n in ("1", "2")]
         assert outs[0] == outs[1]
 
-    def test_iterating_sphere_rows_byte_identical(self, tmp_path, capsys):
+    def test_iterating_sphere_rows_byte_identical(self, monkeypatch, tmp_path, capsys):
         # solves that iterate build the operator's Gram rows in the order their
-        # coefficients turn nonzero; the rows must not depend on that order.
-        # decay_alt at L = 16, whose starts are refused: 15 iterations each
+        # coefficients turn nonzero; the rows must not depend on that order, nor on
+        # whether the caller or a forked child ran them. decay_alt at L = 16, whose
+        # starts are refused: 15 iterations each. Slow trials, so that two workers fork
         grid = ["sweep", "--setting", "sphere", "--fn", "decay_alt", "--l", "16",
-                "--c-univ", "0.015625", "--trials", "2", "--seed", "4"]
+                "--c-univ", "0.015625", "--trials", "4", "--seed", "4"]
+        log = tmp_path / "pids"
+
+        def slow_logged(field, seed):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            slow(field, seed)
+
+        patch_trial(monkeypatch, slow_logged)
         bodies = []
         for run, workers in enumerate(("1", "2", "1")):
             path = tmp_path / f"run{run}.csv"
             code, _, err = run_cli(capsys, *grid, "--workers", workers, "--out", str(path))
             assert code == 0, err
             bodies.append(path.read_bytes())
+            pids = set(log.read_text().split())
+            log.unlink()
+            assert len(pids) == int(workers)
         assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
         header, rows = parse_csv(bodies[0].decode())
-        assert len(rows) == 2
+        assert len(rows) == 4
         for row in rows:
             assert row[header.index("status")] == "ok"
             assert int(row[header.index("iterations")]) > 0
@@ -567,12 +593,19 @@ class TestSweepWorkers:
         assert code == 2 and "internal error: sweep forked" in err and out == ""
 
     def test_cheap_sweep_forks_nothing(self, monkeypatch, capsys):
-        # GRID's tasks take about a millisecond, far below what a fork costs
+        # stubbed fields and trials make every task an error row of microseconds, far
+        # below what a fork costs, however slow the machine runs
         def no_fork():
             raise AssertionError("sweep forked")
 
+        def instant(*args, **options):
+            raise DomainError("not run")
+
+        monkeypatch.setattr(solver, "sphere_field", lambda signal: None)
+        monkeypatch.setattr(solver, "trial", instant)
         code, alone, err = run_cli(capsys, *self.GRID, "--workers", "1")
         assert code == 0, err
+        assert alone.count("error: not run") == 4
         monkeypatch.setattr(os, "fork", no_fork)
         code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
         assert code == 0, err
@@ -626,17 +659,46 @@ class TestSweepWorkers:
         assert len(set(pids)) in (2, 3)
         assert multiprocessing.active_children() == []
 
-    def test_worker_exception_is_internal_error(self, monkeypatch, capsys):
-        def broken(*args, **options):
-            raise RuntimeError("broken trial")
+    def test_worker_exception_is_internal_error(self, monkeypatch, tmp_path, capsys):
+        # the caller's first trial is slow, so it forks one child; the child starts a
+        # long trial, and the caller's next trial raises while it runs. The caller must
+        # stop the child, which never finishes its trial, and report its own error
+        parent, log, forks = os.getpid(), tmp_path / "log", []
+        fork = os.fork
 
-        # set before the children fork, so the caller and every child raise
-        monkeypatch.setattr(solver, "trial", broken)
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        def note(text):
+            with open(log, "a") as fh:
+                fh.write(f"{text}\n")
+
+        def broken_after_first(field, seed):
+            if os.getpid() != parent:
+                note("child started")
+                time.sleep(100 * SLOW_TRIAL_S)
+                note("child finished")
+                raise RuntimeError("broken trial in a child")
+            if not log.exists():
+                note("caller ran its first trial")
+                slow(field, seed)
+                return
+            deadline = time.monotonic() + 100 * SLOW_TRIAL_S
+            while "child started" not in log.read_text() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise RuntimeError("broken trial in the caller")
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        patch_trial(monkeypatch, broken_after_first)
         code, out, err = run_cli(capsys, *self.GRID, "--workers", "2")
         assert code == 2
-        assert "internal error: broken trial" in err
+        assert "internal error: broken trial in the caller" in err
         assert out == ""
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 1 and multiprocessing.active_children() == []
+        assert log.read_text().splitlines() == ["caller ran its first trial", "child started"]
 
     def test_child_exception_is_internal_error(self, monkeypatch, capsys):
         parent = os.getpid()
